@@ -79,14 +79,16 @@ def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarra
 def abl(tsv: TwoStateVector, obs: DenseOperator) -> OutcomeDistribution:
     """Conditional probabilities for a two-state description."""
     decomp = hermitian_eigendecomposition(obs)
-    amps = np.array([tsv.bra.row @ (p @ tsv.ket.amplitudes) for p in decomp.projectors])
+    amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes)
     return _distribution_from_weights(decomp, np.abs(amps) ** 2)
 
 
 def abl_generalized(gtsv: GeneralizedTwoStateVector, obs: DenseOperator) -> OutcomeDistribution:
     """Conditional probabilities for a generalized (superposed) description."""
     decomp = hermitian_eigendecomposition(obs)
-    amps = np.array([gtsv.bilinear(DenseOperator(p, hermitian=False)) for p in decomp.projectors])
+    amps = sum(
+        a * decomp.selection_amplitudes(b.row, k.amplitudes) for a, b, k in zip(gtsv.weights, gtsv.bras, gtsv.kets)
+    )
     return _distribution_from_weights(decomp, np.abs(amps) ** 2)
 
 
@@ -105,16 +107,14 @@ def abl_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: De
     """
     pb = _require_projector(post_projector)
     decomp = hermitian_eigendecomposition(obs)
-    weights = np.array(
-        [float(np.linalg.norm(pb @ (p @ pre.amplitudes)) ** 2) for p in decomp.projectors]
-    )
+    weights = np.linalg.norm(decomp.branches(pre.amplitudes) @ pb.T, axis=1) ** 2
     return _distribution_from_weights(decomp, weights)
 
 
 def born(pre: StateVector, obs: DenseOperator) -> OutcomeDistribution:
     """Pre-selected-only outcome statistics, ||P_n |Psi>||^2 (normalized)."""
     decomp = hermitian_eigendecomposition(obs)
-    weights = np.array([float(np.linalg.norm(p @ pre.amplitudes) ** 2) for p in decomp.projectors])
+    weights = decomp.selection_amplitudes(pre.amplitudes.conj(), pre.amplitudes).real  # ||P_n psi||^2
     return _distribution_from_weights(decomp, weights)
 
 
@@ -234,19 +234,15 @@ def counterfactual_decomposition_check(
     psi = pre.normalized().amplitudes
 
     # Sequential truth: Prob(c_n then f) = ||P_f P_n psi||^2
-    joint_true = np.zeros((len(c_dec.eigenvalues), len(f_dec.eigenvalues)))
-    for i, pn in enumerate(c_dec.projectors):
-        branch = pn @ psi
-        for j, pf in enumerate(f_dec.projectors):
-            joint_true[i, j] = np.linalg.norm(pf @ branch) ** 2
+    joint_true = np.array([f_dec.selection_amplitudes(b.conj(), b).real for b in c_dec.branches(psi)])
 
     weights_with = joint_true.sum(axis=0)
-    weights_without = np.array([float(np.vdot(psi, pf @ psi).real) for pf in f_dec.projectors])
+    weights_without = f_dec.selection_amplitudes(psi.conj(), psi).real
 
     # Conditional ABL table Prob(c_n ; f); columns with zero weight cannot
     # occur under either reading and are left at zero.
     conditional = np.zeros_like(joint_true)
-    for j, pf in enumerate(f_dec.projectors):
+    for j in range(len(f_dec.eigenvalues)):
         denom = joint_true[:, j].sum()
         if denom > DENOMINATOR_FLOOR:
             conditional[:, j] = joint_true[:, j] / denom

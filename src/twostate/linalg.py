@@ -18,6 +18,7 @@ convention the discrete transform below is exactly unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,15 +30,20 @@ DIMENSION_CAP = 2**20
 HERMITIAN_RTOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _as_complex_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = np.array(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValidationError("zero-dimensional operator")
     if not np.all(np.isfinite(a)):
         raise ValidationError("operator entries must be finite")
-    return a
+    return _read_only(a)  # a private, frozen copy keeps the cached spectrum valid
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,10 @@ class DenseOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> "SpectralDecomposition":
+        return _decompose(self, None)
 
     def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dim != other.dim:
@@ -114,11 +124,35 @@ def projector_onto(vec) -> DenseOperator:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct (grouped) eigenvalues with their orthogonal projectors."""
+    """Distinct (grouped) eigenvalues with orthonormal eigenvector blocks.
+
+    blocks[n] is a d x k_n matrix whose columns span the eigenspace of
+    eigenvalues[n], so P_n = V_n V_n^H.  The kernels contract through the
+    blocks; the dense projectors are derived only when asked for.
+    """
 
     eigenvalues: np.ndarray
-    projectors: list[np.ndarray]
+    blocks: list[np.ndarray]
     grouping_tolerance: float
+
+    @cached_property
+    def projectors(self) -> list[np.ndarray]:
+        return [v @ v.conj().T for v in self.blocks]
+
+    def _check_dim(self, *vecs) -> None:
+        dim = self.blocks[0].shape[0]
+        if any(np.shape(v) != (dim,) for v in vecs):
+            raise DimensionMismatch(f"vector shapes {[np.shape(v) for v in vecs]} vs operator dim {dim}")
+
+    def selection_amplitudes(self, row, ket) -> np.ndarray:
+        """<Phi|P_n|Psi> = (row . V_n)(V_n^H . ket) for every eigenvalue, in order."""
+        self._check_dim(row, ket)
+        return np.array([(row @ v) @ (v.conj().T @ ket) for v in self.blocks])
+
+    def branches(self, ket) -> np.ndarray:
+        """P_n|Psi> = V_n (V_n^H . ket) for every eigenvalue, one row each."""
+        self._check_dim(ket)
+        return np.array([v @ (v.conj().T @ ket) for v in self.blocks])
 
     def verify(self, tol: float = 1e-10) -> None:
         dim = self.projectors[0].shape[0]
@@ -142,27 +176,35 @@ class SpectralDecomposition:
 
 
 def hermitian_eigendecomposition(op: DenseOperator, tol: float | None = None) -> SpectralDecomposition:
-    """Eigenvalues of a Hermitian operator, grouped into degenerate projectors.
+    """Eigenvalues of a Hermitian operator, grouped into degenerate eigenvector blocks.
 
-    Eigenvalues closer than `tol` are merged into a single projector; the
-    default tolerance is 1e-9 relative to the spectral radius.
+    Eigenvalues closer than `tol` are merged into one block; the default
+    tolerance is 1e-9 relative to the spectral radius.  At the default the
+    decomposition is computed once per operator and cached on it (operator
+    matrices are read-only, so the cache cannot go stale); an explicit `tol`
+    always decomposes afresh.  Real matrices go through the real LAPACK routine.
     """
+    return op._spectrum if tol is None else _decompose(op, tol)
+
+
+def _decompose(op: DenseOperator, tol: float | None) -> SpectralDecomposition:
     if not op.hermitian:
         raise ValidationError("spectral decomposition requires a Hermitian operator")
-    w, v = np.linalg.eigh(op.matrix)
+    m = op.matrix
+    w, v = np.linalg.eigh(m if np.any(m.imag) else m.real)
+    v = _read_only(v.astype(complex, copy=False))  # the cache shares the blocks with every caller
     radius = max(np.abs(w).max(), 1e-300)
     if tol is None:
         tol = 1e-9 * radius
     eigenvalues: list[float] = []
-    projectors: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[start] > tol:
-            block = v[:, start:i]
+    blocks: list[np.ndarray] = []
+    start, ws = 0, w.tolist()  # Python floats: the scan below is per eigenvalue
+    for i in range(1, len(ws) + 1):
+        if i == len(ws) or ws[i] - ws[start] > tol:
             eigenvalues.append(float(w[start:i].mean()))
-            projectors.append(block @ block.conj().T)
+            blocks.append(v[:, start:i])
             start = i
-    return SpectralDecomposition(np.array(eigenvalues), projectors, float(tol))
+    return SpectralDecomposition(_read_only(np.array(eigenvalues)), blocks, float(tol))
 
 
 def evolve_unitary(state: np.ndarray, hamiltonian: DenseOperator, t: float) -> np.ndarray:

@@ -181,13 +181,9 @@ def joint_state_after_impulse(
     shifts = model.coupling_integral * decomp.eigenvalues
     pointer.check_covers(shifts)
     q = pointer.grid.values
-    amp = np.zeros((pre.dim, pointer.grid.points), dtype=complex)
     norm = (np.pi * pointer.delta**2) ** -0.25
-    for c, proj in zip(shifts, decomp.projectors):
-        branch = proj @ pre.amplitudes
-        gauss = norm * np.exp(-((q - c) ** 2) / (2 * pointer.delta**2))
-        amp += branch[:, None] * gauss[None, :]
-    return JointState(pre.dim, pointer.grid, amp)
+    gauss = norm * np.exp(-((q[None, :] - shifts[:, None]) ** 2) / (2 * pointer.delta**2))
+    return JointState(pre.dim, pointer.grid, decomp.branches(pre.amplitudes).T @ gauss)
 
 
 def pointer_distribution_preselected(
@@ -232,7 +228,7 @@ def postselected_pointer_wavefunction(
     decomp = hermitian_eigendecomposition(obs)
     shifts = model.coupling_integral * decomp.eigenvalues
     pointer.check_covers(shifts)
-    amps = np.array([tsv.bra.row @ (p @ tsv.ket.amplitudes) for p in decomp.projectors])
+    amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes)
     q = pointer.grid.values
     norm = (np.pi * pointer.delta**2) ** -0.25
     vals = np.zeros(q.size, dtype=complex)
@@ -300,7 +296,7 @@ def moment_expansion_residual(
     ov = tsv.require_overlap()
     decomp = hermitian_eigendecomposition(obs)
     shifts = model.coupling_integral * decomp.eigenvalues
-    amps = np.array([tsv.bra.row @ (p @ tsv.ket.amplitudes) for p in decomp.projectors]) / ov
+    amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes) / ov
     mom = fourier_pair(pointer.initial_wavefunction())
     p = mom.grid.values
     exact = mom.values * (amps[:, None] * np.exp(-1j * np.outer(shifts, p))).sum(axis=0)

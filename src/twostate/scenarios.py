@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ValidationError
+from .errors import PostSelectionImpossible, ValidationError
 from .ideal import (
     abl,
-    abl_generalized,
     born,
     born_backward,
     certain_outcome,
@@ -52,7 +51,7 @@ from .timemachine import (
     run_machine,
     success_scaling_probe,
 )
-from .weak import certainty_cone, weak_value
+from .weak import _certainty_probability, certainty_cone, weak_value
 
 SQRT2 = math.sqrt(2.0)
 
@@ -470,11 +469,6 @@ def _spin_cone_description(chi: float) -> GeneralizedTwoStateVector:
     )
 
 
-def _cone_probability(gtsv: GeneralizedTwoStateVector, theta: float, phi: float = 0.0) -> float:
-    direction = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    return abl_generalized(gtsv, spin_direction(direction)).probability_of(1.0, tol=1e-6)
-
-
 def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
     chi = params["chi"]
     samples = params["samples"]
@@ -487,14 +481,14 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
     theta_printed = 4.0 * math.atan(math.sqrt(math.tan(chi)))
 
     try:
-        prob_derived = _cone_probability(gtsv, theta_derived)
-    except Exception:
+        prob_derived = _certainty_probability(gtsv, theta_derived, 0.0)
+    except PostSelectionImpossible:
         prob_derived = None  # chi = pi/4: both conditional amplitudes vanish there
     prob_printed = None
     if theta_printed <= math.pi:
         try:
-            prob_printed = _cone_probability(gtsv, theta_printed)
-        except Exception:
+            prob_printed = _certainty_probability(gtsv, theta_printed, 0.0)
+        except PostSelectionImpossible:
             prob_printed = None
 
     checks = [

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverlapTooSmall, ValidationError
+from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import abl_generalized, certain_outcome
-from .linalg import DenseOperator, hermitian_eigendecomposition, pauli
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, DenseOperator, hermitian_eigendecomposition, pauli
 from .states import OVERLAP_EPSILON, GeneralizedTwoStateVector, StateVector, TwoStateVector
 
 
@@ -126,7 +126,7 @@ class ConeDirection:
 
 def _direction_obs(theta: float, phi: float) -> DenseOperator:
     n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
-    return DenseOperator(n[0] * pauli("x").matrix + n[1] * pauli("y").matrix + n[2] * pauli("z").matrix)
+    return DenseOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
 def _certainty_probability(gtsv: GeneralizedTwoStateVector, theta: float, phi: float) -> float:
@@ -159,7 +159,7 @@ def certainty_cone(description, samples: int = 16, tol: float = 1e-10) -> list[C
         phi = float(np.arctan2(nhat[1], nhat[0]) % (2 * np.pi))
         try:
             prob = _certainty_probability(gtsv, theta, phi)
-        except Exception:
+        except PostSelectionImpossible:
             return
         if prob >= 1.0 - tol:
             out.append(ConeDirection(theta, phi, prob))

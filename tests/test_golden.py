@@ -3,8 +3,10 @@
 The goldens in tests/golden/ were recorded by tests/golden/record.py before
 the spectral core moved from dense projectors to eigenvector blocks.  A
 refactor may change the last digits (the contraction order changes), so
-numbers are compared at a relative tolerance of 1e-12; every string, flag,
-key and row count must match exactly.
+numbers are compared at a relative tolerance of 1e-12; a table cell may also
+move by 1e-14 of its column's largest magnitude, the round-off floor of a
+density sampled far out in its tails.  Every string, flag, key and row count
+must match exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +19,18 @@ import pytest
 from golden.record import CASES, golden_path, run_case
 
 RTOL = 1e-12
+COLUMN_FLOOR = 1e-14
 
-# The pointer peak of negative_kinetic_energy is a quadratic interpolation
-# whose denominator is the second difference y0 - 2*y1 + y2 of a density
-# sampled at about 170 points per pointer width: it amplifies last-digit
-# changes of the density by about three orders of magnitude.
-LOOSER = {("negative_kinetic_energy", "results.json", "results.pointer_peak"): 1e-9}
+# The post-selected pointer of negative_kinetic_energy sums 161 selection
+# amplitudes whose magnitudes exceed their sum 1.7e5-fold, so its mean carries
+# a relative round-off of about 2e-11 in any contraction order.  Its peak is
+# a quadratic interpolation whose denominator, the second difference
+# y0 - 2*y1 + y2 of a density sampled at about 170 points per pointer width,
+# amplifies that by another two orders of magnitude.
+LOOSER = {
+    ("negative_kinetic_energy", "results.pointer_mean"): 1e-10,
+    ("negative_kinetic_energy", "results.pointer_peak"): 1e-9,
+}
 
 
 def _load(case: str) -> dict:
@@ -30,30 +38,45 @@ def _load(case: str) -> dict:
         return json.load(handle)["files"]
 
 
-def _close(new: float, old: float, rtol: float) -> bool:
+def _close(new: float, old: float, rtol: float, atol: float = 0.0) -> bool:
     if math.isnan(old):
         return math.isnan(new)
-    return abs(new - old) <= rtol * abs(old) or new == old
+    return abs(new - old) <= rtol * abs(old) + atol or new == old
 
 
-def _compare(new, old, path: str, rtol_of, bad: list) -> None:
+def _compare_table(new: list, old: list, name: str, bad: list) -> None:
+    if new[0] != old[0] or len(new) != len(old):
+        bad.append(f"{name}: header or row count differs")
+        return
+    for j in range(len(old[0])):
+        atol = COLUMN_FLOOR * max((abs(row[j]) for row in old[1:]), default=0.0)
+        for i in range(1, len(old)):
+            if not _close(new[i][j], old[i][j], RTOL, atol):
+                bad.append(f"{name}[{i}][{j}]: {new[i][j]!r} vs golden {old[i][j]!r}")
+
+
+def _compare(new, old, path: str, scenario: str, bad: list) -> None:
     if isinstance(old, dict):
         if not isinstance(new, dict) or sorted(new) != sorted(old):
             bad.append(f"{path}: keys differ")
             return
         for key in old:
-            _compare(new[key], old[key], f"{path}.{key}" if path else key, rtol_of, bad)
+            _compare(new[key], old[key], f"{path}.{key}" if path else key, scenario, bad)
     elif isinstance(old, list):
         if not isinstance(new, list) or len(new) != len(old):
             bad.append(f"{path}: length differs")
             return
         for i, (a, b) in enumerate(zip(new, old)):
-            _compare(a, b, f"{path}[{i}]", rtol_of, bad)
-    elif isinstance(old, float) and not isinstance(new, bool) and isinstance(new, (int, float)):
-        if not _close(float(new), old, rtol_of(path)):
+            _compare(a, b, f"{path}[{i}]", scenario, bad)
+    elif _is_number(old) and _is_number(new):  # 17-digit output writes 1.0 as 1
+        if not _close(float(new), float(old), LOOSER.get((scenario, path), RTOL)):
             bad.append(f"{path}: {new!r} vs golden {old!r}")
     elif new != old or type(new) is not type(old):
         bad.append(f"{path}: {new!r} vs golden {old!r}")
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _csv_rows(text: str) -> list:
@@ -69,12 +92,8 @@ def test_outputs_match_golden(case):
     scenario = CASES[case][0]
     bad: list = []
     for name, text in golden.items():
-
-        def rtol_of(path: str) -> float:
-            return LOOSER.get((scenario, name, path), RTOL)
-
         if name.endswith(".json"):
-            _compare(json.loads(fresh[name]), json.loads(text), "", rtol_of, bad)
+            _compare(json.loads(fresh[name]), json.loads(text), "", scenario, bad)
         else:
-            _compare(_csv_rows(fresh[name]), _csv_rows(text), name, rtol_of, bad)
+            _compare_table(_csv_rows(fresh[name]), _csv_rows(text), name, bad)
     assert not bad, f"{case}: {len(bad)} values off, first: {bad[:5]}"

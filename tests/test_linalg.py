@@ -63,6 +63,98 @@ def test_spectral_invariants_on_random_hermitian_matrices():
         assert np.abs(dec.reconstruct() - op.matrix).max() <= 1e-10 * max(1, np.abs(op.matrix).max())
 
 
+# Spectrum with degenerate groups of sizes 2, 1, 3, 1 (ascending), unit scale.
+GROUPED_SPECTRUM = [(-1.5, 2), (-0.25, 1), (0.75, 3), (2.0, 1)]
+
+
+def _hermitian_with_known_eigenspaces(rng, real: bool):
+    """A Hermitian matrix U diag(c) U^H and the exact projectors onto its groups."""
+    dim = sum(k for _, k in GROUPED_SPECTRUM)
+    raw = rng.normal(size=(dim, dim))
+    if not real:
+        raw = raw + 1j * rng.normal(size=(dim, dim))
+    u, _ = np.linalg.qr(raw)
+    diag = np.concatenate([[c] * k for c, k in GROUPED_SPECTRUM])
+    m = (u * diag) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    projectors, start = [], 0
+    for _, k in GROUPED_SPECTRUM:
+        block = u[:, start : start + k]
+        projectors.append(block @ block.conj().T)
+        start += k
+    return m, projectors
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_selection_amplitudes_and_branches_match_explicit_projectors(real):
+    rng = np.random.default_rng(5 + real)
+    for _ in range(5):
+        m, oracle = _hermitian_with_known_eigenspaces(rng, real)
+        dec = hermitian_eigendecomposition(DenseOperator(m))
+        assert np.allclose(dec.eigenvalues, [c for c, _ in GROUPED_SPECTRUM], atol=1e-12)
+        assert [b.shape[1] for b in dec.blocks] == [k for _, k in GROUPED_SPECTRUM]
+        dim = m.shape[0]
+        row = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        row, ket = row / np.linalg.norm(row), ket / np.linalg.norm(ket)
+        expected = np.array([row @ p @ ket for p in oracle])
+        assert np.abs(dec.selection_amplitudes(row, ket) - expected).max() <= 1e-12
+        expected_branches = np.array([p @ ket for p in oracle])
+        assert np.abs(dec.branches(ket) - expected_branches).max() <= 1e-12
+
+
+def test_kernel_rejects_vectors_of_the_wrong_dimension():
+    dec = hermitian_eigendecomposition(pauli("z"))
+    with pytest.raises(DimensionMismatch):
+        dec.selection_amplitudes(np.ones(3), np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        dec.branches(np.ones(3))
+
+
+def test_real_and_complex_lapack_paths_agree():
+    # D M D^H with a diagonal phase D is genuinely complex (complex LAPACK),
+    # has the spectrum of the real M (real LAPACK) and projectors D P_n D^H.
+    rng = np.random.default_rng(9)
+    m, _ = _hermitian_with_known_eigenspaces(rng, real=True)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=m.shape[0]))
+    rotated = (phases[:, None] * m) * phases.conj()[None, :]
+    assert np.abs(rotated.imag).max() > 0.1
+    real_dec = hermitian_eigendecomposition(DenseOperator(m))
+    complex_dec = hermitian_eigendecomposition(DenseOperator(rotated))
+    assert np.abs(real_dec.eigenvalues - complex_dec.eigenvalues).max() <= 1e-12
+    for p_real, p_complex in zip(real_dec.projectors, complex_dec.projectors):
+        undone = (phases.conj()[:, None] * p_complex) * phases[None, :]
+        assert np.abs(undone - p_real).max() <= 1e-12
+
+
+def test_decomposition_is_cached_per_operator_at_the_default_tolerance():
+    op = spin_direction([1, 2, 3])
+    dec = hermitian_eigendecomposition(op)
+    assert hermitian_eigendecomposition(op) is dec
+    fresh = hermitian_eigendecomposition(op, tol=dec.grouping_tolerance)
+    assert fresh is not dec
+    assert hermitian_eigendecomposition(op) is dec
+    assert np.array_equal(fresh.eigenvalues, dec.eigenvalues)
+    # an equal but distinct operator has its own cache
+    assert hermitian_eigendecomposition(spin_direction([1, 2, 3])) is not dec
+
+
+def test_operator_matrix_is_a_read_only_copy():
+    source = np.diag([1.0, 2.0, 4.0]).astype(complex)
+    op = DenseOperator(source)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 3.0
+    before = hermitian_eigendecomposition(op).eigenvalues.copy()
+    source[0, 0] = 7.0
+    source[1, 1] = -5.0
+    assert np.array_equal(hermitian_eigendecomposition(op).eigenvalues, before)
+    assert np.array_equal(hermitian_eigendecomposition(op, tol=1e-9).eigenvalues, before)
+    with pytest.raises(ValueError):
+        hermitian_eigendecomposition(op).blocks[0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        hermitian_eigendecomposition(op).eigenvalues[0] = 2.0
+
+
 def test_zero_hamiltonian_evolution_is_identity():
     psi = np.array([0.3 + 0.1j, 0.8, -0.5j])
     out = evolve_unitary(psi, DenseOperator(np.zeros((3, 3))), t=2.7)
