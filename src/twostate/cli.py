@@ -62,9 +62,9 @@ def _write_outputs(result: ScenarioResult, out_dir: str, fmt: str) -> list[str]:
         write_text_atomic(path, stable_json(result.to_dict()))
         written.append(path)
     if fmt in ("csv", "both"):
-        for filename, text in sorted(result.tables.items()):
+        for filename, (header, columns) in sorted(result.tables.items()):
             path = os.path.join(base, filename)
-            write_text_atomic(path, text)
+            write_text_atomic(path, csv_table(header, columns))
             written.append(path)
     return written
 
@@ -126,8 +126,7 @@ def cmd_sweep(args) -> int:
             raise ValidationError("no sweep values supplied")
         fixed = _parse_param_overrides(args.param or [])
         seed = 0 if args.seed is None else args.seed
-        rows = []
-        header: list[str] = []
+        summaries = []
         all_passed = True
         for raw in values:
             overrides = dict(fixed)
@@ -136,16 +135,17 @@ def cmd_sweep(args) -> int:
             all_passed = all_passed and result.passed
             flat = _scalar_summaries(result)
             flat.pop(args.param_name, None)  # already the leading column
-            if not header:
-                header = [args.param_name] + sorted(flat)
-            rows.append([schema[args.param_name].coerce(raw)] + [flat.get(k) for k in header[1:]])
+            summaries.append(flat)
             print(result.summary_line)
     except TwoStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = args.out or _default_out_dir()
     path = os.path.join(out_dir, spec.name, f"sweep_{args.param_name}.csv")
-    write_text_atomic(path, csv_table(header, rows))
+    keys = sorted(summaries[0])  # the first run fixes the columns
+    columns = [[schema[args.param_name].coerce(raw) for raw in values]]
+    columns += [[flat.get(key) for flat in summaries] for key in keys]
+    write_text_atomic(path, csv_table([args.param_name] + keys, columns))
     print(f"  wrote {path}")
     return 0 if all_passed else CHECK_FAILURE
 

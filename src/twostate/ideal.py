@@ -12,7 +12,6 @@ pre-selected-only limit, which is the Born rule.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +57,6 @@ class OutcomeDistribution:
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "probabilities": [float(p) for p in self.probabilities],
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("eigenvalue,probability\n")
-        for v, p in zip(self.eigenvalues, self.probabilities):
-            buf.write(f"{v:.17g},{p:.17g}\n")
-        return buf.getvalue()
 
 
 def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarray) -> OutcomeDistribution:

@@ -103,18 +103,6 @@ class PointerResult:
     def summary(self) -> dict:
         return {"peak": self.peak_location, "mean": self.mean, "delta": self.delta, "regime": self.regime}
 
-    def q_csv(self) -> str:
-        lines = ["Q,probability"]
-        for q, p in zip(self.q_grid.values, self.q_density):
-            lines.append(f"{q:.17g},{p:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def p_csv(self) -> str:
-        lines = ["P,probability"]
-        for q, p in zip(self.p_grid.values, self.p_density):
-            lines.append(f"{q:.17g},{p:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class JointState:

@@ -13,6 +13,8 @@ import math
 import os
 import tempfile
 
+import numpy as np
+
 
 def format_float(x: float) -> str:
     if isinstance(x, bool):  # bools are ints; keep them out of the float path
@@ -65,21 +67,32 @@ def stable_json(obj, indent: int = 2) -> str:
     return _encode(obj, indent, 0) + "\n"
 
 
-def csv_table(header: list[str], rows) -> str:
-    """CSV with 17-significant-digit floats, comma separators, LF endings."""
+def _format_cell(cell) -> str:
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, int):
+        return str(cell)
+    if isinstance(cell, float):
+        return format_float(cell)
+    return str(cell)
+
+
+def _format_column(column) -> list[str]:
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f" and np.isfinite(column).all():
+        # the float path of format_float, without its per-cell NaN/inf tests
+        return [format(x, ".17g") for x in column.tolist()]
+    cells = column.tolist() if isinstance(column, np.ndarray) else column
+    return [_format_cell(cell) for cell in cells]
+
+
+def csv_table(header: list[str], columns) -> str:
+    """CSV of equal-length columns: 17-significant-digit floats, comma separators, LF endings.
+
+    A column is a numpy array or a sequence of Python values; cells are
+    written as `true`/`false`, integers, `format_float` floats, or `str()`.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (int,)):
-                cells.append(str(cell))
-            elif isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*map(_format_column, columns), strict=True)))
     return "\n".join(lines) + "\n"
 
 

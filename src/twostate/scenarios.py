@@ -2,8 +2,9 @@
 
 Each scenario builds its states from scratch, runs the relevant module
 operations, re-asserts its defining numerical claims as named checks, and
-returns JSON-able results plus any plot-ready CSV tables (named after the
-figure they reproduce).  Scenarios are deterministic given their seed.
+returns JSON-able results plus any plot-ready tables (named after the
+figure they reproduce) as `(header, columns)` arrays, which the CLI formats
+only when it writes them.  Scenarios are deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import PostSelectionImpossible, ValidationError
 from .ideal import (
@@ -42,7 +42,6 @@ from .pointer import (
     pointer_distribution_postselected,
     pointer_distribution_preselected,
 )
-from .reporting import csv_table
 from .states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector
 from .timemachine import (
     TimeMachineConfig,
@@ -92,7 +91,7 @@ class ScenarioResult:
     params: dict
     summary_line: str
     results: dict
-    tables: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)  # file name -> (header, columns)
     checks: list = field(default_factory=list)
 
     @property
@@ -202,12 +201,11 @@ def _run_n_box(params: dict, seed: int) -> ScenarioResult:
     ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
     bra = CoStateVector.from_ket(np.concatenate([np.ones(n - 1), [-root]]))
     tsv = TwoStateVector(bra, ket)
-    probs = []
-    for i in range(n - 1):
-        proj = projector_onto(np.eye(n)[i])
-        probs.append(abl(tsv, proj).probability_of(1.0))
-    last = abl(tsv, projector_onto(np.eye(n)[n - 1]))
-    wv_last = weak_value(tsv, projector_onto(np.eye(n)[n - 1])).value
+    boxes = np.eye(n)
+    probs = [abl(tsv, projector_onto(boxes[i])).probability_of(1.0) for i in range(n - 1)]
+    last_box = projector_onto(boxes[n - 1])
+    last = abl(tsv, last_box)
+    wv_last = weak_value(tsv, last_box).value
     checks = [
         ("first_boxes_certain", max(abs(p - 1.0) for p in probs) <= 1e-10),
         ("weak_values_sum_to_one", abs((n - 1) * 1.0 + wv_last.real - 1.0) <= 1e-9),
@@ -296,12 +294,8 @@ def _run_spin_xi(params: dict, seed: int) -> ScenarioResult:
 
     fig = _FIGURE_BY_CONFIG.get((postselect, float(delta)), "pointer")
     tables = {
-        f"{fig}.csv": csv_table(
-            ["Q", "probability"], zip(dist.q_grid.values.tolist(), dist.q_density.tolist())
-        ),
-        f"{fig}_momentum.csv": csv_table(
-            ["P", "probability"], zip(dist.p_grid.values.tolist(), dist.p_density.tolist())
-        ),
+        f"{fig}.csv": (["Q", "probability"], [dist.q_grid.values, dist.q_density]),
+        f"{fig}_momentum.csv": (["P", "probability"], [dist.p_grid.values, dist.p_density]),
     }
 
     checks = [("weak_value_sqrt2", abs(wv - SQRT2) <= 1e-12)]
@@ -368,11 +362,7 @@ def _run_n_spin(params: dict, seed: int) -> ScenarioResult:
         "local_maxima_above_1pct": n_peaks,
         "tensor_oracle_max_deviation": tensor_dev,
     }
-    tables = {
-        "fig4.csv": csv_table(
-            ["Q", "probability"], zip(closed.q_grid.values.tolist(), closed.q_density.tolist())
-        )
-    }
+    tables = {"fig4.csv": (["Q", "probability"], [closed.q_grid.values, closed.q_density])}
     line = (
         f"n_spin_single_system: n={n} delta={delta} peak={closed.peak_location:.4f} "
         f"local_maxima={n_peaks}"
@@ -384,6 +374,9 @@ def _run_n_spin(params: dict, seed: int) -> ScenarioResult:
 # negative kinetic energy of a tunneling particle
 
 def _square_well_ground_state(sites: int, half_domain: float, depth: float, half_width: float):
+    # imported here: scipy.linalg is half of `import twostate.cli`, and only this scenario needs it
+    from scipy.linalg import eigh_tridiagonal
+
     x = np.linspace(-half_domain, half_domain, sites)
     dx = x[1] - x[0]
     potential = np.where(np.abs(x) <= half_width, -depth, 0.0)
@@ -510,9 +503,9 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
         "directions_found": len(cone),
     }
     tables = {
-        "cone.csv": csv_table(
+        "cone.csv": (
             ["theta", "phi", "probability"],
-            [(d.theta, d.phi, d.probability) for d in cone],
+            [[d.theta for d in cone], [d.phi for d in cone], [d.probability for d in cone]],
         )
     }
     certainty = "undefined" if prob_derived is None else f"{prob_derived:.12f}"
@@ -542,14 +535,14 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
     shifted = amplified_shift(fn, n_terms, eta, delta_t)
     target = gaussian_wavefunction(grid, width, center=eta * delta_t)
     tables = {
-        "fig5.csv": csv_table(
+        "fig5.csv": (
             ["Q", "original", "superposed", "ideally_shifted"],
-            zip(
-                grid.values.tolist(),
-                (np.abs(fn.values) ** 2).tolist(),
-                (np.abs(shifted.shifted.values) ** 2).tolist(),
-                (np.abs(target.values) ** 2).tolist(),
-            ),
+            [
+                grid.values,
+                np.abs(fn.values) ** 2,
+                np.abs(shifted.shifted.values) ** 2,
+                np.abs(target.values) ** 2,
+            ],
         )
     }
     checks = [

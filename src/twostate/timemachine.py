@@ -252,19 +252,17 @@ def radius_schedule(config: TimeMachineConfig, simplified: bool | None = None) -
 
 @dataclass(frozen=True)
 class MachineRun:
-    """Staged pipeline of the control-register construction.
+    """Outcome of the control-register construction.
 
-    `stages` maps stage names to (N+1, grid) arrays of unnormalized rows
-    alpha_n * N0 * f_n; `final_fn` is the bare superposition sum alpha_n f_n
-    (the system state after post-selection, up to normalization), and
-    `success_prob` the post-selection probability.
+    `qos_initial` is the normalized register state N0 * alpha_n; `final_fn`
+    is the bare superposition sum alpha_n f_n (the system state after
+    post-selection, up to normalization), and `success_prob` the
+    post-selection probability.
     """
 
     config: TimeMachineConfig
     schedule: BinomialSchedule
-    stages: dict
     qos_initial: np.ndarray
-    qos_final: np.ndarray
     final_fn: WaveFunction1D
     distortion: float
     success_prob: float
@@ -288,28 +286,21 @@ def qos_state(amplitudes) -> np.ndarray:
 
 
 def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> MachineRun:
-    """Drive the staged product -> correlated -> post-selected pipeline.
+    """Run the product -> correlated -> post-selected register construction.
 
-    The system function is normalized on entry.  The returned success
-    probability is N0**2/(N+1) * ||sum_n alpha_n f_n||^2 with
-    N0 = (sum |alpha_n|^2)**-1/2, evaluated through the stable spectral
-    contraction; the staged arrays hold the literal rows for inspection.
+    The system function is normalized on entry.  Post-selecting the uniform
+    register state contracts the correlated rows N0 * alpha_n * f_n to
+    N0/sqrt(N+1) * sum_n alpha_n f_n, with N0 = (sum |alpha_n|^2)**-1/2; the
+    sum is evaluated through the stable spectral multiplier, never row by
+    row, and the success probability is the squared norm of the contraction.
     """
     fn = system_fn.normalized()
     sched = binomial_schedule(config.n_terms, config.eta)
     n_levels = config.n_terms + 1
     norm0 = 1.0 / math.sqrt(float(sched.exact_square_sum()))
     qos_initial = qos_state(norm0 * sched.weights)
-    qos_final = qos_state(np.full(n_levels, 1.0 / math.sqrt(n_levels)))
 
-    shifts = sched.shifts * config.delta_t
     spec, k = _masked_spectrum(fn)
-    rows_product = np.outer(qos_initial, fn.values)
-    rows_correlated = np.empty_like(rows_product)
-    for n in range(n_levels):
-        rows_correlated[n] = np.fft.ifft(spec * np.exp(-1j * k * shifts[n]))
-        rows_correlated[n] *= qos_initial[n]
-
     multiplier = _binomial_multiplier(k, config.n_terms, config.eta, config.delta_t)
     superposed = np.fft.ifft(spec * multiplier)
     final_fn = WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo)
@@ -323,13 +314,7 @@ def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> Machine
     return MachineRun(
         config=config,
         schedule=sched,
-        stages={
-            "product": rows_product,
-            "correlated": rows_correlated,
-            "post_selected": contracted,
-        },
         qos_initial=qos_initial,
-        qos_final=qos_final,
         final_fn=final_fn,
         distortion=distortion,
         success_prob=success,

@@ -199,13 +199,6 @@ def certainty_cone(description, samples: int = 16, tol: float = 1e-10) -> list[C
     return out
 
 
-def cone_to_csv(directions: list[ConeDirection]) -> str:
-    lines = ["theta,phi,probability"]
-    for d in directions:
-        lines.append(f"{d.theta:.17g},{d.phi:.17g},{d.probability:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class TheoremReport:
     applicable: bool

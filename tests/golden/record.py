@@ -45,12 +45,12 @@ def golden_path(case: str) -> str:
     return os.path.join(HERE, f"{case}.json.gz")
 
 
-def run_case(case: str) -> dict:
-    """Every file the CLI writes for one case, keyed by its name."""
+def run_case(case: str, fmt: str = "both") -> dict:
+    """Every file the CLI writes for one case under ``--format fmt``, keyed by its name."""
     from twostate.cli import main
 
     scenario, params = CASES[case]
-    argv = ["run", scenario, "--format", "both", "--seed", "0"]
+    argv = ["run", scenario, "--format", fmt, "--seed", "0"]
     for key, value in params.items():
         argv += ["--param", f"{key}={value}"]
     with tempfile.TemporaryDirectory() as out:
@@ -60,7 +60,8 @@ def run_case(case: str) -> dict:
             raise RuntimeError(f"{case}: twostate run exited {code}")
         base = os.path.join(out, scenario)
         files = {}
-        for name in sorted(os.listdir(base)):
+        # a csv-only run of a scenario without tables writes no directory
+        for name in sorted(os.listdir(base) if os.path.isdir(base) else ()):
             with open(os.path.join(base, name), encoding="utf-8") as handle:
                 files[name] = handle.read()
     return files

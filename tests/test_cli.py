@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from twostate import cli
 from twostate.cli import main
-from twostate.reporting import format_float
+from twostate.reporting import csv_table, format_float
 
 
 def run_cli(*argv):
@@ -89,6 +93,38 @@ def test_format_selects_outputs(tmp_path, capsys):
     assert run_cli("run", "spin_xi_weak", "--out", str(tmp_path / "c"), "--format", "csv") == 0
     assert not (tmp_path / "c" / "spin_xi_weak" / "results.json").exists()
     assert (tmp_path / "c" / "spin_xi_weak" / "fig3e.csv").exists()
+
+
+def _format_only(monkeypatch, first_column):
+    """Make csv_table, wherever a twostate module binds it, raise for any table but one."""
+    def guarded(header, columns):
+        if header[0] != first_column:
+            raise AssertionError(f"formatted a table that is not written: {header}")
+        return csv_table(header, columns)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "twostate" and hasattr(module, "csv_table"):
+            monkeypatch.setattr(module, "csv_table", guarded)
+
+
+def test_json_runs_and_sweeps_format_no_figure_table(tmp_path, capsys, monkeypatch):
+    _format_only(monkeypatch, first_column=None)
+    assert run_cli("run", "spin_xi_weak", "--format", "json", "--out", str(tmp_path)) == 0
+    assert os.listdir(tmp_path / "spin_xi_weak") == ["results.json"]
+    # the sweep's own table goes through the one writer; the figure tables never do
+    _format_only(monkeypatch, first_column="n_terms")
+    assert run_cli(
+        "sweep", "time_machine", "--param-name", "n_terms", "--values", "13,20", "--out", str(tmp_path)
+    ) == 0
+    assert os.listdir(tmp_path / "time_machine") == ["sweep_n_terms.csv"]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, twostate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_environment_variable_sets_the_default_out_dir(tmp_path, capsys, monkeypatch):

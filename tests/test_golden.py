@@ -97,3 +97,10 @@ def test_outputs_match_golden(case):
         else:
             _compare_table(_csv_rows(fresh[name]), _csv_rows(text), name, bad)
     assert not bad, f"{case}: {len(bad)} values off, first: {bad[:5]}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_only_runs_write_the_same_tables(case):
+    both = run_case(case, "both")
+    csv_only = run_case(case, "csv")
+    assert csv_only == {name: text for name, text in both.items() if name != "results.json"}

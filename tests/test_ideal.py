@@ -21,6 +21,7 @@ from twostate.linalg import (
     spin_up,
     tensor_product,
 )
+from twostate.reporting import csv_table
 from twostate.states import (
     CoStateVector,
     GeneralizedTwoStateVector,
@@ -286,6 +287,6 @@ def test_distribution_serialization_surfaces():
     dist = abl(three_box_tsv(), box_projector(0))
     payload = dist.to_dict()
     assert set(payload) == {"eigenvalues", "probabilities"}
-    csv = dist.to_csv()
+    csv = csv_table(["eigenvalue", "probability"], [dist.eigenvalues, dist.probabilities])
     assert csv.startswith("eigenvalue,probability\n")
     assert len(csv.strip().split("\n")) == 1 + len(dist.eigenvalues)

@@ -25,6 +25,7 @@ from twostate.pointer import (
     postselected_pointer_wavefunction,
     shift_superposition,
 )
+from twostate.reporting import csv_table
 from twostate.states import CoStateVector, StateVector, TwoStateVector
 from twostate.weak import weak_value
 
@@ -300,10 +301,10 @@ def test_csv_and_summary_outputs_are_well_formed():
     res = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), pointer)
     summary = res.summary()
     assert set(summary) == {"peak", "mean", "delta", "regime"}
-    q_csv = res.q_csv()
+    q_csv = csv_table(["Q", "probability"], [res.q_grid.values, res.q_density])
     assert q_csv.startswith("Q,probability\n")
     assert len(q_csv.strip().split("\n")) == 257
-    assert res.p_csv().startswith("P,probability\n")
+    assert csv_table(["P", "probability"], [res.p_grid.values, res.p_density]).startswith("P,probability\n")
     # distributions normalize on their grids
     assert res.q_density.sum() * res.q_grid.spacing == pytest.approx(1.0, abs=1e-8)
     assert res.p_density.sum() * res.p_grid.spacing == pytest.approx(1.0, abs=1e-8)

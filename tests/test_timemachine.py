@@ -12,6 +12,7 @@ from twostate.timemachine import (
     GRAVITATIONAL_CONSTANT,
     LIGHT_SPEED,
     TimeMachineConfig,
+    _masked_spectrum,
     amplified_shift,
     binomial_schedule,
     gaussian_shift_distortion,
@@ -212,6 +213,16 @@ def test_run_machine_final_function_matches_amplified_shift():
     assert np.abs(run.final_fn.values - shifted.shifted.values).max() <= 1e-12
 
 
+def correlated_rows(fn, config):
+    """The literal correlated register rows N0 * alpha_n * f(q - delta_t_n), one FFT pair each."""
+    fn = fn.normalized()
+    sched = binomial_schedule(config.n_terms, config.eta)
+    qos_initial = sched.weights / math.sqrt(float(sched.exact_square_sum()))
+    spec, k = _masked_spectrum(fn)
+    shifts = sched.shifts * config.delta_t
+    return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
+
+
 def test_run_machine_staged_rows_contract_to_the_final_function():
     # second, literal code path: sum the correlated rows directly
     grid = Grid1D(-40.0, 40.0, 2048)
@@ -220,10 +231,13 @@ def test_run_machine_staged_rows_contract_to_the_final_function():
         config = TimeMachineConfig(n_terms=5, eta=eta, delta_t=1.0)
         run = run_machine(fn, config)
         norm0 = 1.0 / math.sqrt(float(run.schedule.exact_square_sum()))
-        naive = run.stages["correlated"].sum(axis=0) / norm0
+        correlated = correlated_rows(fn, config)
+        naive = correlated.sum(axis=0) / norm0
         assert np.abs(naive - run.final_fn.values).max() <= 1e-12
-        contracted = run.stages["post_selected"]
+        # post-selecting the uniform register state <final| = (1, ..., 1)/sqrt(N+1)
+        contracted = correlated.sum(axis=0) / math.sqrt(6)
         assert np.abs(contracted - norm0 / math.sqrt(6) * run.final_fn.values).max() <= 1e-14
+        assert np.sum(np.abs(contracted) ** 2) * grid.spacing == pytest.approx(run.success_prob, rel=1e-12)
 
 
 def test_run_machine_success_is_close_to_the_unit_overlap_value():

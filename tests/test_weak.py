@@ -12,6 +12,7 @@ from twostate.linalg import (
     spin_direction,
     spin_up,
 )
+from twostate.reporting import csv_table
 from twostate.states import (
     CoStateVector,
     GeneralizedTwoStateVector,
@@ -306,13 +307,14 @@ def test_certain_strong_outcome_matches_weak_value_for_cone_direction():
 
 
 def test_weak_value_and_cone_serialization_surfaces():
-    from twostate.weak import cone_to_csv
-
     wv = weak_value(bisector_tsv(), spin_direction([1, 1, 0]))
     payload = wv.to_dict()
     assert payload["value"][0] == pytest.approx(np.sqrt(2))
     assert payload["overlap_magnitude"] > 0
     cone = certainty_cone(spin_cone_gtsv(np.pi / 8), samples=8)
-    text = cone_to_csv(cone)
+    text = csv_table(
+        ["theta", "phi", "probability"],
+        [[d.theta for d in cone], [d.phi for d in cone], [d.probability for d in cone]],
+    )
     assert text.startswith("theta,phi,probability\n")
     assert len(text.strip().split("\n")) == 9
