@@ -182,7 +182,11 @@ def hermitian_eigendecomposition(op: DenseOperator, tol: float | None = None) ->
     tolerance is 1e-9 relative to the spectral radius.  At the default the
     decomposition is computed once per operator and cached on it (operator
     matrices are read-only, so the cache cannot go stale); an explicit `tol`
-    always decomposes afresh.  Real matrices go through the real LAPACK routine.
+    always decomposes afresh.  A diagonal matrix with an exactly real diagonal
+    (no nonzero off-diagonal entry) needs no LAPACK call: its eigenvalues are
+    the diagonal in stable-sorted order and its eigenvectors the matching
+    columns of the identity.  Other real matrices go through the real LAPACK
+    routine, the rest through the complex one.
     """
     return op._spectrum if tol is None else _decompose(op, tol)
 
@@ -191,7 +195,12 @@ def _decompose(op: DenseOperator, tol: float | None) -> SpectralDecomposition:
     if not op.hermitian:
         raise ValidationError("spectral decomposition requires a Hermitian operator")
     m = op.matrix
-    w, v = np.linalg.eigh(m if np.any(m.imag) else m.real)
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diag) and not np.any(diag.imag):
+        order = np.argsort(diag.real, kind="stable")
+        w, v = diag.real[order], np.eye(m.shape[0], dtype=complex)[:, order]
+    else:
+        w, v = np.linalg.eigh(m if np.any(m.imag) else m.real)
     v = _read_only(v.astype(complex, copy=False))  # the cache shares the blocks with every caller
     radius = max(np.abs(w).max(), 1e-300)
     if tol is None:

@@ -3,10 +3,12 @@
 Both simulations exploit the same structure: the measurement coupling is
 momentum-diagonal (it involves the pointer only through P), so the joint
 dynamics splits into independent system evolutions labelled by the pointer
-momentum p.  Each momentum block is propagated with exact per-step matrix
-exponentials and the pointer is reassembled afterwards; the only
-approximation anywhere is the physical one (finite duration or finite
-coupling), never time discretization of a fixed Hamiltonian.
+momentum p.  Each momentum block is propagated with exact matrix
+exponentials, one for each run of equal couplings (a flat stretch of the
+schedule is a single exponential), and the pointer is reassembled
+afterwards; the only approximation anywhere is the physical one (finite
+duration or finite coupling), never time discretization of a fixed
+Hamiltonian.
 
 Protection of a single state uses a slow, weak coupling dominated by a
 nondegenerate free Hamiltonian: the pointer then shifts by the expectation
@@ -138,6 +140,30 @@ def _pointer_density_from_momentum(mom_grid, component_block: np.ndarray, conjug
     return position_grid, dens / total, total
 
 
+# Runs of equal couplings diagonalized per eigh call; bounds the batch, and so
+# the peak memory, independently of the number of steps.
+_RUNS_PER_EIGH = 256
+
+
+def _ordered_propagators(h0m: np.ndarray, am: np.ndarray, ps: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
+    """prod_k exp(-i (h0 + g_k p am) dt), later steps on the left, for every momentum p.
+
+    Consecutive steps with exactly equal couplings share one Hamiltonian, so
+    each run of n of them is the single exact exponential exp(-i H n dt).
+    """
+    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    lengths = np.diff(np.r_[starts, g.size])
+    d = h0m.shape[0]
+    out = np.broadcast_to(np.eye(d, dtype=complex), (ps.size, d, d)).copy()
+    for lo in range(0, starts.size, _RUNS_PER_EIGH):
+        gr, nr = g[starts[lo : lo + _RUNS_PER_EIGH]], lengths[lo : lo + _RUNS_PER_EIGH]
+        w, v = np.linalg.eigh(h0m + (gr[:, None] * ps)[:, :, None, None] * am)
+        phases = np.exp(-1j * w * (nr * dt)[:, None, None])
+        for step in np.einsum("rbij,rbj,rbkj->rbik", v, phases, v.conj()):
+            out = step @ out
+    return out
+
+
 @dataclass(frozen=True)
 class AdiabaticResult:
     pointer_shift: float
@@ -171,10 +197,14 @@ def adiabatic_protective_measurement(
     """Slow, weak measurement of `obs` protected by a nondegenerate `h0`.
 
     Per momentum block p the system propagator is the ordered product of
-    exact exponentials of h0 + g(t_k) * p * obs.  An eigenstate input
-    shifts the pointer by the corresponding expectation value with error
-    O(1/T); a superposition splits into branches with weights |alpha_i|^2
-    whose per-branch shifts are the per-eigenstate expectation values.
+    exact exponentials of h0 + g(t_k) * p * obs; consecutive steps with
+    equal couplings are taken as one exponential of the summed duration.
+    An eigenstate input shifts the pointer by the corresponding expectation
+    value with error O(1/T); a superposition splits into branches with
+    weights |alpha_i|^2 whose per-branch shifts are the per-eigenstate
+    expectation values.  `leakage` is the probability of ending in another
+    h0 eigenstate, sum_p w_p sum_i |alpha_i|^2 sum_{j != i} |<E_j|U_p|E_i>|^2,
+    summed directly so that a small leakage keeps its relative precision.
     """
     if not (h0.hermitian and obs.hermitian):
         raise ValidationError("both the free Hamiltonian and the observable must be Hermitian")
@@ -191,14 +221,8 @@ def adiabatic_protective_measurement(
     g, dt = schedule.sampled_coupling()
     d = h0.dim
 
-    propagators = np.broadcast_to(np.eye(d, dtype=complex), (ps.size, d, d)).copy()
-    h0m, am = h0.matrix, obs.matrix
-    for gk in g:
-        blocks = h0m[None, :, :] + (gk * ps)[:, None, None] * am[None, :, :]
-        w, v = np.linalg.eigh(blocks)
-        phases = np.exp(-1j * w * dt)
-        step = np.einsum("bij,bj,bkj->bik", v, phases, v.conj())
-        propagators = np.einsum("bij,bjk->bik", step, propagators)
+    am = obs.matrix
+    propagators = _ordered_propagators(h0.matrix, am, ps, g, dt)
 
     psi0 = initial.normalized().amplitudes
     final_states = np.einsum("bij,j->bi", propagators, psi0)
@@ -209,8 +233,9 @@ def adiabatic_protective_measurement(
     pointer_weights = pointer_weights / pointer_weights.sum()
 
     alphas = basis.conj().T @ psi0
-    survival = np.abs(np.einsum("ji,bjk,ki->bi", basis.conj(), propagators, basis)) ** 2
-    leakage = float(1.0 - (pointer_weights[:, None] * survival * np.abs(alphas[None, :]) ** 2).sum())
+    transitions = np.abs(np.einsum("ji,bjk,kl->bil", basis.conj(), propagators, basis)) ** 2
+    transitions[:, np.arange(d), np.arange(d)] = 0.0
+    leakage = float(np.einsum("b,bji,i->", pointer_weights, transitions, np.abs(alphas) ** 2))
 
     # reassemble pointer densities branch by branch and overall
     block = np.zeros((mom.grid.points, d), dtype=complex)

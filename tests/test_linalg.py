@@ -155,6 +155,83 @@ def test_operator_matrix_is_a_read_only_copy():
         hermitian_eigendecomposition(op).eigenvalues[0] = 2.0
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of numpy.linalg.eigh while the test runs."""
+    calls = []
+    lapack = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lapack(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def eigh_groups(m, tol):
+    """Grouped eigenvalues and projectors from an explicit LAPACK decomposition."""
+    w, v = np.linalg.eigh(m)
+    values, projectors, start = [], [], 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[start] > tol:
+            values.append(w[start:i].mean())
+            projectors.append(v[:, start:i] @ v[:, start:i].conj().T)
+            start = i
+    return np.array(values), projectors
+
+
+# Unsorted, with degenerate groups (-1.0 twice, a signed zero pair, 0.5 three times).
+DIAGONAL = [0.5, -1.0, -0.0, 0.5, 2.0, -1.0, 0.0, 0.5, -3.25]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("tol", [None, 0.6])
+def test_diagonal_operators_are_read_off_their_diagonal(dtype, tol, eigh_calls):
+    m = np.diag(DIAGONAL).astype(dtype)
+    op = DenseOperator(m)
+    dec = hermitian_eigendecomposition(op, tol=tol)
+    assert (hermitian_eigendecomposition(op, tol=tol) is dec) == (tol is None)  # cached at the default only
+    assert eigh_calls == []
+    oracle_tol = dec.grouping_tolerance
+    assert oracle_tol == (1e-9 * 3.25 if tol is None else tol)
+    values, projectors = eigh_groups(m, oracle_tol)
+    assert [b.shape[1] for b in dec.blocks] == [int(round(np.trace(p).real)) for p in projectors]
+    assert np.abs(dec.eigenvalues - values).max() <= 1e-15
+    for got, want in zip(dec.projectors, projectors):
+        assert np.abs(got - want).max() <= 1e-15
+    rng = np.random.default_rng(4)
+    row = rng.normal(size=len(DIAGONAL)) + 1j * rng.normal(size=len(DIAGONAL))
+    ket = rng.normal(size=len(DIAGONAL)) + 1j * rng.normal(size=len(DIAGONAL))
+    row, ket = row / np.linalg.norm(row), ket / np.linalg.norm(ket)
+    expected = np.array([row @ p @ ket for p in projectors])
+    assert np.abs(dec.selection_amplitudes(row, ket) - expected).max() <= 1e-15
+    assert not dec.eigenvalues.flags.writeable
+    assert not any(b.flags.writeable for b in dec.blocks)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [((0, 1), 1e-300), ((2, 2), 3.0 + 1e-14j)],
+    ids=["tiny_off_diagonal", "imaginary_diagonal"],
+)
+def test_nearly_diagonal_operators_go_through_lapack(entry, eigh_calls):
+    (i, j), value = entry
+    m = np.diag([2.0, -1.0, 3.0, 0.0]).astype(complex)
+    m[i, j] = value
+    dec = hermitian_eigendecomposition(DenseOperator(m))
+    assert len(eigh_calls) == 1
+    assert np.abs(dec.eigenvalues - [-1.0, 0.0, 2.0, 3.0]).max() <= 1e-14
+
+
+def test_n_box_makes_no_lapack_call(eigh_calls):
+    from twostate.scenarios import get_scenario
+
+    result = get_scenario("n_box").run({"boxes": "120"})
+    assert result.passed
+    assert eigh_calls == []
+
+
 def test_zero_hamiltonian_evolution_is_identity():
     psi = np.array([0.3 + 0.1j, 0.8, -0.5j])
     out = evolve_unitary(psi, DenseOperator(np.zeros((3, 3))), t=2.7)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ from twostate.linalg import (
 )
 from twostate.pointer import GaussianPointer
 from twostate.protective import (
+    _RUNS_PER_EIGH,
     AdiabaticSchedule,
     LargeSpin,
+    _ordered_propagators,
+    _significant_momentum,
     adiabatic_protective_measurement,
     model_spin_protection,
     protected_two_state_measurement,
@@ -126,6 +131,77 @@ def test_repeated_measurement_on_the_surviving_branch_is_stable():
     again = adiabatic_protective_measurement(pauli("z"), obs, StateVector([1.0, 0.0]), schedule, pointer)
     assert again.pointer_shift == pytest.approx(first.pointer_shift, abs=1e-12)
     assert abs(again.pointer_shift - 1.0) <= 1e-3
+
+
+def test_eigenstate_leakage_is_the_other_branch_weight():
+    # 1 - survival would cancel about 6.5e-6 of this 2.7e-8 leakage away
+    obs = DenseOperator(PAULI_Z + 0.3 * PAULI_X)
+    schedule = AdiabaticSchedule(total_time=40.0, steps=1200)
+    pointer = GaussianPointer.for_spectrum(4.0, [1.3], points=1024)
+    res = adiabatic_protective_measurement(pauli("z"), obs, StateVector([1.0, 0.0]), schedule, pointer)
+    # the input is the upper h0 eigenstate, branch 1; what leaks lands in branch 0
+    assert 1e-9 < res.leakage < 1e-6
+    assert res.leakage == pytest.approx(res.branch_weights[0], rel=1e-10)
+
+
+def stepwise_propagators(h0m, am, ps, g, dt):
+    """The ordered product built one exact exponential per step."""
+    d = h0m.shape[0]
+    propagators = np.broadcast_to(np.eye(d, dtype=complex), (ps.size, d, d)).copy()
+    for gk in g:
+        blocks = h0m[None, :, :] + (gk * ps)[:, None, None] * am[None, :, :]
+        w, v = np.linalg.eigh(blocks)
+        phases = np.exp(-1j * w * dt)
+        step = np.einsum("bij,bj,bkj->bik", v, phases, v.conj())
+        propagators = np.einsum("bij,bjk->bik", step, propagators)
+    return propagators
+
+
+def _adiabatic_blocks():
+    """(h0, obs, momenta) of the slow measurement the benchmark runs."""
+    mom, mask = _significant_momentum(GaussianPointer.for_spectrum(4.0, [1.3], points=1024))
+    return PAULI_Z, PAULI_Z + 0.3 * PAULI_X, mom.grid.values[mask]
+
+
+def _runs(g):
+    return int(np.count_nonzero(g[1:] != g[:-1])) + 1
+
+
+@pytest.mark.parametrize("steps", [1200, 2400])
+def test_run_propagators_match_the_stepwise_product_on_cosine_schedules(steps):
+    h0m, am, ps = _adiabatic_blocks()
+    g, dt = AdiabaticSchedule(total_time=40.0, steps=steps).sampled_coupling()
+    if steps == 2400:
+        assert _runs(g) == 481 > _RUNS_PER_EIGH  # more than one eigh batch
+    got = _ordered_propagators(h0m, am, ps, g, dt)
+    assert np.abs(got - stepwise_propagators(h0m, am, ps, g, dt)).max() <= 1e-12
+
+
+def test_run_propagators_match_the_stepwise_product_without_equal_neighbours():
+    rng = np.random.default_rng(17)
+    raw_h0 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    raw_obs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h0m, am = raw_h0 + raw_h0.conj().T, raw_obs + raw_obs.conj().T
+    ps = np.linspace(-3.0, 3.0, 11)
+    g = rng.uniform(0.0, 2.0, size=300)
+    assert _runs(g) == g.size
+    got = _ordered_propagators(h0m, am, ps, g, 0.05)
+    assert np.abs(got - stepwise_propagators(h0m, am, ps, g, 0.05)).max() <= 1e-12
+
+
+def _peak_bytes(steps):
+    h0m, am, ps = _adiabatic_blocks()
+    g, dt = AdiabaticSchedule(total_time=40.0, steps=steps).sampled_coupling()
+    tracemalloc.start()
+    try:
+        _ordered_propagators(h0m, am, ps, g, dt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagator_memory_does_not_grow_with_the_step_count():
+    assert _peak_bytes(20000) <= 2 * _peak_bytes(1200)
 
 
 def test_degenerate_free_hamiltonian_is_rejected():
