@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionImpossible, ValidationError
-from .linalg import DenseOperator, SpectralDecomposition, hermitian_eigendecomposition
+from .linalg import DenseOperator, SpectralDecomposition, hermitian_eigendecomposition, is_hermitian
 from .states import GeneralizedTwoStateVector, StateVector, TwoStateVector
 
 # An outcome is "certain" when its conditional probability reaches this level.
@@ -160,8 +160,7 @@ def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator, tol: fl
     product value; the report flags exactly that.
     """
     prod = obs_a.matrix @ obs_b.matrix
-    scale = max(np.abs(prod).max(), 1.0)
-    if np.abs(prod - prod.conj().T).max() > 1e-10 * scale:
+    if not is_hermitian(prod, 1e-10):
         raise ValidationError("product observable is not Hermitian; measure the factors separately")
     comm = float(np.linalg.norm(obs_a.matrix @ obs_b.matrix - obs_b.matrix @ obs_a.matrix, 2))
     obs_ab = DenseOperator(prod)

@@ -30,6 +30,11 @@ DIMENSION_CAP = 2**20
 HERMITIAN_RTOL = 1e-12
 
 
+def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
+    """max|m - m^H| <= rtol * max(max|m|, 1)."""
+    return bool(np.abs(m - m.conj().T).max() <= rtol * max(np.abs(m).max(), 1.0))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -56,10 +61,8 @@ class DenseOperator:
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if self.hermitian:
-            scale = max(np.abs(m).max(), 1.0)
-            if np.abs(m - m.conj().T).max() > HERMITIAN_RTOL * scale:
-                raise ValidationError("matrix marked Hermitian fails the Hermiticity check")
+        if self.hermitian and not is_hermitian(m):
+            raise ValidationError("matrix marked Hermitian fails the Hermiticity check")
 
     @property
     def dim(self) -> int:
@@ -73,9 +76,7 @@ class DenseOperator:
         if self.dim != other.dim:
             raise DimensionMismatch(f"operator dims {self.dim} and {other.dim}")
         prod = self.matrix @ other.matrix
-        scale = max(np.abs(prod).max(), 1.0)
-        herm = bool(np.abs(prod - prod.conj().T).max() <= HERMITIAN_RTOL * scale)
-        return DenseOperator(prod, hermitian=herm)
+        return DenseOperator(prod, hermitian=is_hermitian(prod))
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dim != other.dim:

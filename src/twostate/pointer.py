@@ -82,7 +82,6 @@ class MeasurementModel:
     """Impulsive coupling with time integral g0 (the textbook convention g0=1)."""
 
     coupling_integral: float = 1.0
-    impulsive: bool = True
 
     def __post_init__(self):
         if self.coupling_integral <= 0:
@@ -117,6 +116,43 @@ class JointState:
         return dens / (dens.sum() * self.grid.spacing)
 
 
+def _gaussian_sum(q: np.ndarray, weights, centers, s: float) -> np.ndarray:
+    """sum_n weights[n] * exp(-(q - centers[n])**2 / s), added one term at a time.
+
+    Memory stays at a few grid-sized arrays however many centers there are.
+    Weights of shape (n, m) give the m sums as the rows of an (m, q.size)
+    array.
+    """
+    w = np.asarray(weights)
+    total = np.zeros(w.shape[1:] + q.shape, dtype=np.result_type(w, q))
+    for wn, c in zip(w, centers):
+        total += np.multiply.outer(wn, np.exp(-((q - c) ** 2) / s))
+    return total
+
+
+def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float):
+    """Spectrum of `fn`, masked at SPECTRAL_MASK_RTOL of its peak, and its wavenumbers k.
+
+    Multiplying the spectrum by exp(-i*k*c) shifts `fn` by c.  The support of
+    `fn` (|f| above 1e-12 of its peak) moved by any shift in [lo_shift,
+    hi_shift] must stay on the grid, or the shift would wrap around its ends.
+    Signed weight schedules can amplify round-off floor components by many
+    orders of magnitude, and anything that far below the peak is sampling
+    noise, not signal, hence the mask.
+    """
+    if fn.representation != "position":
+        raise ValidationError("shift the position representation")
+    support = fn.grid.values[np.abs(fn.values) > 1e-12 * np.abs(fn.values).max()]
+    if support.size == 0:
+        raise ValidationError("cannot shift a zero wavefunction")
+    if support[0] + lo_shift < fn.grid.lo - 1e-9 or support[-1] + hi_shift > fn.grid.hi + 1e-9:
+        raise GridOverflow("shifted support would leave the grid")
+    spec = np.fft.fft(fn.values)
+    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
+    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
+    return spec, k
+
+
 def _regime(delta: float, eigenvalues) -> str:
     reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
     if reach == 0.0 or delta >= WEAK_REGIME_FACTOR * reach:
@@ -138,22 +174,23 @@ def _peak_location(grid: Grid1D, density: np.ndarray) -> float:
     return float(grid.values[i] + 0.5 * (y0 - y2) / denom * grid.spacing)
 
 
-def _result_from_wavefunction(wf: WaveFunction1D, delta: float, eigenvalues) -> PointerResult:
-    q_density = wf.density()
-    mom = fourier_pair(wf.normalized())
-    p_density = mom.density()
-    q = wf.grid.values
-    mean = float(np.sum(q * q_density) * wf.grid.spacing)
+def _result_from_density(
+    grid: Grid1D, q_density: np.ndarray, mom: WaveFunction1D, delta: float, eigenvalues
+) -> PointerResult:
     return PointerResult(
-        q_grid=wf.grid,
+        q_grid=grid,
         q_density=q_density,
         p_grid=mom.grid,
-        p_density=p_density,
-        peak_location=_peak_location(wf.grid, q_density),
-        mean=mean,
+        p_density=mom.density(),
+        peak_location=_peak_location(grid, q_density),
+        mean=float(np.sum(grid.values * q_density) * grid.spacing),
         delta=delta,
         regime=_regime(delta, eigenvalues),
     )
+
+
+def _result_from_wavefunction(wf: WaveFunction1D, delta: float, eigenvalues) -> PointerResult:
+    return _result_from_density(wf.grid, wf.density(), fourier_pair(wf.normalized()), delta, eigenvalues)
 
 
 def joint_state_after_impulse(
@@ -163,15 +200,13 @@ def joint_state_after_impulse(
     model: MeasurementModel = MeasurementModel(),
 ) -> JointState:
     """sum_n (P_n psi) x psi_in(Q - g0*c_n), exact via the spectral shift."""
-    if not model.impulsive:
-        raise ValidationError("only the impulsive limit is modeled here")
     decomp = hermitian_eigendecomposition(obs)
     shifts = model.coupling_integral * decomp.eigenvalues
     pointer.check_covers(shifts)
-    q = pointer.grid.values
     norm = (np.pi * pointer.delta**2) ** -0.25
-    gauss = norm * np.exp(-((q[None, :] - shifts[:, None]) ** 2) / (2 * pointer.delta**2))
-    return JointState(pre.dim, pointer.grid, decomp.branches(pre.amplitudes).T @ gauss)
+    branches = decomp.branches(pre.amplitudes) * norm
+    amplitudes = _gaussian_sum(pointer.grid.values, branches, shifts, 2 * pointer.delta**2)
+    return JointState(pre.dim, pointer.grid, amplitudes)
 
 
 def pointer_distribution_preselected(
@@ -185,25 +220,12 @@ def pointer_distribution_preselected(
     shifts = model.coupling_integral * decomp.eigenvalues
     pointer.check_covers(shifts)
     weights = born(pre.normalized(), obs).probabilities
-    q = pointer.grid.values
-    dens = np.zeros_like(q)
-    for c, w in zip(shifts, weights):
-        dens += w * np.exp(-((q - c) ** 2) / pointer.delta**2)
+    dens = _gaussian_sum(pointer.grid.values, weights, shifts, pointer.delta**2)
     dens /= dens.sum() * pointer.grid.spacing
     # Momentum density of the branch mixture: each rigid shift only adds a
     # phase in P, so it coincides with the initial pointer's.
     mom = fourier_pair(pointer.initial_wavefunction())
-    mean = float(np.sum(q * dens) * pointer.grid.spacing)
-    return PointerResult(
-        q_grid=pointer.grid,
-        q_density=dens,
-        p_grid=mom.grid,
-        p_density=mom.density(),
-        peak_location=_peak_location(pointer.grid, dens),
-        mean=mean,
-        delta=pointer.delta,
-        regime=_regime(pointer.delta, decomp.eigenvalues),
-    )
+    return _result_from_density(pointer.grid, dens, mom, pointer.delta, decomp.eigenvalues)
 
 
 def postselected_pointer_wavefunction(
@@ -217,11 +239,8 @@ def postselected_pointer_wavefunction(
     shifts = model.coupling_integral * decomp.eigenvalues
     pointer.check_covers(shifts)
     amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes)
-    q = pointer.grid.values
     norm = (np.pi * pointer.delta**2) ** -0.25
-    vals = np.zeros(q.size, dtype=complex)
-    for a, c in zip(amps, shifts):
-        vals += a * norm * np.exp(-((q - c) ** 2) / (2 * pointer.delta**2))
+    vals = _gaussian_sum(pointer.grid.values, amps * norm, shifts, 2 * pointer.delta**2)
     wf = WaveFunction1D(pointer.grid, vals)
     if wf.norm_squared() < 1e-20:
         raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
@@ -251,13 +270,11 @@ def momentum_shift_imaginary_part(
     Gaussian exp(-D**2 P**2 / 2) picks up exp(Im(C_w) * P) from the complex
     shift, which recenters its density at Im(C_w)/D**2.
     """
-    decomp = hermitian_eigendecomposition(obs)
-    reach = float(np.max(np.abs(decomp.eigenvalues)))
-    if reach > 0 and pointer.delta < WEAK_REGIME_FACTOR * reach:
+    result = pointer_distribution_postselected(tsv, obs, pointer, model)
+    if result.regime != "weak":
         import warnings
 
         warnings.warn("pointer width is outside the weak regime; momentum shift is not Im(C_w)/D^2")
-    result = pointer_distribution_postselected(tsv, obs, pointer, model)
     p = result.p_grid.values
     return float(np.sum(p * result.p_density) * result.p_grid.spacing)
 
@@ -370,43 +387,23 @@ def n_spin_weights_and_centers(n: int, printed_centers: bool = False):
     return weights, centers
 
 
-def n_spin_pointer_closed_form(
-    n: int, pointer: GaussianPointer, printed_centers: bool = False
-) -> PointerResult:
+def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:
     """Pointer distribution for the single-system N-spin measurement."""
-    weights, centers = n_spin_weights_and_centers(n, printed_centers)
+    weights, centers = n_spin_weights_and_centers(n)
     pointer.check_covers(centers)
-    q = pointer.grid.values
     norm = (np.pi * pointer.delta**2) ** -0.25
-    vals = np.zeros(q.size, dtype=complex)
-    for w, c in zip(weights, centers):
-        vals += w * norm * np.exp(-((q - c) ** 2) / (2 * pointer.delta**2))
+    vals = _gaussian_sum(pointer.grid.values, weights * norm, centers, 2 * pointer.delta**2)
     wf = WaveFunction1D(pointer.grid, vals)
     return _result_from_wavefunction(wf, pointer.delta, centers)
 
 
 def shift_superposition(fn: WaveFunction1D, weights, shifts) -> WaveFunction1D:
-    """sum_n alpha_n f(Q - c_n), assembled by Fourier phase shifts.
-
-    The input spectrum is masked at SPECTRAL_MASK_RTOL of its peak before
-    the shifts are applied: signed weight schedules can amplify round-off
-    floor components by many orders of magnitude, and anything that far
-    below the peak is sampling noise, not signal.
-    """
+    """sum_n alpha_n f(Q - c_n), assembled by Fourier phase shifts of the masked spectrum."""
     w = np.asarray(weights, dtype=complex)
     c = np.asarray(shifts, dtype=float)
     if w.shape != c.shape or w.ndim != 1:
         raise ValidationError("weights and shifts must be matching 1-D sequences")
-    if fn.representation != "position":
-        raise ValidationError("shift the position representation")
-    support = np.abs(fn.values) > 1e-12 * np.abs(fn.values).max()
-    q = fn.grid.values
-    lo_s, hi_s = q[support][0], q[support][-1]
-    if lo_s + c.min() < fn.grid.lo - 1e-9 or hi_s + c.max() > fn.grid.hi + 1e-9:
-        raise GridOverflow("shifted support would leave the grid")
-    spec = np.fft.fft(fn.values)
-    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
-    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
+    spec, k = _masked_shift_spectrum(fn, c.min(), c.max())
     multiplier = (w[:, None] * np.exp(-1j * np.outer(c, k))).sum(axis=0)
     out = np.fft.ifft(spec * multiplier)
     return WaveFunction1D(fn.grid, out, "position", fn.conjugate_lo)

@@ -34,6 +34,7 @@ from .linalg import (
     DenseOperator,
     WaveFunction1D,
     fourier_pair,
+    is_hermitian,
 )
 from .pointer import GaussianPointer, _peak_location
 from .states import CoStateVector, StateVector, TwoStateVector
@@ -269,6 +270,23 @@ def adiabatic_protective_measurement(
     )
 
 
+def _protection_matrix(spin: LargeSpin, coupling: float, sigmas) -> np.ndarray:
+    """-lambda * (S . sigma) = -lambda * sum_i S_i x sigma_i, protector factor first."""
+    sx, sy, sz = spin.operators()
+    return -coupling * (np.kron(sx, sigmas[0]) + np.kron(sy, sigmas[1]) + np.kron(sz, sigmas[2]))
+
+
+def _substituted_hamiltonian(
+    protector_tsv: TwoStateVector, spin: LargeSpin, coupling: float, sigmas
+) -> tuple[DenseOperator, WeakVector]:
+    """-lambda * (S_w . sigma) with the given sigma operators, and S_w."""
+    if protector_tsv.dim != spin.dim:
+        raise ValidationError("protector description does not match the spin dimension")
+    comps = [weak_value(protector_tsv, DenseOperator(m)).value for m in spin.operators()]
+    matrix = -coupling * (comps[0] * sigmas[0] + comps[1] * sigmas[1] + comps[2] * sigmas[2])
+    return DenseOperator(matrix, hermitian=is_hermitian(matrix)), WeakVector(*comps)
+
+
 def weak_value_substituted_hamiltonian(
     protector_tsv: TwoStateVector, spin: LargeSpin, coupling: float
 ) -> tuple[DenseOperator, WeakVector]:
@@ -278,13 +296,7 @@ def weak_value_substituted_hamiltonian(
     description; they are complex in general, so the result is non-Hermitian
     and acts differently on forward- and backward-evolving states.
     """
-    if protector_tsv.dim != spin.dim:
-        raise ValidationError("protector description does not match the spin dimension")
-    comps = [weak_value(protector_tsv, DenseOperator(m)).value for m in spin.operators()]
-    s_w = WeakVector(*comps)
-    matrix = -coupling * (comps[0] * PAULI_X + comps[1] * PAULI_Y + comps[2] * PAULI_Z)
-    hermitian = bool(np.abs(matrix - matrix.conj().T).max() <= 1e-12 * max(np.abs(matrix).max(), 1.0))
-    return DenseOperator(matrix, hermitian=hermitian), s_w
+    return _substituted_hamiltonian(protector_tsv, spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def _bloch_direction(spinor: np.ndarray) -> np.ndarray:
@@ -338,14 +350,11 @@ def protected_two_state_measurement(
         raise ValidationError("the protected target must be a spin-1/2 description")
     alpha_dir = _bloch_direction(target_tsv.ket.normalized().amplitudes)
     beta_dir = _bloch_direction(target_tsv.bra.ket_form / np.linalg.norm(target_tsv.bra.ket_form))
-    sx, sy, sz = spin.operators()
     pre_protector = spin.coherent_state(alpha_dir)
     post_protector = spin.coherent_state(beta_dir)
     dim_s = spin.dim
 
-    protection = -coupling * (
-        np.kron(sx, PAULI_X) + np.kron(sy, PAULI_Y) + np.kron(sz, PAULI_Z)
-    )
+    protection = _protection_matrix(spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
     coupling_op = np.kron(np.eye(dim_s), obs.matrix)
     init = np.kron(pre_protector, target_tsv.ket.normalized().amplitudes)
 
@@ -408,7 +417,6 @@ def model_spin_protection(
     residual = psi2 - a * psi1
     b = float(np.linalg.norm(residual))
     if b < 1e-14:
-        perp = np.zeros_like(psi1)
         # any direction orthogonal to psi1 works when post == pre
         seed = np.zeros_like(psi1)
         seed[int(np.argmin(np.abs(psi1)))] = 1.0
@@ -427,22 +435,15 @@ def model_spin_protection(
     protector_pre = spin.coherent_state([0.0, 0.0, 1.0])
     protector_post = spin.coherent_state(chi)
 
-    sxo, syo, szo = spin.operators()
-    ham = np.zeros((spin.dim * pre.dim, spin.dim * pre.dim), dtype=complex)
-    for s_op, sig in ((sxo, sig_x), (syo, sig_y), (szo, sig_z)):
-        ham += np.kron(s_op, sig)
-    protection = DenseOperator(-coupling * ham)
+    protection = DenseOperator(_protection_matrix(spin, coupling, (sig_x, sig_y, sig_z)))
 
     protector_tsv = TwoStateVector(CoStateVector.from_ket(protector_post), StateVector(protector_pre))
-    comps = [weak_value(protector_tsv, DenseOperator(m)).value for m in spin.operators()]
-    s_w = WeakVector(*comps)
-    eff = -coupling * (comps[0] * sig_x + comps[1] * sig_y + comps[2] * sig_z)
-    herm = bool(np.abs(eff - eff.conj().T).max() <= 1e-12 * max(np.abs(eff).max(), 1.0))
+    effective, s_w = _substituted_hamiltonian(protector_tsv, spin, coupling, (sig_x, sig_y, sig_z))
 
     return ModelSpinProtection(
         model_sigma=(sig_x, sig_y, sig_z),
         protection_hamiltonian=protection,
-        effective_hamiltonian=DenseOperator(eff, hermitian=herm),
+        effective_hamiltonian=effective,
         protector_pre=protector_pre,
         protector_post=protector_post,
         chi_direction=chi,

@@ -45,7 +45,6 @@ from .pointer import (
 from .states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector
 from .timemachine import (
     TimeMachineConfig,
-    amplified_shift,
     gaussian_shift_distortion,
     run_machine,
     success_scaling_probe,
@@ -531,8 +530,6 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
     run = run_machine(fn, config)
     analytic = gaussian_shift_distortion(n_terms, eta, delta_t, width, grid)
     probe = success_scaling_probe(eta, [n_terms, n_terms + 1]) if eta > 1 else None
-
-    shifted = amplified_shift(fn, n_terms, eta, delta_t)
     target = gaussian_wavefunction(grid, width, center=eta * delta_t)
     tables = {
         "fig5.csv": (
@@ -540,7 +537,7 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
             [
                 grid.values,
                 np.abs(fn.values) ** 2,
-                np.abs(shifted.shifted.values) ** 2,
+                np.abs(run.final_fn.values) ** 2,
                 np.abs(target.values) ** 2,
             ],
         )

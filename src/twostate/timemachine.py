@@ -28,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GridOverflow, ValidationError
+from .errors import ValidationError
 from .linalg import Grid1D, WaveFunction1D
-from .pointer import SPECTRAL_MASK_RTOL
+from .pointer import _masked_shift_spectrum
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
@@ -109,32 +109,18 @@ class AmplifiedShift:
     net_shift: float
 
 
-def _masked_spectrum(fn: WaveFunction1D) -> tuple[np.ndarray, np.ndarray]:
-    spec = np.fft.fft(fn.values)
-    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
-    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
-    return spec, k
-
-
 def amplified_shift(fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float) -> AmplifiedShift:
     """Apply the binomial schedule of shifts n*delta_t/N and measure distortion.
 
     Distortion is the L2 distance between the superposition and the input
     rigidly shifted by eta*delta_t, relative to the input norm.
     """
-    if fn.representation != "position":
-        raise ValidationError("shift the position representation")
+    reach = sorted((0.0, delta_t, eta * delta_t))
+    spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
     if spectral_weight_above(fn) > 1e-6:
         import warnings
 
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
-    support = np.abs(fn.values) > 1e-12 * np.abs(fn.values).max()
-    q = fn.grid.values
-    lo_s, hi_s = q[support][0], q[support][-1]
-    reach = sorted((0.0, delta_t, eta * delta_t))
-    if lo_s + reach[0] < fn.grid.lo - 1e-9 or hi_s + reach[-1] > fn.grid.hi + 1e-9:
-        raise GridOverflow("shift schedule would push the support off the grid")
-    spec, k = _masked_spectrum(fn)
     superposed = np.fft.ifft(spec * _binomial_multiplier(k, n_terms, eta, delta_t))
     target = np.fft.ifft(spec * np.exp(-1j * k * eta * delta_t))
     dx = fn.grid.spacing
@@ -291,32 +277,24 @@ def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> Machine
     The system function is normalized on entry.  Post-selecting the uniform
     register state contracts the correlated rows N0 * alpha_n * f_n to
     N0/sqrt(N+1) * sum_n alpha_n f_n, with N0 = (sum |alpha_n|^2)**-1/2; the
-    sum is evaluated through the stable spectral multiplier, never row by
-    row, and the success probability is the squared norm of the contraction.
+    sum is the amplified shift of the normalized function, never summed row
+    by row, and the success probability is the squared norm of the
+    contraction.
     """
-    fn = system_fn.normalized()
     sched = binomial_schedule(config.n_terms, config.eta)
-    n_levels = config.n_terms + 1
     norm0 = 1.0 / math.sqrt(float(sched.exact_square_sum()))
     qos_initial = qos_state(norm0 * sched.weights)
 
-    spec, k = _masked_spectrum(fn)
-    multiplier = _binomial_multiplier(k, config.n_terms, config.eta, config.delta_t)
-    superposed = np.fft.ifft(spec * multiplier)
-    final_fn = WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo)
-    contracted = norm0 / math.sqrt(n_levels) * superposed
-
-    dx = fn.grid.spacing
-    success = float(np.sum(np.abs(contracted) ** 2) * dx)
-    target = np.fft.ifft(spec * np.exp(-1j * k * config.eta * config.delta_t))
-    distortion = float(np.sqrt(np.sum(np.abs(superposed - target) ** 2) * dx) / fn.norm())
+    shift = amplified_shift(system_fn.normalized(), config.n_terms, config.eta, config.delta_t)
+    contracted = norm0 / math.sqrt(config.n_terms + 1) * shift.shifted.values
+    success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
 
     return MachineRun(
         config=config,
         schedule=sched,
         qos_initial=qos_initial,
-        final_fn=final_fn,
-        distortion=distortion,
+        final_fn=shift.shifted,
+        distortion=shift.distortion,
         success_prob=success,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
-from .ideal import abl_generalized, certain_outcome
+from .ideal import _require_projector, abl_generalized, certain_outcome
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, DenseOperator, hermitian_eigendecomposition, pauli
 from .states import OVERLAP_EPSILON, GeneralizedTwoStateVector, StateVector, TwoStateVector
 
@@ -81,9 +81,7 @@ def weak_value_degenerate_post(
     pre: StateVector, post_projector: DenseOperator, obs: DenseOperator, epsilon: float = OVERLAP_EPSILON
 ) -> WeakValue:
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
-    pb = post_projector.matrix
-    if not post_projector.hermitian or np.abs(pb @ pb - pb).max() > 1e-10:
-        raise ValidationError("post-selection operator must be a Hermitian projector")
+    pb = _require_projector(post_projector)
     psi = pre.amplitudes
     denom = complex(np.vdot(psi, pb @ psi))
     if abs(denom) <= epsilon * pre.norm() ** 2:

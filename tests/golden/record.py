@@ -7,10 +7,12 @@ stores every file it writes (results.json and the figure tables) as text in
 Run it only on the commit *before* a change whose outputs must not move, then
 make the change and let the test compare:
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [case ...]
 
-Re-recording on the changed code would make the goldens agree with whatever
-that code computes, which pins nothing.
+Naming cases records only those, so a new case can be added without
+touching the goldens already recorded.  Re-recording on the changed code
+would make the goldens agree with whatever that code computes, which pins
+nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # case name -> (scenario, parameter overrides); every scenario at its defaults
-# plus the two largest inputs the benchmark drives.
+# plus the three largest inputs the benchmark drives.
 CASES = {
     "epr_product_rule": ("epr_product_rule", {}),
     "n_box": ("n_box", {}),
@@ -38,6 +40,7 @@ CASES = {
     "spin_xi_weak": ("spin_xi_weak", {}),
     "three_box": ("three_box", {}),
     "time_machine": ("time_machine", {}),
+    "time_machine-n_terms=60": ("time_machine", {"n_terms": "60"}),
 }
 
 
@@ -67,8 +70,8 @@ def run_case(case: str, fmt: str = "both") -> dict:
     return files
 
 
-def main() -> int:
-    for case in CASES:
+def main(cases: list[str]) -> int:
+    for case in cases or CASES:
         payload = json.dumps({"case": case, "files": run_case(case)}, sort_keys=True)
         # mtime=0 keeps the archive bytes a function of the outputs alone
         with open(golden_path(case), "wb") as raw:
@@ -79,4 +82,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -5,7 +5,9 @@ from twostate.errors import GridOverflow, PostSelectionImpossible, ValidationErr
 from twostate.linalg import (
     DenseOperator,
     Grid1D,
+    WaveFunction1D,
     gaussian_wavefunction,
+    hermitian_eigendecomposition,
     identity,
     pauli,
     spin_direction,
@@ -27,6 +29,7 @@ from twostate.pointer import (
 )
 from twostate.reporting import csv_table
 from twostate.states import CoStateVector, StateVector, TwoStateVector
+from twostate.timemachine import amplified_shift
 from twostate.weak import weak_value
 
 SQRT2 = np.sqrt(2.0)
@@ -139,6 +142,27 @@ def test_postselected_distribution_matches_direct_gaussian_algebra():
     direct = np.abs(phi) ** 2
     direct /= direct.sum() * res.q_grid.spacing
     assert np.abs(direct - res.q_density).max() <= 1e-12
+
+
+def test_postselected_pointer_memory_does_not_grow_with_the_spectrum():
+    # the Gaussian sum adds one grid-sized term at a time; an (n, points)
+    # matrix of shifted Gaussians would take 161 * 4096 * 16 bytes, about 10 MB
+    import tracemalloc
+
+    peaks = {}
+    for n in (11, 161):
+        obs = DenseOperator(np.diag(np.linspace(-1.0, 1.0, n)))
+        hermitian_eigendecomposition(obs)  # cached on the operator, outside the trace
+        ket = np.ones(n) / np.sqrt(n)
+        tsv = TwoStateVector(CoStateVector.from_ket(ket), StateVector(ket))
+        pointer = GaussianPointer.for_spectrum(0.5, [1.0, -1.0], points=4096)
+        tracemalloc.start()
+        try:
+            postselected_pointer_wavefunction(tsv, obs, pointer)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[161] <= 2 * peaks[11]
 
 
 def test_impossible_postselection_is_flagged():
@@ -294,6 +318,14 @@ def test_shift_superposition_rejects_overflowing_shifts():
     fn = gaussian_wavefunction(grid, 1.0)
     with pytest.raises(GridOverflow):
         shift_superposition(fn, [1.0], [8.0])
+
+
+def test_fourier_shifts_reject_a_zero_wavefunction():
+    zero = WaveFunction1D(Grid1D(-5.0, 5.0, 64), np.zeros(64))
+    with pytest.raises(ValidationError):
+        shift_superposition(zero, [1.0], [0.0])
+    with pytest.raises(ValidationError):
+        amplified_shift(zero, 4, 2.0, 0.1)
 
 
 def test_csv_and_summary_outputs_are_well_formed():

@@ -8,11 +8,11 @@ import pytest
 
 from twostate.errors import GridOverflow, ValidationError
 from twostate.linalg import Grid1D, gaussian_wavefunction
+from twostate.pointer import _masked_shift_spectrum
 from twostate.timemachine import (
     GRAVITATIONAL_CONSTANT,
     LIGHT_SPEED,
     TimeMachineConfig,
-    _masked_spectrum,
     amplified_shift,
     binomial_schedule,
     gaussian_shift_distortion,
@@ -143,6 +143,30 @@ def test_amplified_shift_rejects_offgrid_schedules():
         amplified_shift(fn, 8, 9.0, 1.0)
 
 
+def test_run_machine_rejects_offgrid_schedules():
+    # the same schedule amplified_shift refuses: an FFT shift would wrap around
+    grid = Grid1D(-10.0, 10.0, 256)
+    fn = gaussian_wavefunction(grid, 1.0)
+    with pytest.raises(GridOverflow):
+        run_machine(fn, TimeMachineConfig(n_terms=8, eta=9.0, delta_t=1.0))
+
+
+def test_time_machine_scenario_makes_two_forward_ffts(monkeypatch):
+    # one for the Nyquist check (spectral_weight_above), one for the masked spectrum
+    from twostate.scenarios import get_scenario
+
+    calls = []
+    fft = np.fft.fft
+
+    def counting_fft(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    get_scenario("time_machine").run({})
+    assert len(calls) == 2
+
+
 def test_sr_dilation_values():
     assert sr_dilation(0.0, 5.0) == 0.0
     assert sr_dilation(0.6 * LIGHT_SPEED, 1.0) == pytest.approx(0.2, abs=1e-12)
@@ -218,8 +242,8 @@ def correlated_rows(fn, config):
     fn = fn.normalized()
     sched = binomial_schedule(config.n_terms, config.eta)
     qos_initial = sched.weights / math.sqrt(float(sched.exact_square_sum()))
-    spec, k = _masked_spectrum(fn)
     shifts = sched.shifts * config.delta_t
+    spec, k = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
     return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
 
 
