@@ -44,7 +44,6 @@ from .linalg import (
 )
 from .pointer import (
     GaussianPointer,
-    MeasurementModel,
     PointerResult,
     ensemble_mean_estimator,
     joint_state_after_impulse,

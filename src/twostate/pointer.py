@@ -5,10 +5,11 @@ The measuring device is a 1-D pointer prepared in the Gaussian
     psi_in(Q) = (pi * D**2)**-0.25 * exp(-Q**2 / (2*D**2)),
 
 whose position density has width D in the exp(-Q**2/D**2) convention.  An
-impulsive coupling g(t) * P * C (unit time integral by default) rigidly
-translates the pointer by c_n within the c_n eigenspace of C, so the joint
-state is assembled exactly from the spectral decomposition; there is no
-time-stepping error anywhere in this module.
+impulsive coupling g(t) * P * C of unit time integral rigidly translates the
+pointer by c_n within the c_n eigenspace of C, so the joint state is
+assembled exactly from the spectral decomposition; there is no time-stepping
+error anywhere in this module.  A coupling integral g0 is the same as
+measuring the observable g0 * C.
 
 Post-selecting the system state <Phi| leaves the pointer in
 
@@ -59,10 +60,10 @@ class GaussianPointer:
             raise ValidationError("pointer width must be positive")
 
     @classmethod
-    def for_spectrum(cls, delta: float, eigenvalues, points: int = 4096, pad_widths: float = 8.0):
-        """Grid spanning +-(max|c| + pad*D), the default everywhere."""
+    def for_spectrum(cls, delta: float, eigenvalues, points: int = 4096):
+        """Grid spanning +-(max|c| + 8*D)."""
         reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
-        span = reach + pad_widths * delta
+        span = reach + 8.0 * delta
         return cls(delta, Grid1D(-span, span, points))
 
     def initial_wavefunction(self) -> WaveFunction1D:
@@ -75,17 +76,6 @@ class GaussianPointer:
             raise GridOverflow(
                 f"grid [{self.grid.lo}, {self.grid.hi}] does not cover shifts {lo_need}..{hi_need}"
             )
-
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Impulsive coupling with time integral g0 (the textbook convention g0=1)."""
-
-    coupling_integral: float = 1.0
-
-    def __post_init__(self):
-        if self.coupling_integral <= 0:
-            raise ValidationError("coupling integral must be positive")
 
 
 @dataclass(frozen=True)
@@ -197,15 +187,13 @@ def joint_state_after_impulse(
     pre: StateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
-    model: MeasurementModel = MeasurementModel(),
 ) -> JointState:
-    """sum_n (P_n psi) x psi_in(Q - g0*c_n), exact via the spectral shift."""
+    """sum_n (P_n psi) x psi_in(Q - c_n), exact via the spectral shift."""
     decomp = hermitian_eigendecomposition(obs)
-    shifts = model.coupling_integral * decomp.eigenvalues
-    pointer.check_covers(shifts)
+    pointer.check_covers(decomp.eigenvalues)
     norm = (np.pi * pointer.delta**2) ** -0.25
     branches = decomp.branches(pre.amplitudes) * norm
-    amplitudes = _gaussian_sum(pointer.grid.values, branches, shifts, 2 * pointer.delta**2)
+    amplitudes = _gaussian_sum(pointer.grid.values, branches, decomp.eigenvalues, 2 * pointer.delta**2)
     return JointState(pre.dim, pointer.grid, amplitudes)
 
 
@@ -213,14 +201,12 @@ def pointer_distribution_preselected(
     pre: StateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
-    model: MeasurementModel = MeasurementModel(),
 ) -> PointerResult:
     """Prob(Q) = sum_n ||P_n psi||^2 * psi_in(Q - c_n)**2 for a normalized psi."""
     decomp = hermitian_eigendecomposition(obs)
-    shifts = model.coupling_integral * decomp.eigenvalues
-    pointer.check_covers(shifts)
+    pointer.check_covers(decomp.eigenvalues)
     weights = born(pre.normalized(), obs).probabilities
-    dens = _gaussian_sum(pointer.grid.values, weights, shifts, pointer.delta**2)
+    dens = _gaussian_sum(pointer.grid.values, weights, decomp.eigenvalues, pointer.delta**2)
     dens /= dens.sum() * pointer.grid.spacing
     # Momentum density of the branch mixture: each rigid shift only adds a
     # phase in P, so it coincides with the initial pointer's.
@@ -232,15 +218,13 @@ def postselected_pointer_wavefunction(
     tsv: TwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
-    model: MeasurementModel = MeasurementModel(),
 ) -> WaveFunction1D:
     """Unnormalized Phi(Q) = sum_n <Phi|P_n|Psi> psi_in(Q - c_n)."""
     decomp = hermitian_eigendecomposition(obs)
-    shifts = model.coupling_integral * decomp.eigenvalues
-    pointer.check_covers(shifts)
+    pointer.check_covers(decomp.eigenvalues)
     amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes)
     norm = (np.pi * pointer.delta**2) ** -0.25
-    vals = _gaussian_sum(pointer.grid.values, amps * norm, shifts, 2 * pointer.delta**2)
+    vals = _gaussian_sum(pointer.grid.values, amps * norm, decomp.eigenvalues, 2 * pointer.delta**2)
     wf = WaveFunction1D(pointer.grid, vals)
     if wf.norm_squared() < 1e-20:
         raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
@@ -251,10 +235,9 @@ def pointer_distribution_postselected(
     tsv: TwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
-    model: MeasurementModel = MeasurementModel(),
 ) -> PointerResult:
     decomp = hermitian_eigendecomposition(obs)
-    wf = postselected_pointer_wavefunction(tsv, obs, pointer, model)
+    wf = postselected_pointer_wavefunction(tsv, obs, pointer)
     return _result_from_wavefunction(wf, pointer.delta, decomp.eigenvalues)
 
 
@@ -262,7 +245,6 @@ def momentum_shift_imaginary_part(
     tsv: TwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
-    model: MeasurementModel = MeasurementModel(),
 ) -> float:
     """Mean momentum of the post-selected pointer.
 
@@ -270,7 +252,7 @@ def momentum_shift_imaginary_part(
     Gaussian exp(-D**2 P**2 / 2) picks up exp(Im(C_w) * P) from the complex
     shift, which recenters its density at Im(C_w)/D**2.
     """
-    result = pointer_distribution_postselected(tsv, obs, pointer, model)
+    result = pointer_distribution_postselected(tsv, obs, pointer)
     if result.regime != "weak":
         import warnings
 
@@ -284,7 +266,6 @@ def moment_expansion_residual(
     obs: DenseOperator,
     pointer: GaussianPointer,
     order: int = 2,
-    model: MeasurementModel = MeasurementModel(),
 ) -> float:
     """Relative distance between the exact pointer state and its moment expansion.
 
@@ -300,7 +281,7 @@ def moment_expansion_residual(
         raise ValidationError("expansion order starts at 2")
     ov = tsv.require_overlap()
     decomp = hermitian_eigendecomposition(obs)
-    shifts = model.coupling_integral * decomp.eigenvalues
+    shifts = decomp.eigenvalues
     amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes) / ov
     mom = fourier_pair(pointer.initial_wavefunction())
     p = mom.grid.values
@@ -328,34 +309,22 @@ class EnsembleEstimate:
         return {"mean": self.mean, "stderr": self.stderr, "n_samples": self.n_samples, "seed": self.seed}
 
 
-def ensemble_mean_estimator(
-    description,
-    obs: DenseOperator,
-    pointer: GaussianPointer,
-    n_samples: int,
-    seed: int,
-    model: MeasurementModel = MeasurementModel(),
-) -> EnsembleEstimate:
-    """Sample pointer readings and report their mean.
+def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) -> EnsembleEstimate:
+    """Sample pointer readings from a computed pointer distribution and report their mean.
 
     The quoted standard error uses the pointer-width convention of the
     Gaussian above (density ∝ exp(-Q**2/D**2), width D = sqrt(2)*sigma), so
-    for D=10 and 5000 samples it reads 10/sqrt(5000) ~ 0.14.
+    for D=10 and 5000 samples it reads 10/sqrt(5000) ~ 0.14.  A single
+    sample quotes the pointer width D itself as its spread.
     """
     if n_samples < 1:
         raise ValidationError("need at least one sample")
-    if isinstance(description, TwoStateVector):
-        result = pointer_distribution_postselected(description, obs, pointer, model)
-    elif isinstance(description, StateVector):
-        result = pointer_distribution_preselected(description, obs, pointer, model)
-    else:
-        raise ValidationError(f"unsupported description {type(description).__name__}")
     rng = np.random.default_rng(seed)
     q = result.q_grid.values
     cdf = np.cumsum(result.q_density) * result.q_grid.spacing
     cdf /= cdf[-1]
     samples = np.interp(rng.random(n_samples), cdf, q)
-    spread = samples.std(ddof=1) if n_samples > 1 else pointer.delta
+    spread = samples.std(ddof=1) if n_samples > 1 else result.delta
     width_effective = np.sqrt(2.0) * spread
     return EnsembleEstimate(
         mean=float(samples.mean()),

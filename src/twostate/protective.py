@@ -127,18 +127,17 @@ def _significant_momentum(pointer: GaussianPointer):
     return mom, mask
 
 
-def _pointer_density_from_momentum(mom_grid, component_block: np.ndarray, conjugate_lo: float):
-    """Sum_j |FT^-1 c_j(p)|^2 for a (points, d) block of momentum amplitudes."""
-    dens = None
-    position_grid = None
+def _position_densities(mom_grid, component_block: np.ndarray, conjugate_lo: float):
+    """Position grid and the unnormalized |FT^-1 c_j(p)|^2 of each column j of a (points, d) block."""
+    terms = []
     for j in range(component_block.shape[1]):
-        wf = WaveFunction1D(mom_grid, component_block[:, j], "momentum", conjugate_lo)
-        pos = fourier_pair(wf)
-        position_grid = pos.grid
-        term = np.abs(pos.values) ** 2
-        dens = term if dens is None else dens + term
-    total = dens.sum() * position_grid.spacing
-    return position_grid, dens / total, total
+        pos = fourier_pair(WaveFunction1D(mom_grid, component_block[:, j], "momentum", conjugate_lo))
+        terms.append(np.abs(pos.values) ** 2)
+    return pos.grid, terms
+
+
+def _normalized_density(grid, dens: np.ndarray) -> np.ndarray:
+    return dens / (dens.sum() * grid.spacing)
 
 
 # Runs of equal couplings diagonalized per eigh call; bounds the batch, and so
@@ -238,21 +237,19 @@ def adiabatic_protective_measurement(
     transitions[:, np.arange(d), np.arange(d)] = 0.0
     leakage = float(np.einsum("b,bji,i->", pointer_weights, transitions, np.abs(alphas) ** 2))
 
-    # reassemble pointer densities branch by branch and overall
+    # pointer density of each branch, one inverse transform each, and overall
     block = np.zeros((mom.grid.points, d), dtype=complex)
     block[mask] = branch_amps * mom.values[mask, None]
-    grid, dens, _ = _pointer_density_from_momentum(mom.grid, block, mom.conjugate_lo)
+    grid, terms = _position_densities(mom.grid, block, mom.conjugate_lo)
     q = grid.values
-    overall_shift = float((q * dens).sum() * grid.spacing)
+    overall_shift = float((q * _normalized_density(grid, sum(terms))).sum() * grid.spacing)
 
     weights, shifts = [], []
     for i in range(d):
-        col = np.zeros((mom.grid.points, 1), dtype=complex)
-        col[mask, 0] = branch_amps[:, i] * mom.values[mask]
-        wgt = float((np.abs(col[mask, 0]) ** 2).sum() / (np.abs(block[mask]) ** 2).sum())
+        wgt = float((np.abs(block[mask, i]) ** 2).sum() / (np.abs(block[mask]) ** 2).sum())
         weights.append(wgt)
         if wgt > 1e-12:
-            _, bdens, _ = _pointer_density_from_momentum(mom.grid, col, mom.conjugate_lo)
+            bdens = _normalized_density(grid, terms[i])
             shifts.append(float((q * bdens).sum() * grid.spacing))
         else:
             shifts.append(float("nan"))
@@ -370,7 +367,8 @@ def protected_two_state_measurement(
     if post_norm < 1e-20:
         raise PostSelectionImpossible("protector post-selection amplitude vanishes")
 
-    grid, dens, _ = _pointer_density_from_momentum(mom.grid, out, mom.conjugate_lo)
+    grid, terms = _position_densities(mom.grid, out, mom.conjugate_lo)
+    dens = _normalized_density(grid, sum(terms))
     q = grid.values
     shift = float((q * dens).sum() * grid.spacing)
     target = weak_value(target_tsv, obs).value.real

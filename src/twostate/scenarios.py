@@ -282,14 +282,12 @@ def _run_spin_xi(params: dict, seed: int) -> ScenarioResult:
 
     if postselect:
         dist = pointer_distribution_postselected(tsv, obs, pointer)
-        description = tsv
         target_mean = SQRT2
     else:
         dist = pointer_distribution_preselected(StateVector(up_x), obs, pointer)
-        description = StateVector(up_x)
         target_mean = 1.0 / SQRT2
 
-    estimate = ensemble_mean_estimator(description, obs, pointer, n_samples, seed)
+    estimate = ensemble_mean_estimator(dist, n_samples, seed)
 
     fig = _FIGURE_BY_CONFIG.get((postselect, float(delta)), "pointer")
     tables = {

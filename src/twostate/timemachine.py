@@ -22,6 +22,7 @@ which is stable where the expanded sum is catastrophically ill-conditioned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,23 +63,28 @@ class TimeMachineConfig:
 
 @dataclass(frozen=True)
 class BinomialSchedule:
-    """Shifts n/N and binomial weights, exact and in floats."""
+    """Shifts n/N and binomial weights, exact and in floats (read-only arrays)."""
 
     n_terms: int
     eta: float
     shifts: np.ndarray
     weights: np.ndarray
     exact_weights: tuple
+    square_sum: Fraction  # sum of the squared exact weights
 
     def exact_sum(self) -> Fraction:
         return sum(self.exact_weights, Fraction(0))
 
     def exact_square_sum(self) -> Fraction:
-        return sum((w * w for w in self.exact_weights), Fraction(0))
+        return self.square_sum
 
 
+@functools.lru_cache(maxsize=16)
 def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
-    """Binomial amplitude schedule; the signed weights always sum to exactly 1."""
+    """Binomial amplitude schedule; the signed weights always sum to exactly 1.
+
+    Schedules are cached, and the cached one is shared by every caller.
+    """
     if n_terms < 1:
         raise ValidationError("need at least one superposition step")
     e = Fraction(eta)
@@ -86,7 +92,10 @@ def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     exact = tuple(math.comb(n_terms, n) * e**n * complement ** (n_terms - n) for n in range(n_terms + 1))
     weights = np.array([float(w) for w in exact])
     shifts = np.arange(n_terms + 1) / n_terms
-    return BinomialSchedule(n_terms, float(eta), shifts, weights, exact)
+    weights.flags.writeable = False
+    shifts.flags.writeable = False
+    square_sum = sum((w * w for w in exact), Fraction(0))
+    return BinomialSchedule(n_terms, float(eta), shifts, weights, exact, square_sum)
 
 
 def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float) -> np.ndarray:
@@ -95,29 +104,35 @@ def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float
 
 def spectral_weight_above(fn: WaveFunction1D, fraction_of_nyquist: float = 0.25) -> float:
     """Fraction of spectral weight above the given fraction of the Nyquist rate."""
-    spec = np.abs(np.fft.fft(fn.values)) ** 2
-    k = np.abs(np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing))
-    cut = fraction_of_nyquist * 0.5 / fn.grid.spacing
-    total = spec.sum()
-    return float(spec[k > cut].sum() / total) if total > 0 else 0.0
+    return _spectrum_weight_above(np.fft.fft(fn.values), fn.grid.spacing, fraction_of_nyquist)
+
+
+def _spectrum_weight_above(spec: np.ndarray, spacing: float, fraction_of_nyquist: float = 0.25) -> float:
+    """spectral_weight_above for the FFT `spec` of samples `spacing` apart."""
+    power = np.abs(spec) ** 2
+    k = np.abs(np.fft.fftfreq(spec.size, d=spacing))
+    cut = fraction_of_nyquist * 0.5 / spacing
+    total = power.sum()
+    return float(power[k > cut].sum() / total) if total > 0 else 0.0
 
 
 @dataclass(frozen=True)
 class AmplifiedShift:
     shifted: WaveFunction1D
     distortion: float
-    net_shift: float
 
 
 def amplified_shift(fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float) -> AmplifiedShift:
     """Apply the binomial schedule of shifts n*delta_t/N and measure distortion.
 
     Distortion is the L2 distance between the superposition and the input
-    rigidly shifted by eta*delta_t, relative to the input norm.
+    rigidly shifted by eta*delta_t, relative to the input norm.  The Nyquist
+    warning reads the masked spectrum, whose zeroed entries are below
+    SPECTRAL_MASK_RTOL of its peak.
     """
     reach = sorted((0.0, delta_t, eta * delta_t))
     spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
-    if spectral_weight_above(fn) > 1e-6:
+    if _spectrum_weight_above(spec, fn.grid.spacing) > 1e-6:
         import warnings
 
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
@@ -129,7 +144,6 @@ def amplified_shift(fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float
     return AmplifiedShift(
         shifted=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
         distortion=distortion,
-        net_shift=eta * delta_t,
     )
 
 
@@ -240,35 +254,16 @@ def radius_schedule(config: TimeMachineConfig, simplified: bool | None = None) -
 class MachineRun:
     """Outcome of the control-register construction.
 
-    `qos_initial` is the normalized register state N0 * alpha_n; `final_fn`
-    is the bare superposition sum alpha_n f_n (the system state after
-    post-selection, up to normalization), and `success_prob` the
+    `final_fn` is the bare superposition sum alpha_n f_n (the system state
+    after post-selection, up to normalization), and `success_prob` the
     post-selection probability.
     """
 
     config: TimeMachineConfig
     schedule: BinomialSchedule
-    qos_initial: np.ndarray
     final_fn: WaveFunction1D
     distortion: float
     success_prob: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_terms": self.config.n_terms,
-            "eta": self.config.eta,
-            "delta_t": self.config.delta_t,
-            "distortion": self.distortion,
-            "success_prob": self.success_prob,
-        }
-
-
-def qos_state(amplitudes) -> np.ndarray:
-    a = np.asarray(amplitudes, dtype=complex)
-    n = np.linalg.norm(a)
-    if abs(n - 1.0) > 1e-12:
-        raise ValidationError("control-register state must be normalized")
-    return a
 
 
 def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> MachineRun:
@@ -283,8 +278,6 @@ def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> Machine
     """
     sched = binomial_schedule(config.n_terms, config.eta)
     norm0 = 1.0 / math.sqrt(float(sched.exact_square_sum()))
-    qos_initial = qos_state(norm0 * sched.weights)
-
     shift = amplified_shift(system_fn.normalized(), config.n_terms, config.eta, config.delta_t)
     contracted = norm0 / math.sqrt(config.n_terms + 1) * shift.shifted.values
     success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
@@ -292,7 +285,6 @@ def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> Machine
     return MachineRun(
         config=config,
         schedule=sched,
-        qos_initial=qos_initial,
         final_fn=shift.shifted,
         distortion=shift.distortion,
         success_prob=success,

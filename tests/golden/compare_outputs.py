@@ -1,0 +1,117 @@
+"""Check that two checkouts of twostate produce byte-identical outputs.
+
+    python tests/golden/compare_outputs.py <parent-checkout> <change-checkout>
+
+For each checkout, a fresh process with ``PYTHONPATH=<checkout>/src`` runs,
+at seeds 0 and 7:
+
+- every golden case of ``tests/golden/record.py`` (``twostate run ...
+  --format both``);
+- every CLI request of the benchmark workloads in ``bench/workloads.py``,
+  in-process through ``twostate.cli.main``;
+- both library calls of the benchmark, whose ``to_dict()`` is written as
+  JSON with full float precision.
+
+Every stdout and every written file of one checkout must equal the other's
+byte for byte; the script lists each difference and exits 1 if there is
+any.  Requests, cases and library inputs come from this script's own
+checkout, so both sides run the same list.  Standard error is not compared:
+warnings name source lines, which move with any edit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+sys.path[:0] = [HERE, os.path.join(ROOT, "bench")]
+
+SEEDS = ("0", "7")
+
+
+def _requests() -> list:
+    """(output directory name, CLI argv or library key) of every request."""
+    from record import CASES
+    from workloads import WORKLOADS
+
+    out = []
+    for case, (scenario, params) in CASES.items():
+        argv = ["run", scenario, "--format", "both"]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={value}"]
+        out.append((f"golden/{case}", argv))
+    for workload, requests in WORKLOADS.items():
+        for req in requests:
+            name = f"{workload}/{req.key.replace(' ', '_')}"
+            out.append((name, req.key if req.kind == "lib" else list(req.argv)))
+    return out
+
+
+def emit(out_root: str) -> None:
+    """Run every request with the twostate on sys.path, writing under out_root."""
+    from twostate.cli import main
+    from workloads import LibraryCalls
+
+    library = LibraryCalls()
+    os.chdir(out_root)  # relative --out paths keep the printed paths equal
+    for name, request in _requests():
+        for seed in SEEDS:
+            target = os.path.join(name, f"seed{seed}")
+            os.makedirs(target)
+            if isinstance(request, str):
+                fn, args, _ = library.call(request)
+                text = json.dumps(fn(*args).to_dict(), sort_keys=True)
+            else:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(request + ["--seed", seed, "--out", os.path.join(target, "out")])
+                text = f"{stdout.getvalue()}exit {code}\n"
+            with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as handle:
+                handle.write(text)
+
+
+def _files(root: str) -> dict:
+    files = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+def main(argv: list) -> int:
+    if len(argv) == 2 and argv[0] == "--emit":
+        emit(argv[1])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    from workloads import child_env
+
+    with tempfile.TemporaryDirectory() as scratch:
+        outputs = []
+        for tree in argv:
+            out_root = os.path.join(scratch, str(len(outputs)))
+            os.makedirs(out_root)
+            cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_root]
+            subprocess.run(cmd, env=child_env(os.path.abspath(tree)), check=True)
+            outputs.append(_files(out_root))
+    old, new = outputs
+    differ = sorted(name for name in set(old) | set(new) if old.get(name) != new.get(name))
+    for name in differ:
+        side = "only in parent" if name not in new else "only in change" if name not in old else "differs"
+        print(f"{name}: {side}")
+    print(f"{len(set(old) | set(new)) - len(differ)} files identical, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

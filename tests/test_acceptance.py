@@ -181,7 +181,8 @@ def test_criterion_04_ensemble_estimator():
     obs = spin_direction([1, 1, 0])
     pointer = GaussianPointer.for_spectrum(10.0, [1.0, -1.0], points=4096)
     t0 = time.perf_counter()
-    estimate = ensemble_mean_estimator(tsv, obs, pointer, 5000, seed=0)
+    dist = pointer_distribution_postselected(tsv, obs, pointer)
+    estimate = ensemble_mean_estimator(dist, 5000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = (
         0.10 <= estimate.stderr <= 0.20

@@ -15,7 +15,6 @@ from twostate.linalg import (
 )
 from twostate.pointer import (
     GaussianPointer,
-    MeasurementModel,
     ensemble_mean_estimator,
     joint_state_after_impulse,
     moment_expansion_residual,
@@ -241,25 +240,46 @@ def test_higher_moment_terms_shrink_the_residual():
 
 def test_ensemble_estimator_is_seeded_and_calibrated():
     pointer = GaussianPointer.for_spectrum(10.0, [1.0, -1.0])
-    a = ensemble_mean_estimator(bisector_tsv(), sigma_xi(), pointer, 5000, seed=0)
-    b = ensemble_mean_estimator(bisector_tsv(), sigma_xi(), pointer, 5000, seed=0)
+    dist = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), pointer)
+    a = ensemble_mean_estimator(dist, 5000, seed=0)
+    b = ensemble_mean_estimator(dist, 5000, seed=0)
     assert a == b
-    c = ensemble_mean_estimator(bisector_tsv(), sigma_xi(), pointer, 5000, seed=1)
+    c = ensemble_mean_estimator(dist, 5000, seed=1)
     assert c.mean != a.mean
     # pointer-width convention: stderr ~ sqrt(2)*sigma/sqrt(n) ~ 10/sqrt(5000)
     assert 0.10 <= a.stderr <= 0.20
     assert abs(a.mean - SQRT2) <= 3 * a.stderr
 
 
+@pytest.mark.parametrize("postselect", [True, False])
+def test_spin_xi_scenario_builds_its_pointer_once(monkeypatch, postselect):
+    # the ensemble samples the distribution the scenario already computed
+    from twostate import pointer as pointer_module
+    from twostate.scenarios import get_scenario
+
+    calls = []
+    gaussian_sum = pointer_module._gaussian_sum
+
+    def counting_sum(*args, **kwargs):
+        calls.append(1)
+        return gaussian_sum(*args, **kwargs)
+
+    monkeypatch.setattr(pointer_module, "_gaussian_sum", counting_sum)
+    get_scenario("spin_xi_weak").run({"postselect": str(postselect).lower()})
+    assert len(calls) == 1
+
+
 def test_preselected_ensemble_tracks_the_expectation_value():
     pointer = GaussianPointer.for_spectrum(10.0, [1.0, -1.0])
-    est = ensemble_mean_estimator(StateVector(spin_up([1, 0, 0])), sigma_xi(), pointer, 5000, seed=3)
+    dist = pointer_distribution_preselected(StateVector(spin_up([1, 0, 0])), sigma_xi(), pointer)
+    est = ensemble_mean_estimator(dist, 5000, seed=3)
     assert abs(est.mean - 1 / SQRT2) <= 3 * est.stderr
 
 
 def test_single_sample_sharp_pointer_reads_the_eigenvalue():
     pointer = GaussianPointer.for_spectrum(0.001, [1.0, -1.0], points=8192)
-    est = ensemble_mean_estimator(StateVector(spin_up([0, 0, 1])), pauli("z"), pointer, 1, seed=9)
+    dist = pointer_distribution_preselected(StateVector(spin_up([0, 0, 1])), pauli("z"), pointer)
+    est = ensemble_mean_estimator(dist, 1, seed=9)
     assert abs(est.mean - 1.0) <= 0.01
 
 
@@ -344,8 +364,8 @@ def test_csv_and_summary_outputs_are_well_formed():
 
 def test_scaled_coupling_scales_the_shifts():
     pointer = GaussianPointer.for_spectrum(0.5, [2.0, -2.0], points=1024)
-    model = MeasurementModel(coupling_integral=2.0)
-    res = pointer_distribution_preselected(StateVector(spin_up([0, 0, 1])), pauli("z"), pointer, model)
+    # a coupling integral of 2 is a unit coupling to the observable 2*C
+    res = pointer_distribution_preselected(StateVector(spin_up([0, 0, 1])), 2.0 * pauli("z"), pointer)
     assert res.mean == pytest.approx(2.0, abs=1e-10)
 
 

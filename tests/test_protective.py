@@ -112,6 +112,24 @@ def test_adiabatic_shift_converges_to_the_expectation_value():
         assert faster <= 0.75 * slower
 
 
+def test_adiabatic_branches_reuse_the_overall_inverse_transforms(monkeypatch):
+    # the benchmark's adiabatic input: one inverse FFT per h0 eigenstate column
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    obs = DenseOperator(PAULI_Z + 0.3 * PAULI_X)
+    pointer = GaussianPointer.for_spectrum(4.0, [1.3], points=1024)
+    schedule = AdiabaticSchedule(total_time=40.0, steps=1200)
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    res = adiabatic_protective_measurement(pauli("z"), obs, StateVector([1.0, 0.0]), schedule, pointer)
+    assert np.all(res.branch_weights > 1e-12)
+    assert len(calls) == 2
+
+
 def test_superposition_input_splits_into_expectation_branches():
     obs = DenseOperator(PAULI_Z + 0.3 * PAULI_X)
     schedule = AdiabaticSchedule(total_time=20.0, steps=600)

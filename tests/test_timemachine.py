@@ -151,8 +151,8 @@ def test_run_machine_rejects_offgrid_schedules():
         run_machine(fn, TimeMachineConfig(n_terms=8, eta=9.0, delta_t=1.0))
 
 
-def test_time_machine_scenario_makes_two_forward_ffts(monkeypatch):
-    # one for the Nyquist check (spectral_weight_above), one for the masked spectrum
+def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
+    # the masked spectrum serves both the shift and the Nyquist check
     from twostate.scenarios import get_scenario
 
     calls = []
@@ -164,7 +164,34 @@ def test_time_machine_scenario_makes_two_forward_ffts(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     get_scenario("time_machine").run({})
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_time_machine_scenario_builds_each_schedule_once(monkeypatch):
+    # N for the run, N and N+1 for the scaling probe: the run's N is shared
+    from twostate import timemachine
+    from twostate.scenarios import get_scenario
+
+    built = []
+    schedule_class = timemachine.BinomialSchedule
+
+    def counting_schedule(*args):
+        built.append(args[:2])
+        return schedule_class(*args)
+
+    binomial_schedule.cache_clear()
+    monkeypatch.setattr(timemachine, "BinomialSchedule", counting_schedule)
+    get_scenario("time_machine").run({})
+    assert built == [(13, 10.0), (14, 10.0)]
+
+
+def test_cached_schedules_are_read_only():
+    sched = binomial_schedule(13, 10.0)
+    assert binomial_schedule(13, 10.0) is sched
+    with pytest.raises(ValueError):
+        sched.weights[0] = 0.0
+    with pytest.raises(ValueError):
+        sched.shifts[0] = 0.0
 
 
 def test_sr_dilation_values():
