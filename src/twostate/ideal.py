@@ -12,7 +12,7 @@ pre-selected-only limit, which is the Born rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -142,13 +142,7 @@ class ProductRuleReport:
     commutator_norm: float
 
     def to_dict(self) -> dict:
-        return {
-            "a_certain": self.a_certain,
-            "b_certain": self.b_certain,
-            "ab_certain": self.ab_certain,
-            "product_rule_holds": self.product_rule_holds,
-            "commutator_norm": self.commutator_norm,
-        }
+        return asdict(self)
 
 
 def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator, tol: float = 1e-9) -> ProductRuleReport:
@@ -194,17 +188,7 @@ class CounterfactualReport:
     deviation_with: float
 
     def to_dict(self) -> dict:
-        return {
-            "c_eigenvalues": self.c_eigenvalues.tolist(),
-            "final_eigenvalues": self.final_eigenvalues.tolist(),
-            "weights_without": self.weights_without.tolist(),
-            "weights_with": self.weights_with.tolist(),
-            "marginal_without": self.marginal_without.tolist(),
-            "marginal_with": self.marginal_with.tolist(),
-            "born_marginal": self.born_marginal.tolist(),
-            "deviation_without": self.deviation_without,
-            "deviation_with": self.deviation_with,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
 def counterfactual_decomposition_check(

@@ -200,9 +200,8 @@ def _run_n_box(params: dict, seed: int) -> ScenarioResult:
     ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
     bra = CoStateVector.from_ket(np.concatenate([np.ones(n - 1), [-root]]))
     tsv = TwoStateVector(bra, ket)
-    boxes = np.eye(n)
-    probs = [abl(tsv, projector_onto(boxes[i])).probability_of(1.0) for i in range(n - 1)]
-    last_box = projector_onto(boxes[n - 1])
+    probs = [abl(tsv, projector_onto(np.eye(1, n, i)[0])).probability_of(1.0) for i in range(n - 1)]
+    last_box = projector_onto(np.eye(1, n, n - 1)[0])  # one unit vector at a time, never an n x n array
     last = abl(tsv, last_box)
     wv_last = weak_value(tsv, last_box).value
     checks = [

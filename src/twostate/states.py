@@ -168,7 +168,7 @@ class GeneralizedTwoStateVector:
         if op.dim != self.dim:
             raise DimensionMismatch(f"operator dim {op.dim} vs description dim {self.dim}")
         return complex(
-            sum(a * (b.row @ (op.matrix @ k.amplitudes)) for a, b, k in zip(self.weights, self.bras, self.kets))
+            sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in zip(self.weights, self.bras, self.kets))
         )
 
     def to_dict(self) -> dict:

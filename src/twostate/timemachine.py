@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimit, ValidationError
 from .linalg import Grid1D, WaveFunction1D
 from .pointer import _masked_shift_spectrum
 
@@ -51,6 +52,8 @@ class TimeMachineConfig:
     def __post_init__(self):
         if self.n_terms < 1:
             raise ValidationError("need at least one superposition step")
+        if not (math.isfinite(self.eta) and math.isfinite(self.delta_t)):
+            raise ValidationError("eta and delta_t must be finite")
         if self.delta_t <= 0 and self.delta_t != 0.0:
             raise ValidationError("maximal elementary shift must be nonnegative")
         if self.external_t <= 0:
@@ -70,10 +73,11 @@ class BinomialSchedule:
     shifts: np.ndarray
     weights: np.ndarray
     exact_weights: tuple
+    total: Fraction  # sum of the exact weights
     square_sum: Fraction  # sum of the squared exact weights
 
     def exact_sum(self) -> Fraction:
-        return sum(self.exact_weights, Fraction(0))
+        return self.total
 
     def exact_square_sum(self) -> Fraction:
         return self.square_sum
@@ -83,19 +87,24 @@ class BinomialSchedule:
 def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     """Binomial amplitude schedule; the signed weights always sum to exactly 1.
 
-    Schedules are cached, and the cached one is shared by every caller.
+    Schedules are cached, and the cached one is shared by every caller.  Raises
+    ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
     """
     if n_terms < 1:
         raise ValidationError("need at least one superposition step")
+    if not math.isfinite(eta):
+        raise ValidationError("eta must be finite")
     e = Fraction(eta)
     complement = 1 - e
     exact = tuple(math.comb(n_terms, n) * e**n * complement ** (n_terms - n) for n in range(n_terms + 1))
+    square_sum = sum((w * w for w in exact), Fraction(0))
+    if (n_terms + 1) * square_sum > sys.float_info.max:
+        raise ResourceLimit(f"binomial schedule N={n_terms}, eta={eta}: (N+1) * sum alpha_n**2 exceeds the float range")
     weights = np.array([float(w) for w in exact])
     shifts = np.arange(n_terms + 1) / n_terms
     weights.flags.writeable = False
     shifts.flags.writeable = False
-    square_sum = sum((w * w for w in exact), Fraction(0))
-    return BinomialSchedule(n_terms, float(eta), shifts, weights, exact, square_sum)
+    return BinomialSchedule(n_terms, float(eta), shifts, weights, exact, sum(exact, Fraction(0)), square_sum)
 
 
 def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float) -> np.ndarray:

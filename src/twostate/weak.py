@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import _require_projector, abl_generalized, certain_outcome
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, DenseOperator, hermitian_eigendecomposition, pauli
+from .linalg import DenseOperator, SpectralOperator, hermitian_eigendecomposition, pauli
 from .states import OVERLAP_EPSILON, GeneralizedTwoStateVector, StateVector, TwoStateVector
 
 
@@ -61,7 +61,7 @@ class WeakVector:
 
 def weak_value(tsv: TwoStateVector, obs: DenseOperator, epsilon: float = OVERLAP_EPSILON) -> WeakValue:
     ov = tsv.require_overlap(epsilon)
-    num = tsv.bra.row @ (obs.matrix @ tsv.ket.amplitudes)
+    num = tsv.bra.row @ obs.apply(tsv.ket.amplitudes)
     return WeakValue(complex(num / ov), abs(ov))
 
 
@@ -86,14 +86,14 @@ def weak_value_degenerate_post(
     denom = complex(np.vdot(psi, pb @ psi))
     if abs(denom) <= epsilon * pre.norm() ** 2:
         raise OverlapTooSmall(f"projected norm {abs(denom):.3e} is below the division threshold")
-    num = complex(np.vdot(psi, pb @ (obs.matrix @ psi)))
+    num = complex(np.vdot(psi, pb @ obs.apply(psi)))
     return WeakValue(num / denom, abs(denom))
 
 
 def expectation_value(pre: StateVector, obs: DenseOperator) -> WeakValue:
     """Pre-selected-only weak value, i.e. the ordinary expectation value."""
     psi = pre.normalized().amplitudes
-    return WeakValue(complex(np.vdot(psi, obs.matrix @ psi)), 1.0)
+    return WeakValue(complex(np.vdot(psi, obs.apply(psi))), 1.0)
 
 
 def _as_generalized(description) -> GeneralizedTwoStateVector:
@@ -123,8 +123,9 @@ class ConeDirection:
 
 
 def _direction_obs(theta: float, phi: float) -> DenseOperator:
-    n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
-    return DenseOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+    """sigma . n at polar angle theta and azimuth phi, built from its closed-form eigenvectors."""
+    c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
+    return SpectralOperator([-1.0, 1.0], [np.array([[-e.conjugate() * s], [c]]), np.array([[c], [e * s]])])
 
 
 def _certainty_probability(gtsv: GeneralizedTwoStateVector, theta: float, phi: float) -> float:

@@ -14,8 +14,11 @@ at seeds 0 and 7:
 
 Every stdout and every written file of one checkout must equal the other's
 byte for byte; the script lists each difference and exits 1 if there is
-any.  Requests, cases and library inputs come from this script's own
-checkout, so both sides run the same list.  Standard error is not compared:
+any.  Under each differing file it prints every changed JSON field, CSV
+column (at its cell of largest relative change) or other text line, with
+the old value, the new value and the relative change.  Requests, cases and
+library inputs come from this script's own checkout, so both sides run the
+same list.  Standard error is not compared:
 warnings name source lines, which move with any edit.
 """
 
@@ -87,6 +90,59 @@ def _files(root: str) -> dict:
     return files
 
 
+def _leaves(node, path: str = "") -> dict:
+    """Parsed JSON flattened to {dotted path: scalar}."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
+    elif isinstance(node, list):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(node))
+    else:
+        return {path: node}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, key))
+    return out
+
+
+def _relative(old, new) -> float | None:
+    """(new - old) / |old| for two numbers or numeric strings, else None."""
+    if isinstance(old, bool) or isinstance(new, bool):
+        return None
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return None
+    return 0.0 if a == b else (b - a) / abs(a) if a else float("inf")
+
+
+def _change(label: str, old, new) -> str:
+    rel = _relative(old, new)
+    return f"  {label}: {old!r} -> {new!r}" + ("" if rel is None else f" (relative change {rel:.3g})")
+
+
+def changes(name: str, old: bytes, new: bytes) -> list:
+    """One line per changed JSON field, CSV column or text line of a file present on both sides."""
+    a, b = old.decode("utf-8"), new.decode("utf-8")
+    try:
+        fa, fb = _leaves(json.loads(a)), _leaves(json.loads(b))
+    except ValueError:
+        fa = fb = None
+    if fa is not None:
+        return [_change(k, fa.get(k), fb.get(k)) for k in sorted(set(fa) | set(fb)) if fa.get(k) != fb.get(k)]
+    ra, rb = a.splitlines(), b.splitlines()
+    if not name.endswith(".csv") or not ra or not rb or ra[0] != rb[0] or len(ra) != len(rb):
+        pairs = zip(ra + [None] * (len(rb) - len(ra)), rb + [None] * (len(ra) - len(rb)))
+        return [_change(f"line {i + 1}", x, y) for i, (x, y) in enumerate(pairs) if x != y]
+    out = []
+    ca, cb = ([row.split(",") for row in rows[1:]] for rows in (ra, rb))
+    for j, column in enumerate(ra[0].split(",")):
+        cells = [(i, x[j], y[j]) for i, (x, y) in enumerate(zip(ca, cb)) if x[j] != y[j]]
+        if cells:
+            i, x, y = max(cells, key=lambda c: abs(r) if (r := _relative(c[1], c[2])) is not None else float("inf"))
+            out.append(_change(f"column {column} ({len(cells)} of {len(ca)} rows; row {i + 1})", x, y))
+    return out
+
+
 def main(argv: list) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         emit(argv[1])
@@ -109,6 +165,8 @@ def main(argv: list) -> int:
     for name in differ:
         side = "only in parent" if name not in new else "only in change" if name not in old else "differs"
         print(f"{name}: {side}")
+        if side == "differs":
+            print("\n".join(changes(name, old[name], new[name])))
     print(f"{len(set(old) | set(new)) - len(differ)} files identical, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -190,3 +190,11 @@ def test_float_formatting_is_round_trippable():
 def test_unknown_flag_is_a_usage_error(capsys):
     assert run_cli("list", "--bogus") == 2
     assert run_cli("run") == 2  # missing scenario name
+
+
+@pytest.mark.parametrize("param", ["n_terms=120", "n_terms=250", "n_terms=400", "eta=nan"])
+def test_time_machine_inputs_it_cannot_compute_are_refused(param, tmp_path, capsys):
+    assert run_cli("run", "time_machine", "--param", param, "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())

@@ -13,6 +13,7 @@ from twostate.linalg import (
     identity,
     is_hermitian,
     pauli,
+    projector_onto,
     spin_direction,
     tensor_product,
 )
@@ -354,3 +355,77 @@ def test_wavefunction_requires_matching_grid():
         WaveFunction1D(g, np.zeros(31, dtype=complex))
     with pytest.raises(ValidationError):
         WaveFunction1D(g, np.full(32, np.nan, dtype=complex))
+
+
+def complement_blocks(u):
+    """Explicit eigenvector blocks [complement of u, u] of the projector onto the unit vector u."""
+    q, _ = np.linalg.qr(np.column_stack([u, np.eye(len(u))]))
+    return [q[:, 1 : len(u)], u[:, None]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projector_complement_matches_explicit_dense_blocks(seed):
+    rng = np.random.default_rng(seed)
+    d = 7
+
+    def cvec():
+        return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+    v = cvec()
+    u = v / np.linalg.norm(v)
+    # random selections, and a pair whose overlap <Phi|Psi> and <Phi|u><u|Psi> agree to ~1e-12
+    cases = [(cvec(), cvec()), ((u + 1e-6 * cvec()).conj(), u + 1e-6 * cvec())]
+    dec = hermitian_eigendecomposition(projector_onto(v))
+    blocks = complement_blocks(u)
+    assert dec.eigenvalues.tolist() == [0.0, 1.0]
+    for row, ket in cases:
+        expected = np.array([(row @ b) @ (b.conj().T @ ket) for b in blocks])
+        assert np.abs(dec.selection_amplitudes(row, ket) - expected).max() <= 1e-12
+        expected_branches = np.array([b @ (b.conj().T @ ket) for b in blocks])
+        assert np.abs(dec.branches(ket) - expected_branches).max() <= 1e-12
+    assert abs(expected[0]) < 1e-10 < abs(row @ ket)  # the last case does cancel
+    with pytest.raises(DimensionMismatch):
+        dec.selection_amplitudes(row[:-1], ket)
+
+
+def test_projector_matrix_and_spectrum_match_the_dense_projector():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    u = v / np.linalg.norm(v)
+    op, dense = projector_onto(v), DenseOperator(np.outer(u, u.conj()))
+    assert op.dim == 6 and op.hermitian
+    assert np.abs(op.matrix - dense.matrix).max() <= 1e-15
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 2.0
+    spec = hermitian_eigendecomposition(op)
+    spec.verify()
+    assert np.abs(spec.reconstruct() - dense.matrix).max() <= 1e-15
+    ref = hermitian_eigendecomposition(dense)
+    assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-15
+    assert spec.grouping_tolerance == pytest.approx(ref.grouping_tolerance, rel=1e-12)
+    for got, want in zip(spec.projectors, ref.projectors):
+        assert np.abs(got - want).max() <= 1e-14
+    fresh, ref_fresh = (hermitian_eigendecomposition(o, tol=1e-6) for o in (op, dense))
+    assert fresh is not spec and fresh.grouping_tolerance == 1e-6
+    assert np.abs(fresh.eigenvalues - ref_fresh.eigenvalues).max() <= 1e-15
+    for got, want in zip(fresh.projectors, ref_fresh.projectors):
+        assert np.abs(got - want).max() <= 1e-14
+    ket = rng.normal(size=6) + 1j * rng.normal(size=6)
+    assert np.abs(op.apply(ket) - dense.apply(ket)).max() <= 1e-15
+    assert np.abs((op + op).matrix - 2 * dense.matrix).max() <= 1e-15
+
+
+def test_one_dimensional_projector_has_the_single_eigenvalue_one():
+    op = projector_onto([2.0 - 1.0j])
+    dec = hermitian_eigendecomposition(op)
+    assert dec.eigenvalues.tolist() == [1.0]
+    assert hermitian_eigendecomposition(op, tol=1e-9).eigenvalues.tolist() == pytest.approx([1.0], abs=1e-15)
+    assert op.matrix.shape == (1, 1) and abs(op.matrix[0, 0] - 1.0) <= 1e-15
+    assert dec.selection_amplitudes(np.array([1j]), np.array([3.0 + 0j])).tolist() == [3j]
+
+
+@pytest.mark.parametrize("vec", [[0.0, 0.0], [1.0, np.nan], [], [[1.0, 0.0]]])
+def test_projector_onto_rejects_vectors_it_cannot_normalize(vec):
+    with pytest.raises(ValidationError):
+        with np.errstate(invalid="ignore"):
+            projector_onto(vec)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from twostate import ideal, linalg
 from twostate.errors import ValidationError
 from twostate.reporting import csv_table, stable_json
 from twostate.scenarios import REGISTRY, counterfactual_reference_case, get_scenario
@@ -143,3 +146,33 @@ def test_counterfactual_reference_case_shape():
     report = counterfactual_reference_case()
     assert report.deviation_with <= 1e-12
     assert report.deviation_without == pytest.approx(0.25, abs=1e-12)
+
+
+def test_spin_cone_makes_no_lapack_call(monkeypatch):
+    calls = []
+    lapack = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or lapack(*a, **k))
+    result = get_scenario("spin_cone").run({"samples": 256}, seed=0)
+    assert result.passed and result.results["directions_found"] == 256
+    assert calls == []
+
+
+def test_n_box_runs_no_hermiticity_check(monkeypatch):
+    calls = []
+    for module in (linalg, ideal):
+        check = module.is_hermitian
+        monkeypatch.setattr(module, "is_hermitian", lambda *a, check=check, **k: calls.append(1) or check(*a, **k))
+    assert get_scenario("n_box").run({"boxes": 120}, seed=0).passed
+    assert calls == []
+
+
+def test_n_box_allocates_no_box_sized_matrix():
+    # one dense 1000 x 1000 complex matrix is 16 MB
+    tracemalloc.start()
+    try:
+        result = get_scenario("n_box").run({"boxes": 1000}, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 2_000_000

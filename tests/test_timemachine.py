@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twostate.errors import GridOverflow, ValidationError
+from twostate.errors import GridOverflow, ResourceLimit, ValidationError
 from twostate.linalg import Grid1D, gaussian_wavefunction
 from twostate.pointer import _masked_shift_spectrum
 from twostate.timemachine import (
@@ -364,3 +364,26 @@ def test_machine_config_validation():
     rs = 2 * GRAVITATIONAL_CONSTANT * 5.972e24 / LIGHT_SPEED**2
     with pytest.raises(ValidationError):
         TimeMachineConfig(n_terms=2, eta=1.0, delta_t=1.0, shell_mass=5.972e24, r0=0.5 * rs)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_machine_config_rejects_a_non_finite_eta(eta):
+    with pytest.raises(ValidationError):
+        TimeMachineConfig(n_terms=13, eta=eta, delta_t=1.0)
+    with pytest.raises(ValidationError):
+        binomial_schedule(13, eta)
+
+
+def test_schedules_beyond_the_float_range_are_refused():
+    # at eta = 10, (N+1) * sum alpha_n**2 first exceeds the float range at N = 121
+    assert binomial_schedule(120, 10.0).exact_sum() == 1
+    for n_terms in (121, 250, 400):
+        with pytest.raises(ResourceLimit):
+            binomial_schedule(n_terms, 10.0)
+
+
+def test_schedule_stores_its_exact_sums():
+    sched = binomial_schedule(13, 10.0)
+    assert sched.exact_sum() is sched.total
+    assert sched.total == sum(sched.exact_weights) == 1
+    assert sched.exact_square_sum() == sum(w * w for w in sched.exact_weights)

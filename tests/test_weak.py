@@ -9,6 +9,7 @@ from twostate.linalg import (
     kron_all,
     pauli,
     projector_onto,
+    hermitian_eigendecomposition,
     spin_direction,
     spin_up,
 )
@@ -21,6 +22,7 @@ from twostate.states import (
     interchange,
 )
 from twostate.weak import (
+    _direction_obs,
     certainty_cone,
     expectation_value,
     theorem_i_check,
@@ -318,3 +320,19 @@ def test_weak_value_and_cone_serialization_surfaces():
     )
     assert text.startswith("theta,phi,probability\n")
     assert len(text.strip().split("\n")) == 9
+
+
+@pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (0.7, 2.1), (np.pi, 5.5), (2.9, -1.0)])
+def test_direction_observable_is_sigma_dot_n(theta, phi):
+    op = _direction_obs(theta, phi)
+    n = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    dense = spin_direction(n)
+    assert np.abs(op.matrix - dense.matrix).max() <= 1e-15
+    dec = hermitian_eigendecomposition(op)
+    assert dec.eigenvalues.tolist() == [-1.0, 1.0]
+    dec.verify()
+    assert np.abs(dec.reconstruct() - dense.matrix).max() <= 1e-15
+    fresh = hermitian_eigendecomposition(op, tol=1e-9)
+    assert np.abs(fresh.eigenvalues - [-1.0, 1.0]).max() <= 1e-15
+    for got, want in zip(fresh.projectors, hermitian_eigendecomposition(dense).projectors):
+        assert np.abs(got - want).max() <= 1e-15
