@@ -1,7 +1,8 @@
 """Command-line front end: list scenarios, run one, or sweep a parameter.
 
 Exit codes: 0 on success, 1 when a scenario's numerical self-checks fail,
-2 on usage errors (unknown scenario, malformed or unknown parameters).
+2 on usage errors (unknown scenario, malformed or unknown parameters or seed,
+a missing or malformed config file).
 Identical requests (including the seed) produce byte-identical files.
 """
 
@@ -14,7 +15,7 @@ import sys
 
 from .errors import TwoStateError, ValidationError
 from .reporting import csv_table, stable_json, write_text_atomic
-from .scenarios import REGISTRY, ScenarioResult, get_scenario
+from .scenarios import REGISTRY, ParamSpec, ScenarioResult, get_scenario
 
 OUT_DIR_ENV = "TWOSTATE_OUT_DIR"
 
@@ -76,13 +77,15 @@ def cmd_run(args) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
                 file_request = json.load(handle)
-            file_params = file_request.get("params", {})
+            file_params = file_request.get("params", {}) if isinstance(file_request, dict) else None
+            if not isinstance(file_params, dict):
+                raise ValidationError(f"config {args.config!r} must hold a JSON object, and its 'params' an object")
             overrides = {**file_params, **overrides}  # flags win over the file
             if args.seed is None and "seed" in file_request:
-                args.seed = int(file_request["seed"])
+                args.seed = ParamSpec("seed", "int", 0, "").coerce(file_request["seed"])
         seed = 0 if args.seed is None else args.seed
         result = spec.run(overrides, seed=seed)
-    except (TwoStateError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TwoStateError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = args.out or _default_out_dir()

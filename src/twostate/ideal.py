@@ -119,7 +119,7 @@ def born_backward(bra, obs: DenseOperator) -> OutcomeDistribution:
     return born(StateVector(bra.ket_form), obs)
 
 
-def certain_outcome(description, obs: DenseOperator, threshold: float = CERTAINTY_THRESHOLD):
+def certain_outcome(description, obs: DenseOperator):
     """The eigenvalue obtained with certainty, or None if no outcome is certain."""
     if isinstance(description, TwoStateVector):
         dist = abl(description, obs)
@@ -128,7 +128,7 @@ def certain_outcome(description, obs: DenseOperator, threshold: float = CERTAINT
     else:
         raise ValidationError(f"unsupported description {type(description).__name__}")
     idx = int(np.argmax(dist.probabilities))
-    if dist.probabilities[idx] >= threshold:
+    if dist.probabilities[idx] >= CERTAINTY_THRESHOLD:
         return float(dist.eigenvalues[idx])
     return None
 
@@ -145,13 +145,13 @@ class ProductRuleReport:
         return asdict(self)
 
 
-def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator, tol: float = 1e-9) -> ProductRuleReport:
+def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator) -> ProductRuleReport:
     """Certainties of A, B, and the literal product AB, and whether they multiply.
 
     The product observable is formed as a matrix product and must itself be
     Hermitian (true whenever A and B commute).  For pre- and post-selected
     systems certainty of A and of B does not imply AB is certain at the
-    product value; the report flags exactly that.
+    product value; the report flags exactly that, comparing a*b with ab to 1e-9.
     """
     prod = obs_a.matrix @ obs_b.matrix
     if not is_hermitian(prod, 1e-10):
@@ -163,7 +163,7 @@ def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator, tol: fl
     ab_c = certain_outcome(tsv, obs_ab)
     holds = None
     if a_c is not None and b_c is not None and ab_c is not None:
-        holds = bool(abs(a_c * b_c - ab_c) <= tol)
+        holds = bool(abs(a_c * b_c - ab_c) <= 1e-9)
     return ProductRuleReport(a_c, b_c, ab_c, holds, comm)
 
 

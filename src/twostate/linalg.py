@@ -112,12 +112,16 @@ def spin_direction(direction) -> DenseOperator:
     return DenseOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
-def spin_up(direction) -> np.ndarray:
-    """+1 eigenvector of sigma . n, phase fixed so the leading component is real."""
-    w, v = np.linalg.eigh(spin_direction(direction).matrix)
-    vec = v[:, -1]
+def top_eigenvector(m: np.ndarray) -> np.ndarray:
+    """Eigenvector of the largest eigenvalue of Hermitian m, phase fixed so its leading component is real."""
+    vec = np.linalg.eigh(m)[1][:, -1]
     k = int(np.argmax(np.abs(vec)))
     return vec * np.exp(-1j * np.angle(vec[k]))
+
+
+def spin_up(direction) -> np.ndarray:
+    """+1 eigenvector of sigma . n, phase fixed so the leading component is real."""
+    return top_eigenvector(spin_direction(direction).matrix)
 
 
 def projector_onto(vec) -> DenseOperator:
@@ -180,17 +184,18 @@ class SpectralDecomposition:
         self._check_dim(ket)
         return self._with_complement(np.array([v @ (v.conj().T @ ket) for v in self.blocks]), ket)
 
-    def verify(self, tol: float = 1e-10) -> None:
+    def verify(self) -> None:
+        """Idempotent, mutually orthogonal projectors resolving the identity, each to 1e-10."""
         total = np.zeros((self.dim, self.dim), dtype=complex)
         for p in self.projectors:
-            if np.abs(p @ p - p).max() > tol:
+            if np.abs(p @ p - p).max() > 1e-10:
                 raise ValidationError("projector fails idempotency")
             total += p
-        if np.abs(total - np.eye(self.dim)).max() > tol:
+        if np.abs(total - np.eye(self.dim)).max() > 1e-10:
             raise ValidationError("projectors do not resolve the identity")
         for i in range(len(self.projectors)):
             for j in range(i + 1, len(self.projectors)):
-                if np.abs(self.projectors[i] @ self.projectors[j]).max() > tol:
+                if np.abs(self.projectors[i] @ self.projectors[j]).max() > 1e-10:
                     raise ValidationError("projectors are not mutually orthogonal")
 
     def reconstruct(self) -> np.ndarray:
@@ -327,6 +332,14 @@ class Grid1D:
         return np.linspace(self.lo, self.hi, self.points)
 
 
+def unit_density(d: np.ndarray, spacing: float) -> np.ndarray:
+    """A density sampled `spacing` apart, scaled to unit integral (its Riemann sum)."""
+    total = d.sum() * spacing
+    if total == 0.0:
+        raise ValidationError("a zero density cannot be normalized")
+    return d / total
+
+
 @dataclass
 class WaveFunction1D:
     """Sampled complex wavefunction on a uniform grid.
@@ -365,11 +378,7 @@ class WaveFunction1D:
 
     def density(self) -> np.ndarray:
         """|psi|**2 normalized to unit integral on the grid."""
-        d = np.abs(self.values) ** 2
-        total = d.sum() * self.grid.spacing
-        if total == 0.0:
-            raise ValidationError("zero wavefunction has no density")
-        return d / total
+        return unit_density(np.abs(self.values) ** 2, self.grid.spacing)
 
     def mean(self) -> float:
         return float(np.sum(self.grid.values * self.density()) * self.grid.spacing)

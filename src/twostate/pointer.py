@@ -37,6 +37,7 @@ from .linalg import (
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
+    unit_density,
 )
 from .states import StateVector, TwoStateVector
 
@@ -102,8 +103,7 @@ class JointState:
     amplitudes: np.ndarray  # shape (system_dim, grid.points)
 
     def pointer_density(self) -> np.ndarray:
-        dens = (np.abs(self.amplitudes) ** 2).sum(axis=0)
-        return dens / (dens.sum() * self.grid.spacing)
+        return unit_density((np.abs(self.amplitudes) ** 2).sum(axis=0), self.grid.spacing)
 
 
 def _gaussian_sum(q: np.ndarray, weights, centers, s: float) -> np.ndarray:
@@ -207,7 +207,7 @@ def pointer_distribution_preselected(
     pointer.check_covers(decomp.eigenvalues)
     weights = born(pre.normalized(), obs).probabilities
     dens = _gaussian_sum(pointer.grid.values, weights, decomp.eigenvalues, pointer.delta**2)
-    dens /= dens.sum() * pointer.grid.spacing
+    dens = unit_density(dens, pointer.grid.spacing)
     # Momentum density of the branch mixture: each rigid shift only adds a
     # phase in P, so it coincides with the initial pointer's.
     mom = fourier_pair(pointer.initial_wavefunction())
@@ -334,16 +334,15 @@ def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) ->
     )
 
 
-def n_spin_weights_and_centers(n: int, printed_centers: bool = False):
+def n_spin_weights_and_centers(n: int):
     """Binomial amplitudes and pointer centers for the N-spin average coupling.
 
     Pre-selecting every spin along +x and post-selecting along +y leaves the
     pointer (coupled to the average of the bisector components) in a
     superposition with amplitudes binom(n,i) * cos^2(pi/8)^(n-i) *
-    (-sin^2(pi/8))^i at centers (n-2i)/n.  `printed_centers` switches to the
-    (2n-i)/n variant that appears in one published form of the expression;
-    it is kept only for comparison, the derived centers match the full
-    tensor-product computation.
+    (-sin^2(pi/8))^i at centers (n-2i)/n, as the full tensor-product
+    computation confirms (one published form of the expression prints the
+    centers as (2n-i)/n).
     """
     if n < 1:
         raise ValidationError("need at least one spin")
@@ -352,7 +351,7 @@ def n_spin_weights_and_centers(n: int, printed_centers: bool = False):
     weights = np.array(
         [math.comb(n, i) * cos2 ** (n - i) * (-sin2) ** i for i in idx]
     )
-    centers = (2 * n - idx) / n if printed_centers else (n - 2 * idx) / n
+    centers = (n - 2 * idx) / n
     return weights, centers
 
 

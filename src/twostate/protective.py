@@ -35,6 +35,8 @@ from .linalg import (
     WaveFunction1D,
     fourier_pair,
     is_hermitian,
+    top_eigenvector,
+    unit_density,
 )
 from .pointer import GaussianPointer, _peak_location
 from .states import CoStateVector, StateVector, TwoStateVector
@@ -46,17 +48,14 @@ LEAKAGE_FLAG_LEVEL = 0.01
 
 @dataclass(frozen=True)
 class AdiabaticSchedule:
-    """Cosine-tapered coupling profile with unit time integral."""
+    """Coupling profile with unit time integral, cosine-tapered over its first and last tenth."""
 
     total_time: float
-    ramp_fraction: float = 0.1
     steps: int = 400
 
     def __post_init__(self):
         if self.total_time <= 0:
             raise ValidationError("total time must be positive")
-        if not 0.0 < self.ramp_fraction < 0.5:
-            raise ValidationError("ramp fraction must lie in (0, 0.5)")
         if self.steps < 100:
             raise ValidationError("use at least 100 steps")
 
@@ -64,7 +63,7 @@ class AdiabaticSchedule:
         """Midpoint samples of g(t), rescaled so sum(g)*dt is exactly 1."""
         dt = self.total_time / self.steps
         tm = (np.arange(self.steps) + 0.5) * dt
-        ramp = self.ramp_fraction * self.total_time
+        ramp = 0.1 * self.total_time
         g = np.ones(self.steps)
         head = tm < ramp
         g[head] = 0.5 * (1.0 - np.cos(np.pi * tm[head] / ramp))
@@ -105,18 +104,16 @@ class LargeSpin:
         d = np.asarray(direction, dtype=float)
         d = d / np.linalg.norm(d)
         sx, sy, sz = self.operators()
-        w, v = np.linalg.eigh(d[0] * sx + d[1] * sy + d[2] * sz)
-        vec = v[:, -1]
-        k = int(np.argmax(np.abs(vec)))
-        return vec * np.exp(-1j * np.angle(vec[k]))
+        return top_eigenvector(d[0] * sx + d[1] * sy + d[2] * sz)
 
-    def verify_algebra(self, tol: float = 1e-10) -> None:
+    def verify_algebra(self) -> None:
+        """[Sx, Sy] = i Sz and Casimir N(N+1), each to 1e-10 * N(N+1)."""
         sx, sy, sz = self.operators()
         scale = self.spin_n * (self.spin_n + 1)
-        if np.abs(sx @ sy - sy @ sx - 1j * sz).max() > tol * scale:
+        if np.abs(sx @ sy - sy @ sx - 1j * sz).max() > 1e-10 * scale:
             raise ValidationError("commutator [Sx, Sy] != i Sz")
         casimir = sx @ sx + sy @ sy + sz @ sz
-        if np.abs(casimir - scale * np.eye(self.dim)).max() > tol * scale:
+        if np.abs(casimir - scale * np.eye(self.dim)).max() > 1e-10 * scale:
             raise ValidationError("Casimir invariant is not N(N+1)")
 
 
@@ -134,10 +131,6 @@ def _position_densities(mom_grid, component_block: np.ndarray, conjugate_lo: flo
         pos = fourier_pair(WaveFunction1D(mom_grid, component_block[:, j], "momentum", conjugate_lo))
         terms.append(np.abs(pos.values) ** 2)
     return pos.grid, terms
-
-
-def _normalized_density(grid, dens: np.ndarray) -> np.ndarray:
-    return dens / (dens.sum() * grid.spacing)
 
 
 # Runs of equal couplings diagonalized per eigh call; bounds the batch, and so
@@ -242,14 +235,14 @@ def adiabatic_protective_measurement(
     block[mask] = branch_amps * mom.values[mask, None]
     grid, terms = _position_densities(mom.grid, block, mom.conjugate_lo)
     q = grid.values
-    overall_shift = float((q * _normalized_density(grid, sum(terms))).sum() * grid.spacing)
+    overall_shift = float((q * unit_density(sum(terms), grid.spacing)).sum() * grid.spacing)
 
     weights, shifts = [], []
     for i in range(d):
         wgt = float((np.abs(block[mask, i]) ** 2).sum() / (np.abs(block[mask]) ** 2).sum())
         weights.append(wgt)
         if wgt > 1e-12:
-            bdens = _normalized_density(grid, terms[i])
+            bdens = unit_density(terms[i], grid.spacing)
             shifts.append(float((q * bdens).sum() * grid.spacing))
         else:
             shifts.append(float("nan"))
@@ -368,7 +361,7 @@ def protected_two_state_measurement(
         raise PostSelectionImpossible("protector post-selection amplitude vanishes")
 
     grid, terms = _position_densities(mom.grid, out, mom.conjugate_lo)
-    dens = _normalized_density(grid, sum(terms))
+    dens = unit_density(sum(terms), grid.spacing)
     q = grid.values
     shift = float((q * dens).sum() * grid.spacing)
     target = weak_value(target_tsv, obs).value.real

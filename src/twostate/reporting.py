@@ -26,9 +26,9 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _encode(obj, level: int) -> str:
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -46,25 +46,25 @@ def _encode(obj, indent: int, level: int) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
-            items.append(f"{pad_in}{json.dumps(key)}: {_encode(obj[key], indent, level + 1)}")
+            items.append(f"{pad_in}{json.dumps(key)}: {_encode(obj[key], level + 1)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             return "[]"
-        items = [f"{pad_in}{_encode(v, indent, level + 1)}" for v in seq]
+        items = [f"{pad_in}{_encode(v, level + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     # numpy scalars and arrays funnel through their Python equivalents
     if hasattr(obj, "item") and not hasattr(obj, "__len__"):
-        return _encode(obj.item(), indent, level)
+        return _encode(obj.item(), level)
     if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), indent, level)
+        return _encode(obj.tolist(), level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def stable_json(obj, indent: int = 2) -> str:
-    """Canonical JSON text: sorted keys, 17-significant-digit floats, LF."""
-    return _encode(obj, indent, 0) + "\n"
+def stable_json(obj) -> str:
+    """Canonical JSON text: sorted keys, two-space indents, 17-significant-digit floats, LF."""
+    return _encode(obj, 0) + "\n"
 
 
 def _format_cell(cell) -> str:

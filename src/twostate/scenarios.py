@@ -27,6 +27,7 @@ from .linalg import (
     DenseOperator,
     Grid1D,
     gaussian_wavefunction,
+    hermitian_eigendecomposition,
     identity,
     kron_all,
     pauli,
@@ -413,12 +414,12 @@ def _run_negative_kinetic(params: dict, seed: int) -> ScenarioResult:
 
     # pointer-level confirmation on a coarse lattice (moderate coupling)
     xs, dxs, pot_s, kd_s, ko_s, e0_s, psi_s = _square_well_ground_state(161, 20.0, depth, half_width)
-    k_mat = np.diag(kd_s) + np.diag(ko_s, 1) + np.diag(ko_s, -1)
+    k_op = DenseOperator(np.diag(kd_s) + np.diag(ko_s, 1) + np.diag(ko_s, -1))
     i_fs = int(np.argmin(np.abs(xs - x_f)))
     tsv = TwoStateVector(CoStateVector.from_ket(np.eye(161)[i_fs]), StateVector(psi_s))
-    k_spectrum = np.linalg.eigvalsh(k_mat)
-    pointer = GaussianPointer.for_spectrum(pointer_delta, k_spectrum, points=4096)
-    dist = pointer_distribution_postselected(tsv, DenseOperator(k_mat), pointer)
+    k_spectrum = hermitian_eigendecomposition(k_op).eigenvalues  # cached: the pointer reuses it
+    pointer = GaussianPointer.for_spectrum(pointer_delta, k_spectrum)
+    dist = pointer_distribution_postselected(tsv, k_op, pointer)
 
     checks = [
         ("bound_state_exists", e0 < 0.0),

@@ -113,9 +113,9 @@ class TwoStateVector:
     def overlap(self) -> complex:
         return self.bra.pair(self.ket)
 
-    def require_overlap(self, epsilon: float = OVERLAP_EPSILON) -> complex:
+    def require_overlap(self) -> complex:
         ov = self.overlap()
-        if abs(ov) <= epsilon * self.bra.norm() * self.ket.norm():
+        if abs(ov) <= OVERLAP_EPSILON * self.bra.norm() * self.ket.norm():
             raise OverlapTooSmall(f"|<Phi|Psi>| = {abs(ov):.3e} is below the division threshold")
         return ov
 

@@ -46,20 +46,18 @@ class TimeMachineConfig:
     external_t: float = 1.0
     shell_mass: float = 0.0
     r0: float = float("inf")
-    grav_const: float = GRAVITATIONAL_CONSTANT
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
         if self.n_terms < 1:
             raise ValidationError("need at least one superposition step")
         if not (math.isfinite(self.eta) and math.isfinite(self.delta_t)):
             raise ValidationError("eta and delta_t must be finite")
-        if self.delta_t <= 0 and self.delta_t != 0.0:
+        if self.delta_t < 0:
             raise ValidationError("maximal elementary shift must be nonnegative")
         if self.external_t <= 0:
             raise ValidationError("external duration must be positive")
         if self.shell_mass > 0:
-            rs = 2 * self.grav_const * self.shell_mass / self.light_speed**2
+            rs = 2 * GRAVITATIONAL_CONSTANT * self.shell_mass / LIGHT_SPEED**2
             if self.r0 <= rs:
                 raise ValidationError(f"rest radius {self.r0} is inside the Schwarzschild radius {rs}")
 
@@ -111,16 +109,16 @@ def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float
     return (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
 
 
-def spectral_weight_above(fn: WaveFunction1D, fraction_of_nyquist: float = 0.25) -> float:
-    """Fraction of spectral weight above the given fraction of the Nyquist rate."""
-    return _spectrum_weight_above(np.fft.fft(fn.values), fn.grid.spacing, fraction_of_nyquist)
+def spectral_weight_above(fn: WaveFunction1D) -> float:
+    """Fraction of spectral weight above a quarter of the Nyquist rate."""
+    return _spectrum_weight_above(np.fft.fft(fn.values), fn.grid.spacing)
 
 
-def _spectrum_weight_above(spec: np.ndarray, spacing: float, fraction_of_nyquist: float = 0.25) -> float:
+def _spectrum_weight_above(spec: np.ndarray, spacing: float) -> float:
     """spectral_weight_above for the FFT `spec` of samples `spacing` apart."""
     power = np.abs(spec) ** 2
     k = np.abs(np.fft.fftfreq(spec.size, d=spacing))
-    cut = fraction_of_nyquist * 0.5 / spacing
+    cut = 0.25 * 0.5 / spacing
     total = power.sum()
     return float(power[k > cut].sum() / total) if total > 0 else 0.0
 
@@ -184,43 +182,30 @@ def _one_minus_sqrt_one_minus(x: float) -> float:
     return x / (1.0 + math.sqrt(1.0 - x))
 
 
-def sr_dilation(velocity: float, duration: float, light_speed: float = LIGHT_SPEED) -> float:
+def sr_dilation(velocity: float, duration: float) -> float:
     """Time lag T*(1 - sqrt(1 - V^2/c^2)) accumulated by a moving system."""
-    if not 0 <= velocity < light_speed:
+    if not 0 <= velocity < LIGHT_SPEED:
         raise ValidationError("velocity must satisfy 0 <= V < c")
-    return duration * _one_minus_sqrt_one_minus((velocity / light_speed) ** 2)
+    return duration * _one_minus_sqrt_one_minus((velocity / LIGHT_SPEED) ** 2)
 
 
-def gr_dilation(
-    mass: float,
-    radius: float,
-    duration: float,
-    grav_const: float = GRAVITATIONAL_CONSTANT,
-    light_speed: float = LIGHT_SPEED,
-) -> float:
+def gr_dilation(mass: float, radius: float, duration: float) -> float:
     """Time lag inside a massive shell, T*(1 - sqrt(1 - 2GM/(c^2 R)))."""
     if mass < 0:
         raise ValidationError("mass must be nonnegative")
-    rs = 2.0 * grav_const * mass / light_speed**2
+    rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
     if radius <= rs:
         raise ValidationError(f"radius {radius} must exceed the Schwarzschild radius {rs}")
     return duration * _one_minus_sqrt_one_minus(rs / radius)
 
 
-def shell_pair_dilation(
-    mass: float,
-    r_rest: float,
-    radius: float,
-    duration: float,
-    grav_const: float = GRAVITATIONAL_CONSTANT,
-    light_speed: float = LIGHT_SPEED,
-) -> float:
+def shell_pair_dilation(mass: float, r_rest: float, radius: float, duration: float) -> float:
     """Extra lag of a shell at `radius` relative to the rest radius r_rest.
 
     Evaluated as T*(rs/R - rs/R0) / (sqrt(1-rs/R0) + sqrt(1-rs/R)) so the
     near-cancelling square roots never meet head on.
     """
-    rs = 2.0 * grav_const * mass / light_speed**2
+    rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
     for r in (r_rest, radius):
         if r <= rs:
             raise ValidationError(f"radius {r} must exceed the Schwarzschild radius {rs}")
@@ -229,22 +214,19 @@ def shell_pair_dilation(
     return duration * (rs / radius - rs / r_rest) / (a + b)
 
 
-def radius_schedule(config: TimeMachineConfig, simplified: bool | None = None) -> np.ndarray:
+def radius_schedule(config: TimeMachineConfig) -> np.ndarray:
     """Shell radii R_n realizing delta_t_n = n*delta_t/N.
 
-    Inverts the shell dilation relative to the rest radius R0.  With
-    `simplified=None` the closed form that drops the rest-radius reference
-    is chosen automatically once 2GM/(c^2 R0) < 1e-12; passing True/False
-    forces either branch (they agree to ~1e-12 in that regime).
+    Inverts the shell dilation relative to the rest radius R0 exactly: the
+    rest radius's own lag 1 - sqrt(1 - rs/R0) is kept however small it is,
+    so shell_pair_dilation(M, R0, R_n, T) returns delta_t_n.
     """
     if config.shell_mass <= 0:
         raise ValidationError("a massive shell is required for a radius schedule")
-    rs = 2.0 * config.grav_const * config.shell_mass / config.light_speed**2
+    rs = 2.0 * GRAVITATIONAL_CONSTANT * config.shell_mass / LIGHT_SPEED**2
     t = config.external_t
     base = math.sqrt(1.0 - rs / config.r0)
     rest_gap = _one_minus_sqrt_one_minus(rs / config.r0)  # 1 - base, stably
-    if simplified is None:
-        simplified = rs / config.r0 < 1e-12
     radii = []
     for n in range(config.n_terms + 1):
         target = n * config.delta_t / config.n_terms
@@ -253,7 +235,7 @@ def radius_schedule(config: TimeMachineConfig, simplified: bool | None = None) -
         if target == 0.0:
             radii.append(config.r0)
             continue
-        one_minus_root = target / t if simplified else rest_gap + target / t
+        one_minus_root = rest_gap + target / t
         one_minus_root_sq = one_minus_root * (2.0 - one_minus_root)  # 1 - root**2
         radii.append(rs / one_minus_root_sq)
     return np.array(radii)

@@ -59,32 +59,28 @@ class WeakVector:
         return {"real": [float(v) for v in c.real], "imag": [float(v) for v in c.imag]}
 
 
-def weak_value(tsv: TwoStateVector, obs: DenseOperator, epsilon: float = OVERLAP_EPSILON) -> WeakValue:
-    ov = tsv.require_overlap(epsilon)
+def weak_value(tsv: TwoStateVector, obs: DenseOperator) -> WeakValue:
+    ov = tsv.require_overlap()
     num = tsv.bra.row @ obs.apply(tsv.ket.amplitudes)
     return WeakValue(complex(num / ov), abs(ov))
 
 
-def weak_value_generalized(
-    gtsv: GeneralizedTwoStateVector, obs: DenseOperator, epsilon: float = OVERLAP_EPSILON
-) -> WeakValue:
+def weak_value_generalized(gtsv: GeneralizedTwoStateVector, obs: DenseOperator) -> WeakValue:
     ov = gtsv.overlap()
     scale = sum(
         abs(a) * b.norm() * k.norm() for a, b, k in zip(gtsv.weights, gtsv.bras, gtsv.kets)
     )
-    if abs(ov) <= epsilon * scale:
+    if abs(ov) <= OVERLAP_EPSILON * scale:
         raise OverlapTooSmall(f"generalized overlap {abs(ov):.3e} is below the division threshold")
     return WeakValue(complex(gtsv.bilinear(obs) / ov), abs(ov))
 
 
-def weak_value_degenerate_post(
-    pre: StateVector, post_projector: DenseOperator, obs: DenseOperator, epsilon: float = OVERLAP_EPSILON
-) -> WeakValue:
+def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: DenseOperator) -> WeakValue:
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
     pb = _require_projector(post_projector)
     psi = pre.amplitudes
     denom = complex(np.vdot(psi, pb @ psi))
-    if abs(denom) <= epsilon * pre.norm() ** 2:
+    if abs(denom) <= OVERLAP_EPSILON * pre.norm() ** 2:
         raise OverlapTooSmall(f"projected norm {abs(denom):.3e} is below the division threshold")
     num = complex(np.vdot(psi, pb @ obs.apply(psi)))
     return WeakValue(num / denom, abs(denom))
@@ -133,14 +129,14 @@ def _certainty_probability(gtsv: GeneralizedTwoStateVector, theta: float, phi: f
     return dist.probability_of(1.0, tol=1e-6)
 
 
-def certainty_cone(description, samples: int = 16, tol: float = 1e-10) -> list[ConeDirection]:
+def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     """Directions along which the spin component is +1 with certainty.
 
     The candidate set comes from the weak-vector criterion: the projection
     of the weak vector on the direction must equal 1 (two real constraints
     for a complex weak vector).  Every candidate is then cross-checked with
-    the generalized conditional-probability formula; only directions that
-    truly certify are returned.
+    the generalized conditional-probability formula; only directions whose
+    probability reaches 1 - 1e-10 are returned.
     """
     if samples < 8:
         raise ValidationError("use at least 8 azimuthal samples")
@@ -160,7 +156,7 @@ def certainty_cone(description, samples: int = 16, tol: float = 1e-10) -> list[C
             prob = _certainty_probability(gtsv, theta, phi)
         except PostSelectionImpossible:
             return
-        if prob >= 1.0 - tol:
+        if prob >= 1.0 - 1e-10:
             out.append(ConeDirection(theta, phi, prob))
 
     if np.linalg.norm(w_im) > 1e-9:
@@ -217,26 +213,26 @@ class TheoremReport:
         }
 
 
-def theorem_i_check(description, obs: DenseOperator, tol: float = 1e-10) -> TheoremReport:
-    """Certain strong outcome implies the weak value equals that eigenvalue."""
+def theorem_i_check(description, obs: DenseOperator) -> TheoremReport:
+    """Certain strong outcome implies the weak value equals that eigenvalue (to 1e-10)."""
     certain = certain_outcome(_as_generalized(description), obs)
     if certain is None:
         return TheoremReport(False, None, None, None, "no outcome is certain")
     wv = weak_value_generalized(_as_generalized(description), obs).value
-    ok = bool(abs(wv - certain) <= tol)
+    ok = bool(abs(wv - certain) <= 1e-10)
     return TheoremReport(True, ok, certain, wv, "weak value matches the certain eigenvalue" if ok else "mismatch")
 
 
-def theorem_ii_check(description, obs: DenseOperator, tol: float = 1e-10) -> TheoremReport:
-    """For dichotomic observables, a weak value at an eigenvalue implies certainty."""
+def theorem_ii_check(description, obs: DenseOperator) -> TheoremReport:
+    """For dichotomic observables, a weak value at an eigenvalue (to 1e-10) implies certainty."""
     decomp = hermitian_eigendecomposition(obs)
     if len(decomp.eigenvalues) != 2:
         raise ValidationError("theorem (ii) applies to dichotomic observables only")
     gtsv = _as_generalized(description)
     wv = weak_value_generalized(gtsv, obs).value
-    matches = [c for c in decomp.eigenvalues if abs(wv - c) <= tol]
+    matches = [c for c in decomp.eigenvalues if abs(wv - c) <= 1e-10]
     if not matches:
         return TheoremReport(False, None, None, wv, "weak value is not an eigenvalue")
     certain = certain_outcome(gtsv, obs)
-    ok = certain is not None and abs(certain - matches[0]) <= tol
+    ok = certain is not None and abs(certain - matches[0]) <= 1e-10
     return TheoremReport(True, bool(ok), certain, wv, "certainty confirmed" if ok else "certainty missing")

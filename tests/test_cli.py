@@ -198,3 +198,20 @@ def test_time_machine_inputs_it_cannot_compute_are_refused(param, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "[1, 2]", '{"params": [1]}', '{"seed": 5.5}', '{"seed": "five"}'],
+    ids=["directory", "array", "params-array", "fractional-seed", "text-seed"],
+)
+def test_config_files_that_are_not_requests_are_refused(content, tmp_path, capsys):
+    config = tmp_path / "request.json"
+    if content is None:
+        config.mkdir()
+    else:
+        config.write_text(content)
+    assert run_cli("run", "n_box", "--config", str(config), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

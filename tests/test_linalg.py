@@ -16,6 +16,8 @@ from twostate.linalg import (
     projector_onto,
     spin_direction,
     tensor_product,
+    top_eigenvector,
+    unit_density,
 )
 
 
@@ -71,7 +73,7 @@ def test_spectral_invariants_on_random_hermitian_matrices():
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         op = DenseOperator(raw + raw.conj().T)
         dec = hermitian_eigendecomposition(op)
-        dec.verify(tol=1e-10)
+        dec.verify()
         assert np.abs(dec.reconstruct() - op.matrix).max() <= 1e-10 * max(1, np.abs(op.matrix).max())
 
 
@@ -429,3 +431,15 @@ def test_projector_onto_rejects_vectors_it_cannot_normalize(vec):
     with pytest.raises(ValidationError):
         with np.errstate(invalid="ignore"):
             projector_onto(vec)
+
+
+def test_top_eigenvector_is_phase_fixed_and_unit_density_refuses_zero():
+    m = spin_direction([1, 1, 1]).matrix
+    vec = top_eigenvector(m)
+    assert np.abs(m @ vec - vec).max() <= 1e-14
+    lead = vec[np.argmax(np.abs(vec))]
+    assert abs(lead.imag) <= 1e-15 and lead.real > 0
+    dens = unit_density(np.arange(64.0), 0.25)
+    assert dens.sum() * 0.25 == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValidationError):
+        unit_density(np.zeros(64), 0.25)

@@ -302,11 +302,9 @@ def test_n_spin_closed_form_matches_full_tensor_computation():
         assert np.abs(direct.q_density - closed.q_density).max() <= 1e-10
 
 
-def test_n_spin_printed_center_variant_is_kept_behind_a_flag():
+def test_n_spin_centers_span_the_average_spectrum_and_weights_sum_to_cos_power():
     weights, centers = n_spin_weights_and_centers(6)
-    _, printed = n_spin_weights_and_centers(6, printed_centers=True)
     assert centers.min() == pytest.approx(-1.0) and centers.max() == pytest.approx(1.0)
-    assert printed.min() == pytest.approx(1.0) and printed.max() == pytest.approx(2.0)
     # signed weights sum to cos(pi/4)^n
     assert weights.sum() == pytest.approx(np.cos(np.pi / 4) ** 6, abs=1e-12)
 
