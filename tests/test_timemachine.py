@@ -229,6 +229,19 @@ def test_radius_schedule_round_trips_and_monotonicity():
             assert lag == pytest.approx(target, rel=1e-12, abs=0)  # approx adds abs=1e-12 otherwise
 
 
+def test_radius_schedule_simplified_form_agrees_when_rest_dilation_is_negligible():
+    # the closed form that drops the rest radius's lag: 1 - sqrt(1 - rs/R_n) = delta_t_n / T
+    config = TimeMachineConfig(
+        n_terms=4, eta=2.0, delta_t=1e-4, external_t=1.0, shell_mass=5.972e24, r0=1e13
+    )
+    rs = 2 * GRAVITATIONAL_CONSTANT * config.shell_mass / LIGHT_SPEED**2
+    assert rs / config.r0 < 1e-12
+    full = radius_schedule(config)
+    x = np.arange(1, config.n_terms + 1) * config.delta_t / config.n_terms / config.external_t
+    simplified = rs / (x * (2.0 - x))
+    assert np.abs(full[1:] / simplified - 1).max() <= 1e-9
+
+
 def test_radius_schedule_rejects_unachievable_lags():
     config = TimeMachineConfig(
         n_terms=2, eta=2.0, delta_t=2.0, external_t=1.0, shell_mass=5.972e24, r0=1e13
