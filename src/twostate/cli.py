@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
                 args.seed = ParamSpec("seed", "int", 0, "").coerce(file_request["seed"])
         seed = 0 if args.seed is None else args.seed
         result = spec.run(overrides, seed=seed)
-    except (TwoStateError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError) as exc:
+    except (TwoStateError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     out_dir = args.out or _default_out_dir()

@@ -59,12 +59,14 @@ class OutcomeDistribution:
         }
 
 
+def _require_denominator(total) -> None:
+    if np.min(total) <= DENOMINATOR_FLOOR:
+        raise PostSelectionImpossible("post-selection is incompatible with every outcome (zero denominator)")
+
+
 def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarray) -> OutcomeDistribution:
     total = weights.sum()
-    if total <= DENOMINATOR_FLOOR:
-        raise PostSelectionImpossible(
-            "post-selection is incompatible with every outcome (zero denominator)"
-        )
+    _require_denominator(total)
     return OutcomeDistribution(decomp.eigenvalues, weights / total)
 
 
@@ -73,6 +75,18 @@ def abl(tsv: TwoStateVector, obs: DenseOperator) -> OutcomeDistribution:
     decomp = hermitian_eigendecomposition(obs)
     amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes)
     return _distribution_from_weights(decomp, np.abs(amps) ** 2)
+
+
+def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
+    """abl(tsv, projector_onto(e_i)).probability_of(1.0) for every basis state |i>, in one array pass.
+
+    a_i = <Phi|i><i|Psi>; the never-formed complement of |i> carries <Phi|Psi> - a_i.
+    """
+    a = tsv.bra.row * tsv.ket.amplitudes
+    hit = np.abs(a) ** 2
+    total = np.abs(tsv.bra.row @ tsv.ket.amplitudes - a) ** 2 + hit
+    _require_denominator(total)
+    return hit / total
 
 
 def abl_generalized(gtsv: GeneralizedTwoStateVector, obs: DenseOperator) -> OutcomeDistribution:

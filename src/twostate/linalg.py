@@ -184,20 +184,6 @@ class SpectralDecomposition:
         self._check_dim(ket)
         return self._with_complement(np.array([v @ (v.conj().T @ ket) for v in self.blocks]), ket)
 
-    def verify(self) -> None:
-        """Idempotent, mutually orthogonal projectors resolving the identity, each to 1e-10."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in self.projectors:
-            if np.abs(p @ p - p).max() > 1e-10:
-                raise ValidationError("projector fails idempotency")
-            total += p
-        if np.abs(total - np.eye(self.dim)).max() > 1e-10:
-            raise ValidationError("projectors do not resolve the identity")
-        for i in range(len(self.projectors)):
-            for j in range(i + 1, len(self.projectors)):
-                if np.abs(self.projectors[i] @ self.projectors[j]).max() > 1e-10:
-                    raise ValidationError("projectors are not mutually orthogonal")
-
     def reconstruct(self) -> np.ndarray:
         out = np.zeros_like(self.projectors[0])
         for c, p in zip(self.eigenvalues, self.projectors):
@@ -300,13 +286,9 @@ def tensor_product(a, b):
     raise ValidationError("tensor_product expects two operators or two vectors")
 
 
-def kron_all(ops: list) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-        if out.shape[0] > DIMENSION_CAP:
-            raise ResourceLimit(f"tensor dimension {out.shape[0]} exceeds cap {DIMENSION_CAP}")
-    return out
+def apply_on_site(op: np.ndarray, ket: np.ndarray, site: int) -> np.ndarray:
+    """A one-site operator applied along axis `site` of a product-space ket tensor, no d x d matrix formed."""
+    return np.moveaxis(np.tensordot(op, ket, axes=([1], [site])), 0, site)
 
 
 @dataclass(frozen=True)

@@ -355,14 +355,17 @@ def n_spin_weights_and_centers(n: int):
     return weights, centers
 
 
-def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:
-    """Pointer distribution for the single-system N-spin measurement."""
-    weights, centers = n_spin_weights_and_centers(n)
+def superposed_pointer(amplitudes, centers, pointer: GaussianPointer) -> PointerResult:
+    """Pointer left in sum_n amplitudes[n] * psi_in(Q - centers[n]), normalized."""
     pointer.check_covers(centers)
     norm = (np.pi * pointer.delta**2) ** -0.25
-    vals = _gaussian_sum(pointer.grid.values, weights * norm, centers, 2 * pointer.delta**2)
-    wf = WaveFunction1D(pointer.grid, vals)
-    return _result_from_wavefunction(wf, pointer.delta, centers)
+    vals = _gaussian_sum(pointer.grid.values, amplitudes * norm, centers, 2 * pointer.delta**2)
+    return _result_from_wavefunction(WaveFunction1D(pointer.grid, vals), pointer.delta, centers)
+
+
+def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:
+    """Pointer distribution for the single-system N-spin measurement."""
+    return superposed_pointer(*n_spin_weights_and_centers(n), pointer)
 
 
 def shift_superposition(fn: WaveFunction1D, weights, shifts) -> WaveFunction1D:

@@ -1,0 +1,65 @@
+"""Dense oracles, built the slow way, that the tests check the library against.
+
+The library evaluates its many-particle claims on (d,)*n product tensors,
+one site at a time, and never forms a d**n x d**n operator.  These helpers
+build the full vectors and operators with np.kron (or, for operators
+diagonal in the product basis, their diagonals).  `verify_projectors`
+checks a spectral decomposition through its dense projectors.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from twostate.linalg import DenseOperator, spin_direction, spin_up
+from twostate.pointer import pointer_distribution_postselected
+from twostate.states import CoStateVector, StateVector, TwoStateVector
+
+
+def verify_projectors(decomp) -> None:
+    """Idempotent, mutually orthogonal projectors resolving the identity, each to 1e-10."""
+    projectors = decomp.projectors
+    total = np.zeros((decomp.dim, decomp.dim), dtype=complex)
+    for p in projectors:
+        assert np.abs(p @ p - p).max() <= 1e-10, "projector fails idempotency"
+        total += p
+    assert np.abs(total - np.eye(decomp.dim)).max() <= 1e-10, "projectors do not resolve the identity"
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            assert np.abs(projectors[i] @ projectors[j]).max() <= 1e-10, "projectors are not mutually orthogonal"
+
+
+def kron_all(factors, dtype=complex) -> np.ndarray:
+    """factors[0] x factors[1] x ..., for vectors or matrices."""
+    out = np.asarray(factors[0], dtype=dtype)
+    for factor in factors[1:]:
+        out = np.kron(out, np.asarray(factor, dtype=dtype))
+    return out
+
+
+def site_sum(site_op, n: int, dtype=complex) -> np.ndarray:
+    """sum_site 1 x ... x site_op x ... x 1 on n sites; a 1-D site_op is a diagonal and gives the diagonal."""
+    d = len(site_op)
+    one = np.ones(d) if np.ndim(site_op) == 1 else np.eye(d)
+    return sum(kron_all([site_op if s == site else one for s in range(n)], dtype) for site in range(n))
+
+
+def three_box_pressure(n: int, box: int) -> float:
+    """(N_box)_w for n particles of the three-box state, from kron'd vectors and number-operator diagonals.
+
+    Evaluated in np.longdouble: the 3**n terms of <Phi|Psi> = 3**-n cancel
+    3**n-fold, which costs a double-precision flat sum up to 1e-12 at n = 9.
+    """
+    ket = np.full(3, 1 / np.sqrt(np.longdouble(3)))
+    row = ket * np.array([1, 1, -1], dtype=np.longdouble)
+    big_ket, big_row = kron_all([ket] * n, np.longdouble), kron_all([row] * n, np.longdouble)
+    number = site_sum(np.eye(3, dtype=np.longdouble)[box], n, np.longdouble)
+    return float(big_row @ (number * big_ket) / (big_row @ big_ket))
+
+
+def n_spin_pointer(n: int, pointer):
+    """The N-spin pointer from the dense 2**n x 2**n average of sigma_xi, decomposed by LAPACK."""
+    avg = site_sum(spin_direction([1, 1, 0]).matrix, n) / n
+    up_x, up_y = spin_up([1, 0, 0]), spin_up([0, 1, 0])
+    tsv = TwoStateVector(CoStateVector.from_ket(kron_all([up_y] * n)), StateVector(kron_all([up_x] * n)))
+    return pointer_distribution_postselected(tsv, DenseOperator(avg), pointer)

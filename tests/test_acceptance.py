@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from dense_oracles import kron_all
 from scipy.linalg import eigh_tridiagonal
 
 from twostate.ideal import (
@@ -30,7 +31,6 @@ from twostate.linalg import (
     Grid1D,
     gaussian_wavefunction,
     identity,
-    kron_all,
     pauli,
     projector_onto,
     spin_direction,
@@ -49,6 +49,7 @@ from twostate.protective import (
     adiabatic_protective_measurement,
     protected_two_state_measurement,
 )
+from twostate.scenarios import n_spin_tensor_oracle
 from twostate.states import (
     CoStateVector,
     GeneralizedTwoStateVector,
@@ -277,6 +278,26 @@ def test_criterion_05_companion_exact_values_and_wider_pointer():
     assert len(maxima_wider) == 1
     assert abs(wider.peak_location - SQRT2) <= 0.05
     report(5, True, f"companion: width 0.35 is single-peaked at {wider.peak_location:.4f}")
+
+
+def test_criterion_05_twenty_spin_closed_form_vs_tensor_oracle():
+    pointer = GaussianPointer.for_spectrum(0.25, [1.0, -1.0])
+    closed = n_spin_pointer_closed_form(20, pointer)
+    oracle = n_spin_tensor_oracle(20, pointer)
+    worst = float(np.abs(closed.q_density - oracle.q_density).max() / oracle.q_density.max())
+    maxima = _local_maxima(oracle)
+    secondary = np.sort(np.interp(maxima, oracle.q_grid.values, oracle.q_density))[0] / oracle.q_density.max()
+    ok = worst <= 1e-11 and len(maxima) == 2
+    report(
+        5,
+        ok,
+        f"n=20 closed form matches the 2^20-amplitude oracle to {worst:.1e} of the peak; "
+        f"oracle peak {oracle.peak_location:.4f}, secondary maximum at {secondary:.1%}",
+    )
+    assert worst <= 1e-11
+    assert len(maxima) == 2
+    assert oracle.peak_location == pytest.approx(1.3309, abs=2e-3)
+    assert secondary == pytest.approx(0.037, abs=2e-3)
 
 
 def test_criterion_06_negative_kinetic_energy():

@@ -215,3 +215,29 @@ def test_config_files_that_are_not_requests_are_refused(content, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--seed", "-1"], None),
+        (["--config", "request.json"], b'{"seed": -1}'),
+        (["--config", "request.json"], b'\xff\xfe{"params": {}}'),
+    ],
+    ids=["negative-seed-flag", "negative-seed-in-config", "config-not-utf8"],
+)
+def test_seeds_and_config_bytes_it_cannot_use_are_refused(argv, config, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "request.json").write_bytes(config)
+    assert run_cli("run", "spin_xi_weak", *argv, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_particles", ["0", "-1"])
+def test_three_box_without_particles_is_a_usage_error(n_particles, tmp_path, capsys):
+    assert run_cli("run", "three_box", "--param", f"n_particles={n_particles}", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need at least one particle\n"

@@ -5,6 +5,7 @@ from twostate.errors import PostSelectionImpossible, ValidationError
 from twostate.ideal import (
     abl,
     abl_degenerate_post,
+    basis_occupation_probabilities,
     abl_generalized,
     born,
     born_backward,
@@ -290,3 +291,26 @@ def test_distribution_serialization_surfaces():
     csv = csv_table(["eigenvalue", "probability"], [dist.eigenvalues, dist.probabilities])
     assert csv.startswith("eigenvalue,probability\n")
     assert len(csv.strip().split("\n")) == 1 + len(dist.eigenvalues)
+
+
+def n_box_tsv(n: int) -> TwoStateVector:
+    root = np.sqrt(n - 2.0)
+    ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
+    return TwoStateVector(CoStateVector.from_ket(np.concatenate([np.ones(n - 1), [-root]])), ket)
+
+
+@pytest.mark.parametrize("boxes", [3, 120, 1000])
+def test_basis_occupation_probabilities_equal_the_per_box_abl_rule(boxes):
+    tsv = n_box_tsv(boxes)
+    batched = basis_occupation_probabilities(tsv)
+    per_box = [abl(tsv, projector_onto(np.eye(boxes)[i])).probability_of(1.0) for i in range(boxes)]
+    assert batched.tolist() == per_box
+    assert np.abs(batched[:-1] - 1.0).max() <= 1e-10
+
+
+def test_basis_occupation_probabilities_refuse_a_zero_denominator():
+    tsv = TwoStateVector(CoStateVector.from_ket([1.0, 0.0, 0.0]), StateVector([0.0, 1.0, 0.0]))
+    with pytest.raises(PostSelectionImpossible):
+        abl(tsv, projector_onto([0.0, 0.0, 1.0]))
+    with pytest.raises(PostSelectionImpossible):
+        basis_occupation_probabilities(tsv)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from dense_oracles import verify_projectors
 
 from twostate.errors import DimensionMismatch, ResourceLimit, ValidationError
 from twostate.linalg import (
     DenseOperator,
     Grid1D,
     WaveFunction1D,
+    apply_on_site,
     evolve_unitary,
     fourier_pair,
     gaussian_wavefunction,
@@ -73,7 +75,7 @@ def test_spectral_invariants_on_random_hermitian_matrices():
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         op = DenseOperator(raw + raw.conj().T)
         dec = hermitian_eigendecomposition(op)
-        dec.verify()
+        verify_projectors(dec)
         assert np.abs(dec.reconstruct() - op.matrix).max() <= 1e-10 * max(1, np.abs(op.matrix).max())
 
 
@@ -291,6 +293,19 @@ def test_tensor_product_basics():
     assert np.vdot(vec, zz.matrix @ vec).real == pytest.approx(-1.0)
 
 
+def test_apply_on_site_matches_the_kron_embedded_operator():
+    from dense_oracles import kron_all
+
+    rng = np.random.default_rng(4)
+    op = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ket = rng.normal(size=(3, 3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3, 3))
+    for site in range(4):
+        embedded = kron_all([op if s == site else np.eye(3) for s in range(4)])
+        local = apply_on_site(op, ket, site)
+        assert local.shape == ket.shape
+        assert np.abs(local.ravel() - embedded @ ket.ravel()).max() <= 1e-13 * np.abs(local).max()
+
+
 def test_tensor_product_dimension_cap():
     big = DenseOperator(np.eye(1100))
     with pytest.raises(ResourceLimit):
@@ -400,7 +415,7 @@ def test_projector_matrix_and_spectrum_match_the_dense_projector():
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 2.0
     spec = hermitian_eigendecomposition(op)
-    spec.verify()
+    verify_projectors(spec)
     assert np.abs(spec.reconstruct() - dense.matrix).max() <= 1e-15
     ref = hermitian_eigendecomposition(dense)
     assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-15

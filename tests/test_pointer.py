@@ -284,7 +284,7 @@ def test_single_sample_sharp_pointer_reads_the_eigenvalue():
 
 
 def test_n_spin_closed_form_matches_full_tensor_computation():
-    from twostate.linalg import kron_all
+    from dense_oracles import kron_all
 
     for n in (2, 4, 6):
         pointer = GaussianPointer.for_spectrum(0.25, [1.0, -1.0])

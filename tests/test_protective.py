@@ -159,7 +159,7 @@ def test_eigenstate_leakage_is_the_other_branch_weight():
     res = adiabatic_protective_measurement(pauli("z"), obs, StateVector([1.0, 0.0]), schedule, pointer)
     # the input is the upper h0 eigenstate, branch 1; what leaks lands in branch 0
     assert 1e-9 < res.leakage < 1e-6
-    assert res.leakage == pytest.approx(res.branch_weights[0], rel=1e-10)
+    assert res.leakage == pytest.approx(res.branch_weights[0], rel=1e-10, abs=0)
 
 
 def stepwise_propagators(h0m, am, ps, g, dt):

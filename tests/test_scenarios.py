@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from twostate import ideal, linalg
-from twostate.errors import ValidationError
+from twostate.errors import ResourceLimit, ValidationError
+from twostate.ideal import counterfactual_decomposition_check
+from twostate.linalg import pauli
+from twostate.pointer import GaussianPointer
 from twostate.reporting import csv_table, stable_json
-from twostate.scenarios import REGISTRY, counterfactual_reference_case, get_scenario
+from twostate.scenarios import REGISTRY, get_scenario, n_spin_tensor_oracle
+from twostate.states import StateVector
 
 EXPECTED_SCENARIOS = [
     "epr_product_rule",
@@ -62,6 +66,24 @@ def test_three_box_linearity_fallback_for_large_ensembles():
     assert result.results["pressure_weak_values"]["N3"] == pytest.approx(-40.0, abs=1e-9)
 
 
+def test_three_box_pressure_matches_the_kron_oracle_up_to_the_tensor_cap():
+    from dense_oracles import three_box_pressure
+
+    from twostate.scenarios import THREE_BOX_TENSOR_CAP
+
+    assert THREE_BOX_TENSOR_CAP >= 9  # n = 9 takes 12-16 ms warm on the tensors, n = 10 36-46 ms
+    for n in range(1, THREE_BOX_TENSOR_CAP + 1):
+        pressure = get_scenario("three_box").run({"n_particles": n}).results["pressure_weak_values"]
+        for box, label in enumerate(("N1", "N2", "N3")):
+            assert pressure[label] == pytest.approx(three_box_pressure(n, box), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n_particles", [0, -1])
+def test_three_box_refuses_fewer_than_one_particle(n_particles):
+    with pytest.raises(ValidationError, match="at least one particle"):
+        get_scenario("three_box").run({"n_particles": n_particles})
+
+
 def test_n_box_grows_with_the_box_count():
     result = get_scenario("n_box").run({"boxes": 10}, seed=0)
     assert len(result.results["prob_per_box"]) == 9
@@ -96,9 +118,28 @@ def test_spin_xi_weak_figures_and_seeding():
 def test_n_spin_scenario_cross_checks_small_systems():
     result = get_scenario("n_spin_single_system").run({"spins": 6}, seed=0)
     assert result.results["tensor_oracle_max_deviation"] <= 1e-10
+    twelve = get_scenario("n_spin_single_system").run({"spins": 12}, seed=0)
+    assert twelve.passed and twelve.results["tensor_oracle_max_deviation"] <= 1e-10
+    assert get_scenario("n_spin_single_system").run({"spins": 13}).results["tensor_oracle_max_deviation"] is None
     default = get_scenario("n_spin_single_system").run(seed=0)
     assert default.results["tensor_oracle_max_deviation"] is None
     assert "fig4.csv" in default.tables
+
+
+def test_n_spin_tensor_oracle_matches_the_dense_kron_oracle():
+    from dense_oracles import n_spin_pointer
+
+    for n in range(1, 9):
+        pointer = GaussianPointer.for_spectrum(0.25, [1.0, -1.0])
+        dense = n_spin_pointer(n, pointer)
+        oracle = n_spin_tensor_oracle(n, pointer)
+        assert np.abs(oracle.q_density - dense.q_density).max() <= 1e-12 * dense.q_density.max()
+
+
+@pytest.mark.parametrize("n", [0, 21])
+def test_n_spin_tensor_oracle_refuses_sizes_outside_its_cap(n):
+    with pytest.raises(ResourceLimit):
+        n_spin_tensor_oracle(n, GaussianPointer.for_spectrum(0.25, [1.0, -1.0]))
 
 
 def test_negative_kinetic_energy_scenario_values():
@@ -140,6 +181,11 @@ def test_unknown_parameter_is_rejected():
         get_scenario("three_box").run({"bogus": 1}, seed=0)
     with pytest.raises(ValidationError):
         get_scenario("n_box").run({"boxes": "many"}, seed=0)
+
+
+def counterfactual_reference_case():
+    """The sigma_x / sigma_z conditioning example used by the symmetry suite."""
+    return counterfactual_decomposition_check(StateVector([1.0, 0.0]), pauli("x"), pauli("z"))
 
 
 def test_counterfactual_reference_case_shape():

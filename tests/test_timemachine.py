@@ -256,7 +256,7 @@ def test_run_machine_zero_span_success_probability_is_exact():
     config = TimeMachineConfig(n_terms=13, eta=10.0, delta_t=0.0)
     run = run_machine(fn, config)
     norm0_sq = 1.0 / float(run.schedule.exact_square_sum())
-    assert run.success_prob == pytest.approx(norm0_sq / 14.0, rel=1e-12)
+    assert run.success_prob == pytest.approx(norm0_sq / 14.0, rel=1e-12, abs=0)
     assert run.distortion == 0.0
 
 
@@ -344,7 +344,7 @@ def test_success_scaling_probe_matches_the_exact_rational_oracle():
 
     for i, n in enumerate(range(16, 21)):
         expected = float(prob(n + 1) / prob(n))
-        assert probe.probability_ratios[i] == pytest.approx(expected, rel=1e-12)
+        assert probe.probability_ratios[i] == pytest.approx(expected, rel=1e-12, abs=0)
     # probability ratios approach 1/(2 eta - 1)^2; their square roots (the
     # per-step amplitude decay) approach 1/(2 eta - 1)
     assert probe.probability_ratios[-1] == pytest.approx(1.0 / 361.0, rel=0.05)

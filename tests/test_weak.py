@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from dense_oracles import kron_all, verify_projectors
 
 from twostate.errors import OverlapTooSmall, ValidationError
 from twostate.ideal import certain_outcome
 from twostate.linalg import (
     DenseOperator,
     identity,
-    kron_all,
     pauli,
     projector_onto,
     hermitian_eigendecomposition,
@@ -330,7 +330,7 @@ def test_direction_observable_is_sigma_dot_n(theta, phi):
     assert np.abs(op.matrix - dense.matrix).max() <= 1e-15
     dec = hermitian_eigendecomposition(op)
     assert dec.eigenvalues.tolist() == [-1.0, 1.0]
-    dec.verify()
+    verify_projectors(dec)
     assert np.abs(dec.reconstruct() - dense.matrix).max() <= 1e-15
     fresh = hermitian_eigendecomposition(op, tol=1e-9)
     assert np.abs(fresh.eigenvalues - [-1.0, 1.0]).max() <= 1e-15
