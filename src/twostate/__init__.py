@@ -31,7 +31,6 @@ from .linalg import (
     Grid1D,
     SpectralDecomposition,
     WaveFunction1D,
-    evolve_unitary,
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
@@ -52,7 +51,6 @@ from .pointer import (
     n_spin_pointer_closed_form,
     pointer_distribution_postselected,
     pointer_distribution_preselected,
-    shift_superposition,
 )
 from .protective import (
     AdiabaticSchedule,
@@ -68,8 +66,6 @@ from .states import (
     StateVector,
     TwoStateVector,
     interchange,
-    make_postselected,
-    make_preselected,
 )
 from .timemachine import (
     TimeMachineConfig,

@@ -52,12 +52,6 @@ class OutcomeDistribution:
             raise ValidationError(f"{value} is not an eigenvalue of the measured observable")
         return float(self.probabilities[hits].sum())
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "probabilities": [float(p) for p in self.probabilities],
-        }
-
 
 def _require_denominator(total) -> None:
     if np.min(total) <= DENOMINATOR_FLOOR:
@@ -200,9 +194,6 @@ class CounterfactualReport:
     born_marginal: np.ndarray
     deviation_without: float
     deviation_with: float
-
-    def to_dict(self) -> dict:
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
 def counterfactual_decomposition_check(

@@ -75,21 +75,10 @@ class DenseOperator:
     def apply(self, ket) -> np.ndarray:
         return self.matrix @ ket
 
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"operator dims {self.dim} and {other.dim}")
-        prod = self.matrix @ other.matrix
-        return DenseOperator(prod, hermitian=is_hermitian(prod))
-
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dim != other.dim:
             raise DimensionMismatch(f"operator dims {self.dim} and {other.dim}")
         return DenseOperator(self.matrix + other.matrix, hermitian=self.hermitian and other.hermitian)
-
-    def __rmul__(self, scalar) -> "DenseOperator":
-        s = complex(scalar)
-        herm = self.hermitian and abs(s.imag) == 0.0
-        return DenseOperator(s * self.matrix, hermitian=herm)
 
 
 def identity(dim: int) -> DenseOperator:
@@ -196,7 +185,7 @@ class SpectralOperator(DenseOperator):
 
     Ascending, distinct `eigenvalues` with orthonormal eigenvector `blocks` (and
     `complement`) as in SpectralDecomposition.  The read-only dense matrix is
-    formed only on demand: by `.matrix`, `+`, `@` or an explicit `tol=`.
+    formed only on demand: by `.matrix`, `+` or an explicit `tol=`.
     """
 
     def __init__(self, eigenvalues, blocks, complement: int | None = None):
@@ -257,17 +246,6 @@ def _decompose(op: DenseOperator, tol: float | None) -> SpectralDecomposition:
             blocks.append(v[:, start:i])
             start = i
     return SpectralDecomposition(_read_only(np.array(eigenvalues)), blocks, float(tol))
-
-
-def evolve_unitary(state: np.ndarray, hamiltonian: DenseOperator, t: float) -> np.ndarray:
-    """exp(-i*H*t) applied to a state vector (exact, via eigendecomposition)."""
-    if not hamiltonian.hermitian:
-        raise ValidationError("unitary evolution requires a Hermitian Hamiltonian")
-    psi = np.asarray(state, dtype=complex)
-    if psi.shape != (hamiltonian.dim,):
-        raise DimensionMismatch(f"state dim {psi.shape} vs operator dim {hamiltonian.dim}")
-    w, v = np.linalg.eigh(hamiltonian.matrix)
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
 
 
 def tensor_product(a, b):
@@ -361,9 +339,6 @@ class WaveFunction1D:
     def density(self) -> np.ndarray:
         """|psi|**2 normalized to unit integral on the grid."""
         return unit_density(np.abs(self.values) ** 2, self.grid.spacing)
-
-    def mean(self) -> float:
-        return float(np.sum(self.grid.values * self.density()) * self.grid.spacing)
 
 
 def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> WaveFunction1D:

@@ -10,13 +10,12 @@ a ratio formula.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, OverlapTooSmall, ValidationError
-from .linalg import DenseOperator, evolve_unitary
+from .linalg import DenseOperator
 
 # Below this overlap magnitude, ratio formulas refuse to divide.
 OVERLAP_EPSILON = 1e-12
@@ -51,9 +50,6 @@ class StateVector:
 
     def normalized(self) -> "StateVector":
         return StateVector(self.amplitudes / self.norm())
-
-    def to_dict(self) -> dict:
-        return {"kind": "state_vector", "dim": self.dim, "amplitudes": _complex_list(self.amplitudes)}
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,6 @@ class CoStateVector:
             raise DimensionMismatch(f"co-state dim {self.dim} vs state dim {amps.size}")
         return complex(self.row @ amps)
 
-    def to_dict(self) -> dict:
-        return {"kind": "co_state_vector", "dim": self.dim, "row": _complex_list(self.row)}
-
 
 @dataclass(frozen=True)
 class TwoStateVector:
@@ -118,9 +111,6 @@ class TwoStateVector:
         if abs(ov) <= OVERLAP_EPSILON * self.bra.norm() * self.ket.norm():
             raise OverlapTooSmall(f"|<Phi|Psi>| = {abs(ov):.3e} is below the division threshold")
         return ov
-
-    def to_dict(self) -> dict:
-        return {"kind": "two_state_vector", "bra": self.bra.to_dict(), "ket": self.ket.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -171,34 +161,6 @@ class GeneralizedTwoStateVector:
             sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in zip(self.weights, self.bras, self.kets))
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "generalized_two_state_vector",
-            "terms": [
-                {"weight": [a.real, a.imag], "bra": b.to_dict(), "ket": k.to_dict()}
-                for a, b, k in zip(self.weights, self.bras, self.kets)
-            ],
-        }
-
-
-def make_preselected(outcome_state: StateVector, hamiltonian: DenseOperator, t1: float, t: float) -> StateVector:
-    """Forward-evolve the earlier outcome |a> from t1 to t."""
-    if t < t1:
-        raise ValidationError("pre-selection requires t >= t1")
-    return StateVector(evolve_unitary(outcome_state.amplitudes, hamiltonian, t - t1))
-
-
-def make_postselected(outcome_bra: CoStateVector, hamiltonian: DenseOperator, t: float, t2: float) -> CoStateVector:
-    """Backward-evolve the later outcome <b| from t2 to t.
-
-    The co-state at t pairs with kets at t as <b| U(t -> t2), i.e. its
-    ket form is exp(+i H (t2 - t)) |b>.
-    """
-    if t2 < t:
-        raise ValidationError("post-selection requires t2 >= t")
-    ket_at_t = evolve_unitary(outcome_bra.ket_form, hamiltonian, -(t2 - t))
-    return CoStateVector.from_ket(ket_at_t)
-
 
 def interchange(description):
     """Time-reversal interchange <Phi||Psi> <-> <Psi||Phi>.
@@ -219,44 +181,3 @@ def interchange(description):
         )
     raise ValidationError(f"cannot interchange {type(description).__name__}")
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization: amplitudes as [re, im] pairs, dims explicit.
-
-def _complex_list(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in arr]
-
-
-def _complex_array(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
-def to_json(obj, **kwargs) -> str:
-    return json.dumps(obj.to_dict(), **kwargs)
-
-
-def from_dict(data: dict):
-    kind = data.get("kind")
-    if kind == "state_vector":
-        vec = StateVector(_complex_array(data["amplitudes"]))
-        if vec.dim != data["dim"]:
-            raise ValidationError("declared dim does not match amplitude count")
-        return vec
-    if kind == "co_state_vector":
-        co = CoStateVector(_complex_array(data["row"]))
-        if co.dim != data["dim"]:
-            raise ValidationError("declared dim does not match amplitude count")
-        return co
-    if kind == "two_state_vector":
-        return TwoStateVector(bra=from_dict(data["bra"]), ket=from_dict(data["ket"]))
-    if kind == "generalized_two_state_vector":
-        terms = [
-            (complex(t["weight"][0], t["weight"][1]), from_dict(t["bra"]), from_dict(t["ket"]))
-            for t in data["terms"]
-        ]
-        return GeneralizedTwoStateVector.from_terms(terms)
-    raise ValidationError(f"unknown serialized kind {kind!r}")
-
-
-def from_json(text: str):
-    return from_dict(json.loads(text))

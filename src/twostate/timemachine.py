@@ -74,12 +74,6 @@ class BinomialSchedule:
     total: Fraction  # sum of the exact weights
     square_sum: Fraction  # sum of the squared exact weights
 
-    def exact_sum(self) -> Fraction:
-        return self.total
-
-    def exact_square_sum(self) -> Fraction:
-        return self.square_sum
-
 
 @functools.lru_cache(maxsize=16)
 def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
@@ -109,13 +103,8 @@ def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float
     return (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
 
 
-def spectral_weight_above(fn: WaveFunction1D) -> float:
-    """Fraction of spectral weight above a quarter of the Nyquist rate."""
-    return _spectrum_weight_above(np.fft.fft(fn.values), fn.grid.spacing)
-
-
 def _spectrum_weight_above(spec: np.ndarray, spacing: float) -> float:
-    """spectral_weight_above for the FFT `spec` of samples `spacing` apart."""
+    """Fraction of the power of the FFT `spec`, of samples `spacing` apart, above a quarter of the Nyquist rate."""
     power = np.abs(spec) ** 2
     k = np.abs(np.fft.fftfreq(spec.size, d=spacing))
     cut = 0.25 * 0.5 / spacing
@@ -268,7 +257,7 @@ def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> Machine
     contraction.
     """
     sched = binomial_schedule(config.n_terms, config.eta)
-    norm0 = 1.0 / math.sqrt(float(sched.exact_square_sum()))
+    norm0 = 1.0 / math.sqrt(float(sched.square_sum))
     shift = amplified_shift(system_fn.normalized(), config.n_terms, config.eta, config.delta_t)
     contracted = norm0 / math.sqrt(config.n_terms + 1) * shift.shifted.values
     success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
@@ -296,15 +285,6 @@ class ScalingProbe:
     probability_ratios: np.ndarray
     amplitude_ratios: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "n_values": self.n_values.tolist(),
-            "probabilities": self.probabilities.tolist(),
-            "probability_ratios": self.probability_ratios.tolist(),
-            "amplitude_ratios": self.amplitude_ratios.tolist(),
-        }
-
 
 def success_scaling_probe(eta: float, n_values) -> ScalingProbe:
     """Exact scaling of the success probability with the register size.
@@ -320,7 +300,7 @@ def success_scaling_probe(eta: float, n_values) -> ScalingProbe:
     probs = []
     for n in ns:
         sched = binomial_schedule(int(n), eta)
-        probs.append(1.0 / float((n + 1) * sched.exact_square_sum()))
+        probs.append(1.0 / float((n + 1) * sched.square_sum))
     probs = np.array(probs)
     ratios = probs[1:] / probs[:-1]
     # normalize ratios to a per-unit-N step when the sequence is not contiguous

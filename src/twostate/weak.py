@@ -27,20 +27,6 @@ class WeakValue:
     value: complex
     overlap_magnitude: float
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
-    @property
-    def imag(self) -> float:
-        return self.value.imag
-
-    def to_dict(self) -> dict:
-        return {
-            "value": [self.value.real, self.value.imag],
-            "overlap_magnitude": self.overlap_magnitude,
-        }
-
 
 @dataclass(frozen=True)
 class WeakVector:
@@ -53,10 +39,6 @@ class WeakVector:
     @property
     def components(self) -> np.ndarray:
         return np.array([self.wx, self.wy, self.wz])
-
-    def to_dict(self) -> dict:
-        c = self.components
-        return {"real": [float(v) for v in c.real], "imag": [float(v) for v in c.imag]}
 
 
 def weak_value(tsv: TwoStateVector, obs: DenseOperator) -> WeakValue:
@@ -113,9 +95,6 @@ class ConeDirection:
     theta: float
     phi: float
     probability: float
-
-    def to_dict(self) -> dict:
-        return {"theta": self.theta, "phi": self.phi, "probability": self.probability}
 
 
 def _direction_obs(theta: float, phi: float) -> DenseOperator:
@@ -201,16 +180,6 @@ class TheoremReport:
     certain_value: float | None
     weak_value: complex | None
     detail: str
-
-    def to_dict(self) -> dict:
-        wv = None if self.weak_value is None else [self.weak_value.real, self.weak_value.imag]
-        return {
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "certain_value": self.certain_value,
-            "weak_value": wv,
-            "detail": self.detail,
-        }
 
 
 def theorem_i_check(description, obs: DenseOperator) -> TheoremReport:

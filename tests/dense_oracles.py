@@ -4,13 +4,15 @@ The library evaluates its many-particle claims on (d,)*n product tensors,
 one site at a time, and never forms a d**n x d**n operator.  These helpers
 build the full vectors and operators with np.kron (or, for operators
 diagonal in the product basis, their diagonals).  `verify_projectors`
-checks a spectral decomposition through its dense projectors.
+checks a spectral decomposition through its dense projectors, and
+`evolve_unitary` moves states in time, which the library never does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from twostate.errors import DimensionMismatch, ValidationError
 from twostate.linalg import DenseOperator, spin_direction, spin_up
 from twostate.pointer import pointer_distribution_postselected
 from twostate.states import CoStateVector, StateVector, TwoStateVector
@@ -27,6 +29,17 @@ def verify_projectors(decomp) -> None:
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
             assert np.abs(projectors[i] @ projectors[j]).max() <= 1e-10, "projectors are not mutually orthogonal"
+
+
+def evolve_unitary(state: np.ndarray, hamiltonian: DenseOperator, t: float) -> np.ndarray:
+    """exp(-i*H*t) applied to a state vector (exact, via eigendecomposition)."""
+    if not hamiltonian.hermitian:
+        raise ValidationError("unitary evolution requires a Hermitian Hamiltonian")
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (hamiltonian.dim,):
+        raise DimensionMismatch(f"state dim {psi.shape} vs operator dim {hamiltonian.dim}")
+    w, v = np.linalg.eigh(hamiltonian.matrix)
+    return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
 
 
 def kron_all(factors, dtype=complex) -> np.ndarray:

@@ -174,7 +174,7 @@ def test_sweep_single_value_matches_run(tmp_path, capsys):
     header = sweep_lines[0].split(",")
     row = sweep_lines[1].split(",")
     col = header.index("prob_last_box_occupied")
-    assert float(row[col]) == pytest.approx(payload["results"]["prob_last_box_occupied"], rel=1e-15)
+    assert float(row[col]) == pytest.approx(payload["results"]["prob_last_box_occupied"], rel=1e-15, abs=0)
 
 
 def test_sweep_rejects_unknown_or_non_numeric_parameters(tmp_path, capsys):
@@ -202,8 +202,8 @@ def test_time_machine_inputs_it_cannot_compute_are_refused(param, tmp_path, caps
 
 @pytest.mark.parametrize(
     "content",
-    [None, "[1, 2]", '{"params": [1]}', '{"seed": 5.5}', '{"seed": "five"}'],
-    ids=["directory", "array", "params-array", "fractional-seed", "text-seed"],
+    [None, "[1, 2]", '{"params": [1]}', '{"seed": 5.5}', '{"seed": "five"}', '{"params": {"boxes": Infinity}}'],
+    ids=["directory", "array", "params-array", "fractional-seed", "text-seed", "infinite-int"],
 )
 def test_config_files_that_are_not_requests_are_refused(content, tmp_path, capsys):
     config = tmp_path / "request.json"
@@ -241,3 +241,28 @@ def test_three_box_without_particles_is_a_usage_error(n_particles, tmp_path, cap
     assert run_cli("run", "three_box", "--param", f"n_particles={n_particles}", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err == "error: need at least one particle\n"
+
+
+@pytest.mark.parametrize("param", ["well_depth=nan", "well_depth=inf", "well_depth=-inf", "well_half_width=nan"])
+def test_non_finite_float_parameters_are_refused(param, tmp_path, capsys):
+    assert run_cli("run", "negative_kinetic_energy", "--param", param, "--out", str(tmp_path)) == 2
+    name, value = param.split("=")
+    assert capsys.readouterr().err == f"error: parameter {name!r} expects float, got {value!r}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "scenario, param, message",
+    [
+        ("n_spin_single_system", "delta=1e-9", "pointer width 1e-09 is below 2 grid spacings, 0.000977"),
+        ("spin_xi_weak", "delta=3e-4", "pointer width 0.0003 is below 2 grid spacings, 0.000979"),
+        # narrower still, the selected amplitude underflows first, and that refusal keeps its message
+        ("spin_xi_weak", "delta=1e-9", "projected pointer amplitude vanishes on the grid"),
+        ("negative_kinetic_energy", "pointer_delta=1e-9", "projected pointer amplitude vanishes on the grid"),
+    ],
+    ids=["n_spin-1e-9", "spin_xi-3e-4", "spin_xi-1e-9-vanishes", "negative_kinetic-1e-9-vanishes"],
+)
+def test_pointers_the_grid_cannot_resolve_are_refused(scenario, param, message, tmp_path, capsys):
+    assert run_cli("run", scenario, "--param", param, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())

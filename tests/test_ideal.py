@@ -286,8 +286,6 @@ def test_probabilities_always_sum_to_one():
 
 def test_distribution_serialization_surfaces():
     dist = abl(three_box_tsv(), box_projector(0))
-    payload = dist.to_dict()
-    assert set(payload) == {"eigenvalues", "probabilities"}
     csv = csv_table(["eigenvalue", "probability"], [dist.eigenvalues, dist.probabilities])
     assert csv.startswith("eigenvalue,probability\n")
     assert len(csv.strip().split("\n")) == 1 + len(dist.eigenvalues)

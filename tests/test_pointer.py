@@ -24,7 +24,6 @@ from twostate.pointer import (
     pointer_distribution_postselected,
     pointer_distribution_preselected,
     postselected_pointer_wavefunction,
-    shift_superposition,
 )
 from twostate.reporting import csv_table
 from twostate.states import CoStateVector, StateVector, TwoStateVector
@@ -320,28 +319,30 @@ def test_n_spin_narrow_pointer_resolves_the_eigenvalue_comb():
     assert np.allclose(spacing, 2 / 8, atol=0.01)
 
 
-def test_shift_superposition_identity_and_uniform_shift():
+def test_amplified_shift_is_the_identity_at_eta_0_and_a_rigid_shift_at_eta_1():
     grid = Grid1D(-30.0, 30.0, 1024)
     fn = gaussian_wavefunction(grid, 1.0)
-    same = shift_superposition(fn, [1.0], [0.0])
-    assert np.abs(same.values - fn.values).max() <= 1e-12
+    same = amplified_shift(fn, 4, 0.0, 2.0)
+    assert np.abs(same.shifted.values - fn.values).max() <= 1e-12
 
-    shifted = shift_superposition(fn, [0.25, 0.75], [2.0, 2.0])
+    shifted = amplified_shift(fn, 4, 1.0, 2.0)
     target = gaussian_wavefunction(grid, 1.0, center=2.0)
-    assert np.abs(shifted.values - target.values).max() <= 1e-12
+    assert np.abs(shifted.shifted.values - target.values).max() <= 1e-12
 
 
-def test_shift_superposition_rejects_overflowing_shifts():
-    grid = Grid1D(-10.0, 10.0, 256)
-    fn = gaussian_wavefunction(grid, 1.0)
-    with pytest.raises(GridOverflow):
-        shift_superposition(fn, [1.0], [8.0])
+def test_pointers_narrower_than_two_grid_spacings_are_refused():
+    grid = Grid1D(-1.0, 1.0, 4097)
+    h = grid.spacing
+    for offset in (0.0, 0.3 * h, 0.5 * h):  # from D = 2h up, the Riemann sum is exact wherever the peak sits
+        riemann = np.exp(-(((grid.values - offset) / (2 * h)) ** 2)).sum() * h
+        assert abs(riemann / (np.sqrt(np.pi) * 2 * h) - 1.0) <= 1e-15
+    GaussianPointer(2 * h, grid).check_resolves()
+    with pytest.raises(ValidationError):
+        GaussianPointer(1.99 * h, grid).check_resolves()
 
 
 def test_fourier_shifts_reject_a_zero_wavefunction():
     zero = WaveFunction1D(Grid1D(-5.0, 5.0, 64), np.zeros(64))
-    with pytest.raises(ValidationError):
-        shift_superposition(zero, [1.0], [0.0])
     with pytest.raises(ValidationError):
         amplified_shift(zero, 4, 2.0, 0.1)
 
@@ -363,7 +364,8 @@ def test_csv_and_summary_outputs_are_well_formed():
 def test_scaled_coupling_scales_the_shifts():
     pointer = GaussianPointer.for_spectrum(0.5, [2.0, -2.0], points=1024)
     # a coupling integral of 2 is a unit coupling to the observable 2*C
-    res = pointer_distribution_preselected(StateVector(spin_up([0, 0, 1])), 2.0 * pauli("z"), pointer)
+    doubled = DenseOperator(2.0 * pauli("z").matrix)
+    res = pointer_distribution_preselected(StateVector(spin_up([0, 0, 1])), doubled, pointer)
     assert res.mean == pytest.approx(2.0, abs=1e-10)
 
 

@@ -310,9 +310,8 @@ def test_certain_strong_outcome_matches_weak_value_for_cone_direction():
 
 def test_weak_value_and_cone_serialization_surfaces():
     wv = weak_value(bisector_tsv(), spin_direction([1, 1, 0]))
-    payload = wv.to_dict()
-    assert payload["value"][0] == pytest.approx(np.sqrt(2))
-    assert payload["overlap_magnitude"] > 0
+    assert wv.value.real == pytest.approx(np.sqrt(2))
+    assert wv.overlap_magnitude > 0
     cone = certainty_cone(spin_cone_gtsv(np.pi / 8), samples=8)
     text = csv_table(
         ["theta", "phi", "probability"],
