@@ -330,6 +330,13 @@ def test_amplified_shift_is_the_identity_at_eta_0_and_a_rigid_shift_at_eta_1():
     assert np.abs(shifted.shifted.values - target.values).max() <= 1e-12
 
 
+def test_shift_superposition_rejects_overflowing_shifts():
+    grid = Grid1D(-10.0, 10.0, 256)
+    fn = gaussian_wavefunction(grid, 1.0)
+    with pytest.raises(GridOverflow):
+        amplified_shift(fn, 1, 1.0, 8.0)
+
+
 def test_pointers_narrower_than_two_grid_spacings_are_refused():
     grid = Grid1D(-1.0, 1.0, 4097)
     h = grid.spacing
