@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success, 1 when a scenario's numerical self-checks fail,
 2 on usage errors (unknown scenario, malformed or unknown parameters or seed,
-a missing or malformed config file).
+a missing or malformed config file) and on outputs that cannot be written.
 Identical requests (including the seed) produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,11 +86,10 @@ def cmd_run(args) -> int:
                 args.seed = ParamSpec("seed", "int", 0, "").coerce(file_request["seed"])
         seed = 0 if args.seed is None else args.seed
         result = spec.run(overrides, seed=seed)
-    except (TwoStateError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        written = _write_outputs(result, args.out or _default_out_dir(), args.format)
+    except (TwoStateError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out_dir = args.out or _default_out_dir()
-    written = _write_outputs(result, out_dir, args.format)
     print(result.summary_line)
     for path in written:
         print(f"  wrote {path}")
@@ -140,19 +140,19 @@ def cmd_sweep(args) -> int:
             flat.pop(args.param_name, None)  # already the leading column
             summaries.append(flat)
             print(result.summary_line)
-    except TwoStateError as exc:
+        path = os.path.join(args.out or _default_out_dir(), spec.name, f"sweep_{args.param_name}.csv")
+        keys = sorted(summaries[0])  # the first run fixes the columns
+        columns = [[schema[args.param_name].coerce(raw) for raw in values]]
+        columns += [[flat.get(key) for flat in summaries] for key in keys]
+        write_text_atomic(path, csv_table([args.param_name] + keys, columns))
+    except (TwoStateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out_dir = args.out or _default_out_dir()
-    path = os.path.join(out_dir, spec.name, f"sweep_{args.param_name}.csv")
-    keys = sorted(summaries[0])  # the first run fixes the columns
-    columns = [[schema[args.param_name].coerce(raw) for raw in values]]
-    columns += [[flat.get(key) for flat in summaries] for key in keys]
-    write_text_atomic(path, csv_table([args.param_name] + keys, columns))
     print(f"  wrote {path}")
     return 0 if all_passed else CHECK_FAILURE
 
 
+@functools.cache  # building the parser takes argparse about 0.9 ms; one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twostate",

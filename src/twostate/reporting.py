@@ -77,12 +77,12 @@ def _format_cell(cell) -> str:
     return str(cell)
 
 
-def _format_column(column) -> list[str]:
+def _column_cells(column) -> tuple[str, list]:
+    """The `%` conversion of one column and its cells: finite floats as floats under `%.17g`, else text under `%s`."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f" and np.isfinite(column).all():
-        # the float path of format_float, without its per-cell NaN/inf tests
-        return [format(x, ".17g") for x in column.tolist()]
+        return "%.17g", column.tolist()  # the float path of format_float, without its per-cell NaN/inf tests
     cells = column.tolist() if isinstance(column, np.ndarray) else column
-    return [_format_cell(cell) for cell in cells]
+    return "%s", [_format_cell(cell) for cell in cells]
 
 
 def csv_table(header: list[str], columns) -> str:
@@ -90,10 +90,17 @@ def csv_table(header: list[str], columns) -> str:
 
     A column is a numpy array or a sequence of Python values; cells are
     written as `true`/`false`, integers, `format_float` floats, or `str()`.
+    The cells, interleaved row by row, fill one `%` template of the table in
+    one pass; the header stays outside it, so a `%` in a name is kept as is.
     """
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_format_column, columns), strict=True)))
-    return "\n".join(lines) + "\n"
+    conversions, cells = zip(*map(_column_cells, columns))
+    rows = len(cells[0])
+    if any(len(column) != rows for column in cells):
+        raise ValueError(f"columns of unequal length: {[len(column) for column in cells]}")
+    grid = np.empty((rows, len(cells)), dtype=object)
+    for j, column in enumerate(cells):
+        grid[:, j] = column
+    return ",".join(header) + "\n" + (",".join(conversions) + "\n") * rows % tuple(grid.ravel().tolist())
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -68,12 +68,6 @@ def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, 
     return WeakValue(num / denom, abs(denom))
 
 
-def expectation_value(pre: StateVector, obs: DenseOperator) -> WeakValue:
-    """Pre-selected-only weak value, i.e. the ordinary expectation value."""
-    psi = pre.normalized().amplitudes
-    return WeakValue(complex(np.vdot(psi, obs.apply(psi))), 1.0)
-
-
 def _as_generalized(description) -> GeneralizedTwoStateVector:
     if isinstance(description, TwoStateVector):
         return GeneralizedTwoStateVector.from_two_state(description)

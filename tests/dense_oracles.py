@@ -4,8 +4,9 @@ The library evaluates its many-particle claims on (d,)*n product tensors,
 one site at a time, and never forms a d**n x d**n operator.  These helpers
 build the full vectors and operators with np.kron (or, for operators
 diagonal in the product basis, their diagonals).  `verify_projectors`
-checks a spectral decomposition through its dense projectors, and
-`evolve_unitary` moves states in time, which the library never does.
+checks a spectral decomposition through its dense projectors,
+`evolve_unitary` moves states in time, which the library never does, and
+`expectation_value` is the pre-selected-only end of the weak-value chain.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def evolve_unitary(state: np.ndarray, hamiltonian: DenseOperator, t: float) -> n
         raise DimensionMismatch(f"state dim {psi.shape} vs operator dim {hamiltonian.dim}")
     w, v = np.linalg.eigh(hamiltonian.matrix)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
+
+
+def expectation_value(pre: StateVector, obs: DenseOperator) -> complex:
+    """<psi|C|psi> / <psi|psi> with the dense matrix: the weak value with no post-selection."""
+    psi = pre.amplitudes
+    return complex(np.vdot(psi, obs.matrix @ psi) / np.vdot(psi, psi))
 
 
 def kron_all(factors, dtype=complex) -> np.ndarray:

@@ -433,7 +433,7 @@ def test_criterion_09_protective_measurements():
 
     ratio_ok = all(r <= 0.75 for r in ratios)
     protected_ok = (
-        protected.lambda_n_over_p0 == pytest.approx(50.0)
+        protected.lambda_n_over_p0 == pytest.approx(50.0, abs=0)
         and abs(protected.pointer_shift - SQRT2) <= 0.02 * SQRT2
     )
     control_ok = abs(control.pointer_shift - SQRT2) > 0.02 * SQRT2

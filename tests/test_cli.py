@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from twostate import cli
 from twostate.cli import main
 from twostate.reporting import csv_table, format_float
+from twostate.scenarios import REGISTRY, get_scenario
 
 
 def run_cli(*argv):
@@ -265,4 +267,32 @@ def test_non_finite_float_parameters_are_refused(param, tmp_path, capsys):
 def test_pointers_the_grid_cannot_resolve_are_refused(scenario, param, message, tmp_path, capsys):
     assert run_cli("run", scenario, "--param", param, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "epr_product_rule"], ["sweep", "n_box", "--param-name", "boxes", "--values", "3,4"]],
+    ids=["run", "sweep"],
+)
+def test_outputs_that_cannot_be_written_are_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "a-regular-file"
+    out.write_text("")
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("scenario, name, cap", [("spin_xi_weak", "ensemble", 10**6), ("n_box", "boxes", 100_000)])
+def test_sizes_above_their_cap_are_refused_before_any_compute(scenario, name, cap, tmp_path, monkeypatch, capsys):
+    def computes(params, seed):
+        raise AssertionError("a value above the cap reached the scenario")
+
+    spec = get_scenario(scenario)
+    monkeypatch.setitem(REGISTRY, scenario, dataclasses.replace(spec, runner=computes))
+    assert {p.name: p for p in spec.params}[name].coerce(str(cap)) == cap
+    for value in (cap + 1, 10**12):
+        assert run_cli("run", scenario, "--param", f"{name}={value}", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: parameter {name!r} is at most {cap}, got {value}\n"
     assert not any(tmp_path.iterdir())

@@ -161,9 +161,9 @@ def test_degenerate_post_rejects_non_projectors():
 
 def test_certain_outcome_cases():
     tsv = three_box_tsv()
-    assert certain_outcome(tsv, box_projector(1)) == pytest.approx(1.0)
+    assert certain_outcome(tsv, box_projector(1)) == pytest.approx(1.0, abs=0)
     prod = DenseOperator(box_projector(0).matrix @ box_projector(1).matrix)
-    assert certain_outcome(tsv, prod) == pytest.approx(0.0)
+    assert certain_outcome(tsv, prod) == 0.0
     up_x = spin_up([1, 0, 0])
     plain = TwoStateVector(CoStateVector.from_ket(up_x), StateVector(up_x))
     assert certain_outcome(plain, pauli("z")) is None
@@ -171,9 +171,9 @@ def test_certain_outcome_cases():
 
 def test_product_rule_failure_for_epr_pair():
     report = product_rule_report(epr_tsv(), tensor_product(pauli("y"), identity(2)), tensor_product(identity(2), pauli("x")))
-    assert report.a_certain == pytest.approx(-1.0)
-    assert report.b_certain == pytest.approx(-1.0)
-    assert report.ab_certain == pytest.approx(-1.0)
+    assert report.a_certain == pytest.approx(-1.0, abs=0)
+    assert report.b_certain == pytest.approx(-1.0, abs=0)
+    assert report.ab_certain == pytest.approx(-1.0, abs=0)
     assert report.product_rule_holds is False
     assert report.commutator_norm == pytest.approx(0.0, abs=1e-12)
 

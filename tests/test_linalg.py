@@ -289,7 +289,7 @@ def test_tensor_product_basics():
     vec = tensor_product(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert np.allclose(vec, [0, 1, 0, 0])
     zz = tensor_product(pauli("z"), pauli("z"))
-    assert np.vdot(vec, zz.matrix @ vec).real == pytest.approx(-1.0)
+    assert np.vdot(vec, zz.matrix @ vec).real == pytest.approx(-1.0, abs=0)
 
 
 def test_apply_on_site_matches_the_kron_embedded_operator():
@@ -317,7 +317,7 @@ def test_grid_validation():
     with pytest.raises(ValidationError):
         Grid1D(1.0, 1.0, 32)
     g = Grid1D(-1.0, 1.0, 21)
-    assert g.spacing == pytest.approx(0.1)
+    assert g.spacing == pytest.approx(0.1, abs=0)
 
 
 def test_fourier_gaussian_is_self_conjugate():

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import twostate
-from twostate.cli import main
+from twostate.cli import build_parser, main
 from twostate.scenarios import REGISTRY
 from twostate.timemachine import binomial_schedule
 
@@ -65,7 +65,6 @@ UNREACHED = {
     "timemachine.radius_schedule": DILATIONS,
     "timemachine.shell_pair_dilation": DILATIONS,
     "timemachine.sr_dilation": DILATIONS,
-    "weak.expectation_value": "the pre-selected-only limit: test_weak::test_reduction_chain_on_random_instances",
     "weak.theorem_i_check": "test_weak::test_theorem_i_for_boxes_and_epr",
     "weak.theorem_ii_check": "test_weak::test_theorem_ii_branches",
     "weak.weak_value_degenerate_post": CRITERION_10,
@@ -98,7 +97,8 @@ def entered_functions(argvs: list) -> set:
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    binomial_schedule.cache_clear()  # a schedule cached by an earlier test would skip the function
+    binomial_schedule.cache_clear()  # a schedule or parser cached by an earlier test would skip its function
+    build_parser.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in argvs]

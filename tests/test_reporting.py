@@ -26,6 +26,13 @@ def rowwise_csv(header, rows):
 
 SUBNORMAL = 5e-324
 
+
+def wide_range_floats(shape, seed=0):
+    """Random signed floats whose decimal exponents span -320 to 308, subnormals included."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-320, 309, shape).astype(float)
+
+
 CASES = {
     "finite floats": [np.array([0.1, -0.0, SUBNORMAL, -1e308, 1 / 3, 2.0**60])],
     "non-finite floats": [np.array([math.nan, math.inf, -math.inf, -0.0, SUBNORMAL])],
@@ -37,6 +44,10 @@ CASES = {
         [np.float64(-0.0), np.float64(SUBNORMAL), "x", 2],
     ],
     "empty": [np.array([]), []],
+    "finite beside non-finite": [np.array([0.5, -1e-300, 7.0]), np.array([math.nan, math.inf, -math.inf])],
+    "float32 beside float64": [np.array([0.1, -2.5], dtype=np.float32), np.array([0.1, -2.5])],
+    "one row": [np.array([1 / 3]), np.array([-7]), [None], ["50%"]],
+    "4096 x 4 wide-range floats": list(wide_range_floats((4, 4096))),
 }
 
 
@@ -56,3 +67,20 @@ def test_column_writer_cells():
 def test_columns_of_unequal_length_are_refused():
     with pytest.raises(ValueError):
         csv_table(["a", "b"], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError):  # a one-cell column must not broadcast down the table
+        csv_table(["a", "b"], [np.zeros(3), [1.0]])
+
+
+def test_wide_range_case_reaches_both_ends_of_the_float_range():
+    x = np.concatenate(CASES["4096 x 4 wide-range floats"])
+    assert np.isfinite(x).all()
+    assert (np.abs(x) < np.finfo(float).tiny).sum() > 10 and np.abs(x).max() > 1e307
+
+
+def test_percent_signs_in_names_and_cells_are_written_as_they_stand():
+    header = ["50%", "%s", "%%", "x"]
+    columns = [["50%", "%d"], ["%s", "%(x)s"], np.array([0.25, 100.0]), np.array([1.0, math.nan])]
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    text = csv_table(header, columns)
+    assert text == rowwise_csv(header, zip(*cells))
+    assert text == "50%,%s,%%,x\n50%,%s,0.25,1\n%d,%(x)s,100,NaN\n"

@@ -77,7 +77,7 @@ def test_figure_schedule_weights_are_exact_integers():
         expected = Fraction(math.comb(13, n) * 10**n * (-9) ** (13 - n))
         assert w == expected
     assert sched.exact_weights[0] == -(9**13)
-    assert float(sched.exact_weights[7]) == pytest.approx(math.comb(13, 7) * 1e7 * 9**6)
+    assert float(sched.exact_weights[7]) == pytest.approx(math.comb(13, 7) * 1e7 * 9**6, abs=0)
 
 
 def test_interpolation_regime_distortion_is_small():
@@ -104,9 +104,9 @@ def test_figure_configuration_matches_the_frozen_oracle_value():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = amplified_shift(fn, 13, 10.0, 1.0)
-    assert result.distortion == pytest.approx(GOLDEN_DISTORTION, rel=1e-10)
+    assert result.distortion == pytest.approx(GOLDEN_DISTORTION, rel=1e-10, abs=0)
     analytic = gaussian_shift_distortion(13, 10.0, 1.0, 1.0, grid)
-    assert analytic == pytest.approx(GOLDEN_DISTORTION, rel=1e-10)
+    assert analytic == pytest.approx(GOLDEN_DISTORTION, rel=1e-10, abs=0)
 
 
 def test_decimal_oracle_reproduces_the_implementation_on_a_reduced_grid():
@@ -116,7 +116,7 @@ def test_decimal_oracle_reproduces_the_implementation_on_a_reduced_grid():
         warnings.simplefilter("ignore")
         result = amplified_shift(gaussian_wavefunction(grid, 1.0), 13, 10.0, 1.0)
     oracle = float(decimal_distortion_oracle(13, 10, 1.0, 1.0, -40.0, 40.0, 512))
-    assert result.distortion == pytest.approx(oracle, rel=1e-10)
+    assert result.distortion == pytest.approx(oracle, rel=1e-10, abs=0)
 
 
 def test_distortion_decreases_with_more_terms_at_fixed_span():
@@ -207,7 +207,7 @@ def test_gr_dilation_values():
     assert gr_dilation(5.972e24, 1e30, 1.0) == pytest.approx(0.0, abs=1e-15)
     # Earth-mass shell at 6.4e6 m for one second: about 7e-10 s
     lag = gr_dilation(5.972e24, 6.4e6, 1.0)
-    assert lag == pytest.approx(6.93e-10, rel=1e-2)
+    assert lag == pytest.approx(6.93e-10, rel=1e-2, abs=0)
     rs = 2 * GRAVITATIONAL_CONSTANT * 5.972e24 / LIGHT_SPEED**2
     with pytest.raises(ValidationError):
         gr_dilation(5.972e24, 0.9 * rs, 1.0)
@@ -302,7 +302,7 @@ def test_run_machine_success_is_close_to_the_unit_overlap_value():
     config = TimeMachineConfig(n_terms=13, eta=0.6, delta_t=1.0)
     run = run_machine(fn, config)
     approx = 1.0 / (14.0 * float(run.schedule.square_sum))
-    assert run.success_prob == pytest.approx(approx, rel=0.10)
+    assert run.success_prob == pytest.approx(approx, rel=0.10, abs=0)
 
 
 def test_run_machine_success_bounded_by_direct_projection():
@@ -347,13 +347,13 @@ def test_success_scaling_probe_matches_the_exact_rational_oracle():
         assert probe.probability_ratios[i] == pytest.approx(expected, rel=1e-12, abs=0)
     # probability ratios approach 1/(2 eta - 1)^2; their square roots (the
     # per-step amplitude decay) approach 1/(2 eta - 1)
-    assert probe.probability_ratios[-1] == pytest.approx(1.0 / 361.0, rel=0.05)
-    assert probe.amplitude_ratios[-1] == pytest.approx(1.0 / 19.0, rel=0.02)
+    assert probe.probability_ratios[-1] == pytest.approx(1.0 / 361.0, rel=0.05, abs=0)
+    assert probe.amplitude_ratios[-1] == pytest.approx(1.0 / 19.0, rel=0.02, abs=0)
 
 
 def test_success_scaling_probe_for_moderate_amplification():
     probe = success_scaling_probe(2.0, range(17, 22))
-    assert probe.amplitude_ratios[-1] == pytest.approx(1.0 / 3.0, rel=0.02)
+    assert probe.amplitude_ratios[-1] == pytest.approx(1.0 / 3.0, rel=0.02, abs=0)
     # eta = 1 is the boundary case: no exponential collapse (ratio near 1 in
     # amplitude once the 1/(N+1) prefactor is accounted for); recorded only.
     boundary = success_scaling_probe(1.0, range(17, 22))
