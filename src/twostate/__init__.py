@@ -19,7 +19,6 @@ from .ideal import (
     OutcomeDistribution,
     abl,
     abl_degenerate_post,
-    abl_generalized,
     born,
     born_backward,
     certain_outcome,
@@ -86,7 +85,6 @@ from .weak import (
     theorem_ii_check,
     weak_value,
     weak_value_degenerate_post,
-    weak_value_generalized,
     weak_vector,
 )
 

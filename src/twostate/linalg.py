@@ -70,7 +70,7 @@ class DenseOperator:
 
     @cached_property
     def _spectrum(self) -> "SpectralDecomposition":
-        return _decompose(self, None)
+        return _decompose(self)
 
     def apply(self, ket) -> np.ndarray:
         return self.matrix @ ket
@@ -185,7 +185,7 @@ class SpectralOperator(DenseOperator):
 
     Ascending, distinct `eigenvalues` with orthonormal eigenvector `blocks` (and
     `complement`) as in SpectralDecomposition.  The read-only dense matrix is
-    formed only on demand: by `.matrix`, `+` or an explicit `tol=`.
+    formed only on demand: by `.matrix` or `+`.
     """
 
     def __init__(self, eigenvalues, blocks, complement: int | None = None):
@@ -206,24 +206,22 @@ class SpectralOperator(DenseOperator):
         return self._spectrum.eigenvalues @ self._spectrum.branches(ket)
 
 
-def hermitian_eigendecomposition(op: DenseOperator, tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eigendecomposition(op: DenseOperator) -> SpectralDecomposition:
     """Eigenvalues of a Hermitian operator, grouped into degenerate eigenvector blocks.
 
-    Eigenvalues closer than `tol` are merged into one block; the default
-    tolerance is 1e-9 relative to the spectral radius.  At the default the
-    decomposition is computed once per operator and cached on it (operator
-    matrices are read-only, so the cache cannot go stale); a SpectralOperator's
-    is the one it was built from.  An explicit `tol` always decomposes the
-    dense matrix afresh.  A diagonal matrix with an exactly real diagonal
-    (no nonzero off-diagonal entry) needs no LAPACK call: its eigenvalues are
-    the diagonal in stable-sorted order and its eigenvectors the matching
-    columns of the identity.  Other real matrices go through the real LAPACK
-    routine, the rest through the complex one.
+    Eigenvalues closer than 1e-9 times the spectral radius are merged into one
+    block.  The decomposition is computed once per operator and cached on it
+    (operator matrices are read-only, so the cache cannot go stale); a
+    SpectralOperator's is the one it was built from.  A diagonal matrix with
+    an exactly real diagonal (no nonzero off-diagonal entry) needs no LAPACK
+    call: its eigenvalues are the diagonal in stable-sorted order and its
+    eigenvectors the matching columns of the identity.  Other real matrices
+    go through the real LAPACK routine, the rest through the complex one.
     """
-    return op._spectrum if tol is None else _decompose(op, tol)
+    return op._spectrum
 
 
-def _decompose(op: DenseOperator, tol: float | None) -> SpectralDecomposition:
+def _decompose(op: DenseOperator) -> SpectralDecomposition:
     if not op.hermitian:
         raise ValidationError("spectral decomposition requires a Hermitian operator")
     m = op.matrix
@@ -234,9 +232,7 @@ def _decompose(op: DenseOperator, tol: float | None) -> SpectralDecomposition:
     else:
         w, v = np.linalg.eigh(m if np.any(m.imag) else m.real)
     v = _read_only(v.astype(complex, copy=False))  # the cache shares the blocks with every caller
-    radius = max(np.abs(w).max(), 1e-300)
-    if tol is None:
-        tol = 1e-9 * radius
+    tol = 1e-9 * max(np.abs(w).max(), 1e-300)
     eigenvalues: list[float] = []
     blocks: list[np.ndarray] = []
     start, ws = 0, w.tolist()  # Python floats: the scan below is per eigenvalue
@@ -259,8 +255,6 @@ def tensor_product(a, b):
         if av.size * bv.size > DIMENSION_CAP:
             raise ResourceLimit(f"tensor dimension {av.size * bv.size} exceeds cap {DIMENSION_CAP}")
         return np.kron(av.astype(complex), bv.astype(complex))
-    if av.ndim == 2 and bv.ndim == 2:
-        return tensor_product(DenseOperator(av, hermitian=False), DenseOperator(bv, hermitian=False)).matrix
     raise ValidationError("tensor_product expects two operators or two vectors")
 
 

@@ -39,7 +39,7 @@ from .linalg import (
     hermitian_eigendecomposition,
     unit_density,
 )
-from .states import StateVector, TwoStateVector
+from .states import GeneralizedTwoStateVector, StateVector, TwoStateVector
 
 # Spectral components below this fraction of the peak are treated as noise
 # when a superposition is assembled by Fourier shifting; binomial weight
@@ -222,14 +222,14 @@ def pointer_distribution_preselected(
 
 
 def postselected_pointer_wavefunction(
-    tsv: TwoStateVector,
+    tsv: TwoStateVector | GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
 ) -> WaveFunction1D:
     """Unnormalized Phi(Q) = sum_n <Phi|P_n|Psi> psi_in(Q - c_n)."""
     decomp = hermitian_eigendecomposition(obs)
     pointer.check_covers(decomp.eigenvalues)
-    amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes)
+    amps = tsv.selection_amplitudes(decomp)
     norm = (np.pi * pointer.delta**2) ** -0.25
     vals = _gaussian_sum(pointer.grid.values, amps * norm, decomp.eigenvalues, 2 * pointer.delta**2)
     wf = WaveFunction1D(pointer.grid, vals)
@@ -240,7 +240,7 @@ def postselected_pointer_wavefunction(
 
 
 def pointer_distribution_postselected(
-    tsv: TwoStateVector,
+    tsv: TwoStateVector | GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
 ) -> PointerResult:
@@ -250,7 +250,7 @@ def pointer_distribution_postselected(
 
 
 def momentum_shift_imaginary_part(
-    tsv: TwoStateVector,
+    tsv: TwoStateVector | GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
 ) -> float:
@@ -270,7 +270,7 @@ def momentum_shift_imaginary_part(
 
 
 def moment_expansion_residual(
-    tsv: TwoStateVector,
+    tsv: TwoStateVector | GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
     order: int = 2,
@@ -290,7 +290,7 @@ def moment_expansion_residual(
     ov = tsv.require_overlap()
     decomp = hermitian_eigendecomposition(obs)
     shifts = decomp.eigenvalues
-    amps = decomp.selection_amplitudes(tsv.bra.row, tsv.ket.amplitudes) / ov
+    amps = tsv.selection_amplitudes(decomp) / ov
     mom = fourier_pair(pointer.initial_wavefunction())
     p = mom.grid.values
     exact = mom.values * (amps[:, None] * np.exp(-1j * np.outer(shifts, p))).sum(axis=0)

@@ -5,20 +5,38 @@ A system between two complete measurements is described by a pair
 co-state fixed by the later outcome evolving backward.  Generalized
 descriptions are weighted superpositions of such pairs; their overall
 normalization is deliberately not enforced because every consumer here is
-a ratio formula.
+a ratio formula.  Both description types contract themselves with an
+operator or a spectrum (`overlap`, `require_overlap`, `selection_amplitudes`,
+`bilinear`), so every rule that uses only these takes either type.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, OverlapTooSmall, ValidationError
-from .linalg import DenseOperator
+from .linalg import DenseOperator, SpectralDecomposition
 
 # Below this overlap magnitude, ratio formulas refuse to divide.
 OVERLAP_EPSILON = 1e-12
+
+
+def _require_overlap(ov: complex, scale: float) -> complex:
+    """`ov`, refused when |ov| is at most OVERLAP_EPSILON times `scale`, the size of the norms it is made of.
+
+    A subnormal |ov| is refused at any scale: numpy divides by multiplying with 1/ov, which overflows there.
+    """
+    if abs(ov) <= max(OVERLAP_EPSILON * scale, sys.float_info.min):
+        raise OverlapTooSmall(f"overlap {abs(ov):.3e} is below the division threshold")
+    return ov
+
+
+def _check_operator_dim(op: DenseOperator, dim: int) -> None:
+    if op.dim != dim:
+        raise DimensionMismatch(f"operator dim {op.dim} vs description dim {dim}")
 
 
 def _as_state_array(amplitudes) -> np.ndarray:
@@ -107,59 +125,53 @@ class TwoStateVector:
         return self.bra.pair(self.ket)
 
     def require_overlap(self) -> complex:
-        ov = self.overlap()
-        if abs(ov) <= OVERLAP_EPSILON * self.bra.norm() * self.ket.norm():
-            raise OverlapTooSmall(f"|<Phi|Psi>| = {abs(ov):.3e} is below the division threshold")
-        return ov
+        return _require_overlap(self.overlap(), self.bra.norm() * self.ket.norm())
+
+    def selection_amplitudes(self, decomp: SpectralDecomposition) -> np.ndarray:
+        """<Phi|P_n|Psi> for every eigenvalue of `decomp`."""
+        return decomp.selection_amplitudes(self.bra.row, self.ket.amplitudes)
+
+    def bilinear(self, op: DenseOperator):
+        """<Phi| op |Psi>, as a numpy scalar: dividing it keeps numpy's complex division."""
+        _check_operator_dim(op, self.dim)
+        return self.bra.row @ op.apply(self.ket.amplitudes)
 
 
 @dataclass(frozen=True)
 class GeneralizedTwoStateVector:
-    """Weighted superposition sum_i alpha_i <Phi_i| |Psi_i> (unnormalized)."""
+    """Weighted superposition sum_i alpha_i <Phi_i| |Psi_i> (unnormalized) of (alpha_i, bra, ket) `terms`."""
 
-    weights: tuple
-    bras: tuple
-    kets: tuple
+    terms: tuple
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.bras) == len(self.kets)) or len(self.weights) == 0:
-            raise ValidationError("generalized description needs at least one (weight, bra, ket) term")
-        w = tuple(complex(a) for a in self.weights)
-        if all(a == 0 for a in w):
-            raise ValidationError("all superposition weights vanish")
-        dims = {b.dim for b in self.bras} | {k.dim for k in self.kets}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed dimensions in superposition terms: {sorted(dims)}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bras", tuple(self.bras))
-        object.__setattr__(self, "kets", tuple(self.kets))
-
-    @classmethod
-    def from_terms(cls, terms) -> "GeneralizedTwoStateVector":
-        terms = list(terms)
+        terms = tuple((complex(a), b, k) for a, b, k in self.terms)
         if not terms:
             raise ValidationError("generalized description needs at least one (weight, bra, ket) term")
-        weights, bras, kets = zip(*terms)
-        return cls(weights, bras, kets)
-
-    @classmethod
-    def from_two_state(cls, tsv: TwoStateVector) -> "GeneralizedTwoStateVector":
-        return cls((1.0,), (tsv.bra,), (tsv.ket,))
+        if all(a == 0 for a, _, _ in terms):
+            raise ValidationError("all superposition weights vanish")
+        dims = {v.dim for _, b, k in terms for v in (b, k)}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"mixed dimensions in superposition terms: {sorted(dims)}")
+        object.__setattr__(self, "terms", terms)
 
     @property
     def dim(self) -> int:
-        return self.kets[0].dim
+        return self.terms[0][2].dim
 
     def overlap(self) -> complex:
-        return complex(sum(a * b.pair(k) for a, b, k in zip(self.weights, self.bras, self.kets)))
+        return complex(sum(a * b.pair(k) for a, b, k in self.terms))
+
+    def require_overlap(self) -> complex:
+        return _require_overlap(self.overlap(), sum(abs(a) * b.norm() * k.norm() for a, b, k in self.terms))
+
+    def selection_amplitudes(self, decomp: SpectralDecomposition) -> np.ndarray:
+        """sum_i alpha_i <Phi_i|P_n|Psi_i> for every eigenvalue of `decomp`."""
+        return sum(a * decomp.selection_amplitudes(b.row, k.amplitudes) for a, b, k in self.terms)
 
     def bilinear(self, op: DenseOperator) -> complex:
         """sum_i alpha_i <Phi_i| op |Psi_i>."""
-        if op.dim != self.dim:
-            raise DimensionMismatch(f"operator dim {op.dim} vs description dim {self.dim}")
-        return complex(
-            sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in zip(self.weights, self.bras, self.kets))
-        )
+        _check_operator_dim(op, self.dim)
+        return complex(sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in self.terms))
 
 
 def interchange(description):
@@ -175,9 +187,6 @@ def interchange(description):
         )
     if isinstance(description, GeneralizedTwoStateVector):
         return GeneralizedTwoStateVector(
-            weights=tuple(np.conj(a) for a in description.weights),
-            bras=tuple(CoStateVector.from_ket(k.amplitudes) for k in description.kets),
-            kets=tuple(StateVector(b.ket_form) for b in description.bras),
+            [(np.conj(a), CoStateVector.from_ket(k.amplitudes), StateVector(b.ket_form)) for a, b, k in description.terms]
         )
     raise ValidationError(f"cannot interchange {type(description).__name__}")
-

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import _require_projector, abl_generalized, certain_outcome
 from .linalg import DenseOperator, SpectralOperator, hermitian_eigendecomposition, pauli
-from .states import OVERLAP_EPSILON, GeneralizedTwoStateVector, StateVector, TwoStateVector
+from .states import StateVector, _require_overlap
 
 
 @dataclass(frozen=True)
@@ -41,47 +41,25 @@ class WeakVector:
         return np.array([self.wx, self.wy, self.wz])
 
 
-def weak_value(tsv: TwoStateVector, obs: DenseOperator) -> WeakValue:
-    ov = tsv.require_overlap()
-    num = tsv.bra.row @ obs.apply(tsv.ket.amplitudes)
-    return WeakValue(complex(num / ov), abs(ov))
-
-
-def weak_value_generalized(gtsv: GeneralizedTwoStateVector, obs: DenseOperator) -> WeakValue:
-    ov = gtsv.overlap()
-    scale = sum(
-        abs(a) * b.norm() * k.norm() for a, b, k in zip(gtsv.weights, gtsv.bras, gtsv.kets)
-    )
-    if abs(ov) <= OVERLAP_EPSILON * scale:
-        raise OverlapTooSmall(f"generalized overlap {abs(ov):.3e} is below the division threshold")
-    return WeakValue(complex(gtsv.bilinear(obs) / ov), abs(ov))
+def weak_value(description, obs: DenseOperator) -> WeakValue:
+    """<Phi|C|Psi> / <Phi|Psi>, or its generalized form, for either description type."""
+    ov = description.require_overlap()
+    return WeakValue(complex(description.bilinear(obs) / ov), abs(ov))
 
 
 def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: DenseOperator) -> WeakValue:
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
     pb = _require_projector(post_projector)
     psi = pre.amplitudes
-    denom = complex(np.vdot(psi, pb @ psi))
-    if abs(denom) <= OVERLAP_EPSILON * pre.norm() ** 2:
-        raise OverlapTooSmall(f"projected norm {abs(denom):.3e} is below the division threshold")
+    denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), pre.norm() ** 2)
     num = complex(np.vdot(psi, pb @ obs.apply(psi)))
     return WeakValue(num / denom, abs(denom))
 
 
-def _as_generalized(description) -> GeneralizedTwoStateVector:
-    if isinstance(description, TwoStateVector):
-        return GeneralizedTwoStateVector.from_two_state(description)
-    if isinstance(description, GeneralizedTwoStateVector):
-        return description
-    raise ValidationError(f"unsupported description {type(description).__name__}")
-
-
 def weak_vector(description) -> WeakVector:
-    gtsv = _as_generalized(description)
-    if gtsv.dim != 2:
+    if description.dim != 2:
         raise ValidationError("weak vectors are defined for spin-1/2 descriptions only")
-    comps = [weak_value_generalized(gtsv, pauli(ax)).value for ax in "xyz"]
-    return WeakVector(*comps)
+    return WeakVector(*(weak_value(description, pauli(ax)).value for ax in "xyz"))
 
 
 @dataclass(frozen=True)
@@ -97,8 +75,8 @@ def _direction_obs(theta: float, phi: float) -> DenseOperator:
     return SpectralOperator([-1.0, 1.0], [np.array([[-e.conjugate() * s], [c]]), np.array([[c], [e * s]])])
 
 
-def _certainty_probability(gtsv: GeneralizedTwoStateVector, theta: float, phi: float) -> float:
-    dist = abl_generalized(gtsv, _direction_obs(theta, phi))
+def _certainty_probability(description, theta: float, phi: float) -> float:
+    dist = abl_generalized(description, _direction_obs(theta, phi))
     return dist.probability_of(1.0, tol=1e-6)
 
 
@@ -108,14 +86,13 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     The candidate set comes from the weak-vector criterion: the projection
     of the weak vector on the direction must equal 1 (two real constraints
     for a complex weak vector).  Every candidate is then cross-checked with
-    the generalized conditional-probability formula; only directions whose
+    the conditional-probability (ABL) formula; only directions whose
     probability reaches 1 - 1e-10 are returned.
     """
     if samples < 8:
         raise ValidationError("use at least 8 azimuthal samples")
-    gtsv = _as_generalized(description)
     try:
-        w = weak_vector(gtsv).components
+        w = weak_vector(description).components
     except OverlapTooSmall:
         return []  # overlap vanishes: no finite weak vector, no certified cone
     w_re, w_im = w.real, w.imag
@@ -126,7 +103,7 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
         theta = float(np.arccos(np.clip(nhat[2], -1, 1)))
         phi = float(np.arctan2(nhat[1], nhat[0]) % (2 * np.pi))
         try:
-            prob = _certainty_probability(gtsv, theta, phi)
+            prob = _certainty_probability(description, theta, phi)
         except PostSelectionImpossible:
             return
         if prob >= 1.0 - 1e-10:
@@ -178,10 +155,10 @@ class TheoremReport:
 
 def theorem_i_check(description, obs: DenseOperator) -> TheoremReport:
     """Certain strong outcome implies the weak value equals that eigenvalue (to 1e-10)."""
-    certain = certain_outcome(_as_generalized(description), obs)
+    certain = certain_outcome(description, obs)
     if certain is None:
         return TheoremReport(False, None, None, None, "no outcome is certain")
-    wv = weak_value_generalized(_as_generalized(description), obs).value
+    wv = weak_value(description, obs).value
     ok = bool(abs(wv - certain) <= 1e-10)
     return TheoremReport(True, ok, certain, wv, "weak value matches the certain eigenvalue" if ok else "mismatch")
 
@@ -191,11 +168,10 @@ def theorem_ii_check(description, obs: DenseOperator) -> TheoremReport:
     decomp = hermitian_eigendecomposition(obs)
     if len(decomp.eigenvalues) != 2:
         raise ValidationError("theorem (ii) applies to dichotomic observables only")
-    gtsv = _as_generalized(description)
-    wv = weak_value_generalized(gtsv, obs).value
+    wv = weak_value(description, obs).value
     matches = [c for c in decomp.eigenvalues if abs(wv - c) <= 1e-10]
     if not matches:
         return TheoremReport(False, None, None, wv, "weak value is not an eigenvalue")
-    certain = certain_outcome(gtsv, obs)
+    certain = certain_outcome(description, obs)
     ok = certain is not None and abs(certain - matches[0]) <= 1e-10
     return TheoremReport(True, bool(ok), certain, wv, "certainty confirmed" if ok else "certainty missing")

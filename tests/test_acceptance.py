@@ -20,7 +20,6 @@ from scipy.linalg import eigh_tridiagonal
 from twostate.ideal import (
     abl,
     abl_degenerate_post,
-    abl_generalized,
     born,
     certain_outcome,
     counterfactual_decomposition_check,
@@ -58,7 +57,7 @@ from twostate.states import (
     interchange,
 )
 from twostate.timemachine import amplified_shift, gaussian_shift_distortion, success_scaling_probe
-from twostate.weak import weak_value, weak_value_degenerate_post, weak_value_generalized
+from twostate.weak import weak_value, weak_value_degenerate_post
 
 SQRT2 = math.sqrt(2.0)
 
@@ -332,7 +331,7 @@ def test_criterion_07_spin_cone():
     down = np.array([0.0, 1.0])
     cases = []
     for chi in (math.pi / 16, math.pi / 8, 3 * math.pi / 16):
-        gtsv = GeneralizedTwoStateVector.from_terms(
+        gtsv = GeneralizedTwoStateVector(
             [
                 (math.cos(chi), CoStateVector.from_ket(up), StateVector(up)),
                 (-math.sin(chi), CoStateVector.from_ket(down), StateVector(down)),
@@ -350,9 +349,9 @@ def test_criterion_07_spin_cone():
         probs, printed = [], []
         for gtsv, theta, theta_printed in cases:
             for phi in (0.0, 2.0, 4.5):
-                probs.append(abl_generalized(gtsv, observables(theta, phi)).probability_of(1.0, tol=1e-6))
+                probs.append(abl(gtsv, observables(theta, phi)).probability_of(1.0, tol=1e-6))
             printed.append(
-                abl_generalized(gtsv, observables(theta_printed, 0.0)).probability_of(1.0, tol=1e-6)
+                abl(gtsv, observables(theta_printed, 0.0)).probability_of(1.0, tol=1e-6)
             )
         return probs, printed
 
@@ -476,21 +475,21 @@ def test_criterion_10_symmetry_suite():
 
         psi2 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         phi2 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        gtsv = GeneralizedTwoStateVector.from_terms(
+        gtsv = GeneralizedTwoStateVector(
             [
                 (complex(rng.normal(), rng.normal()), CoStateVector.from_ket(phi), StateVector(psi)),
                 (complex(rng.normal(), rng.normal()), CoStateVector.from_ket(phi2), StateVector(psi2)),
             ]
         )
         try:
-            g1 = abl_generalized(gtsv, obs).probabilities
-            g2 = abl_generalized(interchange(gtsv), obs).probabilities
+            g1 = abl(gtsv, obs).probabilities
+            g2 = abl(interchange(gtsv), obs).probabilities
             worst_gen = max(worst_gen, float(np.abs(g1 - g2).max()))
         except Exception:
             pass  # vanishing generalized denominator: no distribution to compare
 
         sv = StateVector(psi)
-        one_term = weak_value_generalized(GeneralizedTwoStateVector.from_two_state(tsv), obs).value
+        one_term = weak_value(GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)]), obs).value
         rank_one = weak_value_degenerate_post(sv, projector_onto(phi), obs).value
         full_post = weak_value_degenerate_post(sv, identity(dim), obs).value
         expectation = np.vdot(sv.normalized().amplitudes, obs.matrix @ sv.normalized().amplitudes)

@@ -296,3 +296,12 @@ def test_sizes_above_their_cap_are_refused_before_any_compute(scenario, name, ca
         assert run_cli("run", scenario, "--param", f"{name}={value}", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == f"error: parameter {name!r} is at most {cap}, got {value}\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("boxes", [2360, 10_000, 20_000])
+def test_n_box_weak_value_sum_is_checked_at_its_own_round_off(boxes, tmp_path, capsys):
+    # (n-1) + Re(P_n)_w - 1 rounds off as n**2 * eps: 1.8e-8 at 10,000 boxes, above a flat 1e-9
+    assert run_cli("run", "n_box", "--param", f"boxes={boxes}", "--format", "json", "--out", str(tmp_path)) == 0
+    payload = json.loads((tmp_path / "n_box" / "results.json").read_text())
+    assert payload["passed"] is True
+    assert payload["checks"]["weak_values_sum_to_one"] is True

@@ -6,7 +6,6 @@ from twostate.ideal import (
     abl,
     abl_degenerate_post,
     basis_occupation_probabilities,
-    abl_generalized,
     born,
     born_backward,
     certain_outcome,
@@ -45,7 +44,7 @@ def epr_tsv() -> TwoStateVector:
 
 
 def spin_cone_gtsv(chi: float) -> GeneralizedTwoStateVector:
-    return GeneralizedTwoStateVector.from_terms(
+    return GeneralizedTwoStateVector(
         [
             (np.cos(chi), CoStateVector.from_ket([1.0, 0.0]), StateVector([1.0, 0.0])),
             (-np.sin(chi), CoStateVector.from_ket([0.0, 1.0]), StateVector([0.0, 1.0])),
@@ -86,10 +85,10 @@ def test_generalized_single_term_reduces_to_abl():
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
     phi = rng.normal(size=3) + 1j * rng.normal(size=3)
     tsv = TwoStateVector(CoStateVector.from_ket(phi), StateVector(psi))
-    gtsv = GeneralizedTwoStateVector.from_two_state(tsv)
+    gtsv = GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)])
     raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     obs = DenseOperator(raw + raw.conj().T)
-    assert np.abs(abl_generalized(gtsv, obs).probabilities - abl(tsv, obs).probabilities).max() <= 1e-14
+    assert np.abs(abl(gtsv, obs).probabilities - abl(tsv, obs).probabilities).max() <= 1e-14
 
 
 def test_spin_cone_direction_is_certain():
@@ -99,7 +98,7 @@ def test_spin_cone_direction_is_certain():
     theta = np.arccos(cos_theta)
     for phi in (0.0, 1.1, 4.0):
         direction = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-        dist = abl_generalized(gtsv, spin_direction(direction))
+        dist = abl(gtsv, spin_direction(direction))
         assert dist.probability_of(1.0) >= 1.0 - 1e-12
 
 
@@ -107,7 +106,7 @@ def test_spin_cone_at_chi_quarter_pi_has_empty_denominator_on_the_equator():
     gtsv = spin_cone_gtsv(np.pi / 4)
     # numerically determined: both conditional amplitudes vanish at theta = pi/2
     with pytest.raises(PostSelectionImpossible):
-        abl_generalized(gtsv, spin_direction([1, 0, 0]))
+        abl(gtsv, spin_direction([1, 0, 0]))
 
 
 def test_degenerate_post_with_identity_is_born_rule():

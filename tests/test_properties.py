@@ -1,0 +1,91 @@
+"""Property tests: a two-state vector and its one-term generalized description obey the same rules.
+
+Random kets, bras and Hermitian observables of dimension 2-6, every entry
+drawn from [-1, 1] (zeros and subnormals included).  Where one description
+is refused (a vanishing overlap or ABL denominator, a pointer the grid cannot
+resolve), the other must be refused with the same error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from twostate.errors import TwoStateError  # noqa: E402
+from twostate.ideal import abl, certain_outcome  # noqa: E402
+from twostate.linalg import DenseOperator, hermitian_eigendecomposition  # noqa: E402
+from twostate.pointer import GaussianPointer, postselected_pointer_wavefunction  # noqa: E402
+from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
+from twostate.weak import weak_value  # noqa: E402
+
+EPS = math.ulp(1.0)
+PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+def complex_entries(n: int):
+    return arrays(np.float64, (2, n), elements=st.floats(-1.0, 1.0)).map(lambda x: x[0] + 1j * x[1])
+
+
+@st.composite
+def descriptions(draw):
+    """(TwoStateVector, its one-term GeneralizedTwoStateVector, a Hermitian observable)."""
+    d = draw(st.integers(2, 6))
+    ket, phi = draw(complex_entries(d)), draw(complex_entries(d))
+    assume(np.linalg.norm(ket) > 0 and np.linalg.norm(phi) > 0)
+    raw = draw(complex_entries(d * d)).reshape(d, d)
+    tsv = TwoStateVector(CoStateVector.from_ket(phi), StateVector(ket))
+    return tsv, GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)]), DenseOperator(raw + raw.conj().T)
+
+
+def assert_same(fn, args, general_args, same) -> None:
+    """fn on both descriptions: the same TwoStateError, or results for which same(general, plain) holds."""
+    results = []
+    for a in (args, general_args):
+        try:
+            results.append(fn(*a))
+        except TwoStateError as exc:
+            results.append(type(exc))
+    plain, general = results
+    if isinstance(plain, type) or isinstance(general, type):
+        assert general is plain
+    else:
+        assert same(general, plain)
+
+
+@PROPERTY
+@given(descriptions(), st.floats(0.05, 5.0))
+def test_one_term_description_obeys_the_same_rules(case, delta):
+    tsv, gtsv, obs = case
+    assert_same(abl, (tsv, obs), (gtsv, obs), lambda g, p: np.array_equal(g.probabilities, p.probabilities))
+    assert_same(
+        weak_value,
+        (tsv, obs),
+        (gtsv, obs),
+        lambda g, p: g.overlap_magnitude == p.overlap_magnitude and abs(g.value - p.value) <= 4 * EPS * abs(p.value),
+    )
+    assert_same(certain_outcome, (tsv, obs), (gtsv, obs), lambda g, p: g == p)
+    pointer = GaussianPointer.for_spectrum(delta, hermitian_eigendecomposition(obs).eigenvalues, points=256)
+    assert_same(
+        postselected_pointer_wavefunction,
+        (tsv, obs, pointer),
+        (gtsv, obs, pointer),
+        lambda g, p: np.array_equal(g.values, p.values),
+    )
+
+
+@PROPERTY
+@given(descriptions(), st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=3))
+def test_interchange_twice_is_the_identity(case, weights):
+    tsv, _, _ = case
+    twice = interchange(interchange(tsv))
+    assert np.array_equal(twice.bra.row, tsv.bra.row) and np.array_equal(twice.ket.amplitudes, tsv.ket.amplitudes)
+    assume(any(w != (0.0, 0.0) for w in weights))
+    gtsv = GeneralizedTwoStateVector([(complex(*w), tsv.bra, interchange(tsv).ket) for w in weights])
+    twice = interchange(interchange(gtsv))
+    for (a, b, k), (a2, b2, k2) in zip(gtsv.terms, twice.terms, strict=True):
+        assert a2 == a and np.array_equal(b2.row, b.row) and np.array_equal(k2.amplitudes, k.amplitudes)

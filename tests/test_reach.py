@@ -57,8 +57,6 @@ UNREACHED = {
     "protective.protected_two_state_measurement": CRITERION_9,
     "protective.weak_value_substituted_hamiltonian": "test_protective weak-value substitution tests",
     "scenarios._register": "runs at import, before any CLI call",
-    "states.GeneralizedTwoStateVector.from_two_state": f"one-term descriptions, {CRITERION_10}",
-    "states.TwoStateVector.dim": f"protective's dimension checks, {CRITERION_9}",
     "states.interchange": f"time-reversal interchange, {CRITERION_10}",
     "timemachine._one_minus_sqrt_one_minus": DILATIONS,
     "timemachine.gr_dilation": DILATIONS,

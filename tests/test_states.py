@@ -106,9 +106,9 @@ def test_interchange_conjugates_generalized_weights():
         bra = CoStateVector.from_ket(rng.normal(size=2) + 1j * rng.normal(size=2))
         ket = StateVector(rng.normal(size=2) + 1j * rng.normal(size=2))
         terms.append((alpha, bra, ket))
-    gtsv = GeneralizedTwoStateVector.from_terms(terms)
+    gtsv = GeneralizedTwoStateVector(terms)
     swapped = interchange(gtsv)
-    for (a, b, k), (a2, b2, k2) in zip(terms, zip(swapped.weights, swapped.bras, swapped.kets)):
+    for (a, b, k), (a2, b2, k2) in zip(terms, swapped.terms):
         assert a2 == pytest.approx(np.conj(a), abs=0)
         assert np.allclose(b2.ket_form, k.amplitudes)
         assert np.allclose(k2.amplitudes, b.ket_form)
@@ -126,13 +126,13 @@ def test_two_state_vector_dimension_check_and_overlap_floor():
 
 def test_generalized_validation():
     with pytest.raises(ValidationError):
-        GeneralizedTwoStateVector.from_terms([])
+        GeneralizedTwoStateVector([])
     bra = CoStateVector.from_ket([1.0, 0.0])
     ket = StateVector([1.0, 0.0])
     with pytest.raises(ValidationError):
-        GeneralizedTwoStateVector.from_terms([(0.0, bra, ket)])
+        GeneralizedTwoStateVector([(0.0, bra, ket)])
     with pytest.raises(DimensionMismatch):
-        GeneralizedTwoStateVector.from_terms(
+        GeneralizedTwoStateVector(
             [(1.0, bra, ket), (1.0, CoStateVector.from_ket([1.0, 0.0, 0.0]), StateVector([1.0, 0.0, 0.0]))]
         )
 

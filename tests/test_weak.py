@@ -28,7 +28,6 @@ from twostate.weak import (
     theorem_ii_check,
     weak_value,
     weak_value_degenerate_post,
-    weak_value_generalized,
     weak_vector,
 )
 
@@ -44,7 +43,7 @@ def bisector_tsv() -> TwoStateVector:
 
 
 def spin_cone_gtsv(chi: float) -> GeneralizedTwoStateVector:
-    return GeneralizedTwoStateVector.from_terms(
+    return GeneralizedTwoStateVector(
         [
             (np.cos(chi), CoStateVector.from_ket([1.0, 0.0]), StateVector([1.0, 0.0])),
             (-np.sin(chi), CoStateVector.from_ket([0.0, 1.0]), StateVector([0.0, 1.0])),
@@ -81,6 +80,16 @@ def test_near_orthogonal_selection_raises():
         weak_value(tsv, pauli("z"))
 
 
+def test_subnormal_overlaps_are_refused_for_both_description_types():
+    # |<Phi|Psi>| = 2.3e-320 passes the relative floor (1e-12 * norms underflows to 0),
+    # and numpy's 0j / 2.3e-320 multiplies 0 by an overflowed 1/2.3e-320: nan, not 0
+    a = 7.63533376e-161 * (1 + 1j)
+    tsv = TwoStateVector(CoStateVector.from_ket([a, a]), StateVector([a, a]))
+    for description in (tsv, GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)])):
+        with pytest.raises(OverlapTooSmall):
+            weak_value(description, DenseOperator(np.zeros((2, 2))))
+
+
 def test_generalized_single_term_matches_plain_weak_value():
     rng = np.random.default_rng(1)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -88,8 +97,8 @@ def test_generalized_single_term_matches_plain_weak_value():
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     obs = DenseOperator(raw + raw.conj().T)
     tsv = TwoStateVector(CoStateVector.from_ket(phi), StateVector(psi))
-    gtsv = GeneralizedTwoStateVector.from_two_state(tsv)
-    assert weak_value_generalized(gtsv, obs).value == pytest.approx(weak_value(tsv, obs).value, abs=1e-13)
+    gtsv = GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)])
+    assert weak_value(gtsv, obs).value == pytest.approx(weak_value(tsv, obs).value, abs=1e-13)
 
 
 def test_spin_cone_weak_values_closed_form():
@@ -97,8 +106,8 @@ def test_spin_cone_weak_values_closed_form():
     # (sigma_z)_w = (cos+sin)/(cos-sin) and (sigma_x)_w = 0
     chi = np.pi / 8
     gtsv = spin_cone_gtsv(chi)
-    wz = weak_value_generalized(gtsv, pauli("z")).value
-    wx = weak_value_generalized(gtsv, pauli("x")).value
+    wz = weak_value(gtsv, pauli("z")).value
+    wx = weak_value(gtsv, pauli("x")).value
     expected = (np.cos(chi) + np.sin(chi)) / (np.cos(chi) - np.sin(chi))
     assert wz == pytest.approx(expected, abs=1e-12)
     assert wx == pytest.approx(0.0, abs=1e-13)
@@ -270,7 +279,7 @@ def test_reduction_chain_on_random_instances():
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         obs = DenseOperator(raw + raw.conj().T)
         tsv = TwoStateVector(CoStateVector.from_ket(phi), psi)
-        one_term = weak_value_generalized(GeneralizedTwoStateVector.from_two_state(tsv), obs).value
+        one_term = weak_value(GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)]), obs).value
         direct = weak_value(tsv, obs).value
         rank_one = weak_value_degenerate_post(psi, projector_onto(phi), obs).value
         expect = weak_value_degenerate_post(psi, identity(dim), obs).value
@@ -304,7 +313,7 @@ def test_certain_strong_outcome_matches_weak_value_for_cone_direction():
     theta = np.arccos(cos_theta)
     obs = spin_direction([np.sin(theta), 0.0, np.cos(theta)])
     assert certain_outcome(gtsv, obs) == pytest.approx(1.0, abs=0)
-    assert weak_value_generalized(gtsv, obs).value == pytest.approx(1.0, abs=1e-10)
+    assert weak_value(gtsv, obs).value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weak_value_and_cone_serialization_surfaces():
@@ -330,7 +339,7 @@ def test_direction_observable_is_sigma_dot_n(theta, phi):
     assert dec.eigenvalues.tolist() == [-1.0, 1.0]
     verify_projectors(dec)
     assert np.abs(dec.reconstruct() - dense.matrix).max() <= 1e-15
-    fresh = hermitian_eigendecomposition(op, tol=1e-9)
+    fresh = hermitian_eigendecomposition(DenseOperator(op.matrix))
     assert np.abs(fresh.eigenvalues - [-1.0, 1.0]).max() <= 1e-15
     for got, want in zip(fresh.projectors, hermitian_eigendecomposition(dense).projectors):
         assert np.abs(got - want).max() <= 1e-15
