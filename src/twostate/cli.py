@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a scenario's numerical self-checks fail,
 2 on usage errors (unknown scenario, malformed or unknown parameters or seed,
-a missing or malformed config file) and on outputs that cannot be written.
+a missing or malformed config file) and on outputs that cannot be written,
+3 on any other exception, reported as one `internal error:` line.
 Identical requests (including the seed) produce byte-identical files.
 """
 
@@ -22,6 +23,7 @@ OUT_DIR_ENV = "TWOSTATE_OUT_DIR"
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 def _parse_param_overrides(pairs: list[str]) -> dict:
@@ -192,7 +194,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # not a failed self-check, so not exit 1
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -103,9 +103,8 @@ class PointerResult:
 class JointState:
     """System x pointer amplitudes after the impulse, row i = system basis index."""
 
-    system_dim: int
     grid: Grid1D
-    amplitudes: np.ndarray  # shape (system_dim, grid.points)
+    amplitudes: np.ndarray  # shape (system dimension, grid.points)
 
     def pointer_density(self) -> np.ndarray:
         return unit_density((np.abs(self.amplitudes) ** 2).sum(axis=0), self.grid.spacing)
@@ -200,7 +199,7 @@ def joint_state_after_impulse(
     norm = (np.pi * pointer.delta**2) ** -0.25
     branches = decomp.branches(pre.amplitudes) * norm
     amplitudes = _gaussian_sum(pointer.grid.values, branches, decomp.eigenvalues, 2 * pointer.delta**2)
-    return JointState(pre.dim, pointer.grid, amplitudes)
+    return JointState(pointer.grid, amplitudes)
 
 
 def pointer_distribution_preselected(

@@ -163,7 +163,6 @@ class AdiabaticResult:
     branch_weights: np.ndarray
     branch_shifts: np.ndarray
     branch_targets: np.ndarray
-    energies: np.ndarray
     leakage: float
     leakage_flagged: bool
     min_gap: float
@@ -253,7 +252,6 @@ def adiabatic_protective_measurement(
         branch_weights=np.array(weights),
         branch_shifts=np.array(shifts),
         branch_targets=targets,
-        energies=energies,
         leakage=leakage,
         leakage_flagged=bool(leakage > LEAKAGE_FLAG_LEVEL),
         min_gap=min_gap,

@@ -401,6 +401,8 @@ def _run_negative_kinetic(params: dict, seed: int) -> ScenarioResult:
     half_width = params["well_half_width"]
     x_f = params["postselect_x"]
     pointer_delta = params["pointer_delta"]
+    if sites < 2:
+        raise ValidationError("need at least two lattice sites")
     if abs(x_f) <= half_width:
         raise ValidationError("post-selection site must lie outside the well, where U = 0")
 
@@ -595,7 +597,7 @@ _register(
     "negative_kinetic_energy",
     "Bound-state particle post-selected in the forbidden region: negative kinetic readings",
     (
-        ParamSpec("sites", "int", 2048, "lattice sites for the weak-value identity"),
+        ParamSpec("sites", "int", 2048, "lattice sites (>= 2) for the weak-value identity"),
         ParamSpec("well_depth", "float", 5.0, "square-well depth"),
         ParamSpec("well_half_width", "float", 1.0, "square-well half width"),
         ParamSpec("postselect_x", "float", 5.0, "post-selection position (outside the well)"),

@@ -64,12 +64,10 @@ class TimeMachineConfig:
 
 @dataclass(frozen=True)
 class BinomialSchedule:
-    """Shifts n/N and binomial weights, exact and in floats (read-only arrays)."""
+    """Exact binomial weights of the shifts n/N, with their sum and square sum."""
 
     n_terms: int
     eta: float
-    shifts: np.ndarray
-    weights: np.ndarray
     exact_weights: tuple
     total: Fraction  # sum of the exact weights
     square_sum: Fraction  # sum of the squared exact weights
@@ -92,11 +90,7 @@ def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     square_sum = sum((w * w for w in exact), Fraction(0))
     if (n_terms + 1) * square_sum > sys.float_info.max:
         raise ResourceLimit(f"binomial schedule N={n_terms}, eta={eta}: (N+1) * sum alpha_n**2 exceeds the float range")
-    weights = np.array([float(w) for w in exact])
-    shifts = np.arange(n_terms + 1) / n_terms
-    weights.flags.writeable = False
-    shifts.flags.writeable = False
-    return BinomialSchedule(n_terms, float(eta), shifts, weights, exact, sum(exact, Fraction(0)), square_sum)
+    return BinomialSchedule(n_terms, float(eta), exact, sum(exact, Fraction(0)), square_sum)
 
 
 def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float) -> np.ndarray:
@@ -239,7 +233,6 @@ class MachineRun:
     post-selection probability.
     """
 
-    config: TimeMachineConfig
     schedule: BinomialSchedule
     final_fn: WaveFunction1D
     distortion: float
@@ -263,7 +256,6 @@ def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> Machine
     success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
 
     return MachineRun(
-        config=config,
         schedule=sched,
         final_fn=shift.shifted,
         distortion=shift.distortion,
@@ -280,7 +272,6 @@ class ScalingProbe:
     """
 
     eta: float
-    n_values: np.ndarray
     probabilities: np.ndarray
     probability_ratios: np.ndarray
     amplitude_ratios: np.ndarray
@@ -306,4 +297,4 @@ def success_scaling_probe(eta: float, n_values) -> ScalingProbe:
     # normalize ratios to a per-unit-N step when the sequence is not contiguous
     steps = np.diff(ns)
     per_step = ratios ** (1.0 / steps)
-    return ScalingProbe(float(eta), ns, probs, per_step, np.sqrt(per_step))
+    return ScalingProbe(float(eta), probs, per_step, np.sqrt(per_step))

@@ -150,17 +150,16 @@ class TheoremReport:
     passed: bool | None
     certain_value: float | None
     weak_value: complex | None
-    detail: str
 
 
 def theorem_i_check(description, obs: DenseOperator) -> TheoremReport:
     """Certain strong outcome implies the weak value equals that eigenvalue (to 1e-10)."""
     certain = certain_outcome(description, obs)
     if certain is None:
-        return TheoremReport(False, None, None, None, "no outcome is certain")
+        return TheoremReport(False, None, None, None)
     wv = weak_value(description, obs).value
     ok = bool(abs(wv - certain) <= 1e-10)
-    return TheoremReport(True, ok, certain, wv, "weak value matches the certain eigenvalue" if ok else "mismatch")
+    return TheoremReport(True, ok, certain, wv)
 
 
 def theorem_ii_check(description, obs: DenseOperator) -> TheoremReport:
@@ -171,7 +170,7 @@ def theorem_ii_check(description, obs: DenseOperator) -> TheoremReport:
     wv = weak_value(description, obs).value
     matches = [c for c in decomp.eigenvalues if abs(wv - c) <= 1e-10]
     if not matches:
-        return TheoremReport(False, None, None, wv, "weak value is not an eigenvalue")
+        return TheoremReport(False, None, None, wv)
     certain = certain_outcome(description, obs)
     ok = certain is not None and abs(certain - matches[0]) <= 1e-10
-    return TheoremReport(True, bool(ok), certain, wv, "certainty confirmed" if ok else "certainty missing")
+    return TheoremReport(True, bool(ok), certain, wv)

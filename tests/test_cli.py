@@ -10,7 +10,7 @@ import pytest
 from twostate import cli
 from twostate.cli import main
 from twostate.reporting import csv_table, format_float
-from twostate.scenarios import REGISTRY, get_scenario
+from twostate.scenarios import REGISTRY, ScenarioSpec, get_scenario
 
 
 def run_cli(*argv):
@@ -122,9 +122,13 @@ def test_json_runs_and_sweeps_format_no_figure_table(tmp_path, capsys, monkeypat
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
+    # nor the protective module, which no scenario runs
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, twostate.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, twostate.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'twostate.protective'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 
@@ -243,6 +247,28 @@ def test_three_box_without_particles_is_a_usage_error(n_particles, tmp_path, cap
     assert run_cli("run", "three_box", "--param", f"n_particles={n_particles}", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err == "error: need at least one particle\n"
+
+
+@pytest.mark.parametrize("sites", ["1", "0", "-5"])
+def test_negative_kinetic_energy_below_two_sites_is_a_usage_error(sites, tmp_path, capsys):
+    assert run_cli("run", "negative_kinetic_energy", "--param", f"sites={sites}", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: need at least two lattice sites\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "three_box"], ["sweep", "n_box", "--param-name", "boxes", "--values", "3,4"]],
+    ids=["run", "sweep"],
+)
+def test_an_unexpected_exception_is_an_internal_error(argv, tmp_path, monkeypatch, capsys):
+    # exit 1 would claim a physics self-check failed
+    def faulty(self, overrides=None, seed=0):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(ScenarioSpec, "run", faulty)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: injected fault\n"
 
 
 @pytest.mark.parametrize("param", ["well_depth=nan", "well_depth=inf", "well_depth=-inf", "well_half_width=nan"])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -60,8 +61,8 @@ def decimal_distortion_oracle(n_terms, eta, delta_t, width, lo, hi, points, digi
 
 def test_binomial_schedule_small_case():
     sched = binomial_schedule(1, 0.5)
-    assert np.allclose(sched.weights, [0.5, 0.5])
-    assert np.allclose(sched.shifts, [0.0, 1.0])
+    assert np.allclose([float(w) for w in sched.exact_weights], [0.5, 0.5])
+    assert np.allclose(np.arange(sched.n_terms + 1) / sched.n_terms, [0.0, 1.0])
 
 
 def test_binomial_weights_always_sum_to_exactly_one():
@@ -188,10 +189,10 @@ def test_time_machine_scenario_builds_each_schedule_once(monkeypatch):
 def test_cached_schedules_are_read_only():
     sched = binomial_schedule(13, 10.0)
     assert binomial_schedule(13, 10.0) is sched
-    with pytest.raises(ValueError):
-        sched.weights[0] = 0.0
-    with pytest.raises(ValueError):
-        sched.shifts[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        sched.exact_weights = ()
+    with pytest.raises(TypeError):
+        sched.exact_weights[0] = Fraction(0)
 
 
 def test_sr_dilation_values():
@@ -273,8 +274,8 @@ def correlated_rows(fn, config):
     """The literal correlated register rows N0 * alpha_n * f(q - delta_t_n), one FFT pair each."""
     fn = fn.normalized()
     sched = binomial_schedule(config.n_terms, config.eta)
-    qos_initial = sched.weights / math.sqrt(float(sched.square_sum))
-    shifts = sched.shifts * config.delta_t
+    qos_initial = np.array([float(w) for w in sched.exact_weights]) / math.sqrt(float(sched.square_sum))
+    shifts = np.arange(config.n_terms + 1) / config.n_terms * config.delta_t
     spec, k = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
     return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
 
