@@ -143,7 +143,7 @@ def cmd_sweep(args) -> int:
             summaries.append(flat)
             print(result.summary_line)
         path = os.path.join(args.out or _default_out_dir(), spec.name, f"sweep_{args.param_name}.csv")
-        keys = sorted(summaries[0])  # the first run fixes the columns
+        keys = sorted(set().union(*summaries))  # a value any run reports gets a column
         columns = [[schema[args.param_name].coerce(raw) for raw in values]]
         columns += [[flat.get(key) for flat in summaries] for key in keys]
         write_text_atomic(path, csv_table([args.param_name] + keys, columns))

@@ -238,7 +238,7 @@ def _decompose(op: DenseOperator) -> SpectralDecomposition:
     start, ws = 0, w.tolist()  # Python floats: the scan below is per eigenvalue
     for i in range(1, len(ws) + 1):
         if i == len(ws) or ws[i] - ws[start] > tol:
-            eigenvalues.append(float(w[start:i].mean()))
+            eigenvalues.append(ws[start] if i - start == 1 else float(w[start:i].mean()))
             blocks.append(v[:, start:i])
             start = i
     return SpectralDecomposition(_read_only(np.array(eigenvalues)), blocks, float(tol))

@@ -85,9 +85,10 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
 
     The candidate set comes from the weak-vector criterion: the projection
     of the weak vector on the direction must equal 1 (two real constraints
-    for a complex weak vector).  Every candidate is then cross-checked with
-    the conditional-probability (ABL) formula; only directions whose
-    probability reaches 1 - 1e-10 are returned.
+    for a complex weak vector).  All candidates are built as one (m, 3)
+    array and their angles taken in one pass; each is then cross-checked
+    with the conditional-probability (ABL) formula, and only directions
+    whose probability reaches 1 - 1e-10 are returned.
     """
     if samples < 8:
         raise ValidationError("use at least 8 azimuthal samples")
@@ -96,51 +97,41 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     except OverlapTooSmall:
         return []  # overlap vanishes: no finite weak vector, no certified cone
     w_re, w_im = w.real, w.imag
-    out: list[ConeDirection] = []
-
-    def certify(nhat: np.ndarray) -> None:
-        nhat = nhat / np.linalg.norm(nhat)
-        theta = float(np.arccos(np.clip(nhat[2], -1, 1)))
-        phi = float(np.arctan2(nhat[1], nhat[0]) % (2 * np.pi))
-        try:
-            prob = _certainty_probability(description, theta, phi)
-        except PostSelectionImpossible:
-            return
-        if prob >= 1.0 - 1e-10:
-            out.append(ConeDirection(theta, phi, prob))
-
-    if np.linalg.norm(w_im) > 1e-9:
-        # Im(w) . n = 0 restricts n to a great circle; solve Re(w) . n = 1 on it.
-        axis = w_im / np.linalg.norm(w_im)
-        seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        u = np.cross(axis, seed)
-        u /= np.linalg.norm(u)
-        v = np.cross(axis, u)
-        a, b = float(w_re @ u), float(w_re @ v)
-        r = np.hypot(a, b)
-        if r < 1.0 - 1e-12:
-            return []
-        base = np.arctan2(b, a)
-        for s in (+1.0, -1.0):
-            ang = base + s * np.arccos(np.clip(1.0 / r, -1, 1))
-            certify(np.cos(ang) * u + np.sin(ang) * v)
-        return out
-
-    length = np.linalg.norm(w_re)
-    if length < 1.0 - 1e-12:
+    complex_w = np.linalg.norm(w_im) > 1e-9
+    pole = w_im if complex_w else w_re  # of the great circle Im(w) . n = 0, else of the cone Re(w) . n = 1
+    length = np.linalg.norm(pole)
+    if not complex_w and length < 1.0 - 1e-12:
         return []
-    axis = w_re / length
-    if length <= 1.0 + 1e-12:
-        certify(axis)  # cone degenerates to the single direction of w
-        return out
-    half_angle = np.arccos(1.0 / length)
+    axis = pole / length
     seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     u = np.cross(axis, seed)
     u /= np.linalg.norm(u)
     v = np.cross(axis, u)
-    for ang in np.linspace(0.0, 2 * np.pi, samples, endpoint=False):
+    if complex_w:
+        # solve Re(w) . n = 1 on the great circle
+        a, b = float(w_re @ u), float(w_re @ v)
+        r = np.hypot(a, b)
+        if r < 1.0 - 1e-12:
+            return []
+        ang = np.arctan2(b, a) + np.array([[1.0], [-1.0]]) * np.arccos(np.clip(1.0 / r, -1, 1))
+        nhat = np.cos(ang) * u + np.sin(ang) * v
+    elif length <= 1.0 + 1e-12:
+        nhat = axis[None, :]  # cone degenerates to the single direction of w
+    else:
+        half_angle = np.arccos(1.0 / length)
+        ang = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)[:, None]
         nhat = np.cos(half_angle) * axis + np.sin(half_angle) * (np.cos(ang) * u + np.sin(ang) * v)
-        certify(nhat)
+    nhat = nhat / np.sqrt(nhat[:, None, :] @ nhat[:, :, None])[:, 0]  # each row's norm summed as np.linalg.norm sums it
+    thetas = np.arccos(np.clip(nhat[:, 2], -1, 1))
+    phis = np.arctan2(nhat[:, 1], nhat[:, 0]) % (2 * np.pi)
+    out: list[ConeDirection] = []
+    for theta, phi in zip(thetas.tolist(), phis.tolist()):
+        try:
+            prob = _certainty_probability(description, theta, phi)
+        except PostSelectionImpossible:
+            continue
+        if prob >= 1.0 - 1e-10:
+            out.append(ConeDirection(theta, phi, prob))
     return out
 
 

@@ -183,6 +183,19 @@ def test_sweep_single_value_matches_run(tmp_path, capsys):
     assert float(row[col]) == pytest.approx(payload["results"]["prob_last_box_occupied"], rel=1e-15, abs=0)
 
 
+def test_sweep_columns_do_not_depend_on_the_order_of_the_values(tmp_path, capsys):
+    # time_machine reports amplitude_decay_per_step only where the amplitudes decay (eta = 2, not 0.5)
+    rows = {}
+    for order in ("0.5,2", "2,0.5"):
+        out = tmp_path / order
+        assert run_cli("sweep", "time_machine", "--param-name", "eta", "--values", order, "--out", str(out)) == 0
+        header, *lines = (out / "time_machine" / "sweep_eta.csv").read_text().strip().split("\n")
+        rows[order] = {line.split(",")[0]: dict(zip(header.split(","), line.split(","))) for line in lines}
+    assert rows["0.5,2"] == rows["2,0.5"]
+    assert float(rows["0.5,2"]["2"]["amplitude_decay_per_step"]) == pytest.approx(0.32797096795125835, rel=1e-15, abs=0)
+    assert rows["0.5,2"]["0.5"]["amplitude_decay_per_step"] == "None"
+
+
 def test_sweep_rejects_unknown_or_non_numeric_parameters(tmp_path, capsys):
     assert run_cli("sweep", "spin_xi_weak", "--param-name", "nope", "--values", "1,2") == 2
     assert run_cli("sweep", "spin_xi_weak", "--param-name", "postselect", "--values", "1,2") == 2

@@ -36,6 +36,27 @@ def test_near_degenerate_eigenvalues_are_grouped():
     assert ranks == [1, 2]
 
 
+def test_each_eigenvalue_group_is_the_mean_of_its_levels():
+    # 161 levels (the negative_kinetic_energy lattice size) with one planted
+    # degenerate pair, rotated so LAPACK splits the pair by round-off
+    rng = np.random.default_rng(11)
+    levels = np.sort(rng.uniform(-5.0, 5.0, 161))
+    levels[80] = levels[79]
+    q, _ = np.linalg.qr(rng.normal(size=(161, 161)))
+    m = q @ np.diag(levels) @ q.T
+    op = DenseOperator((m + m.T) / 2)
+    w = np.linalg.eigh(op.matrix.real)[0]
+    tol = 1e-9 * np.abs(w).max()
+    groups, start = [], 0
+    for i in range(1, 162):
+        if i == 161 or w[i] - w[start] > tol:
+            groups.append(np.mean(w[start:i]))
+            start = i
+    dec = hermitian_eigendecomposition(op)
+    assert len(dec.eigenvalues) == 160
+    assert np.array_equal(dec.eigenvalues, groups)
+
+
 def test_bisector_spin_component_has_unit_eigenvalues():
     # oracle: roots of the 2x2 characteristic polynomial lambda^2 - tr*lambda + det
     m = spin_direction([1, 1, 0]).matrix

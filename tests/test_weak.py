@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from dense_oracles import expectation_value, kron_all, verify_projectors
 
-from twostate.errors import OverlapTooSmall, ValidationError
+import twostate.weak as weak
+from twostate.errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from twostate.ideal import certain_outcome
 from twostate.linalg import (
     DenseOperator,
@@ -22,6 +23,7 @@ from twostate.states import (
     interchange,
 )
 from twostate.weak import (
+    _certainty_probability,
     _direction_obs,
     certainty_cone,
     theorem_i_check,
@@ -49,6 +51,11 @@ def spin_cone_gtsv(chi: float) -> GeneralizedTwoStateVector:
             (-np.sin(chi), CoStateVector.from_ket([0.0, 1.0]), StateVector([0.0, 1.0])),
         ]
     )
+
+
+def up_z_pair() -> TwoStateVector:
+    up_z = spin_up([0, 0, 1])
+    return TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
 
 
 def test_bisector_weak_value_is_sqrt_two():
@@ -178,9 +185,7 @@ def test_certainty_cone_exists_for_long_real_weak_vectors():
 
 
 def test_certainty_cone_degenerates_for_plain_expectation():
-    up_z = spin_up([0, 0, 1])
-    plain = TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
-    cone = certainty_cone(plain, samples=8)
+    cone = certainty_cone(up_z_pair(), samples=8)
     assert len(cone) == 1
     assert cone[0].theta == pytest.approx(0.0, abs=1e-10)
 
@@ -200,6 +205,77 @@ def test_certainty_cone_with_complex_weak_vector():
     phis = sorted(d.phi for d in cone)
     assert phis[0] == pytest.approx(0.0, abs=1e-9)
     assert phis[1] == pytest.approx(np.pi / 2, abs=1e-9)
+
+
+def scalar_cone_oracle(description, samples):
+    """(theta, phi, probability) of every certified direction, one candidate built at a time."""
+    w = weak_vector(description).components
+    w_re, w_im = w.real, w.imag
+    out = []
+
+    def certify(nhat):
+        nhat = nhat / np.linalg.norm(nhat)
+        theta = float(np.arccos(np.clip(nhat[2], -1, 1)))
+        phi = float(np.arctan2(nhat[1], nhat[0]) % (2 * np.pi))
+        try:
+            prob = _certainty_probability(description, theta, phi)
+        except PostSelectionImpossible:
+            return
+        if prob >= 1.0 - 1e-10:
+            out.append((theta, phi, prob))
+
+    def frame(axis):
+        seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        u = np.cross(axis, seed)
+        u /= np.linalg.norm(u)
+        return u, np.cross(axis, u)
+
+    if np.linalg.norm(w_im) > 1e-9:
+        u, v = frame(w_im / np.linalg.norm(w_im))
+        a, b = float(w_re @ u), float(w_re @ v)
+        r = np.hypot(a, b)
+        if r >= 1.0 - 1e-12:
+            for s in (+1.0, -1.0):
+                ang = np.arctan2(b, a) + s * np.arccos(np.clip(1.0 / r, -1, 1))
+                certify(np.cos(ang) * u + np.sin(ang) * v)
+        return out
+    length = np.linalg.norm(w_re)
+    if length < 1.0 - 1e-12:
+        return out
+    axis = w_re / length
+    if length <= 1.0 + 1e-12:
+        certify(axis)
+        return out
+    half_angle = np.arccos(1.0 / length)
+    u, v = frame(axis)
+    for ang in np.linspace(0.0, 2 * np.pi, samples, endpoint=False):
+        certify(np.cos(half_angle) * axis + np.sin(half_angle) * (np.cos(ang) * u + np.sin(ang) * v))
+    return out
+
+
+@pytest.mark.parametrize(
+    "description, samples, checks",
+    [
+        (spin_cone_gtsv(np.pi / 8), 256, 256),
+        (spin_cone_gtsv(np.pi / 16), 12, 12),
+        (bisector_tsv(), 256, 2),
+        (up_z_pair(), 256, 1),
+    ],
+    ids=["cone-256", "cone-12", "great-circle", "single-direction"],
+)
+def test_certainty_cone_checks_each_candidate_once_and_matches_the_scalar_construction(
+    monkeypatch, description, samples, checks
+):
+    oracle = np.array(scalar_cone_oracle(description, samples))
+    calls = []
+    abl_generalized = weak.abl_generalized
+    monkeypatch.setattr(weak, "abl_generalized", lambda desc, obs: calls.append(obs) or abl_generalized(desc, obs))
+    cone = certainty_cone(description, samples=samples)
+    assert len(calls) == checks  # the benchmark tracer's certified ratio counts exactly these calls
+    got = np.array([(d.theta, d.phi, d.probability) for d in cone])
+    assert got.shape == oracle.shape == (checks, 3)
+    ulps = np.abs(got - oracle) / np.spacing(np.maximum(np.abs(got), np.abs(oracle)))
+    assert ulps.max() <= 4
 
 
 def test_theorem_i_for_boxes_and_epr():
