@@ -5,7 +5,8 @@ momentum-diagonal (it involves the pointer only through P), so the joint
 dynamics splits into independent system evolutions labelled by the pointer
 momentum p.  Each momentum block is propagated with exact matrix
 exponentials, one for each run of equal couplings (a flat stretch of the
-schedule is a single exponential), and the pointer is reassembled
+schedule is a single exponential; a two-level system takes it in closed
+form, with no eigh call), and the pointer is reassembled
 afterwards; the only approximation anywhere is the physical one (finite
 duration or finite coupling), never time discretization of a fixed
 Hamiltonian.
@@ -46,6 +47,12 @@ MOMENTUM_SIGNIFICANCE = 1e-10
 LEAKAGE_FLAG_LEVEL = 0.01
 
 
+def _require_integer(value, what: str) -> None:
+    """Refuse anything but an int or a numpy integer as `what`; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer")
+
+
 @dataclass(frozen=True)
 class AdiabaticSchedule:
     """Coupling profile with unit time integral, cosine-tapered over its first and last tenth."""
@@ -54,8 +61,9 @@ class AdiabaticSchedule:
     steps: int = 400
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValidationError("total time must be positive")
+        if not (math.isfinite(self.total_time) and self.total_time > 0):
+            raise ValidationError("total time must be finite and positive")
+        _require_integer(self.steps, "steps")
         if self.steps < 100:
             raise ValidationError("use at least 100 steps")
 
@@ -80,6 +88,7 @@ class LargeSpin:
     spin_n: int
 
     def __post_init__(self):
+        _require_integer(self.spin_n, "spin quantum number")
         if self.spin_n < 1:
             raise ValidationError("spin quantum number must be at least 1")
 
@@ -133,27 +142,70 @@ def _position_densities(mom_grid, component_block: np.ndarray, conjugate_lo: flo
     return pos.grid, terms
 
 
-# Runs of equal couplings diagonalized per eigh call; bounds the batch, and so
-# the peak memory, independently of the number of steps.
+# Runs of equal couplings exponentiated per batch, on either path; bounds the
+# batch, and so the peak memory, independently of the number of steps.
 _RUNS_PER_EIGH = 256
+
+
+def _eigh_exponential(h: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(-i h tau) for a stack of Hermitian h, tau broadcast over the stack, by eigh."""
+    w, v = np.linalg.eigh(h)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * tau[..., None]), v.conj())
+
+
+def _two_level_exponential(h: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(-i h tau) for a stack of Hermitian 2x2 h, in closed form (no LAPACK).
+
+    With h = a I + b.sigma, exp(-i h tau) = e^{-i a tau} [cos(|b| tau) I
+    - i tau sinc(|b| tau / pi) (h - a I)]; np.sinc covers |b| = 0.  The
+    cosine takes the very angle the sinc's sine does, so the result stays
+    unitary to rounding even where |b| tau is large.
+    """
+    h00, h11, h01 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    a, bz = (h00 + h11) / 2, (h00 - h11) / 2
+    x = np.hypot(bz, np.abs(h01)) * tau / np.pi
+    phase = np.exp(-1j * a * tau)
+    c = phase * np.cos(np.pi * x)
+    s = -1j * phase * tau * np.sinc(x)
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = c + s * bz
+    out[..., 0, 1] = s * h01
+    out[..., 1, 0] = s * h01.conj()
+    out[..., 1, 1] = c - s * bz
+    return out
+
+
+def _two_level_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over equal stacks of 2x2 matrices, entry by entry (an order of magnitude faster than matmul)."""
+    out = np.empty(x.shape, dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = x[..., i, 0] * y[..., 0, k] + x[..., i, 1] * y[..., 1, k]
+    return out
 
 
 def _ordered_propagators(h0m: np.ndarray, am: np.ndarray, ps: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
     """prod_k exp(-i (h0 + g_k p am) dt), later steps on the left, for every momentum p.
 
     Consecutive steps with exactly equal couplings share one Hamiltonian, so
-    each run of n of them is the single exact exponential exp(-i H n dt).
+    each run of n of them is the single exact exponential exp(-i H n dt): in
+    closed form for a two-level system, by eigh otherwise.  Each batch of
+    runs is multiplied pairwise, in log2(runs) batched rounds.
     """
     starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
     lengths = np.diff(np.r_[starts, g.size])
     d = h0m.shape[0]
+    exponential, product = (_two_level_exponential, _two_level_product) if d == 2 else (_eigh_exponential, np.matmul)
     out = np.broadcast_to(np.eye(d, dtype=complex), (ps.size, d, d)).copy()
     for lo in range(0, starts.size, _RUNS_PER_EIGH):
         gr, nr = g[starts[lo : lo + _RUNS_PER_EIGH]], lengths[lo : lo + _RUNS_PER_EIGH]
-        w, v = np.linalg.eigh(h0m + (gr[:, None] * ps)[:, :, None, None] * am)
-        phases = np.exp(-1j * w * (nr * dt)[:, None, None])
-        for step in np.einsum("rbij,rbj,rbkj->rbik", v, phases, v.conj()):
-            out = step @ out
+        steps = exponential(h0m + (gr[:, None] * ps)[:, :, None, None] * am, (nr * dt)[:, None])
+        while len(steps) > 1:
+            paired = product(steps[1::2], steps[: len(steps) - 1 : 2])
+            if len(steps) % 2:
+                paired[-1] = product(steps[-1], paired[-1])
+            steps = paired
+        out = product(steps[0], out)
     return out
 
 

@@ -7,6 +7,7 @@ from twostate.errors import ValidationError
 from twostate.linalg import (
     DenseOperator,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     identity,
     pauli,
@@ -18,8 +19,10 @@ from twostate.protective import (
     _RUNS_PER_EIGH,
     AdiabaticSchedule,
     LargeSpin,
+    _eigh_exponential,
     _ordered_propagators,
     _significant_momentum,
+    _two_level_exponential,
     adiabatic_protective_measurement,
     model_spin_protection,
     protected_two_state_measurement,
@@ -44,6 +47,13 @@ def bisector_target() -> TwoStateVector:
 def test_spin_algebra_holds_up_to_n_twenty():
     for n in (1, 5, 10, 20):
         LargeSpin(n).verify_algebra()
+
+
+def test_spin_quantum_number_must_be_an_integer():
+    for spin_n in (2.5, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(ValidationError, match="integer"):
+            LargeSpin(spin_n)
+    assert LargeSpin(np.int64(3)).dim == 7
 
 
 def test_coherent_states_are_top_eigenvectors():
@@ -207,6 +217,67 @@ def test_run_propagators_match_the_stepwise_product_without_equal_neighbours():
     assert np.abs(got - stepwise_propagators(h0m, am, ps, g, 0.05)).max() <= 1e-12
 
 
+def _random_hermitian_pairs(rng, shape):
+    raw = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
+    return raw + np.swapaxes(raw, -1, -2).conj()
+
+
+def _assert_matches_eigh(h, tau, c=64):
+    """Closed form against eigh, within c * eps * max(1, ||h|| tau), and unitary."""
+    got = _two_level_exponential(h, tau)
+    scale = max(1.0, float((np.linalg.norm(h, ord=2, axis=(-2, -1)) * np.abs(tau)).max()))
+    assert np.abs(got - _eigh_exponential(h, tau)).max() <= c * np.finfo(float).eps * scale
+    unitarity = np.einsum("...ij,...kj->...ik", got, got.conj()) - np.eye(2)
+    assert np.abs(unitarity).max() <= 1e-14
+
+
+def test_two_level_exponential_matches_eigh_on_random_stacks():
+    rng = np.random.default_rng(23)
+    _assert_matches_eigh(_random_hermitian_pairs(rng, (9, 13)), rng.uniform(0.0, 3.0, size=(9, 1)))
+
+
+def test_two_level_exponential_of_a_multiple_of_the_identity_is_a_phase():
+    h = np.broadcast_to(2.5 * np.eye(2, dtype=complex), (4, 3, 2, 2))
+    tau = np.array([[0.0], [0.1], [1.0], [7.3]])
+    _assert_matches_eigh(h, tau)
+    got = _two_level_exponential(h, tau)
+    assert np.array_equal(got[..., 0, 1], np.zeros((4, 3)))
+    assert np.abs(got[..., 0, 0] - np.exp(-2.5j * tau)).max() <= 1e-15
+
+
+def test_two_level_exponential_of_a_near_degenerate_pair():
+    # 0.7 I + 0.5e-12 n.sigma for random unit n: the levels are 1e-12 apart
+    rng = np.random.default_rng(29)
+    n = rng.normal(size=(5, 4, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    h = 0.7 * np.eye(2) + 0.5e-12 * np.einsum("...k,kij->...ij", n, np.array([PAULI_X, PAULI_Y, PAULI_Z]))
+    assert np.allclose(np.diff(np.linalg.eigvalsh(h)), 1e-12, rtol=1e-3, atol=0)
+    _assert_matches_eigh(h, rng.uniform(0.5, 5.0, size=(5, 1)))
+
+
+def test_two_level_exponential_of_a_long_evolution():
+    rng = np.random.default_rng(31)
+    h = _random_hermitian_pairs(rng, (6, 5))
+    tau = 2e4 / np.linalg.norm(h, ord=2, axis=(-2, -1)).max(axis=1, keepdims=True)
+    _assert_matches_eigh(h, tau)
+
+
+def test_two_level_adiabatic_run_decomposes_only_the_free_hamiltonian(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    obs = DenseOperator(PAULI_Z + 0.3 * PAULI_X)
+    pointer = GaussianPointer.for_spectrum(4.0, [1.3], points=1024)
+    schedule = AdiabaticSchedule(total_time=40.0, steps=1200)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    adiabatic_protective_measurement(pauli("z"), obs, StateVector([1.0, 0.0]), schedule, pointer)
+    assert calls == [(2, 2)]
+
+
 def _peak_bytes(steps):
     h0m, am, ps = _adiabatic_blocks()
     g, dt = AdiabaticSchedule(total_time=40.0, steps=steps).sampled_coupling()
@@ -242,6 +313,13 @@ def test_violent_schedules_flag_their_leakage():
 def test_schedule_validation_and_unit_integral():
     with pytest.raises(ValidationError):
         AdiabaticSchedule(total_time=1.0, steps=50)
+    for total_time in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            AdiabaticSchedule(total_time=total_time, steps=200)
+    for steps in (1200.5, 1200.0, True, "1200"):
+        with pytest.raises(ValidationError, match="integer"):
+            AdiabaticSchedule(total_time=40.0, steps=steps)
+    assert AdiabaticSchedule(total_time=40.0, steps=np.int64(1200)).sampled_coupling()[0].size == 1200
     g, dt = AdiabaticSchedule(total_time=7.0, steps=233).sampled_coupling()
     assert g.sum() * dt == pytest.approx(1.0, abs=1e-14)
 

@@ -47,11 +47,15 @@ UNREACHED = {
     "protective.LargeSpin.verify_algebra": "test_protective::test_spin_algebra_holds_up_to_n_twenty",
     "protective.ProtectedMeasurementResult.to_dict": CRITERION_9,
     "protective._bloch_direction": CRITERION_9,
+    "protective._eigh_exponential": CRITERION_9,
     "protective._ordered_propagators": CRITERION_9,
     "protective._position_densities": CRITERION_9,
     "protective._protection_matrix": CRITERION_9,
+    "protective._require_integer": CRITERION_9,
     "protective._significant_momentum": CRITERION_9,
     "protective._substituted_hamiltonian": CRITERION_9,
+    "protective._two_level_exponential": CRITERION_9,
+    "protective._two_level_product": CRITERION_9,
     "protective.adiabatic_protective_measurement": CRITERION_9,
     "protective.model_spin_protection": "test_protective::test_model_spin_protection_*",
     "protective.protected_two_state_measurement": CRITERION_9,
