@@ -17,6 +17,7 @@ convention the discrete transform below is exactly unitary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,27 @@ HERMITIAN_RTOL = 1e-12
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
     """max|m - m^H| <= rtol * max(max|m|, 1)."""
     return bool(np.abs(m - m.conj().T).max() <= rtol * max(np.abs(m).max(), 1.0))
+
+
+def require_integer(value, what: str, minimum: int) -> None:
+    """Refuse as `what` anything but an int or a numpy integer of at least `minimum`; a bool is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
+def require_width(width: float, what: str = "width") -> None:
+    """Refuse a width that is not finite and positive."""
+    if not (math.isfinite(width) and width > 0):
+        raise ValidationError(f"{what} must be finite and positive, got {width}")
+
+
+def unit_vector(vec, dtype=float) -> np.ndarray:
+    """vec / norm(vec) as a 1-D `dtype` array; a vector that is empty, zero or not finite is refused."""
+    v = np.asarray(vec, dtype=dtype)
+    norm = np.linalg.norm(v)
+    if v.ndim != 1 or not 0 < norm < np.inf:
+        raise ValidationError(f"need a nonzero, finite 1-D vector, got shape {v.shape} and norm {norm}")
+    return v / norm
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -96,8 +118,7 @@ def pauli(axis: str) -> DenseOperator:
 
 def spin_direction(direction) -> DenseOperator:
     """sigma . n for a unit 3-vector n (normalized here for convenience)."""
-    n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = unit_vector(direction)
     return DenseOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
@@ -115,10 +136,7 @@ def spin_up(direction) -> np.ndarray:
 
 def projector_onto(vec) -> DenseOperator:
     """|v><v| / <v|v>: eigenvalue 1 on v, 0 on the (never formed) complement of v."""
-    v = np.asarray(vec, dtype=complex)
-    v = v / np.linalg.norm(v)
-    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
-        raise ValidationError("can only project onto a nonzero, finite vector")
+    v = unit_vector(vec, complex)
     if v.size == 1:
         return SpectralOperator([1.0], [v[:, None]])
     return SpectralOperator([0.0, 1.0], [v[:, None]], complement=0)
@@ -265,17 +283,16 @@ def apply_on_site(op: np.ndarray, ket: np.ndarray, site: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform inclusive grid on [lo, hi] with at least 16 points."""
+    """Uniform inclusive grid on finite bounds [lo, hi]; `points` is an integer of at least 16."""
 
     lo: float
     hi: float
     points: int
 
     def __post_init__(self):
-        if self.points < 16:
-            raise ValidationError("grid needs at least 16 points")
-        if not self.hi > self.lo:
-            raise ValidationError("grid upper bound must exceed lower bound")
+        require_integer(self.points, "grid points", 16)
+        if not (math.isfinite(self.hi - self.lo) and self.hi > self.lo):
+            raise ValidationError(f"grid bounds {self.lo}, {self.hi} must be finite, the upper above the lower")
 
     @property
     def spacing(self) -> float:
@@ -337,8 +354,7 @@ class WaveFunction1D:
 
 def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> WaveFunction1D:
     """Normalized Gaussian (pi*D**2)**-0.25 * exp(-(Q-c)**2 / (2*D**2))."""
-    if width <= 0:
-        raise ValidationError("width must be positive")
+    require_width(width)
     q = grid.values
     vals = (np.pi * width**2) ** -0.25 * np.exp(-((q - center) ** 2) / (2 * width**2))
     return WaveFunction1D(grid, vals.astype(complex))

@@ -19,11 +19,17 @@ whose squared modulus interpolates between eigenvalue peaks (strong
 coupling, small D) and a single peak at the real part of the weak value
 (weak coupling, large D).  The imaginary part appears as a momentum-space
 shift of Im(C_w) / D**2 with the conventions above.
+
+Every pointer built from weighted centers, post-selected or N-spin, is
+assembled by `superposed_pointer`, which adds the shifted Gaussians one
+grid-sized term at a time; Fourier shifts of sampled functions belong to
+the time machine (`timemachine`).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +43,10 @@ from .linalg import (
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
+    require_width,
     unit_density,
 )
 from .states import GeneralizedTwoStateVector, StateVector, TwoStateVector
-
-# Spectral components below this fraction of the peak are treated as noise
-# when a superposition is assembled by Fourier shifting; binomial weight
-# schedules amplify anything at the round-off floor catastrophically.
-SPECTRAL_MASK_RTOL = 1e-13
 
 WEAK_REGIME_FACTOR = 10.0
 
@@ -57,12 +59,12 @@ class GaussianPointer:
     grid: Grid1D
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError("pointer width must be positive")
+        require_width(self.delta, "pointer width")
 
     @classmethod
     def for_spectrum(cls, delta: float, eigenvalues, points: int = 4096):
         """Grid spanning +-(max|c| + 8*D)."""
+        require_width(delta, "pointer width")  # before a negative width makes an empty grid
         reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
         span = reach + 8.0 * delta
         return cls(delta, Grid1D(-span, span, points))
@@ -124,29 +126,6 @@ def _gaussian_sum(q: np.ndarray, weights, centers, s: float) -> np.ndarray:
     return total
 
 
-def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float):
-    """Spectrum of `fn`, masked at SPECTRAL_MASK_RTOL of its peak, and its wavenumbers k.
-
-    Multiplying the spectrum by exp(-i*k*c) shifts `fn` by c.  The support of
-    `fn` (|f| above 1e-12 of its peak) moved by any shift in [lo_shift,
-    hi_shift] must stay on the grid, or the shift would wrap around its ends.
-    Signed weight schedules can amplify round-off floor components by many
-    orders of magnitude, and anything that far below the peak is sampling
-    noise, not signal, hence the mask.
-    """
-    if fn.representation != "position":
-        raise ValidationError("shift the position representation")
-    support = fn.grid.values[np.abs(fn.values) > 1e-12 * np.abs(fn.values).max()]
-    if support.size == 0:
-        raise ValidationError("cannot shift a zero wavefunction")
-    if support[0] + lo_shift < fn.grid.lo - 1e-9 or support[-1] + hi_shift > fn.grid.hi + 1e-9:
-        raise GridOverflow("shifted support would leave the grid")
-    spec = np.fft.fft(fn.values)
-    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
-    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
-    return spec, k
-
-
 def _regime(delta: float, eigenvalues) -> str:
     reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
     if reach == 0.0 or delta >= WEAK_REGIME_FACTOR * reach:
@@ -168,9 +147,8 @@ def _peak_location(grid: Grid1D, density: np.ndarray) -> float:
     return float(grid.values[i] + 0.5 * (y0 - y2) / denom * grid.spacing)
 
 
-def _result_from_density(
-    grid: Grid1D, q_density: np.ndarray, mom: WaveFunction1D, delta: float, eigenvalues
-) -> PointerResult:
+def _pointer_result(pointer: GaussianPointer, q_density: np.ndarray, mom: WaveFunction1D, centers) -> PointerResult:
+    grid = pointer.grid
     return PointerResult(
         q_grid=grid,
         q_density=q_density,
@@ -178,13 +156,9 @@ def _result_from_density(
         p_density=mom.density(),
         peak_location=_peak_location(grid, q_density),
         mean=float(np.sum(grid.values * q_density) * grid.spacing),
-        delta=delta,
-        regime=_regime(delta, eigenvalues),
+        delta=pointer.delta,
+        regime=_regime(pointer.delta, centers),
     )
-
-
-def _result_from_wavefunction(wf: WaveFunction1D, delta: float, eigenvalues) -> PointerResult:
-    return _result_from_density(wf.grid, wf.density(), fourier_pair(wf.normalized()), delta, eigenvalues)
 
 
 def joint_state_after_impulse(
@@ -217,25 +191,7 @@ def pointer_distribution_preselected(
     # Momentum density of the branch mixture: each rigid shift only adds a
     # phase in P, so it coincides with the initial pointer's.
     mom = fourier_pair(pointer.initial_wavefunction())
-    return _result_from_density(pointer.grid, dens, mom, pointer.delta, decomp.eigenvalues)
-
-
-def postselected_pointer_wavefunction(
-    tsv: TwoStateVector | GeneralizedTwoStateVector,
-    obs: DenseOperator,
-    pointer: GaussianPointer,
-) -> WaveFunction1D:
-    """Unnormalized Phi(Q) = sum_n <Phi|P_n|Psi> psi_in(Q - c_n)."""
-    decomp = hermitian_eigendecomposition(obs)
-    pointer.check_covers(decomp.eigenvalues)
-    amps = tsv.selection_amplitudes(decomp)
-    norm = (np.pi * pointer.delta**2) ** -0.25
-    vals = _gaussian_sum(pointer.grid.values, amps * norm, decomp.eigenvalues, 2 * pointer.delta**2)
-    wf = WaveFunction1D(pointer.grid, vals)
-    if wf.norm_squared() < 1e-20:
-        raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
-    pointer.check_resolves()
-    return wf
+    return _pointer_result(pointer, dens, mom, decomp.eigenvalues)
 
 
 def pointer_distribution_postselected(
@@ -243,9 +199,9 @@ def pointer_distribution_postselected(
     obs: DenseOperator,
     pointer: GaussianPointer,
 ) -> PointerResult:
+    """Pointer left in Phi(Q) ∝ sum_n <Phi|P_n|Psi> psi_in(Q - c_n), normalized."""
     decomp = hermitian_eigendecomposition(obs)
-    wf = postselected_pointer_wavefunction(tsv, obs, pointer)
-    return _result_from_wavefunction(wf, pointer.delta, decomp.eigenvalues)
+    return superposed_pointer(tsv.selection_amplitudes(decomp), decomp.eigenvalues, pointer)
 
 
 def momentum_shift_imaginary_part(
@@ -261,8 +217,6 @@ def momentum_shift_imaginary_part(
     """
     result = pointer_distribution_postselected(tsv, obs, pointer)
     if result.regime != "weak":
-        import warnings
-
         warnings.warn("pointer width is outside the weak regime; momentum shift is not Im(C_w)/D^2")
     p = result.p_grid.values
     return float(np.sum(p * result.p_density) * result.p_grid.spacing)
@@ -363,12 +317,23 @@ def n_spin_weights_and_centers(n: int):
 
 
 def superposed_pointer(amplitudes, centers, pointer: GaussianPointer) -> PointerResult:
-    """Pointer left in sum_n amplitudes[n] * psi_in(Q - centers[n]), normalized."""
+    """Pointer left in sum_n amplitudes[n] * psi_in(Q - centers[n]), normalized.
+
+    Every pointer assembled from weighted centers goes through here.  A sum
+    whose squared norm on the grid is below 1e-20 is refused
+    (PostSelectionImpossible) before the resolution check.
+    """
     pointer.check_covers(centers)
     norm = (np.pi * pointer.delta**2) ** -0.25
     vals = _gaussian_sum(pointer.grid.values, amplitudes * norm, centers, 2 * pointer.delta**2)
+    wf = WaveFunction1D(pointer.grid, vals)
+    power, dx = np.abs(wf.values) ** 2, pointer.grid.spacing
+    norm_squared = float(np.sum(power) * dx)
+    if norm_squared < 1e-20:
+        raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
     pointer.check_resolves()
-    return _result_from_wavefunction(WaveFunction1D(pointer.grid, vals), pointer.delta, centers)
+    normalized = WaveFunction1D(pointer.grid, wf.values / float(np.sqrt(norm_squared)))
+    return _pointer_result(pointer, unit_density(power, dx), fourier_pair(normalized), centers)
 
 
 def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:

@@ -36,8 +36,10 @@ from .linalg import (
     WaveFunction1D,
     fourier_pair,
     is_hermitian,
+    require_integer,
     top_eigenvector,
     unit_density,
+    unit_vector,
 )
 from .pointer import GaussianPointer, _peak_location
 from .states import CoStateVector, StateVector, TwoStateVector
@@ -45,12 +47,6 @@ from .weak import WeakVector, weak_value
 
 MOMENTUM_SIGNIFICANCE = 1e-10
 LEAKAGE_FLAG_LEVEL = 0.01
-
-
-def _require_integer(value, what: str) -> None:
-    """Refuse anything but an int or a numpy integer as `what`; a bool is refused too."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -63,9 +59,7 @@ class AdiabaticSchedule:
     def __post_init__(self):
         if not (math.isfinite(self.total_time) and self.total_time > 0):
             raise ValidationError("total time must be finite and positive")
-        _require_integer(self.steps, "steps")
-        if self.steps < 100:
-            raise ValidationError("use at least 100 steps")
+        require_integer(self.steps, "steps", 100)
 
     def sampled_coupling(self) -> tuple[np.ndarray, float]:
         """Midpoint samples of g(t), rescaled so sum(g)*dt is exactly 1."""
@@ -88,9 +82,7 @@ class LargeSpin:
     spin_n: int
 
     def __post_init__(self):
-        _require_integer(self.spin_n, "spin quantum number")
-        if self.spin_n < 1:
-            raise ValidationError("spin quantum number must be at least 1")
+        require_integer(self.spin_n, "spin quantum number", 1)
 
     @property
     def dim(self) -> int:
@@ -110,8 +102,7 @@ class LargeSpin:
 
     def coherent_state(self, direction) -> np.ndarray:
         """Top eigenstate |S.n = N> of the spin component along `direction`."""
-        d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
+        d = unit_vector(direction)
         sx, sy, sz = self.operators()
         return top_eigenvector(d[0] * sx + d[1] * sy + d[2] * sz)
 

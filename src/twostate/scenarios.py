@@ -34,6 +34,7 @@ from .linalg import (
     identity,
     pauli,
     projector_onto,
+    require_width,
     spin_direction,
     spin_up,
     tensor_product,
@@ -48,12 +49,7 @@ from .pointer import (
     superposed_pointer,
 )
 from .states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector
-from .timemachine import (
-    TimeMachineConfig,
-    gaussian_shift_distortion,
-    run_machine,
-    success_scaling_probe,
-)
+from .timemachine import gaussian_shift_distortion, run_machine, success_scaling_probe
 from .weak import _certainty_probability, certainty_cone, weak_value
 
 SQRT2 = math.sqrt(2.0)
@@ -526,13 +522,13 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
     eta = params["eta"]
     delta_t = params["delta_t"]
     width = params["width"]
+    require_width(width)
     span = 8.0 * width
     lo = -span + min(0.0, eta * delta_t)
     hi = span + max(delta_t, eta * delta_t, 0.0)
     grid = Grid1D(lo, hi, 4096)
     fn = gaussian_wavefunction(grid, width)
-    config = TimeMachineConfig(n_terms=n_terms, eta=eta, delta_t=delta_t)
-    run = run_machine(fn, config)
+    run = run_machine(fn, n_terms, eta, delta_t)
     analytic = gaussian_shift_distortion(n_terms, eta, delta_t, width, grid)
     probe = success_scaling_probe(eta, [n_terms, n_terms + 1]) if eta > 1 else None
     target = gaussian_wavefunction(grid, width, center=eta * delta_t)

@@ -18,6 +18,8 @@ product form of the spectral multiplier
     B(k) = (eta * exp(-i*k*delta_t/N) + 1 - eta)**N,
 
 which is stable where the expanded sum is catastrophically ill-conditioned.
+The masked Fourier shift is this module's (`_masked_shift_spectrum`); the
+shell's mass, rest radius and duration are read by `radius_schedule` alone.
 """
 
 from __future__ import annotations
@@ -25,41 +27,27 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimit, ValidationError
-from .linalg import Grid1D, WaveFunction1D
-from .pointer import _masked_shift_spectrum
+from .errors import GridOverflow, ResourceLimit, ValidationError
+from .linalg import Grid1D, WaveFunction1D, require_integer, require_width
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
 
+# Spectral components below this fraction of the peak are treated as noise
+# when a superposition is assembled by Fourier shifting; binomial weight
+# schedules amplify anything at the round-off floor catastrophically.
+SPECTRAL_MASK_RTOL = 1e-13
 
-@dataclass(frozen=True)
-class TimeMachineConfig:
-    n_terms: int
-    eta: float
-    delta_t: float
-    external_t: float = 1.0
-    shell_mass: float = 0.0
-    r0: float = float("inf")
 
-    def __post_init__(self):
-        if self.n_terms < 1:
-            raise ValidationError("need at least one superposition step")
-        if not (math.isfinite(self.eta) and math.isfinite(self.delta_t)):
-            raise ValidationError("eta and delta_t must be finite")
-        if self.delta_t < 0:
-            raise ValidationError("maximal elementary shift must be nonnegative")
-        if self.external_t <= 0:
-            raise ValidationError("external duration must be positive")
-        if self.shell_mass > 0:
-            rs = 2 * GRAVITATIONAL_CONSTANT * self.shell_mass / LIGHT_SPEED**2
-            if self.r0 <= rs:
-                raise ValidationError(f"rest radius {self.r0} is inside the Schwarzschild radius {rs}")
+def _require_nonnegative(value: float, what: str) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{what} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,15 +61,14 @@ class BinomialSchedule:
     square_sum: Fraction  # sum of the squared exact weights
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 13.0 or True must not hit the entry of 13 or 1
 def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     """Binomial amplitude schedule; the signed weights always sum to exactly 1.
 
     Schedules are cached, and the cached one is shared by every caller.  Raises
     ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
     """
-    if n_terms < 1:
-        raise ValidationError("need at least one superposition step")
+    require_integer(n_terms, "n_terms", 1)
     if not math.isfinite(eta):
         raise ValidationError("eta must be finite")
     e = Fraction(eta)
@@ -95,6 +82,29 @@ def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
 
 def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float) -> np.ndarray:
     return (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
+
+
+def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float):
+    """Spectrum of `fn`, masked at SPECTRAL_MASK_RTOL of its peak, and its wavenumbers k.
+
+    Multiplying the spectrum by exp(-i*k*c) shifts `fn` by c.  The support of
+    `fn` (|f| above 1e-12 of its peak) moved by any shift in [lo_shift,
+    hi_shift] must stay on the grid, or the shift would wrap around its ends.
+    Signed weight schedules can amplify round-off floor components by many
+    orders of magnitude, and anything that far below the peak is sampling
+    noise, not signal, hence the mask.
+    """
+    if fn.representation != "position":
+        raise ValidationError("shift the position representation")
+    support = fn.grid.values[np.abs(fn.values) > 1e-12 * np.abs(fn.values).max()]
+    if support.size == 0:
+        raise ValidationError("cannot shift a zero wavefunction")
+    if support[0] + lo_shift < fn.grid.lo - 1e-9 or support[-1] + hi_shift > fn.grid.hi + 1e-9:
+        raise GridOverflow("shifted support would leave the grid")
+    spec = np.fft.fft(fn.values)
+    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
+    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
+    return spec, k
 
 
 def _spectrum_weight_above(spec: np.ndarray, spacing: float) -> float:
@@ -123,18 +133,11 @@ def amplified_shift(fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float
     reach = sorted((0.0, delta_t, eta * delta_t))
     spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
     if _spectrum_weight_above(spec, fn.grid.spacing) > 1e-6:
-        import warnings
-
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
     superposed = np.fft.ifft(spec * _binomial_multiplier(k, n_terms, eta, delta_t))
     target = np.fft.ifft(spec * np.exp(-1j * k * eta * delta_t))
-    dx = fn.grid.spacing
-    num = np.sqrt(np.sum(np.abs(superposed - target) ** 2) * dx)
-    distortion = float(num / fn.norm())
-    return AmplifiedShift(
-        shifted=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
-        distortion=distortion,
-    )
+    num = np.sqrt(np.sum(np.abs(superposed - target) ** 2) * fn.grid.spacing)
+    return AmplifiedShift(WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo), float(num / fn.norm()))
 
 
 def gaussian_shift_distortion(
@@ -146,6 +149,7 @@ def gaussian_shift_distortion(
     result is well conditioned even for strongly signed schedules, and a
     direct high-precision summation oracle reproduces it to ~1e-12.
     """
+    require_width(width)
     n = grid.points
     k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
@@ -165,8 +169,20 @@ def _one_minus_sqrt_one_minus(x: float) -> float:
     return x / (1.0 + math.sqrt(1.0 - x))
 
 
+def _schwarzschild_radius(mass: float, *radii: float) -> float:
+    """2GM/c^2 of a finite, nonnegative mass; each of `radii` must be finite and exceed it."""
+    if not (math.isfinite(mass) and mass >= 0):
+        raise ValidationError(f"mass must be finite and nonnegative, got {mass}")
+    rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
+    for r in radii:
+        if not (math.isfinite(r) and r > rs):
+            raise ValidationError(f"radius {r} must be finite and exceed the Schwarzschild radius {rs}")
+    return rs
+
+
 def sr_dilation(velocity: float, duration: float) -> float:
     """Time lag T*(1 - sqrt(1 - V^2/c^2)) accumulated by a moving system."""
+    _require_nonnegative(duration, "duration")
     if not 0 <= velocity < LIGHT_SPEED:
         raise ValidationError("velocity must satisfy 0 <= V < c")
     return duration * _one_minus_sqrt_one_minus((velocity / LIGHT_SPEED) ** 2)
@@ -174,12 +190,8 @@ def sr_dilation(velocity: float, duration: float) -> float:
 
 def gr_dilation(mass: float, radius: float, duration: float) -> float:
     """Time lag inside a massive shell, T*(1 - sqrt(1 - 2GM/(c^2 R)))."""
-    if mass < 0:
-        raise ValidationError("mass must be nonnegative")
-    rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
-    if radius <= rs:
-        raise ValidationError(f"radius {radius} must exceed the Schwarzschild radius {rs}")
-    return duration * _one_minus_sqrt_one_minus(rs / radius)
+    _require_nonnegative(duration, "duration")
+    return duration * _one_minus_sqrt_one_minus(_schwarzschild_radius(mass, radius) / radius)
 
 
 def shell_pair_dilation(mass: float, r_rest: float, radius: float, duration: float) -> float:
@@ -188,37 +200,37 @@ def shell_pair_dilation(mass: float, r_rest: float, radius: float, duration: flo
     Evaluated as T*(rs/R - rs/R0) / (sqrt(1-rs/R0) + sqrt(1-rs/R)) so the
     near-cancelling square roots never meet head on.
     """
-    rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
-    for r in (r_rest, radius):
-        if r <= rs:
-            raise ValidationError(f"radius {r} must exceed the Schwarzschild radius {rs}")
+    _require_nonnegative(duration, "duration")
+    rs = _schwarzschild_radius(mass, r_rest, radius)
     a = math.sqrt(1.0 - rs / r_rest)
     b = math.sqrt(1.0 - rs / radius)
     return duration * (rs / radius - rs / r_rest) / (a + b)
 
 
-def radius_schedule(config: TimeMachineConfig) -> np.ndarray:
-    """Shell radii R_n realizing delta_t_n = n*delta_t/N.
+def radius_schedule(n_terms: int, delta_t: float, shell_mass: float, r0: float, external_t: float = 1.0) -> np.ndarray:
+    """Shell radii R_n realizing delta_t_n = n*delta_t/N over the external duration.
 
     Inverts the shell dilation relative to the rest radius R0 exactly: the
     rest radius's own lag 1 - sqrt(1 - rs/R0) is kept however small it is,
     so shell_pair_dilation(M, R0, R_n, T) returns delta_t_n.
     """
-    if config.shell_mass <= 0:
+    require_integer(n_terms, "n_terms", 1)
+    _require_nonnegative(delta_t, "maximal elementary shift delta_t")
+    _require_nonnegative(external_t, "external duration")
+    rs = _schwarzschild_radius(shell_mass, r0)
+    if rs == 0.0:
         raise ValidationError("a massive shell is required for a radius schedule")
-    rs = 2.0 * GRAVITATIONAL_CONSTANT * config.shell_mass / LIGHT_SPEED**2
-    t = config.external_t
-    base = math.sqrt(1.0 - rs / config.r0)
-    rest_gap = _one_minus_sqrt_one_minus(rs / config.r0)  # 1 - base, stably
+    base = math.sqrt(1.0 - rs / r0)
+    rest_gap = _one_minus_sqrt_one_minus(rs / r0)  # 1 - base, stably
     radii = []
-    for n in range(config.n_terms + 1):
-        target = n * config.delta_t / config.n_terms
-        if target >= t * base:
-            raise ValidationError(f"target lag {target} is not achievable within duration {t}")
+    for n in range(n_terms + 1):
+        target = n * delta_t / n_terms
+        if target >= external_t * base:
+            raise ValidationError(f"target lag {target} is not achievable within duration {external_t}")
         if target == 0.0:
-            radii.append(config.r0)
+            radii.append(r0)
             continue
-        one_minus_root = rest_gap + target / t
+        one_minus_root = rest_gap + target / external_t
         one_minus_root_sq = one_minus_root * (2.0 - one_minus_root)  # 1 - root**2
         radii.append(rs / one_minus_root_sq)
     return np.array(radii)
@@ -239,28 +251,24 @@ class MachineRun:
     success_prob: float
 
 
-def run_machine(system_fn: WaveFunction1D, config: TimeMachineConfig) -> MachineRun:
+def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float) -> MachineRun:
     """Run the product -> correlated -> post-selected register construction.
 
-    The system function is normalized on entry.  Post-selecting the uniform
-    register state contracts the correlated rows N0 * alpha_n * f_n to
-    N0/sqrt(N+1) * sum_n alpha_n f_n, with N0 = (sum |alpha_n|^2)**-1/2; the
-    sum is the amplified shift of the normalized function, never summed row
-    by row, and the success probability is the squared norm of the
-    contraction.
+    `n_terms` and `eta` are checked by binomial_schedule, `delta_t` (finite,
+    nonnegative) here, before any FFT.  The system function is normalized on
+    entry.  Post-selecting the uniform register state contracts the
+    correlated rows N0 * alpha_n * f_n to N0/sqrt(N+1) * sum_n alpha_n f_n,
+    with N0 = (sum |alpha_n|^2)**-1/2; the sum is the amplified shift of the
+    normalized function, never summed row by row, and the success
+    probability is the squared norm of the contraction.
     """
-    sched = binomial_schedule(config.n_terms, config.eta)
+    _require_nonnegative(delta_t, "maximal elementary shift delta_t")
+    sched = binomial_schedule(n_terms, eta)
     norm0 = 1.0 / math.sqrt(float(sched.square_sum))
-    shift = amplified_shift(system_fn.normalized(), config.n_terms, config.eta, config.delta_t)
-    contracted = norm0 / math.sqrt(config.n_terms + 1) * shift.shifted.values
+    shift = amplified_shift(system_fn.normalized(), n_terms, eta, delta_t)
+    contracted = norm0 / math.sqrt(n_terms + 1) * shift.shifted.values
     success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
-
-    return MachineRun(
-        schedule=sched,
-        final_fn=shift.shifted,
-        distortion=shift.distortion,
-        success_prob=success,
-    )
+    return MachineRun(schedule=sched, final_fn=shift.shifted, distortion=shift.distortion, success_prob=success)
 
 
 @dataclass(frozen=True)

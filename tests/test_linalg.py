@@ -4,6 +4,9 @@ from dense_oracles import evolve_unitary, verify_projectors
 
 from twostate.errors import DimensionMismatch, ResourceLimit, ValidationError
 from twostate.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DenseOperator,
     Grid1D,
     WaveFunction1D,
@@ -337,6 +340,40 @@ def test_grid_validation():
         Grid1D(1.0, 1.0, 32)
     g = Grid1D(-1.0, 1.0, 21)
     assert g.spacing == pytest.approx(0.1, abs=0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, points",
+    [(-np.inf, np.inf, 64), (0.0, np.inf, 64), (np.nan, 1.0, 64), (0.0, np.nan, 64), (-1e308, 1e308, 64),
+     (0.0, 1.0, 16.5), (0.0, 1.0, 64.0), (0.0, 1.0, True), (0.0, 1.0, "64")],
+)
+def test_grid_refuses_unbounded_spans_and_fractional_point_counts(lo, hi, points):
+    # at the parent Grid1D(-inf, inf, 64) was accepted with spacing inf, and 16.5 points raised a bare TypeError
+    with pytest.raises(ValidationError):
+        Grid1D(lo, hi, points)
+    assert Grid1D(0.0, 1.0, np.int64(64)).points == 64
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_gaussian_widths_must_be_finite_and_positive(width):
+    with pytest.raises(ValidationError, match="width"):
+        gaussian_wavefunction(Grid1D(-8.0, 8.0, 256), width)
+
+
+@pytest.mark.parametrize("direction", [[0, 0, 0], [0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0]])
+def test_a_zero_or_non_finite_direction_is_refused_as_such(direction):
+    # at the parent [0, 0, 0] was reported as "operator entries must be finite"
+    with pytest.raises(ValidationError, match="nonzero, finite"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            spin_direction(direction)
+
+
+def test_normalizing_a_vector_keeps_the_division_by_its_norm():
+    n = np.array([1.0, 2.0, 3.0])
+    u = n / np.linalg.norm(n)
+    assert np.array_equal(spin_direction(n).matrix, u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z)
+    v = np.array([1.0 - 2.0j, 0.5j, 3.0])
+    assert np.array_equal(hermitian_eigendecomposition(projector_onto(v)).blocks[0][:, 0], v / np.linalg.norm(v))
 
 
 def test_fourier_gaussian_is_self_conjugate():

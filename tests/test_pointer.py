@@ -23,7 +23,7 @@ from twostate.pointer import (
     n_spin_weights_and_centers,
     pointer_distribution_postselected,
     pointer_distribution_preselected,
-    postselected_pointer_wavefunction,
+    superposed_pointer,
 )
 from twostate.reporting import csv_table
 from twostate.states import CoStateVector, StateVector, TwoStateVector
@@ -156,18 +156,34 @@ def test_postselected_pointer_memory_does_not_grow_with_the_spectrum():
         pointer = GaussianPointer.for_spectrum(0.5, [1.0, -1.0], points=4096)
         tracemalloc.start()
         try:
-            postselected_pointer_wavefunction(tsv, obs, pointer)
+            pointer_distribution_postselected(tsv, obs, pointer)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[161] <= 2 * peaks[11]
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0])
+def test_pointer_widths_must_be_finite_and_positive(delta):
+    # at the parent GaussianPointer(nan, grid) was accepted, and for_spectrum(-1) reported an empty grid
+    with pytest.raises(ValidationError, match="pointer width"):
+        GaussianPointer(delta, Grid1D(-8.0, 8.0, 256))
+    with pytest.raises(ValidationError, match="pointer width"):
+        GaussianPointer.for_spectrum(delta, [1.0, -1.0])
+
+
+def test_vanishing_superposition_is_refused_before_the_resolution_check():
+    # the grid cannot resolve this pointer either; the vanishing amplitude is what gets reported
+    pointer = GaussianPointer(0.01, Grid1D(-1.0, 1.0, 16))
+    with pytest.raises(PostSelectionImpossible):
+        superposed_pointer(np.zeros(2), [0.5, -0.5], pointer)
+
+
 def test_impossible_postselection_is_flagged():
     tsv = TwoStateVector(CoStateVector.from_ket([1.0, 0.0]), StateVector([0.0, 1.0]))
     pointer = GaussianPointer.for_spectrum(1.0, [1.0, -1.0], points=256)
     with pytest.raises(PostSelectionImpossible):
-        postselected_pointer_wavefunction(tsv, pauli("z"), pointer)
+        pointer_distribution_postselected(tsv, pauli("z"), pointer)
 
 
 def test_strong_limit_peak_weights_converge_to_conditional_probabilities():

@@ -64,6 +64,13 @@ def test_coherent_states_are_top_eigenvectors():
         assert np.abs(op @ vec - 6 * vec).max() <= 1e-10
 
 
+def test_a_zero_coherent_state_direction_is_refused():
+    # at the parent this raised numpy's LinAlgError "Eigenvalues did not converge"
+    for direction in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]):
+        with pytest.raises(ValidationError, match="nonzero, finite"):
+            LargeSpin(3).coherent_state(direction)
+
+
 def test_weak_value_substituted_hamiltonian_for_the_xy_protector():
     spin = LargeSpin(10)
     h_eff, s_w = weak_value_substituted_hamiltonian(protector_pair(spin, (1, 0, 0), (0, 1, 0)), spin, 1.0)

@@ -51,7 +51,6 @@ UNREACHED = {
     "protective._ordered_propagators": CRITERION_9,
     "protective._position_densities": CRITERION_9,
     "protective._protection_matrix": CRITERION_9,
-    "protective._require_integer": CRITERION_9,
     "protective._significant_momentum": CRITERION_9,
     "protective._substituted_hamiltonian": CRITERION_9,
     "protective._two_level_exponential": CRITERION_9,
@@ -63,6 +62,7 @@ UNREACHED = {
     "scenarios._register": "runs at import, before any CLI call",
     "states.interchange": f"time-reversal interchange, {CRITERION_10}",
     "timemachine._one_minus_sqrt_one_minus": DILATIONS,
+    "timemachine._schwarzschild_radius": DILATIONS,
     "timemachine.gr_dilation": DILATIONS,
     "timemachine.radius_schedule": DILATIONS,
     "timemachine.shell_pair_dilation": DILATIONS,

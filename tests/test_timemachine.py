@@ -9,11 +9,10 @@ import pytest
 
 from twostate.errors import GridOverflow, ResourceLimit, ValidationError
 from twostate.linalg import Grid1D, gaussian_wavefunction
-from twostate.pointer import _masked_shift_spectrum
 from twostate.timemachine import (
     GRAVITATIONAL_CONSTANT,
     LIGHT_SPEED,
-    TimeMachineConfig,
+    _masked_shift_spectrum,
     _spectrum_weight_above,
     amplified_shift,
     binomial_schedule,
@@ -110,6 +109,13 @@ def test_figure_configuration_matches_the_frozen_oracle_value():
     assert analytic == pytest.approx(GOLDEN_DISTORTION, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("width", [np.nan, 0.0, -1.0])
+def test_analytic_distortion_refuses_a_width_it_cannot_use(width):
+    # at the parent width=nan returned nan
+    with pytest.raises(ValidationError, match="width"):
+        gaussian_shift_distortion(13, 10.0, 1.0, width, Grid1D(-40.0, 40.0, 4096))
+
+
 def test_decimal_oracle_reproduces_the_implementation_on_a_reduced_grid():
     # same construction, smaller grid so the high-precision sum stays cheap
     grid = Grid1D(-40.0, 40.0, 512)
@@ -149,7 +155,7 @@ def test_run_machine_rejects_offgrid_schedules():
     grid = Grid1D(-10.0, 10.0, 256)
     fn = gaussian_wavefunction(grid, 1.0)
     with pytest.raises(GridOverflow):
-        run_machine(fn, TimeMachineConfig(n_terms=8, eta=9.0, delta_t=1.0))
+        run_machine(fn, 8, 9.0, 1.0)
 
 
 def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
@@ -216,46 +222,38 @@ def test_gr_dilation_values():
 
 def test_radius_schedule_round_trips_and_monotonicity():
     # the rest radius's own lag, rs/(2*R0) ~ 4.4e-16, is below 1e-12 and still kept
+    mass, r0 = 5.972e24, 1e13
+    assert 2 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2 / r0 < 1e-12
     for delta_t in (1e-10, 1e-4):
-        config = TimeMachineConfig(
-            n_terms=4, eta=2.0, delta_t=delta_t, external_t=1.0, shell_mass=5.972e24, r0=1e13
-        )
-        assert 2 * GRAVITATIONAL_CONSTANT * config.shell_mass / LIGHT_SPEED**2 / config.r0 < 1e-12
-        radii = radius_schedule(config)
-        assert radii[0] == config.r0
+        radii = radius_schedule(4, delta_t, mass, r0, external_t=1.0)
+        assert radii[0] == r0
         assert np.all(np.diff(radii[1:]) < 0)  # larger lag -> smaller radius
         for n in range(1, 5):
-            lag = shell_pair_dilation(config.shell_mass, config.r0, radii[n], config.external_t)
-            target = n * config.delta_t / config.n_terms
+            lag = shell_pair_dilation(mass, r0, radii[n], 1.0)
+            target = n * delta_t / 4
             assert lag == pytest.approx(target, rel=1e-12, abs=0)  # approx adds abs=1e-12 otherwise
 
 
 def test_radius_schedule_simplified_form_agrees_when_rest_dilation_is_negligible():
     # the closed form that drops the rest radius's lag: 1 - sqrt(1 - rs/R_n) = delta_t_n / T
-    config = TimeMachineConfig(
-        n_terms=4, eta=2.0, delta_t=1e-4, external_t=1.0, shell_mass=5.972e24, r0=1e13
-    )
-    rs = 2 * GRAVITATIONAL_CONSTANT * config.shell_mass / LIGHT_SPEED**2
-    assert rs / config.r0 < 1e-12
-    full = radius_schedule(config)
-    x = np.arange(1, config.n_terms + 1) * config.delta_t / config.n_terms / config.external_t
+    n_terms, delta_t, mass, r0, external_t = 4, 1e-4, 5.972e24, 1e13, 1.0
+    rs = 2 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
+    assert rs / r0 < 1e-12
+    full = radius_schedule(n_terms, delta_t, mass, r0, external_t)
+    x = np.arange(1, n_terms + 1) * delta_t / n_terms / external_t
     simplified = rs / (x * (2.0 - x))
     assert np.abs(full[1:] / simplified - 1).max() <= 1e-9
 
 
 def test_radius_schedule_rejects_unachievable_lags():
-    config = TimeMachineConfig(
-        n_terms=2, eta=2.0, delta_t=2.0, external_t=1.0, shell_mass=5.972e24, r0=1e13
-    )
     with pytest.raises(ValidationError):
-        radius_schedule(config)
+        radius_schedule(2, 2.0, 5.972e24, 1e13, external_t=1.0)
 
 
 def test_run_machine_zero_span_success_probability_is_exact():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
-    config = TimeMachineConfig(n_terms=13, eta=10.0, delta_t=0.0)
-    run = run_machine(fn, config)
+    run = run_machine(fn, 13, 10.0, 0.0)
     norm0_sq = 1.0 / float(run.schedule.square_sum)
     assert run.success_prob == pytest.approx(norm0_sq / 14.0, rel=1e-12, abs=0)
     assert run.distortion == 0.0
@@ -264,18 +262,17 @@ def test_run_machine_zero_span_success_probability_is_exact():
 def test_run_machine_final_function_matches_amplified_shift():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
-    config = TimeMachineConfig(n_terms=13, eta=0.6, delta_t=1.0)
-    run = run_machine(fn, config)
+    run = run_machine(fn, 13, 0.6, 1.0)
     shifted = amplified_shift(fn.normalized(), 13, 0.6, 1.0)
     assert np.abs(run.final_fn.values - shifted.shifted.values).max() <= 1e-12
 
 
-def correlated_rows(fn, config):
+def correlated_rows(fn, n_terms, eta, delta_t):
     """The literal correlated register rows N0 * alpha_n * f(q - delta_t_n), one FFT pair each."""
     fn = fn.normalized()
-    sched = binomial_schedule(config.n_terms, config.eta)
+    sched = binomial_schedule(n_terms, eta)
     qos_initial = np.array([float(w) for w in sched.exact_weights]) / math.sqrt(float(sched.square_sum))
-    shifts = np.arange(config.n_terms + 1) / config.n_terms * config.delta_t
+    shifts = np.arange(n_terms + 1) / n_terms * delta_t
     spec, k = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
     return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
 
@@ -285,10 +282,9 @@ def test_run_machine_staged_rows_contract_to_the_final_function():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
     for eta in (0.6, 2.0):
-        config = TimeMachineConfig(n_terms=5, eta=eta, delta_t=1.0)
-        run = run_machine(fn, config)
+        run = run_machine(fn, 5, eta, 1.0)
         norm0 = 1.0 / math.sqrt(float(run.schedule.square_sum))
-        correlated = correlated_rows(fn, config)
+        correlated = correlated_rows(fn, 5, eta, 1.0)
         naive = correlated.sum(axis=0) / norm0
         assert np.abs(naive - run.final_fn.values).max() <= 1e-12
         # post-selecting the uniform register state <final| = (1, ..., 1)/sqrt(N+1)
@@ -300,8 +296,7 @@ def test_run_machine_staged_rows_contract_to_the_final_function():
 def test_run_machine_success_is_close_to_the_unit_overlap_value():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
-    config = TimeMachineConfig(n_terms=13, eta=0.6, delta_t=1.0)
-    run = run_machine(fn, config)
+    run = run_machine(fn, 13, 0.6, 1.0)
     approx = 1.0 / (14.0 * float(run.schedule.square_sum))
     assert run.success_prob == pytest.approx(approx, rel=0.10, abs=0)
 
@@ -310,8 +305,7 @@ def test_run_machine_success_bounded_by_direct_projection():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
     for eta in (0.3, 0.6, 0.9):
-        config = TimeMachineConfig(n_terms=9, eta=eta, delta_t=1.0)
-        run = run_machine(fn, config)
+        run = run_machine(fn, 9, eta, 1.0)
         shift = eta * 1.0
         direct = math.exp(-(shift**2) / 4.0) ** 2  # |<f(.-s)|f>|^2 for unit width
         assert run.success_prob <= direct + 1e-12
@@ -322,7 +316,7 @@ def test_run_machine_figure_configuration_success_probability():
     fn = gaussian_wavefunction(grid, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        run = run_machine(fn, TimeMachineConfig(n_terms=13, eta=10.0, delta_t=1.0))
+        run = run_machine(fn, 13, 10.0, 1.0)
     assert run.success_prob > 0
     # frozen golden (log10) for the figure configuration, unit-width input
     assert math.log10(run.success_prob) == pytest.approx(-27.33366941525408, abs=1e-6)
@@ -362,22 +356,77 @@ def test_success_scaling_probe_for_moderate_amplification():
     assert np.all(np.diff(boundary.probabilities) < 0)
 
 
+def unit_gaussian():
+    return gaussian_wavefunction(Grid1D(-40.0, 40.0, 2048), 1.0)
+
+
 def test_machine_config_validation():
+    # the machine's settings are run_machine's (n_terms, eta, delta_t) and radius_schedule's shell fields
     with pytest.raises(ValidationError):
-        TimeMachineConfig(n_terms=0, eta=1.0, delta_t=1.0)
+        run_machine(unit_gaussian(), 0, 1.0, 1.0)
     with pytest.raises(ValidationError):
-        TimeMachineConfig(n_terms=2, eta=1.0, delta_t=1.0, external_t=0.0)
+        radius_schedule(2, 1.0, 5.972e24, 1e13, external_t=0.0)
     rs = 2 * GRAVITATIONAL_CONSTANT * 5.972e24 / LIGHT_SPEED**2
     with pytest.raises(ValidationError):
-        TimeMachineConfig(n_terms=2, eta=1.0, delta_t=1.0, shell_mass=5.972e24, r0=0.5 * rs)
+        radius_schedule(2, 1.0, 5.972e24, 0.5 * rs)
 
 
 @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
 def test_machine_config_rejects_a_non_finite_eta(eta):
     with pytest.raises(ValidationError):
-        TimeMachineConfig(n_terms=13, eta=eta, delta_t=1.0)
+        run_machine(unit_gaussian(), 13, eta, 1.0)
     with pytest.raises(ValidationError):
         binomial_schedule(13, eta)
+
+
+@pytest.mark.parametrize("delta_t", [-1.0, math.nan, math.inf])
+def test_run_machine_refuses_a_bad_span_before_any_fft(delta_t, monkeypatch):
+    fn = unit_gaussian()
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: pytest.fail("an FFT ran"))
+    with pytest.raises(ValidationError, match="delta_t"):
+        run_machine(fn, 13, 10.0, delta_t)
+
+
+@pytest.mark.parametrize("n_terms", [0, -2, 13.0, True])
+def test_schedules_refuse_a_step_count_that_is_not_a_positive_integer(n_terms):
+    binomial_schedule(int(n_terms) if n_terms > 0 else 1, 10.0)  # a cached entry of equal value must not answer
+    with pytest.raises(ValidationError):
+        binomial_schedule(n_terms, 10.0)
+    with pytest.raises(ValidationError):
+        radius_schedule(n_terms, 1e-4, 5.972e24, 1e13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gr_dilation(math.nan, 1e7, 1.0),
+        lambda: gr_dilation(5.972e24, math.nan, 1.0),
+        lambda: gr_dilation(5.972e24, 1e7, math.nan),
+        lambda: gr_dilation(5.972e24, math.inf, 1.0),
+        lambda: gr_dilation(-1.0, 1e7, 1.0),
+        lambda: shell_pair_dilation(math.nan, 1e7, 2e7, 1.0),
+        lambda: shell_pair_dilation(5.972e24, 1e7, math.nan, 1.0),
+        lambda: shell_pair_dilation(-5.972e24, 1e7, 2e7, 1.0),
+        lambda: sr_dilation(1e3, math.nan),
+        lambda: sr_dilation(1e3, -1.0),
+        lambda: radius_schedule(4, 1e-4, math.nan, 1e7),
+        lambda: radius_schedule(4, 1e-4, 5.972e24, 1e7, external_t=math.nan),
+        lambda: radius_schedule(4, 1e-4, 5.972e24, math.nan),
+        lambda: radius_schedule(4, 1e-4, 5.972e24, math.inf),
+        lambda: radius_schedule(4, math.nan, 5.972e24, 1e7),
+        lambda: radius_schedule(4, 1e-4, 0.0, 1e7),
+    ],
+    ids=[
+        "gr-nan-mass", "gr-nan-radius", "gr-nan-duration", "gr-inf-radius", "gr-negative-mass",
+        "pair-nan-mass", "pair-nan-radius", "pair-negative-mass", "sr-nan-duration", "sr-negative-duration",
+        "schedule-nan-mass", "schedule-nan-duration", "schedule-nan-r0", "schedule-inf-r0", "schedule-nan-span",
+        "schedule-massless",
+    ],
+)
+def test_gravitational_machine_formulas_refuse_what_they_cannot_compute(call):
+    # at the parent these returned nan (or a schedule of nan radii) without a word
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_schedules_beyond_the_float_range_are_refused():
