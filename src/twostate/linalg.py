@@ -42,10 +42,10 @@ def require_integer(value, what: str, minimum: int) -> None:
         raise ValidationError(f"{what} must be an integer of at least {minimum}, got {value!r}")
 
 
-def require_width(width: float, what: str = "width") -> None:
-    """Refuse a width that is not finite and positive."""
-    if not (math.isfinite(width) and width > 0):
-        raise ValidationError(f"{what} must be finite and positive, got {width}")
+def require_positive(value: float, what: str) -> None:
+    """Refuse as `what` a value that is not finite and positive (a width, a duration)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be finite and positive, got {value}")
 
 
 def unit_vector(vec, dtype=float) -> np.ndarray:
@@ -354,7 +354,7 @@ class WaveFunction1D:
 
 def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> WaveFunction1D:
     """Normalized Gaussian (pi*D**2)**-0.25 * exp(-(Q-c)**2 / (2*D**2))."""
-    require_width(width)
+    require_positive(width, "width")
     q = grid.values
     vals = (np.pi * width**2) ** -0.25 * np.exp(-((q - center) ** 2) / (2 * width**2))
     return WaveFunction1D(grid, vals.astype(complex))

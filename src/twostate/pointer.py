@@ -29,7 +29,6 @@ the time machine (`timemachine`).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from .linalg import (
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
-    require_width,
+    require_positive,
     unit_density,
 )
 from .states import GeneralizedTwoStateVector, StateVector, TwoStateVector
@@ -59,12 +58,12 @@ class GaussianPointer:
     grid: Grid1D
 
     def __post_init__(self):
-        require_width(self.delta, "pointer width")
+        require_positive(self.delta, "pointer width")
 
     @classmethod
     def for_spectrum(cls, delta: float, eigenvalues, points: int = 4096):
         """Grid spanning +-(max|c| + 8*D)."""
-        require_width(delta, "pointer width")  # before a negative width makes an empty grid
+        require_positive(delta, "pointer width")  # before a negative width makes an empty grid
         reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
         span = reach + 8.0 * delta
         return cls(delta, Grid1D(-span, span, points))
@@ -201,7 +200,7 @@ def pointer_distribution_postselected(
 ) -> PointerResult:
     """Pointer left in Phi(Q) ∝ sum_n <Phi|P_n|Psi> psi_in(Q - c_n), normalized."""
     decomp = hermitian_eigendecomposition(obs)
-    return superposed_pointer(tsv.selection_amplitudes(decomp), decomp.eigenvalues, pointer)
+    return superposed_pointer(tsv.selection_amplitudes(decomp), decomp.eigenvalues, pointer, 1e-20)
 
 
 def momentum_shift_imaginary_part(
@@ -217,6 +216,8 @@ def momentum_shift_imaginary_part(
     """
     result = pointer_distribution_postselected(tsv, obs, pointer)
     if result.regime != "weak":
+        import warnings
+
         warnings.warn("pointer width is outside the weak regime; momentum shift is not Im(C_w)/D^2")
     p = result.p_grid.values
     return float(np.sum(p * result.p_density) * result.p_grid.spacing)
@@ -316,24 +317,26 @@ def n_spin_weights_and_centers(n: int):
     return weights, centers
 
 
-def superposed_pointer(amplitudes, centers, pointer: GaussianPointer) -> PointerResult:
+def superposed_pointer(amplitudes, centers, pointer: GaussianPointer, min_norm_squared: float = 0.0) -> PointerResult:
     """Pointer left in sum_n amplitudes[n] * psi_in(Q - centers[n]), normalized.
 
     Every pointer assembled from weighted centers goes through here.  A sum
-    whose squared norm on the grid is below 1e-20 is refused
-    (PostSelectionImpossible) before the resolution check.
+    whose squared norm on the grid is zero or below `min_norm_squared` is
+    refused (PostSelectionImpossible) before the resolution check.
+    Post-selection passes 1e-20, below which its normalized states leave
+    only rounding; the N-spin amplitudes sum to 2**(-n/2) by nature and
+    pass no floor.
     """
     pointer.check_covers(centers)
     norm = (np.pi * pointer.delta**2) ** -0.25
     vals = _gaussian_sum(pointer.grid.values, amplitudes * norm, centers, 2 * pointer.delta**2)
-    wf = WaveFunction1D(pointer.grid, vals)
-    power, dx = np.abs(wf.values) ** 2, pointer.grid.spacing
-    norm_squared = float(np.sum(power) * dx)
-    if norm_squared < 1e-20:
+    power = np.abs(vals) ** 2
+    norm_squared = float(np.sum(power) * pointer.grid.spacing)
+    if norm_squared == 0.0 or norm_squared < min_norm_squared:
         raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
     pointer.check_resolves()
-    normalized = WaveFunction1D(pointer.grid, wf.values / float(np.sqrt(norm_squared)))
-    return _pointer_result(pointer, unit_density(power, dx), fourier_pair(normalized), centers)
+    normalized = WaveFunction1D(pointer.grid, vals / math.sqrt(norm_squared))
+    return _pointer_result(pointer, unit_density(power, pointer.grid.spacing), fourier_pair(normalized), centers)
 
 
 def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:

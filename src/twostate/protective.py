@@ -37,6 +37,7 @@ from .linalg import (
     fourier_pair,
     is_hermitian,
     require_integer,
+    require_positive,
     top_eigenvector,
     unit_density,
     unit_vector,
@@ -57,8 +58,7 @@ class AdiabaticSchedule:
     steps: int = 400
 
     def __post_init__(self):
-        if not (math.isfinite(self.total_time) and self.total_time > 0):
-            raise ValidationError("total time must be finite and positive")
+        require_positive(self.total_time, "total time")
         require_integer(self.steps, "steps", 100)
 
     def sampled_coupling(self) -> tuple[np.ndarray, float]:

@@ -34,7 +34,7 @@ from .linalg import (
     identity,
     pauli,
     projector_onto,
-    require_width,
+    require_positive,
     spin_direction,
     spin_up,
     tensor_product,
@@ -49,7 +49,11 @@ from .pointer import (
     superposed_pointer,
 )
 from .states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector
-from .timemachine import gaussian_shift_distortion, run_machine, success_scaling_probe
+from .timemachine import (
+    gaussian_shift_distortion,
+    run_machine,
+    success_scaling_probe,
+)
 from .weak import _certainty_probability, certainty_cone, weak_value
 
 SQRT2 = math.sqrt(2.0)
@@ -522,7 +526,7 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
     eta = params["eta"]
     delta_t = params["delta_t"]
     width = params["width"]
-    require_width(width)
+    require_positive(width, "width")
     span = 8.0 * width
     lo = -span + min(0.0, eta * delta_t)
     hi = span + max(delta_t, eta * delta_t, 0.0)

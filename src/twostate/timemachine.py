@@ -27,14 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, WaveFunction1D, require_integer, require_width
+from .linalg import Grid1D, WaveFunction1D, require_integer, require_positive
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
@@ -133,11 +132,18 @@ def amplified_shift(fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float
     reach = sorted((0.0, delta_t, eta * delta_t))
     spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
     if _spectrum_weight_above(spec, fn.grid.spacing) > 1e-6:
+        import warnings
+
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
     superposed = np.fft.ifft(spec * _binomial_multiplier(k, n_terms, eta, delta_t))
     target = np.fft.ifft(spec * np.exp(-1j * k * eta * delta_t))
-    num = np.sqrt(np.sum(np.abs(superposed - target) ** 2) * fn.grid.spacing)
-    return AmplifiedShift(WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo), float(num / fn.norm()))
+    dx = fn.grid.spacing
+    num = np.sqrt(np.sum(np.abs(superposed - target) ** 2) * dx)
+    distortion = float(num / fn.norm())
+    return AmplifiedShift(
+        shifted=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
+        distortion=distortion,
+    )
 
 
 def gaussian_shift_distortion(
@@ -149,7 +155,7 @@ def gaussian_shift_distortion(
     result is well conditioned even for strongly signed schedules, and a
     direct high-precision summation oracle reproduces it to ~1e-12.
     """
-    require_width(width)
+    require_positive(width, "width")
     n = grid.points
     k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
@@ -171,8 +177,7 @@ def _one_minus_sqrt_one_minus(x: float) -> float:
 
 def _schwarzschild_radius(mass: float, *radii: float) -> float:
     """2GM/c^2 of a finite, nonnegative mass; each of `radii` must be finite and exceed it."""
-    if not (math.isfinite(mass) and mass >= 0):
-        raise ValidationError(f"mass must be finite and nonnegative, got {mass}")
+    _require_nonnegative(mass, "mass")
     rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
     for r in radii:
         if not (math.isfinite(r) and r > rs):
@@ -216,7 +221,7 @@ def radius_schedule(n_terms: int, delta_t: float, shell_mass: float, r0: float, 
     """
     require_integer(n_terms, "n_terms", 1)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    _require_nonnegative(external_t, "external duration")
+    require_positive(external_t, "external duration")
     rs = _schwarzschild_radius(shell_mass, r0)
     if rs == 0.0:
         raise ValidationError("a massive shell is required for a radius schedule")
@@ -268,7 +273,13 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     shift = amplified_shift(system_fn.normalized(), n_terms, eta, delta_t)
     contracted = norm0 / math.sqrt(n_terms + 1) * shift.shifted.values
     success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
-    return MachineRun(schedule=sched, final_fn=shift.shifted, distortion=shift.distortion, success_prob=success)
+
+    return MachineRun(
+        schedule=sched,
+        final_fn=shift.shifted,
+        distortion=shift.distortion,
+        success_prob=success,
+    )
 
 
 @dataclass(frozen=True)

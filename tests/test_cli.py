@@ -313,6 +313,11 @@ def test_pointers_the_grid_cannot_resolve_are_refused(scenario, param, message, 
     assert not any(tmp_path.iterdir())
 
 
+def test_a_hundred_spins_are_not_refused_as_a_vanishing_amplitude(tmp_path):
+    # the pointer's squared norm is about 1e-30 by nature here, below the 1e-20 post-selection floor
+    assert run_cli("run", "n_spin_single_system", "--param", "spins=100", "--out", str(tmp_path)) == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [["run", "epr_product_rule"], ["sweep", "n_box", "--param-name", "boxes", "--values", "3,4"]],

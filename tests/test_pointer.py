@@ -179,6 +179,18 @@ def test_vanishing_superposition_is_refused_before_the_resolution_check():
         superposed_pointer(np.zeros(2), [0.5, -0.5], pointer)
 
 
+def test_only_post_selection_refuses_a_squared_norm_below_1e_20():
+    # orthogonal states along a generic axis leave rounding-sized amplitudes, about 5e-17
+    axis = [1.0, 2.0, 3.0]
+    tsv = TwoStateVector(CoStateVector.from_ket(spin_up([-1.0, -2.0, -3.0])), StateVector(spin_up(axis)))
+    pointer = GaussianPointer.for_spectrum(0.25, [1.0, -1.0])
+    with pytest.raises(PostSelectionImpossible):
+        pointer_distribution_postselected(tsv, spin_direction(axis), pointer)
+    # the 70-spin amplitudes sum to 2**-35, so their squared norm, about 1e-21, is small by nature
+    result = n_spin_pointer_closed_form(70, pointer)
+    assert np.sum(result.q_density) * result.q_grid.spacing == pytest.approx(1.0)
+
+
 def test_impossible_postselection_is_flagged():
     tsv = TwoStateVector(CoStateVector.from_ket([1.0, 0.0]), StateVector([0.0, 1.0]))
     pointer = GaussianPointer.for_spectrum(1.0, [1.0, -1.0], points=256)
