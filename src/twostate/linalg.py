@@ -49,9 +49,16 @@ def require_positive(value: float, what: str) -> None:
 
 
 def unit_vector(vec, dtype=float) -> np.ndarray:
-    """vec / norm(vec) as a 1-D `dtype` array; a vector that is empty, zero or not finite is refused."""
+    """vec / norm(vec) as a 1-D `dtype` array; a vector that is empty, zero or not finite is refused.
+
+    A norm that under- or overflows is taken again after dividing by max|vec|.
+    """
     v = np.asarray(vec, dtype=dtype)
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if v.ndim == 1 and norm in (0.0, np.inf) and np.isfinite(v).all() and v.any():
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
     if v.ndim != 1 or not 0 < norm < np.inf:
         raise ValidationError(f"need a nonzero, finite 1-D vector, got shape {v.shape} and norm {norm}")
     return v / norm

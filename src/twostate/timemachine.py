@@ -1,4 +1,4 @@
-"""Superposed time evolutions: amplified shifts, dilation schedules, success odds.
+"""Superposed time evolutions: the time machine, dilation schedules, success odds.
 
 A register of N+1 control levels steers a massive shell between radii that
 realize small gravitational time dilations delta_t_n = n*delta_t/N.  With
@@ -18,8 +18,10 @@ product form of the spectral multiplier
     B(k) = (eta * exp(-i*k*delta_t/N) + 1 - eta)**N,
 
 which is stable where the expanded sum is catastrophically ill-conditioned.
-The masked Fourier shift is this module's (`_masked_shift_spectrum`); the
-shell's mass, rest radius and duration are read by `radius_schedule` alone.
+`run_machine` shifts through the module's masked spectrum
+(`_masked_shift_spectrum`); every distortion is one Parseval sum
+(`_shift_distortion`).  The shell's mass, rest radius and duration are read
+by `radius_schedule` alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +52,13 @@ def _require_nonnegative(value: float, what: str) -> None:
         raise ValidationError(f"{what} must be finite and nonnegative, got {value}")
 
 
+def _require_schedule_inputs(n_terms: int, eta: float) -> None:
+    """A schedule needs an integer step count of at least 1 and a finite eta."""
+    require_integer(n_terms, "n_terms", 1)
+    if not math.isfinite(eta):
+        raise ValidationError("eta must be finite")
+
+
 @dataclass(frozen=True)
 class BinomialSchedule:
     """Exact binomial weights of the shifts n/N, with their sum and square sum."""
@@ -67,9 +77,7 @@ def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     Schedules are cached, and the cached one is shared by every caller.  Raises
     ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
     """
-    require_integer(n_terms, "n_terms", 1)
-    if not math.isfinite(eta):
-        raise ValidationError("eta must be finite")
+    _require_schedule_inputs(n_terms, eta)
     e = Fraction(eta)
     complement = 1 - e
     exact = tuple(math.comb(n_terms, n) * e**n * complement ** (n_terms - n) for n in range(n_terms + 1))
@@ -115,35 +123,16 @@ def _spectrum_weight_above(spec: np.ndarray, spacing: float) -> float:
     return float(power[k > cut].sum() / total) if total > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class AmplifiedShift:
-    shifted: WaveFunction1D
-    distortion: float
+def _shift_distortion(spec: np.ndarray, k: np.ndarray, multiplier: np.ndarray, shift: float) -> float:
+    """||superposition - f(. - shift)|| / ||f||, by discrete Parseval from the spectrum `spec` of f.
 
-
-def amplified_shift(fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float) -> AmplifiedShift:
-    """Apply the binomial schedule of shifts n*delta_t/N and measure distortion.
-
-    Distortion is the L2 distance between the superposition and the input
-    rigidly shifted by eta*delta_t, relative to the input norm.  The Nyquist
-    warning reads the masked spectrum, whose zeroed entries are below
-    SPECTRAL_MASK_RTOL of its peak.
+    The superposition has the spectrum spec * multiplier and the rigid shift
+    spec * exp(-i*k*shift); sum_q |f_q|**2 dx = (dx/n) sum_k |spec_k|**2, and
+    the factor dx/n cancels in the ratio.
     """
-    reach = sorted((0.0, delta_t, eta * delta_t))
-    spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
-    if _spectrum_weight_above(spec, fn.grid.spacing) > 1e-6:
-        import warnings
-
-        warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
-    superposed = np.fft.ifft(spec * _binomial_multiplier(k, n_terms, eta, delta_t))
-    target = np.fft.ifft(spec * np.exp(-1j * k * eta * delta_t))
-    dx = fn.grid.spacing
-    num = np.sqrt(np.sum(np.abs(superposed - target) ** 2) * dx)
-    distortion = float(num / fn.norm())
-    return AmplifiedShift(
-        shifted=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
-        distortion=distortion,
-    )
+    power = np.abs(spec) ** 2
+    miss = np.abs(multiplier - np.exp(-1j * k * shift)) ** 2
+    return float(np.sqrt(np.sum(power * miss) / np.sum(power)))
 
 
 def gaussian_shift_distortion(
@@ -155,19 +144,15 @@ def gaussian_shift_distortion(
     result is well conditioned even for strongly signed schedules, and a
     direct high-precision summation oracle reproduces it to ~1e-12.
     """
+    _require_schedule_inputs(n_terms, eta)
     require_positive(width, "width")
-    n = grid.points
-    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
     # grid is assumed wide enough that boundary tails vanish); only moduli
     # enter the Parseval sums, so grid-origin phases are irrelevant.
     amp = (np.pi * width**2) ** -0.25
     spectrum = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
-    diff = _binomial_multiplier(k, n_terms, eta, delta_t) - np.exp(-1j * k * eta * delta_t)
-    # discrete Parseval: sum_q |S - T|^2 dx = (dx/n) sum_k |spec_k|^2 |B - T|^2
-    num2 = (grid.spacing / n) * np.sum(np.abs(spectrum) ** 2 * np.abs(diff) ** 2)
-    den2 = (grid.spacing / n) * np.sum(np.abs(spectrum) ** 2)
-    return float(np.sqrt(num2 / den2))
+    return _shift_distortion(spectrum, k, _binomial_multiplier(k, n_terms, eta, delta_t), eta * delta_t)
 
 
 def _one_minus_sqrt_one_minus(x: float) -> float:
@@ -263,21 +248,28 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     nonnegative) here, before any FFT.  The system function is normalized on
     entry.  Post-selecting the uniform register state contracts the
     correlated rows N0 * alpha_n * f_n to N0/sqrt(N+1) * sum_n alpha_n f_n,
-    with N0 = (sum |alpha_n|^2)**-1/2; the sum is the amplified shift of the
-    normalized function, never summed row by row, and the success
-    probability is the squared norm of the contraction.
+    with N0 = (sum |alpha_n|^2)**-1/2; the sum is one inverse FFT of the
+    masked spectrum times the binomial multiplier, never summed row by row,
+    and the success probability is the squared norm of the contraction.
+    Distortion is the distance of the sum from the input shifted by eta*delta_t.
     """
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
     sched = binomial_schedule(n_terms, eta)
+    fn = system_fn.normalized()
+    reach = sorted((0.0, delta_t, eta * delta_t))
+    spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
+    if _spectrum_weight_above(spec, fn.grid.spacing) > 1e-6:
+        warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
+    multiplier = _binomial_multiplier(k, n_terms, eta, delta_t)
+    superposed = np.fft.ifft(spec * multiplier)
     norm0 = 1.0 / math.sqrt(float(sched.square_sum))
-    shift = amplified_shift(system_fn.normalized(), n_terms, eta, delta_t)
-    contracted = norm0 / math.sqrt(n_terms + 1) * shift.shifted.values
-    success = float(np.sum(np.abs(contracted) ** 2) * system_fn.grid.spacing)
+    contracted = norm0 / math.sqrt(n_terms + 1) * superposed
+    success = float(np.sum(np.abs(contracted) ** 2) * fn.grid.spacing)
 
     return MachineRun(
         schedule=sched,
-        final_fn=shift.shifted,
-        distortion=shift.distortion,
+        final_fn=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
+        distortion=_shift_distortion(spec, k, multiplier, eta * delta_t),
         success_prob=success,
     )
 

@@ -56,7 +56,7 @@ from twostate.states import (
     TwoStateVector,
     interchange,
 )
-from twostate.timemachine import amplified_shift, gaussian_shift_distortion, success_scaling_probe
+from twostate.timemachine import gaussian_shift_distortion, run_machine, success_scaling_probe
 from twostate.weak import weak_value, weak_value_degenerate_post
 
 SQRT2 = math.sqrt(2.0)
@@ -376,12 +376,12 @@ def test_criterion_08_time_machine():
     fn = gaussian_wavefunction(grid, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        figure = amplified_shift(fn, 13, 10.0, 1.0)
+        figure = run_machine(fn, 13, 10.0, 1.0)
     analytic = gaussian_shift_distortion(13, 10.0, 1.0, 1.0, grid)
 
     wide = Grid1D(-80.0, 92.0, 4096)
     wide_fn = gaussian_wavefunction(wide, 6.0)
-    series = [amplified_shift(wide_fn, n, 10.0, 1.0).distortion for n in (8, 13, 21, 34)]
+    series = [run_machine(wide_fn, n, 10.0, 1.0).distortion for n in (8, 13, 21, 34)]
 
     probe = success_scaling_probe(10.0, [20, 21])
     elapsed = time.perf_counter() - t0

@@ -27,7 +27,7 @@ from twostate.pointer import (
 )
 from twostate.reporting import csv_table
 from twostate.states import CoStateVector, StateVector, TwoStateVector
-from twostate.timemachine import amplified_shift
+from twostate.timemachine import run_machine
 from twostate.weak import weak_value
 
 SQRT2 = np.sqrt(2.0)
@@ -347,22 +347,22 @@ def test_n_spin_narrow_pointer_resolves_the_eigenvalue_comb():
     assert np.allclose(spacing, 2 / 8, atol=0.01)
 
 
-def test_amplified_shift_is_the_identity_at_eta_0_and_a_rigid_shift_at_eta_1():
+def test_time_machine_is_the_identity_at_eta_0_and_a_rigid_shift_at_eta_1():
     grid = Grid1D(-30.0, 30.0, 1024)
     fn = gaussian_wavefunction(grid, 1.0)
-    same = amplified_shift(fn, 4, 0.0, 2.0)
-    assert np.abs(same.shifted.values - fn.values).max() <= 1e-12
+    same = run_machine(fn, 4, 0.0, 2.0)
+    assert np.abs(same.final_fn.values - fn.values).max() <= 1e-12
 
-    shifted = amplified_shift(fn, 4, 1.0, 2.0)
+    shifted = run_machine(fn, 4, 1.0, 2.0)
     target = gaussian_wavefunction(grid, 1.0, center=2.0)
-    assert np.abs(shifted.shifted.values - target.values).max() <= 1e-12
+    assert np.abs(shifted.final_fn.values - target.values).max() <= 1e-12
 
 
 def test_shift_superposition_rejects_overflowing_shifts():
     grid = Grid1D(-10.0, 10.0, 256)
     fn = gaussian_wavefunction(grid, 1.0)
     with pytest.raises(GridOverflow):
-        amplified_shift(fn, 1, 1.0, 8.0)
+        run_machine(fn, 1, 1.0, 8.0)
 
 
 def test_pointers_narrower_than_two_grid_spacings_are_refused():
@@ -379,7 +379,7 @@ def test_pointers_narrower_than_two_grid_spacings_are_refused():
 def test_fourier_shifts_reject_a_zero_wavefunction():
     zero = WaveFunction1D(Grid1D(-5.0, 5.0, 64), np.zeros(64))
     with pytest.raises(ValidationError):
-        amplified_shift(zero, 4, 2.0, 0.1)
+        run_machine(zero, 4, 2.0, 0.1)
 
 
 def test_csv_and_summary_outputs_are_well_formed():

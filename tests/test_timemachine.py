@@ -14,7 +14,6 @@ from twostate.timemachine import (
     LIGHT_SPEED,
     _masked_shift_spectrum,
     _spectrum_weight_above,
-    amplified_shift,
     binomial_schedule,
     gaussian_shift_distortion,
     gr_dilation,
@@ -84,7 +83,7 @@ def test_interpolation_regime_distortion_is_small():
     # oracle-chosen interpolation configuration: eta in (0,1), short span
     grid = Grid1D(-40.0, 40.0, 4096)
     fn = gaussian_wavefunction(grid, 1.0)
-    result = amplified_shift(fn, 13, 0.5, 0.25)
+    result = run_machine(fn, 13, 0.5, 0.25)
     assert result.distortion < 1e-3
     analytic = gaussian_shift_distortion(13, 0.5, 0.25, 1.0, grid)
     assert result.distortion == pytest.approx(analytic, rel=1e-9, abs=0)
@@ -93,9 +92,9 @@ def test_interpolation_regime_distortion_is_small():
 def test_zero_span_schedule_is_the_identity():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
-    result = amplified_shift(fn, 13, 10.0, 0.0)
+    result = run_machine(fn, 13, 10.0, 0.0)
     assert result.distortion == 0.0
-    assert np.abs(result.shifted.values - fn.values).max() <= 1e-12
+    assert np.abs(result.final_fn.values - fn.values).max() <= 1e-12
 
 
 def test_figure_configuration_matches_the_frozen_oracle_value():
@@ -103,7 +102,7 @@ def test_figure_configuration_matches_the_frozen_oracle_value():
     fn = gaussian_wavefunction(grid, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = amplified_shift(fn, 13, 10.0, 1.0)
+        result = run_machine(fn, 13, 10.0, 1.0)
     assert result.distortion == pytest.approx(GOLDEN_DISTORTION, rel=1e-10, abs=0)
     analytic = gaussian_shift_distortion(13, 10.0, 1.0, 1.0, grid)
     assert analytic == pytest.approx(GOLDEN_DISTORTION, rel=1e-10, abs=0)
@@ -121,7 +120,7 @@ def test_decimal_oracle_reproduces_the_implementation_on_a_reduced_grid():
     grid = Grid1D(-40.0, 40.0, 512)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = amplified_shift(gaussian_wavefunction(grid, 1.0), 13, 10.0, 1.0)
+        result = run_machine(gaussian_wavefunction(grid, 1.0), 13, 10.0, 1.0)
     oracle = float(decimal_distortion_oracle(13, 10, 1.0, 1.0, -40.0, 40.0, 512))
     assert result.distortion == pytest.approx(oracle, rel=1e-10, abs=0)
 
@@ -131,7 +130,7 @@ def test_distortion_decreases_with_more_terms_at_fixed_span():
     fn = gaussian_wavefunction(grid, 6.0)
     values = []
     for n_terms in (8, 13, 21, 34):
-        values.append(amplified_shift(fn, n_terms, 10.0, 1.0).distortion)
+        values.append(run_machine(fn, n_terms, 10.0, 1.0).distortion)
     assert values[0] > values[1] > values[2] > values[3]
 
 
@@ -140,18 +139,19 @@ def test_rapid_spectrum_check_warns_on_rough_inputs():
     fn = gaussian_wavefunction(grid, 0.2)
     assert _spectrum_weight_above(np.fft.fft(fn.values), grid.spacing) > 1e-6
     with pytest.warns(UserWarning):
-        amplified_shift(fn, 4, 0.5, 0.1)
+        run_machine(fn, 4, 0.5, 0.1)
 
 
-def test_amplified_shift_rejects_offgrid_schedules():
+def test_run_machine_rejects_schedules_that_leave_the_low_end():
+    # eta < 0 carries the net shift below the grid: an FFT shift would wrap around
     grid = Grid1D(-10.0, 10.0, 256)
     fn = gaussian_wavefunction(grid, 1.0)
     with pytest.raises(GridOverflow):
-        amplified_shift(fn, 8, 9.0, 1.0)
+        run_machine(fn, 8, -9.0, 1.0)
 
 
 def test_run_machine_rejects_offgrid_schedules():
-    # the same schedule amplified_shift refuses: an FFT shift would wrap around
+    # an FFT shift would wrap around
     grid = Grid1D(-10.0, 10.0, 256)
     fn = gaussian_wavefunction(grid, 1.0)
     with pytest.raises(GridOverflow):
@@ -259,14 +259,6 @@ def test_run_machine_zero_span_success_probability_is_exact():
     assert run.distortion == 0.0
 
 
-def test_run_machine_final_function_matches_amplified_shift():
-    grid = Grid1D(-40.0, 40.0, 2048)
-    fn = gaussian_wavefunction(grid, 1.0)
-    run = run_machine(fn, 13, 0.6, 1.0)
-    shifted = amplified_shift(fn.normalized(), 13, 0.6, 1.0)
-    assert np.abs(run.final_fn.values - shifted.shifted.values).max() <= 1e-12
-
-
 def correlated_rows(fn, n_terms, eta, delta_t):
     """The literal correlated register rows N0 * alpha_n * f(q - delta_t_n), one FFT pair each."""
     fn = fn.normalized()
@@ -275,6 +267,47 @@ def correlated_rows(fn, n_terms, eta, delta_t):
     shifts = np.arange(n_terms + 1) / n_terms * delta_t
     spec, k = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
     return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
+
+
+def test_run_machine_final_function_and_distortion_match_their_position_space_forms():
+    # final_fn against the literal row sum; distortion against the position-space
+    # distance ||final_fn - ifft(FFT(f) * exp(-i k eta delta_t))|| / ||f||
+    grid = Grid1D(-40.0, 40.0, 2048)
+    fn = gaussian_wavefunction(grid, 1.0)
+    run = run_machine(fn, 13, 0.6, 1.0)
+    norm0 = 1.0 / math.sqrt(float(run.schedule.square_sum))
+    row_sum = correlated_rows(fn, 13, 0.6, 1.0).sum(axis=0) / norm0
+    assert np.abs(run.final_fn.values - row_sum).max() <= 1e-12
+    unit = fn.normalized()
+    spec, k = _masked_shift_spectrum(unit, 0.0, 1.0)
+    target = np.fft.ifft(spec * np.exp(-1j * k * 0.6))
+    distance = np.sqrt(np.sum(np.abs(run.final_fn.values - target) ** 2) * grid.spacing) / unit.norm()
+    assert run.distortion == pytest.approx(distance, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("width", [2.0, 6.0, 12.0])
+@pytest.mark.parametrize("eta", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize("n_terms", [13, 40, 100])
+def test_run_machine_distortion_matches_the_analytic_gaussian_value(n_terms, eta, width):
+    # the scenario's grid; a position-space norm of the same samples is off by up to 3.0e-12 at (100, 0.5, 12)
+    lo = -8.0 * width + min(0.0, eta)
+    hi = 8.0 * width + max(1.0, eta)
+    grid = Grid1D(lo, hi, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_machine(gaussian_wavefunction(grid, width), n_terms, eta, 1.0)
+    analytic = gaussian_shift_distortion(n_terms, eta, 1.0, width, grid)
+    assert run.distortion == pytest.approx(analytic, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize(
+    "n_terms, eta",
+    [(0, 10.0), (-2, 10.0), (2.5, 10.0), (13.0, 10.0), (True, 10.0), (13, math.nan), (13, math.inf)],
+)
+def test_analytic_distortion_refuses_a_schedule_it_cannot_build(n_terms, eta):
+    # unchecked, these give 1.414, 29.7, 6.47 or nan without a word
+    with pytest.raises(ValidationError, match="n_terms|eta"):
+        gaussian_shift_distortion(n_terms, eta, 1.0, 1.0, Grid1D(-40.0, 40.0, 4096))
 
 
 def test_run_machine_staged_rows_contract_to_the_final_function():
