@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a scenario's numerical self-checks fail,
 2 on usage errors (unknown scenario, malformed or unknown parameters or seed,
-a missing or malformed config file) and on outputs that cannot be written,
+a value outside its declared domain, a missing or malformed config file)
+and on outputs that cannot be written,
 3 on any other exception, reported as one `internal error:` line.
 Identical requests (including the seed) produce byte-identical files.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -27,32 +29,29 @@ INTERNAL_ERROR = 3
 
 
 def _parse_param_overrides(pairs: list[str]) -> dict:
-    out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValidationError(f"parameter override {pair!r} must look like key=value")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    return {key.strip(): value.strip() for key, value in (pair.split("=", 1) for pair in pairs)}
 
 
 def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, os.path.join(os.getcwd(), "twostate-out"))
 
 
+def _describe(p: ParamSpec) -> str:
+    """`name:kind=default`, then a bounded domain: [lo, hi] for an int, (lo, hi) for a float or an infinite end."""
+    if p.min == -math.inf and p.max == math.inf:
+        return f"{p.name}:{p.kind}={p.default}"
+    left = "[" if p.kind == "int" and p.min > -math.inf else "("
+    right = "]" if p.kind == "int" and p.max < math.inf else ")"
+    return f"{p.name}:{p.kind}={p.default} {left}{p.min}, {p.max}{right}"
+
+
 def cmd_list(args) -> int:
-    names = sorted(REGISTRY)
-    if args.filter:
-        names = [n for n in names if args.filter in n]
-    rows = []
-    for name in names:
-        spec = REGISTRY[name]
-        schema = ", ".join(f"{p.name}:{p.kind}={p.default}" for p in spec.params) or "-"
-        rows.append((name, schema, spec.summary))
-    if not rows:
-        return 0
-    width = max(len(r[0]) for r in rows)
-    pwidth = max(len(r[1]) for r in rows)
+    specs = [REGISTRY[name] for name in sorted(REGISTRY) if not args.filter or args.filter in name]
+    rows = [(spec.name, ", ".join(map(_describe, spec.params)) or "-", spec.summary) for spec in specs]
+    width, pwidth = (max((len(row[i]) for row in rows), default=0) for i in (0, 1))
     for name, schema, summary in rows:
         print(f"{name:<{width}}  {schema:<{pwidth}}  {summary}")
     return 0
@@ -77,6 +76,7 @@ def cmd_run(args) -> int:
     try:
         spec = get_scenario(args.scenario)
         overrides = _parse_param_overrides(args.param or [])
+        seed = 0 if args.seed is None else args.seed
         if args.config:
             with open(args.config, "r", encoding="utf-8") as handle:
                 file_request = json.load(handle)
@@ -84,9 +84,8 @@ def cmd_run(args) -> int:
             if not isinstance(file_params, dict):
                 raise ValidationError(f"config {args.config!r} must hold a JSON object, and its 'params' an object")
             overrides = {**file_params, **overrides}  # flags win over the file
-            if args.seed is None and "seed" in file_request:
-                args.seed = ParamSpec("seed", "int", 0, "").coerce(file_request["seed"])
-        seed = 0 if args.seed is None else args.seed
+            if args.seed is None:
+                seed = file_request.get("seed", 0)  # run coerces it
         result = spec.run(overrides, seed=seed)
         written = _write_outputs(result, args.out or _default_out_dir(), args.format)
     except (TwoStateError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -109,9 +108,7 @@ def _scalar_summaries(result: ScenarioResult) -> dict:
         if isinstance(node, dict):
             for key in sorted(node):
                 walk(f"{prefix}.{key}" if prefix else key, node[key])
-        elif isinstance(node, bool) or node is None:
-            pass
-        elif isinstance(node, (int, float)):
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
             flat[prefix] = node
 
     walk("", result.results)
@@ -124,19 +121,19 @@ def cmd_sweep(args) -> int:
         schema = {p.name: p for p in spec.params}
         if args.param_name not in schema:
             raise ValidationError(f"scenario {args.scenario!r} has no parameter {args.param_name!r}")
-        if schema[args.param_name].kind not in ("int", "float"):
+        param = schema[args.param_name]
+        if param.kind not in ("int", "float"):
             raise ValidationError(f"parameter {args.param_name!r} is not numeric")
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
+        # every value is checked against the domain before the first run computes
+        values = [param.coerce(v.strip()) for v in args.values.split(",") if v.strip()]
         if not values:
             raise ValidationError("no sweep values supplied")
         fixed = _parse_param_overrides(args.param or [])
         seed = 0 if args.seed is None else args.seed
         summaries = []
         all_passed = True
-        for raw in values:
-            overrides = dict(fixed)
-            overrides[args.param_name] = raw
-            result = spec.run(overrides, seed=seed)
+        for value in values:
+            result = spec.run({**fixed, args.param_name: value}, seed=seed)
             all_passed = all_passed and result.passed
             flat = _scalar_summaries(result)
             flat.pop(args.param_name, None)  # already the leading column
@@ -144,8 +141,7 @@ def cmd_sweep(args) -> int:
             print(result.summary_line)
         path = os.path.join(args.out or _default_out_dir(), spec.name, f"sweep_{args.param_name}.csv")
         keys = sorted(set().union(*summaries))  # a value any run reports gets a column
-        columns = [[schema[args.param_name].coerce(raw) for raw in values]]
-        columns += [[flat.get(key) for flat in summaries] for key in keys]
+        columns = [values] + [[flat.get(key) for flat in summaries] for key in keys]
         write_text_atomic(path, csv_table([args.param_name] + keys, columns))
     except (TwoStateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

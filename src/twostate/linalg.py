@@ -349,10 +349,16 @@ class WaveFunction1D:
         return float(np.sqrt(self.norm_squared()))
 
     def normalized(self) -> "WaveFunction1D":
-        n = self.norm()
+        """This function over its norm; a norm that under- or overflows is taken again after dividing by max|v|."""
+        v = self.values
+        with np.errstate(over="ignore"):
+            n = self.norm()
+        if n in (0.0, math.inf) and v.any():
+            v = v / np.abs(v).max()
+            n = float(np.sqrt(np.sum(np.abs(v) ** 2) * self.grid.spacing))
         if n == 0.0:
             raise ValidationError("cannot normalize a zero wavefunction")
-        return WaveFunction1D(self.grid, self.values / n, self.representation, self.conjugate_lo)
+        return WaveFunction1D(self.grid, v / n, self.representation, self.conjugate_lo)
 
     def density(self) -> np.ndarray:
         """|psi|**2 normalized to unit integral on the grid."""

@@ -68,13 +68,7 @@ def stable_json(obj) -> str:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, int):
-        return str(cell)
-    if isinstance(cell, float):
-        return format_float(cell)
-    return str(cell)
+    return _encode(cell, 0) if isinstance(cell, (int, float)) else str(cell)  # a bool is an int: true/false
 
 
 def _column_cells(column) -> tuple[str, list]:

@@ -34,7 +34,6 @@ from .linalg import (
     identity,
     pauli,
     projector_onto,
-    require_positive,
     spin_direction,
     spin_up,
     tensor_product,
@@ -62,16 +61,24 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False,
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One scenario parameter; `coerce` refuses a value above `max`, when set, before any compute runs."""
+    """One scenario parameter and its domain: an int lies in [min, max], a float in (min, max).
+
+    `coerce` refuses a value outside it before any compute runs, and the spec
+    itself is refused, when built, for an unknown kind or a default outside it.
+    """
     name: str
     kind: str  # int | float (finite) | bool
     default: object
     doc: str
-    max: int | None = None
+    max: float = math.inf
+    min: float = -math.inf
 
-    def coerce(self, raw):
+    def __post_init__(self):
         if self.kind not in ("int", "float", "bool"):
             raise ValidationError(f"unknown parameter kind {self.kind!r}")
+        self.coerce(self.default)
+
+    def coerce(self, raw):
         try:
             if self.kind == "int":
                 value = int(raw, 10) if isinstance(raw, str) else int(raw)
@@ -84,9 +91,16 @@ class ParamSpec:
                 value = raw if isinstance(raw, bool) else _BOOL_WORDS[str(raw).lower()]
         except (TypeError, ValueError, OverflowError, KeyError):  # int(inf) overflows
             raise ValidationError(f"parameter {self.name!r} expects {self.kind}, got {raw!r}") from None
-        if self.max is not None and value > self.max:
-            raise ValidationError(f"parameter {self.name!r} is at most {self.max}, got {value}")
+        if self.kind == "int" and not self.min <= value <= self.max:
+            word, bound = ("at least", self.min) if value < self.min else ("at most", self.max)
+            raise ValidationError(f"parameter {self.name!r} is {word} {bound}, got {value}")
+        if self.kind == "float" and not self.min < value < self.max:
+            word, bound = ("above", self.min) if value <= self.min else ("below", self.max)
+            raise ValidationError(f"parameter {self.name!r} must be {word} {bound}, got {value}")
         return value
+
+
+SEED = ParamSpec("seed", "int", 0, "seed of the sampled readings (numpy's default_rng refuses a negative one)", min=0)
 
 
 @dataclass
@@ -120,8 +134,7 @@ class ScenarioSpec:
     runner: object
 
     def run(self, overrides: dict | None = None, seed: int = 0) -> ScenarioResult:
-        if seed < 0:  # default_rng refuses a negative seed
-            raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+        seed = SEED.coerce(seed)
         values = {p.name: p.default for p in self.params}
         schema = {p.name: p for p in self.params}
         for key, raw in (overrides or {}).items():
@@ -141,8 +154,6 @@ THREE_BOX_TENSOR_CAP = 9  # the n_particles doc says why
 
 def _run_three_box(params: dict, seed: int) -> ScenarioResult:
     n_particles = params["n_particles"]
-    if n_particles < 1:
-        raise ValidationError("need at least one particle")
     ket = StateVector(np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0))
     tsv = TwoStateVector(CoStateVector.from_ket(np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)), ket)
     p1, p2, p3 = (projector_onto(e) for e in np.eye(3))
@@ -192,8 +203,6 @@ def _run_three_box(params: dict, seed: int) -> ScenarioResult:
 
 def _run_n_box(params: dict, seed: int) -> ScenarioResult:
     n = params["boxes"]
-    if n < 3:
-        raise ValidationError("need at least three boxes")
     root = math.sqrt(n - 2.0)
     ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
     bra = CoStateVector.from_ket(np.concatenate([np.ones(n - 1), [-root]]))
@@ -401,8 +410,6 @@ def _run_negative_kinetic(params: dict, seed: int) -> ScenarioResult:
     half_width = params["well_half_width"]
     x_f = params["postselect_x"]
     pointer_delta = params["pointer_delta"]
-    if sites < 2:
-        raise ValidationError("need at least two lattice sites")
     if abs(x_f) <= half_width:
         raise ValidationError("post-selection site must lie outside the well, where U = 0")
 
@@ -469,8 +476,6 @@ def _spin_cone_description(chi: float) -> GeneralizedTwoStateVector:
 def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
     chi = params["chi"]
     samples = params["samples"]
-    if not 0.0 < chi < math.pi / 2:
-        raise ValidationError("chi must lie strictly between 0 and pi/2")
     gtsv = _spin_cone_description(chi)
     cone = certainty_cone(gtsv, samples=samples)
     cos_theta = (1.0 - math.tan(chi)) / (1.0 + math.tan(chi))
@@ -526,7 +531,6 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
     eta = params["eta"]
     delta_t = params["delta_t"]
     width = params["width"]
-    require_positive(width, "width")
     span = 8.0 * width
     lo = -span + min(0.0, eta * delta_t)
     hi = span + max(delta_t, eta * delta_t, 0.0)
@@ -590,18 +594,18 @@ _register(
 _register(
     "n_box",
     "A particle certain to be found in every one of the first N-1 boxes",
-    (ParamSpec("boxes", "int", 5, "boxes, 3 to 100,000 (there a run takes 0.2 s, 17 MB over the default)", 100_000),),
+    (ParamSpec("boxes", "int", 5, "boxes (+0.2 s, +17 MB at the cap)", min=3, max=100_000),),
     _run_n_box,
 )
 _register(
     "negative_kinetic_energy",
     "Bound-state particle post-selected in the forbidden region: negative kinetic readings",
     (
-        ParamSpec("sites", "int", 2048, "lattice sites (>= 2) for the weak-value identity"),
+        ParamSpec("sites", "int", 2048, "lattice sites for the weak-value identity", min=2),
         ParamSpec("well_depth", "float", 5.0, "square-well depth"),
         ParamSpec("well_half_width", "float", 1.0, "square-well half width"),
         ParamSpec("postselect_x", "float", 5.0, "post-selection position (outside the well)"),
-        ParamSpec("pointer_delta", "float", 8.0, "pointer width for the simulated measurement"),
+        ParamSpec("pointer_delta", "float", 8.0, "pointer width for the simulated measurement", min=0),
     ),
     _run_negative_kinetic,
 )
@@ -609,8 +613,8 @@ _register(
     "n_spin_single_system",
     "Average spin component of N pre/post-selected spins read in a single measurement",
     (
-        ParamSpec("spins", "int", 20, "number of spin-1/2 particles"),
-        ParamSpec("delta", "float", 0.25, "pointer width"),
+        ParamSpec("spins", "int", 20, "number of spin-1/2 particles", min=1),
+        ParamSpec("delta", "float", 0.25, "pointer width", min=0),
     ),
     _run_n_spin,
 )
@@ -618,8 +622,8 @@ _register(
     "spin_cone",
     "Superposed description with a whole cone of certain spin directions",
     (
-        ParamSpec("chi", "float", math.pi / 8, "superposition angle chi in (0, pi/2)"),
-        ParamSpec("samples", "int", 16, "azimuthal samples around the cone"),
+        ParamSpec("chi", "float", math.pi / 8, "superposition angle chi", min=0, max=math.pi / 2),
+        ParamSpec("samples", "int", 16, "azimuthal samples around the cone", min=8),
     ),
     _run_spin_cone,
 )
@@ -627,8 +631,8 @@ _register(
     "spin_xi_weak",
     "Bisector spin component between x and y selections: the sqrt(2) pointer reading",
     (
-        ParamSpec("delta", "float", 10.0, "pointer width"),
-        ParamSpec("ensemble", "int", 5000, "sampled readings, at most 10**6 (0.1 s, 15 MB over the default)", 10**6),
+        ParamSpec("delta", "float", 10.0, "pointer width", min=0),
+        ParamSpec("ensemble", "int", 5000, "sampled readings (+0.1 s, +15 MB at the cap)", min=1, max=10**6),
         ParamSpec("postselect", "bool", True, "condition on the later spin outcome"),
     ),
     _run_spin_xi,
@@ -636,18 +640,18 @@ _register(
 _register(
     "three_box",
     "One particle certain to be in box 1 and in box 2, with negative box-3 pressure",
-    (ParamSpec("n_particles", "int", 5, f"particles (>= 1); tensor pressure up to {THREE_BOX_TENSOR_CAP}, a warm "
-               "12-16 ms there (36-46 ms at 10, 2-core x86-64), then n times the one-particle value"),),
+    (ParamSpec("n_particles", "int", 5, f"particles; tensor pressure up to {THREE_BOX_TENSOR_CAP}, a warm 12-16 ms "
+               "there (36-46 ms at 10, 2-core x86-64), then n times the one-particle value", min=1),),
     _run_three_box,
 )
 _register(
     "time_machine",
     "Binomial superposition of small time shifts acting as one large shift",
     (
-        ParamSpec("n_terms", "int", 13, "superposition steps N"),
+        ParamSpec("n_terms", "int", 13, "superposition steps N", min=1),
         ParamSpec("eta", "float", 10.0, "amplification factor"),
         ParamSpec("delta_t", "float", 1.0, "maximal elementary shift"),
-        ParamSpec("width", "float", 6.0, "width of the Gaussian test function"),
+        ParamSpec("width", "float", 6.0, "width of the Gaussian test function", min=0),
     ),
     _run_time_machine,
 )

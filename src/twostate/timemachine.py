@@ -145,6 +145,7 @@ def gaussian_shift_distortion(
     direct high-precision summation oracle reproduces it to ~1e-12.
     """
     _require_schedule_inputs(n_terms, eta)
+    _require_nonnegative(delta_t, "maximal elementary shift delta_t")
     require_positive(width, "width")
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
@@ -294,18 +295,15 @@ def success_scaling_probe(eta: float, n_values) -> ScalingProbe:
     Computed with unit overlaps between the shifted system states (the
     delta_t -> 0 limit), which isolates the register statistics:
     Prob(N) = 1 / ((N+1) * sum_n alpha_n^2), evaluated in exact rational
-    arithmetic.
+    arithmetic.  Each size must be an integer, and no size may repeat.
     """
-    ns = np.asarray(sorted(n_values), dtype=int)
-    if ns.size < 2:
-        raise ValidationError("need at least two register sizes to form ratios")
-    probs = []
-    for n in ns:
-        sched = binomial_schedule(int(n), eta)
-        probs.append(1.0 / float((n + 1) * sched.square_sum))
-    probs = np.array(probs)
+    sizes = sorted(n_values)
+    for n in sizes:
+        require_integer(n, "register size", 1)
+    if len(set(sizes)) < max(len(sizes), 2):  # a repeated size is a zero step, whose ratio is 1 by construction
+        raise ValidationError(f"need at least two register sizes, none repeated, to form ratios; got {sizes}")
+    probs = np.array([1.0 / float((n + 1) * binomial_schedule(int(n), eta).square_sum) for n in sizes])
     ratios = probs[1:] / probs[:-1]
     # normalize ratios to a per-unit-N step when the sequence is not contiguous
-    steps = np.diff(ns)
-    per_step = ratios ** (1.0 / steps)
+    per_step = ratios ** (1.0 / np.diff(sizes))
     return ScalingProbe(float(eta), probs, per_step, np.sqrt(per_step))

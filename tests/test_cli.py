@@ -196,6 +196,22 @@ def test_sweep_columns_do_not_depend_on_the_order_of_the_values(tmp_path, capsys
     assert rows["0.5,2"]["0.5"]["amplitude_decay_per_step"] == "None"
 
 
+def test_a_sweep_value_outside_the_domain_is_refused_before_the_first_run(tmp_path, capsys):
+    argv = ["sweep", "n_box", "--param-name", "boxes", "--values", "3,4,100001", "--out", str(tmp_path)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter 'boxes' is at most 100000, got 100001\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_list_shows_each_declared_domain(capsys):
+    assert run_cli("list") == 0
+    out = capsys.readouterr().out
+    assert "boxes:int=5 [3, 100000]" in out
+    assert f"chi:float={math.pi / 8} (0, {math.pi / 2})" in out
+
+
 def test_sweep_rejects_unknown_or_non_numeric_parameters(tmp_path, capsys):
     assert run_cli("sweep", "spin_xi_weak", "--param-name", "nope", "--values", "1,2") == 2
     assert run_cli("sweep", "spin_xi_weak", "--param-name", "postselect", "--values", "1,2") == 2
@@ -263,13 +279,14 @@ def test_seeds_and_config_bytes_it_cannot_use_are_refused(argv, config, tmp_path
 def test_three_box_without_particles_is_a_usage_error(n_particles, tmp_path, capsys):
     assert run_cli("run", "three_box", "--param", f"n_particles={n_particles}", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err == "error: need at least one particle\n"
+    assert err == f"error: parameter 'n_particles' is at least 1, got {n_particles}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("sites", ["1", "0", "-5"])
 def test_negative_kinetic_energy_below_two_sites_is_a_usage_error(sites, tmp_path, capsys):
     assert run_cli("run", "negative_kinetic_energy", "--param", f"sites={sites}", "--out", str(tmp_path)) == 2
-    assert capsys.readouterr().err == "error: need at least two lattice sites\n"
+    assert capsys.readouterr().err == f"error: parameter 'sites' is at least 2, got {sites}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -332,17 +349,47 @@ def test_outputs_that_cannot_be_written_are_a_usage_error(argv, tmp_path, capsys
     assert out.read_text() == ""
 
 
-@pytest.mark.parametrize("scenario, name, cap", [("spin_xi_weak", "ensemble", 10**6), ("n_box", "boxes", 100_000)])
+@pytest.mark.parametrize(
+    "scenario, name, cap",
+    [
+        ("spin_xi_weak", "ensemble", 10**6),
+        ("n_box", "boxes", 100_000),
+        # lower bounds, and the exclusive bounds of floats
+        ("three_box", "n_particles", 1),
+        ("n_box", "boxes", 3),
+        ("negative_kinetic_energy", "sites", 2),
+        ("spin_cone", "samples", 8),
+        ("n_spin_single_system", "spins", 1),
+        ("spin_xi_weak", "ensemble", 1),
+        ("time_machine", "n_terms", 1),
+        ("spin_cone", "chi", 0),
+        ("spin_cone", "chi", math.pi / 2),
+        ("spin_xi_weak", "delta", 0),
+        ("n_spin_single_system", "delta", 0),
+        ("negative_kinetic_energy", "pointer_delta", 0),
+        ("time_machine", "width", 0),
+    ],
+)
 def test_sizes_above_their_cap_are_refused_before_any_compute(scenario, name, cap, tmp_path, monkeypatch, capsys):
     def computes(params, seed):
-        raise AssertionError("a value above the cap reached the scenario")
+        raise AssertionError("a value outside the domain reached the scenario")
 
     spec = get_scenario(scenario)
     monkeypatch.setitem(REGISTRY, scenario, dataclasses.replace(spec, runner=computes))
-    assert {p.name: p for p in spec.params}[name].coerce(str(cap)) == cap
-    for value in (cap + 1, 10**12):
-        assert run_cli("run", scenario, "--param", f"{name}={value}", "--out", str(tmp_path)) == 2
-        assert capsys.readouterr().err == f"error: parameter {name!r} is at most {cap}, got {value}\n"
+    param = {p.name: p for p in spec.params}[name]
+    upper = cap == param.max
+    if param.kind == "int":  # an int's bounds are inclusive
+        assert param.coerce(str(cap)) == cap
+        outside = (cap + 1, 10**12) if upper else (cap - 1, -(10**12))
+        words = "is at most" if upper else "is at least"
+    else:  # a float's are exclusive
+        inside = math.nextafter(cap, -math.inf if upper else math.inf)
+        assert param.coerce(repr(inside)) == inside
+        outside = (float(cap), math.nextafter(cap, math.inf if upper else -math.inf), 1e300 if upper else -1e300)
+        words = "must be below" if upper else "must be above"
+    for value in outside:
+        assert run_cli("run", scenario, "--param", f"{name}={value!r}", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: parameter {name!r} {words} {cap}, got {value}\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -59,6 +59,7 @@ UNREACHED = {
     "protective.model_spin_protection": "test_protective::test_model_spin_protection_*",
     "protective.protected_two_state_measurement": CRITERION_9,
     "protective.weak_value_substituted_hamiltonian": "test_protective weak-value substitution tests",
+    "scenarios.ParamSpec.__post_init__": "runs at import, when each parameter is declared",
     "scenarios._register": "runs at import, before any CLI call",
     "states.interchange": f"time-reversal interchange, {CRITERION_10}",
     "timemachine._one_minus_sqrt_one_minus": DILATIONS,

@@ -10,7 +10,7 @@ from twostate.ideal import counterfactual_decomposition_check
 from twostate.linalg import pauli
 from twostate.pointer import GaussianPointer
 from twostate.reporting import csv_table, stable_json
-from twostate.scenarios import REGISTRY, get_scenario, n_spin_tensor_oracle
+from twostate.scenarios import REGISTRY, ParamSpec, get_scenario, n_spin_tensor_oracle
 from twostate.states import StateVector
 
 EXPECTED_SCENARIOS = [
@@ -80,7 +80,7 @@ def test_three_box_pressure_matches_the_kron_oracle_up_to_the_tensor_cap():
 
 @pytest.mark.parametrize("n_particles", [0, -1])
 def test_three_box_refuses_fewer_than_one_particle(n_particles):
-    with pytest.raises(ValidationError, match="at least one particle"):
+    with pytest.raises(ValidationError, match="'n_particles' is at least 1"):
         get_scenario("three_box").run({"n_particles": n_particles})
 
 
@@ -174,6 +174,21 @@ def test_time_machine_scenario_consistency():
     assert res["amplitude_decay_per_step"] == pytest.approx(1 / 19, rel=0.05, abs=0)
     # a visually faithful configuration: modest distortion at width 6
     assert res["distortion"] < 0.1
+
+
+@pytest.mark.parametrize(
+    "kind, default, bounds, message",
+    [
+        ("complex", 0, {}, "unknown parameter kind 'complex'"),
+        ("int", 2, {"min": 3}, "is at least 3, got 2"),
+        ("int", 7, {"max": 6}, "is at most 6, got 7"),
+        ("float", 0.0, {"min": 0}, "must be above 0, got 0.0"),
+        ("float", 1.0, {"max": 1.0}, "must be below 1.0, got 1.0"),
+    ],
+)
+def test_a_parameter_spec_outside_its_own_domain_is_refused_when_built(kind, default, bounds, message):
+    with pytest.raises(ValidationError, match=message):
+        ParamSpec("x", kind, default, "", **bounds)
 
 
 def test_unknown_parameter_is_rejected():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from twostate.errors import GridOverflow, ResourceLimit, ValidationError
-from twostate.linalg import Grid1D, gaussian_wavefunction
+from twostate.linalg import Grid1D, WaveFunction1D, gaussian_wavefunction
 from twostate.timemachine import (
     GRAVITATIONAL_CONSTANT,
     LIGHT_SPEED,
@@ -389,6 +389,13 @@ def test_success_scaling_probe_for_moderate_amplification():
     assert np.all(np.diff(boundary.probabilities) < 0)
 
 
+@pytest.mark.parametrize("sizes", [[5.7, 7], [5, 5], [7, 5, 7]], ids=["not-an-integer", "repeated", "repeated-unsorted"])
+def test_success_scaling_probe_refuses_sizes_it_cannot_use(sizes):
+    # 5.7 would run as 5, and a repeated size is a zero step, whose ratio is 1 by construction
+    with pytest.raises(ValidationError, match="register size"):
+        success_scaling_probe(10.0, sizes)
+
+
 def unit_gaussian():
     return gaussian_wavefunction(Grid1D(-40.0, 40.0, 2048), 1.0)
 
@@ -412,12 +419,36 @@ def test_machine_config_rejects_a_non_finite_eta(eta):
         binomial_schedule(13, eta)
 
 
-@pytest.mark.parametrize("delta_t", [-1.0, math.nan, math.inf])
-def test_run_machine_refuses_a_bad_span_before_any_fft(delta_t, monkeypatch):
+def _analytic_distortion(fn, n_terms, eta, delta_t):
+    return gaussian_shift_distortion(n_terms, eta, delta_t, 1.0, fn.grid)
+
+
+@pytest.mark.parametrize(
+    "delta_t, machine",
+    [
+        pytest.param(-1.0, run_machine, id="-1.0"),
+        pytest.param(math.nan, run_machine, id="nan"),
+        pytest.param(math.inf, run_machine, id="inf"),
+        # the analytic oracle takes the same span; unchecked, nan gives nan and -1.0 a finite distortion
+        pytest.param(math.nan, _analytic_distortion, id="gaussian_shift_distortion-nan"),
+        pytest.param(-1.0, _analytic_distortion, id="gaussian_shift_distortion--1.0"),
+    ],
+)
+def test_run_machine_refuses_a_bad_span_before_any_fft(delta_t, machine, monkeypatch):
     fn = unit_gaussian()
     monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: pytest.fail("an FFT ran"))
     with pytest.raises(ValidationError, match="delta_t"):
-        run_machine(fn, 13, 10.0, delta_t)
+        machine(fn, 13, 10.0, delta_t)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_run_machine_takes_an_input_whose_squared_norm_leaves_the_float_range(scale):
+    # |f|**2 overflows to inf (underflows to 0) here, so a single-pass norm would give the zero function
+    fn = gaussian_wavefunction(Grid1D(-40.0, 40.0, 512), 2.0)
+    plain = run_machine(fn, 13, 2.0, 0.5)
+    scaled = run_machine(WaveFunction1D(fn.grid, fn.values * scale), 13, 2.0, 0.5)
+    assert scaled.distortion == pytest.approx(plain.distortion, rel=1e-12, abs=0)
+    assert scaled.success_prob == pytest.approx(plain.success_prob, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n_terms", [0, -2, 13.0, True])
