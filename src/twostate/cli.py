@@ -58,17 +58,15 @@ def cmd_list(args) -> int:
 
 
 def _write_outputs(result: ScenarioResult, out_dir: str, fmt: str) -> list[str]:
-    written = []
-    base = os.path.join(out_dir, result.name)
+    """Write the requested files; every text is built first, so a builder that raises leaves none behind."""
+    texts = {}
     if fmt in ("json", "both"):
-        path = os.path.join(base, "results.json")
-        write_text_atomic(path, stable_json(result.to_dict()))
-        written.append(path)
+        texts["results.json"] = stable_json(result.to_dict())
     if fmt in ("csv", "both"):
-        for filename, (header, columns) in sorted(result.tables.items()):
-            path = os.path.join(base, filename)
-            write_text_atomic(path, csv_table(header, columns))
-            written.append(path)
+        texts.update((filename, csv_table(*build())) for filename, build in sorted(result.tables.items()))
+    written = [os.path.join(out_dir, result.name, filename) for filename in texts]
+    for path, text in zip(written, texts.values()):
+        write_text_atomic(path, text)
     return written
 
 

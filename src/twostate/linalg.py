@@ -18,6 +18,7 @@ convention the discrete transform below is exactly unitary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,17 @@ def require_positive(value: float, what: str) -> None:
     """Refuse as `what` a value that is not finite and positive (a width, a duration)."""
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{what} must be finite and positive, got {value}")
+
+
+def require_width(value: float, what: str) -> None:
+    """Refuse as `what` a Gaussian width that `require_positive` refuses or whose square under- or overflows.
+
+    The Gaussian (pi*D**2)**-0.25 * exp(-Q**2 / (2*D**2)) needs D**2, up to a
+    factor 2*pi, as a normal float: about 1.5e-154 <= D <= 4.7e153.
+    """
+    require_positive(value, what)
+    if not sys.float_info.min <= value * value <= sys.float_info.max / 8:
+        raise ValidationError(f"{what} {value} lies outside 1.5e-154..4.7e153, where its square is a normal float")
 
 
 def unit_vector(vec, dtype=float) -> np.ndarray:
@@ -367,7 +379,7 @@ class WaveFunction1D:
 
 def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> WaveFunction1D:
     """Normalized Gaussian (pi*D**2)**-0.25 * exp(-(Q-c)**2 / (2*D**2))."""
-    require_positive(width, "width")
+    require_width(width, "width")
     q = grid.values
     vals = (np.pi * width**2) ** -0.25 * np.exp(-((q - center) ** 2) / (2 * width**2))
     return WaveFunction1D(grid, vals.astype(complex))

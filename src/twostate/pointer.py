@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,10 +40,11 @@ from .linalg import (
     DenseOperator,
     Grid1D,
     WaveFunction1D,
+    _read_only,
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
-    require_positive,
+    require_width,
     unit_density,
 )
 from .states import GeneralizedTwoStateVector, StateVector, TwoStateVector
@@ -58,12 +60,12 @@ class GaussianPointer:
     grid: Grid1D
 
     def __post_init__(self):
-        require_positive(self.delta, "pointer width")
+        require_width(self.delta, "pointer width")
 
     @classmethod
     def for_spectrum(cls, delta: float, eigenvalues, points: int = 4096):
         """Grid spanning +-(max|c| + 8*D)."""
-        require_positive(delta, "pointer width")  # before a negative width makes an empty grid
+        require_width(delta, "pointer width")  # before a negative width makes an empty grid
         reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
         span = reach + 8.0 * delta
         return cls(delta, Grid1D(-span, span, points))
@@ -87,14 +89,27 @@ class GaussianPointer:
 
 @dataclass(frozen=True)
 class PointerResult:
+    """The pointer's position density and readings; its momentum side is transformed on first read."""
+
     q_grid: Grid1D
     q_density: np.ndarray
-    p_grid: Grid1D
-    p_density: np.ndarray
+    p_source: WaveFunction1D  # read-only, in position space; p_grid and p_density come from its transform
     peak_location: float
     mean: float
     delta: float
     regime: str
+
+    @cached_property
+    def _momentum(self) -> WaveFunction1D:
+        return fourier_pair(self.p_source)
+
+    @property
+    def p_grid(self) -> Grid1D:
+        return self._momentum.grid
+
+    @property
+    def p_density(self) -> np.ndarray:
+        return self._momentum.density()
 
     def summary(self) -> dict:
         return {"peak": self.peak_location, "mean": self.mean, "delta": self.delta, "regime": self.regime}
@@ -146,13 +161,13 @@ def _peak_location(grid: Grid1D, density: np.ndarray) -> float:
     return float(grid.values[i] + 0.5 * (y0 - y2) / denom * grid.spacing)
 
 
-def _pointer_result(pointer: GaussianPointer, q_density: np.ndarray, mom: WaveFunction1D, centers) -> PointerResult:
+def _pointer_result(pointer: GaussianPointer, q_density: np.ndarray, p_source: WaveFunction1D, centers) -> PointerResult:
     grid = pointer.grid
+    _read_only(p_source.values)  # the deferred transform sees exactly the values the result was built from
     return PointerResult(
         q_grid=grid,
         q_density=q_density,
-        p_grid=mom.grid,
-        p_density=mom.density(),
+        p_source=p_source,
         peak_location=_peak_location(grid, q_density),
         mean=float(np.sum(grid.values * q_density) * grid.spacing),
         delta=pointer.delta,
@@ -189,8 +204,7 @@ def pointer_distribution_preselected(
     pointer.check_resolves()
     # Momentum density of the branch mixture: each rigid shift only adds a
     # phase in P, so it coincides with the initial pointer's.
-    mom = fourier_pair(pointer.initial_wavefunction())
-    return _pointer_result(pointer, dens, mom, decomp.eigenvalues)
+    return _pointer_result(pointer, dens, pointer.initial_wavefunction(), decomp.eigenvalues)
 
 
 def pointer_distribution_postselected(
@@ -336,7 +350,7 @@ def superposed_pointer(amplitudes, centers, pointer: GaussianPointer, min_norm_s
         raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
     pointer.check_resolves()
     normalized = WaveFunction1D(pointer.grid, vals / math.sqrt(norm_squared))
-    return _pointer_result(pointer, unit_density(power, pointer.grid.spacing), fourier_pair(normalized), centers)
+    return _pointer_result(pointer, unit_density(power, pointer.grid.spacing), normalized, centers)
 
 
 def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:

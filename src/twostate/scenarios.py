@@ -3,8 +3,11 @@
 Each scenario builds its states from scratch, runs the relevant module
 operations, re-asserts its defining numerical claims as named checks, and
 returns JSON-able results plus any plot-ready tables (named after the
-figure they reproduce) as `(header, columns)` arrays, which the CLI formats
-only when it writes them.  Scenarios are deterministic given their seed.
+figure they reproduce).  A table is a zero-argument builder of its
+`(header, columns)` arrays; the CLI calls it, and formats what it returns,
+only when it writes that table.  A run that writes no CSV builds no table,
+and a pointer's momentum side is transformed only when a table reads it.
+Scenarios are deterministic given their seed.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class ScenarioResult:
     params: dict
     summary_line: str
     results: dict
-    tables: dict = field(default_factory=dict)  # file name -> (header, columns)
+    tables: dict = field(default_factory=dict)  # file name -> builder of (header, columns), called only to write
     checks: list = field(default_factory=list)
 
     @property
@@ -297,8 +300,8 @@ def _run_spin_xi(params: dict, seed: int) -> ScenarioResult:
 
     fig = _FIGURE_BY_CONFIG.get((postselect, float(delta)), "pointer")
     tables = {
-        f"{fig}.csv": (["Q", "probability"], [dist.q_grid.values, dist.q_density]),
-        f"{fig}_momentum.csv": (["P", "probability"], [dist.p_grid.values, dist.p_density]),
+        f"{fig}.csv": lambda: (["Q", "probability"], [dist.q_grid.values, dist.q_density]),
+        f"{fig}_momentum.csv": lambda: (["P", "probability"], [dist.p_grid.values, dist.p_density]),
     }
 
     checks = [("weak_value_sqrt2", abs(wv - SQRT2) <= 1e-12)]
@@ -373,7 +376,7 @@ def _run_n_spin(params: dict, seed: int) -> ScenarioResult:
         "local_maxima_above_1pct": n_peaks,
         "tensor_oracle_max_deviation": tensor_dev,
     }
-    tables = {"fig4.csv": (["Q", "probability"], [closed.q_grid.values, closed.q_density])}
+    tables = {"fig4.csv": lambda: (["Q", "probability"], [closed.q_grid.values, closed.q_density])}
     line = (
         f"n_spin_single_system: n={n} delta={delta} peak={closed.peak_location:.4f} "
         f"local_maxima={n_peaks}"
@@ -512,7 +515,7 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
         "directions_found": len(cone),
     }
     tables = {
-        "cone.csv": (
+        "cone.csv": lambda: (
             ["theta", "phi", "probability"],
             [[d.theta for d in cone], [d.phi for d in cone], [d.probability for d in cone]],
         )
@@ -539,18 +542,12 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
     run = run_machine(fn, n_terms, eta, delta_t)
     analytic = gaussian_shift_distortion(n_terms, eta, delta_t, width, grid)
     probe = success_scaling_probe(eta, [n_terms, n_terms + 1]) if eta > 1 else None
-    target = gaussian_wavefunction(grid, width, center=eta * delta_t)
-    tables = {
-        "fig5.csv": (
-            ["Q", "original", "superposed", "ideally_shifted"],
-            [
-                grid.values,
-                np.abs(fn.values) ** 2,
-                np.abs(run.final_fn.values) ** 2,
-                np.abs(target.values) ** 2,
-            ],
-        )
-    }
+
+    def fig5():
+        target = gaussian_wavefunction(grid, width, center=eta * delta_t)
+        columns = [np.abs(f.values) ** 2 for f in (fn, run.final_fn, target)]
+        return ["Q", "original", "superposed", "ideally_shifted"], [grid.values, *columns]
+
     checks = [
         ("distortion_matches_analytic", abs(run.distortion - analytic) <= 1e-9 * max(analytic, 1e-30)),
         ("weights_sum_to_one", run.schedule.total == 1),
@@ -572,7 +569,7 @@ def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
         f"time_machine: N={n_terms} eta={eta} distortion={run.distortion:.6g} "
         f"log10(success)={results['log10_success_prob']}"
     )
-    return ScenarioResult("time_machine", params, line, results, tables, checks)
+    return ScenarioResult("time_machine", params, line, results, {"fig5.csv": fig5}, checks)
 
 
 # ---------------------------------------------------------------------------

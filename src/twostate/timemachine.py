@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, WaveFunction1D, require_integer, require_positive
+from .linalg import Grid1D, WaveFunction1D, require_integer, require_positive, require_width
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
@@ -146,7 +146,7 @@ def gaussian_shift_distortion(
     """
     _require_schedule_inputs(n_terms, eta)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    require_positive(width, "width")
+    require_width(width, "width")
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
     # grid is assumed wide enough that boundary tails vanish); only moduli

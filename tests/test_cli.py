@@ -9,6 +9,7 @@ import pytest
 
 from twostate import cli
 from twostate.cli import main
+from twostate.errors import ValidationError
 from twostate.reporting import csv_table, format_float
 from twostate.scenarios import REGISTRY, ScenarioSpec, get_scenario
 
@@ -119,6 +120,82 @@ def test_json_runs_and_sweeps_format_no_figure_table(tmp_path, capsys, monkeypat
         "sweep", "time_machine", "--param-name", "n_terms", "--values", "13,20", "--out", str(tmp_path)
     ) == 0
     assert os.listdir(tmp_path / "time_machine") == ["sweep_n_terms.csv"]
+
+
+def _spy_on_deferred_work(monkeypatch) -> list:
+    """Record each fourier_pair call, wherever a twostate module binds it, and each table builder call."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "twostate" and hasattr(module, "fourier_pair"):
+            monkeypatch.setattr(module, "fourier_pair", spy("fourier_pair", module.fourier_pair))
+    run = ScenarioSpec.run
+
+    def spied_run(self, overrides=None, seed=0):
+        result = run(self, overrides, seed)
+        result.tables = {filename: spy(filename, build) for filename, build in result.tables.items()}
+        return result
+
+    monkeypatch.setattr(ScenarioSpec, "run", spied_run)
+    return calls
+
+
+def test_json_runs_and_sweeps_build_no_table_and_transform_no_pointer(tmp_path, capsys, monkeypatch):
+    calls = _spy_on_deferred_work(monkeypatch)
+    for scenario in ("spin_xi_weak", "n_spin_single_system", "negative_kinetic_energy"):
+        assert run_cli("run", scenario, "--format", "json", "--out", str(tmp_path)) == 0
+    # the two sweeps of the benchmark's `sweep` workload
+    assert run_cli("sweep", "spin_xi_weak", "--param-name", "delta", "--values", "0.1,0.25,1,3,10",
+                   "--out", str(tmp_path)) == 0
+    assert run_cli("sweep", "time_machine", "--param-name", "n_terms", "--values", "13,20,40,60",
+                   "--out", str(tmp_path)) == 0
+    assert calls == []
+    # the spies see what a CSV run does build
+    assert run_cli("run", "spin_xi_weak", "--format", "csv", "--out", str(tmp_path)) == 0
+    assert calls == ["fig3e.csv", "fig3e_momentum.csv", "fourier_pair"]
+
+
+def test_a_table_builder_that_raises_leaves_no_file(tmp_path, capsys, monkeypatch):
+    run = ScenarioSpec.run
+
+    def refuse():
+        raise ValidationError("injected refusal")
+
+    def run_with_a_failing_table(self, overrides=None, seed=0):
+        result = run(self, overrides, seed)
+        result.tables["fig3e_momentum.csv"] = refuse  # sorts after results.json and fig3e.csv
+        return result
+
+    monkeypatch.setattr(ScenarioSpec, "run", run_with_a_failing_table)
+    assert run_cli("run", "spin_xi_weak", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: injected refusal\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "scenario, param",
+    [
+        ("spin_xi_weak", "delta=1e-300"),
+        ("n_spin_single_system", "delta=1e-300"),
+        ("negative_kinetic_energy", "pointer_delta=1e-300"),
+        ("time_machine", "width=1e-300"),
+        ("time_machine", "width=1e300"),
+        ("spin_xi_weak", "delta=1e300"),
+    ],
+)
+def test_widths_whose_square_leaves_the_float_range_are_refused(scenario, param, tmp_path, capsys):
+    # the Gaussian normalization (pi * D**2)**-0.25 divided by zero or overflowed here: exit 3
+    assert run_cli("run", scenario, "--param", param, "--out", str(tmp_path)) == 2
+    width = float(param.split("=")[1])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"width {width} lies outside" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

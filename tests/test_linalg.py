@@ -354,7 +354,7 @@ def test_grid_refuses_unbounded_spans_and_fractional_point_counts(lo, hi, points
     assert Grid1D(0.0, 1.0, np.int64(64)).points == 64
 
 
-@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, 1e-155, 1e155])
 def test_gaussian_widths_must_be_finite_and_positive(width):
     with pytest.raises(ValidationError, match="width"):
         gaussian_wavefunction(Grid1D(-8.0, 8.0, 256), width)

@@ -6,6 +6,7 @@ from twostate.linalg import (
     DenseOperator,
     Grid1D,
     WaveFunction1D,
+    fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
     identity,
@@ -163,13 +164,46 @@ def test_postselected_pointer_memory_does_not_grow_with_the_spectrum():
     assert peaks[161] <= 2 * peaks[11]
 
 
-@pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0, 1e-300, 1e300])
 def test_pointer_widths_must_be_finite_and_positive(delta):
-    # at the parent GaussianPointer(nan, grid) was accepted, and for_spectrum(-1) reported an empty grid
+    # at the parent GaussianPointer(nan, grid) was accepted, and for_spectrum(-1) reported an empty grid;
+    # a width whose square under- or overflows raised ZeroDivisionError or OverflowError downstream
     with pytest.raises(ValidationError, match="pointer width"):
         GaussianPointer(delta, Grid1D(-8.0, 8.0, 256))
     with pytest.raises(ValidationError, match="pointer width"):
         GaussianPointer.for_spectrum(delta, [1.0, -1.0])
+
+
+def _momentum_cases():
+    pointer = GaussianPointer.for_spectrum(2.0, [1.0, -1.0], points=512)
+    return {
+        "postselected": lambda: pointer_distribution_postselected(bisector_tsv(), sigma_xi(), pointer),
+        "preselected": lambda: pointer_distribution_preselected(StateVector(spin_up([1, 0, 0])), sigma_xi(), pointer),
+        "n_spin": lambda: n_spin_pointer_closed_form(6, pointer),
+    }
+
+
+@pytest.mark.parametrize("case", ["postselected", "preselected", "n_spin"])
+def test_the_momentum_side_read_late_equals_the_eager_transform(case):
+    result = _momentum_cases()[case]()
+    source = result.p_source
+    eager = fourier_pair(WaveFunction1D(source.grid, source.values.copy()))  # what the eager code stored
+    assert result.p_grid == eager.grid
+    assert np.array_equal(result.p_grid.values, eager.grid.values)
+    assert np.array_equal(result.p_density, eager.density())
+    if case == "preselected":  # the mixture's momentum density is the initial pointer's
+        assert np.array_equal(source.values, gaussian_wavefunction(result.q_grid, 2.0).values)
+    else:  # the pure pointer state whose position density is q_density
+        assert np.allclose(source.density(), result.q_density, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("case", ["postselected", "preselected", "n_spin"])
+def test_the_stored_wavefunction_is_read_only(case):
+    result = _momentum_cases()[case]()
+    with pytest.raises(ValueError, match="read-only"):
+        result.p_source.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        result.p_source.values *= 2.0
 
 
 def test_vanishing_superposition_is_refused_before_the_resolution_check():

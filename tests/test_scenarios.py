@@ -47,7 +47,7 @@ def test_scenarios_are_deterministic_given_a_seed(name):
     assert stable_json(a.to_dict()) == stable_json(b.to_dict())
     assert sorted(a.tables) == sorted(b.tables)
     for filename, table in a.tables.items():
-        assert csv_table(*b.tables[filename]) == csv_table(*table)
+        assert csv_table(*b.tables[filename]()) == csv_table(*table())
 
 
 def test_three_box_default_results():

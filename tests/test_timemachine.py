@@ -108,9 +108,9 @@ def test_figure_configuration_matches_the_frozen_oracle_value():
     assert analytic == pytest.approx(GOLDEN_DISTORTION, rel=1e-10, abs=0)
 
 
-@pytest.mark.parametrize("width", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("width", [np.nan, 0.0, -1.0, 1e-300, 1e300])
 def test_analytic_distortion_refuses_a_width_it_cannot_use(width):
-    # at the parent width=nan returned nan
+    # at the parent width=nan returned nan, and 1e-300 or 1e300 raised ZeroDivisionError or OverflowError
     with pytest.raises(ValidationError, match="width"):
         gaussian_shift_distortion(13, 10.0, 1.0, width, Grid1D(-40.0, 40.0, 4096))
 
