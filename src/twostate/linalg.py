@@ -317,9 +317,9 @@ class Grid1D:
     def spacing(self) -> float:
         return (self.hi - self.lo) / (self.points - 1)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
+        return _read_only(np.linspace(self.lo, self.hi, self.points))
 
 
 def unit_density(d: np.ndarray, spacing: float) -> np.ndarray:

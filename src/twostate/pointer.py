@@ -44,6 +44,7 @@ from .linalg import (
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
+    require_integer,
     require_width,
     unit_density,
 )
@@ -285,6 +286,13 @@ class EnsembleEstimate:
         return {"mean": self.mean, "stderr": self.stderr, "n_samples": self.n_samples, "seed": self.seed}
 
 
+def _invert_cdf(u: np.ndarray, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Overwrite `u` with np.interp(u, cdf, q) bit for bit (each query is found on its own), looked up in sorted order."""
+    order = np.argsort(u)  # sorted queries keep np.interp's searches in cache
+    u[order] = np.interp(u[order], cdf, q)
+    return u
+
+
 def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) -> EnsembleEstimate:
     """Sample pointer readings from a computed pointer distribution and report their mean.
 
@@ -293,13 +301,11 @@ def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) ->
     for D=10 and 5000 samples it reads 10/sqrt(5000) ~ 0.14.  A single
     sample quotes the pointer width D itself as its spread.
     """
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    q = result.q_grid.values
+    require_integer(n_samples, "samples", 1)
+    require_integer(seed, "seed", 0)
     cdf = np.cumsum(result.q_density) * result.q_grid.spacing
     cdf /= cdf[-1]
-    samples = np.interp(rng.random(n_samples), cdf, q)
+    samples = _invert_cdf(np.random.default_rng(seed).random(n_samples), cdf, result.q_grid.values)
     spread = samples.std(ddof=1) if n_samples > 1 else result.delta
     width_effective = np.sqrt(2.0) * spread
     return EnsembleEstimate(

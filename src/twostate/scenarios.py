@@ -72,7 +72,6 @@ class ParamSpec:
     name: str
     kind: str  # int | float (finite) | bool
     default: object
-    doc: str
     max: float = math.inf
     min: float = -math.inf
 
@@ -103,7 +102,7 @@ class ParamSpec:
         return value
 
 
-SEED = ParamSpec("seed", "int", 0, "seed of the sampled readings (numpy's default_rng refuses a negative one)", min=0)
+SEED = ParamSpec("seed", "int", 0, min=0)  # numpy's default_rng refuses a negative seed
 
 
 @dataclass
@@ -152,7 +151,7 @@ class ScenarioSpec:
 # ---------------------------------------------------------------------------
 # box scenarios
 
-THREE_BOX_TENSOR_CAP = 9  # the n_particles doc says why
+THREE_BOX_TENSOR_CAP = 9  # tensor pressure up to here: a warm 12-16 ms at 9, 36-46 ms at 10 (2-core x86-64)
 
 
 def _run_three_box(params: dict, seed: int) -> ScenarioResult:
@@ -591,64 +590,57 @@ _register(
 _register(
     "n_box",
     "A particle certain to be found in every one of the first N-1 boxes",
-    (ParamSpec("boxes", "int", 5, "boxes (+0.2 s, +17 MB at the cap)", min=3, max=100_000),),
+    (ParamSpec("boxes", "int", 5, min=3, max=100_000),),
     _run_n_box,
 )
 _register(
     "negative_kinetic_energy",
     "Bound-state particle post-selected in the forbidden region: negative kinetic readings",
     (
-        ParamSpec("sites", "int", 2048, "lattice sites for the weak-value identity", min=2),
-        ParamSpec("well_depth", "float", 5.0, "square-well depth"),
-        ParamSpec("well_half_width", "float", 1.0, "square-well half width"),
-        ParamSpec("postselect_x", "float", 5.0, "post-selection position (outside the well)"),
-        ParamSpec("pointer_delta", "float", 8.0, "pointer width for the simulated measurement", min=0),
+        ParamSpec("sites", "int", 2048, min=2),
+        ParamSpec("well_depth", "float", 5.0),
+        ParamSpec("well_half_width", "float", 1.0),
+        ParamSpec("postselect_x", "float", 5.0),
+        ParamSpec("pointer_delta", "float", 8.0, min=0),
     ),
     _run_negative_kinetic,
 )
 _register(
     "n_spin_single_system",
     "Average spin component of N pre/post-selected spins read in a single measurement",
-    (
-        ParamSpec("spins", "int", 20, "number of spin-1/2 particles", min=1),
-        ParamSpec("delta", "float", 0.25, "pointer width", min=0),
-    ),
+    (ParamSpec("spins", "int", 20, min=1), ParamSpec("delta", "float", 0.25, min=0)),
     _run_n_spin,
 )
 _register(
     "spin_cone",
     "Superposed description with a whole cone of certain spin directions",
-    (
-        ParamSpec("chi", "float", math.pi / 8, "superposition angle chi", min=0, max=math.pi / 2),
-        ParamSpec("samples", "int", 16, "azimuthal samples around the cone", min=8),
-    ),
+    (ParamSpec("chi", "float", math.pi / 8, min=0, max=math.pi / 2), ParamSpec("samples", "int", 16, min=8)),
     _run_spin_cone,
 )
 _register(
     "spin_xi_weak",
     "Bisector spin component between x and y selections: the sqrt(2) pointer reading",
     (
-        ParamSpec("delta", "float", 10.0, "pointer width", min=0),
-        ParamSpec("ensemble", "int", 5000, "sampled readings (+0.1 s, +15 MB at the cap)", min=1, max=10**6),
-        ParamSpec("postselect", "bool", True, "condition on the later spin outcome"),
+        ParamSpec("delta", "float", 10.0, min=0),
+        ParamSpec("ensemble", "int", 5000, min=1, max=10**6),
+        ParamSpec("postselect", "bool", True),
     ),
     _run_spin_xi,
 )
 _register(
     "three_box",
     "One particle certain to be in box 1 and in box 2, with negative box-3 pressure",
-    (ParamSpec("n_particles", "int", 5, f"particles; tensor pressure up to {THREE_BOX_TENSOR_CAP}, a warm 12-16 ms "
-               "there (36-46 ms at 10, 2-core x86-64), then n times the one-particle value", min=1),),
+    (ParamSpec("n_particles", "int", 5, min=1),),
     _run_three_box,
 )
 _register(
     "time_machine",
     "Binomial superposition of small time shifts acting as one large shift",
     (
-        ParamSpec("n_terms", "int", 13, "superposition steps N", min=1),
-        ParamSpec("eta", "float", 10.0, "amplification factor"),
-        ParamSpec("delta_t", "float", 1.0, "maximal elementary shift"),
-        ParamSpec("width", "float", 6.0, "width of the Gaussian test function", min=0),
+        ParamSpec("n_terms", "int", 13, min=1),
+        ParamSpec("eta", "float", 10.0),
+        ParamSpec("delta_t", "float", 1.0),
+        ParamSpec("width", "float", 6.0, min=0),
     ),
     _run_time_machine,
 )

@@ -20,8 +20,9 @@ product form of the spectral multiplier
 which is stable where the expanded sum is catastrophically ill-conditioned.
 `run_machine` shifts through the module's masked spectrum
 (`_masked_shift_spectrum`); every distortion is one Parseval sum
-(`_shift_distortion`).  The shell's mass, rest radius and duration are read
-by `radius_schedule` alone.
+(`_shift_distortion`) over the k, B(k) and weights that a run and its
+analytic check share (`_machine_spectrum`).  The shell's mass, rest radius
+and duration are read by `radius_schedule` alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, WaveFunction1D, require_integer, require_positive, require_width
+from .linalg import Grid1D, WaveFunction1D, _read_only, require_integer, require_positive, require_width
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
@@ -91,8 +92,17 @@ def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float
     return (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
 
 
-def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float):
-    """Spectrum of `fn`, masked at SPECTRAL_MASK_RTOL of its peak, and its wavenumbers k.
+@functools.lru_cache(maxsize=1, typed=True)  # one entry: a run and its analytic check share it
+def _machine_spectrum(grid: Grid1D, n_terms: int, eta: float, delta_t: float):
+    """Read-only wavenumbers k of `grid`, multiplier B(k) and distortion weights |B(k) - exp(-i*k*eta*delta_t)|**2."""
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    multiplier = _binomial_multiplier(k, n_terms, eta, delta_t)
+    miss = np.abs(multiplier - np.exp(-1j * k * (eta * delta_t))) ** 2
+    return _read_only(k), _read_only(multiplier), _read_only(miss)
+
+
+def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float) -> np.ndarray:
+    """Spectrum of `fn`, masked at SPECTRAL_MASK_RTOL of its peak.
 
     Multiplying the spectrum by exp(-i*k*c) shifts `fn` by c.  The support of
     `fn` (|f| above 1e-12 of its peak) moved by any shift in [lo_shift,
@@ -110,28 +120,25 @@ def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float)
         raise GridOverflow("shifted support would leave the grid")
     spec = np.fft.fft(fn.values)
     spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
-    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
-    return spec, k
+    return spec
 
 
-def _spectrum_weight_above(spec: np.ndarray, spacing: float) -> float:
-    """Fraction of the power of the FFT `spec`, of samples `spacing` apart, above a quarter of the Nyquist rate."""
+def _spectrum_weight_above(spec: np.ndarray, k: np.ndarray, spacing: float) -> float:
+    """Fraction of the power of the FFT `spec` (wavenumbers `k`, samples `spacing` apart) above a quarter of Nyquist."""
     power = np.abs(spec) ** 2
-    k = np.abs(np.fft.fftfreq(spec.size, d=spacing))
-    cut = 0.25 * 0.5 / spacing
     total = power.sum()
-    return float(power[k > cut].sum() / total) if total > 0 else 0.0
+    cut = 2 * np.pi * (0.25 * 0.5 / spacing)  # k of a quarter of the Nyquist frequency 0.5/spacing
+    return float(power[np.abs(k) > cut].sum() / total) if total > 0 else 0.0
 
 
-def _shift_distortion(spec: np.ndarray, k: np.ndarray, multiplier: np.ndarray, shift: float) -> float:
+def _shift_distortion(spec: np.ndarray, miss: np.ndarray) -> float:
     """||superposition - f(. - shift)|| / ||f||, by discrete Parseval from the spectrum `spec` of f.
 
-    The superposition has the spectrum spec * multiplier and the rigid shift
-    spec * exp(-i*k*shift); sum_q |f_q|**2 dx = (dx/n) sum_k |spec_k|**2, and
-    the factor dx/n cancels in the ratio.
+    The superposition spec * B and the rigid shift spec * exp(-i*k*shift) differ
+    by |spec|**2 * `miss`, miss = |B - exp(-i*k*shift)|**2, in power;
+    sum_q |f_q|**2 dx = (dx/n) sum_k |spec_k|**2, and dx/n cancels in the ratio.
     """
     power = np.abs(spec) ** 2
-    miss = np.abs(multiplier - np.exp(-1j * k * shift)) ** 2
     return float(np.sqrt(np.sum(power * miss) / np.sum(power)))
 
 
@@ -147,13 +154,13 @@ def gaussian_shift_distortion(
     _require_schedule_inputs(n_terms, eta)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
     require_width(width, "width")
-    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    k, _, miss = _machine_spectrum(grid, n_terms, eta, delta_t)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
     # grid is assumed wide enough that boundary tails vanish); only moduli
     # enter the Parseval sums, so grid-origin phases are irrelevant.
     amp = (np.pi * width**2) ** -0.25
     spectrum = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
-    return _shift_distortion(spectrum, k, _binomial_multiplier(k, n_terms, eta, delta_t), eta * delta_t)
+    return _shift_distortion(spectrum, miss)
 
 
 def _one_minus_sqrt_one_minus(x: float) -> float:
@@ -258,10 +265,10 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     sched = binomial_schedule(n_terms, eta)
     fn = system_fn.normalized()
     reach = sorted((0.0, delta_t, eta * delta_t))
-    spec, k = _masked_shift_spectrum(fn, reach[0], reach[-1])
-    if _spectrum_weight_above(spec, fn.grid.spacing) > 1e-6:
+    spec = _masked_shift_spectrum(fn, reach[0], reach[-1])
+    k, multiplier, miss = _machine_spectrum(fn.grid, n_terms, eta, delta_t)
+    if _spectrum_weight_above(spec, k, fn.grid.spacing) > 1e-6:
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
-    multiplier = _binomial_multiplier(k, n_terms, eta, delta_t)
     superposed = np.fft.ifft(spec * multiplier)
     norm0 = 1.0 / math.sqrt(float(sched.square_sum))
     contracted = norm0 / math.sqrt(n_terms + 1) * superposed
@@ -270,7 +277,7 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     return MachineRun(
         schedule=sched,
         final_fn=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
-        distortion=_shift_distortion(spec, k, multiplier, eta * delta_t),
+        distortion=_shift_distortion(spec, miss),
         success_prob=success,
     )
 

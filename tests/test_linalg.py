@@ -342,6 +342,17 @@ def test_grid_validation():
     assert g.spacing == pytest.approx(0.1, abs=0)
 
 
+def test_grid_coordinates_are_built_once_and_read_only(monkeypatch):
+    calls = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: calls.append(1) or linspace(*args, **kwargs))
+    g = Grid1D(-1.0, 1.0, 21)
+    assert g.values is g.values is g.values
+    assert len(calls) == 1 and g == Grid1D(-1.0, 1.0, 21)
+    with pytest.raises(ValueError):
+        g.values[0] = 0.0
+
+
 @pytest.mark.parametrize(
     "lo, hi, points",
     [(-np.inf, np.inf, 64), (0.0, np.inf, 64), (np.nan, 1.0, 64), (0.0, np.nan, 64), (-1e308, 1e308, 64),

@@ -4,6 +4,9 @@ Random kets, bras and Hermitian observables of dimension 2-6, every entry
 drawn from [-1, 1] (zeros and subnormals included).  Where one description
 is refused (a vanishing overlap or ABL denominator, a pointer the grid cannot
 resolve), the other must be refused with the same error.
+
+The pointer sampler's sorted-order CDF inversion is checked against
+np.interp in draw order, bit for bit.
 """
 
 import math
@@ -19,7 +22,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from twostate.errors import TwoStateError  # noqa: E402
 from twostate.ideal import abl, certain_outcome  # noqa: E402
 from twostate.linalg import DenseOperator, hermitian_eigendecomposition  # noqa: E402
-from twostate.pointer import GaussianPointer, pointer_distribution_postselected  # noqa: E402
+from twostate.pointer import GaussianPointer, _invert_cdf, pointer_distribution_postselected  # noqa: E402
 from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
 from twostate.weak import weak_value  # noqa: E402
 
@@ -89,3 +92,26 @@ def test_interchange_twice_is_the_identity(case, weights):
     twice = interchange(interchange(gtsv))
     for (a, b, k), (a2, b2, k2) in zip(gtsv.terms, twice.terms, strict=True):
         assert a2 == a and np.array_equal(b2.row, b.row) and np.array_equal(k2.amplitudes, k.amplitudes)
+
+
+@st.composite
+def cdfs_and_draws(draw):
+    """A sampler CDF with flat runs (zero-density bins and a 1.0 plateau), and n draws, some exactly on its knots."""
+    knots = draw(st.integers(16, 256))
+    density = draw(arrays(float, knots, elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    density[knots - draw(st.integers(1, knots // 4)):] = 0.0
+    assume(density.sum() > 0)
+    cdf = np.cumsum(density)
+    cdf /= cdf[-1]
+    n = draw(st.sampled_from([1, 2, 4096, 5000]))
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    on_knots = draw(st.lists(st.integers(0, knots - 1), max_size=min(n, 64)))
+    u[: len(on_knots)] = cdf[on_knots]
+    return u, cdf, np.linspace(-draw(st.floats(1.0, 100.0)), 50.0, knots)
+
+
+@PROPERTY
+@given(cdfs_and_draws())
+def test_the_sorted_cdf_inversion_is_np_interp_in_draw_order(case):
+    u, cdf, q = case
+    assert np.array_equal(_invert_cdf(u.copy(), cdf, q), np.interp(u, cdf, q))

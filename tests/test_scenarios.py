@@ -188,7 +188,7 @@ def test_time_machine_scenario_consistency():
 )
 def test_a_parameter_spec_outside_its_own_domain_is_refused_when_built(kind, default, bounds, message):
     with pytest.raises(ValidationError, match=message):
-        ParamSpec("x", kind, default, "", **bounds)
+        ParamSpec("x", kind, default, **bounds)
 
 
 def test_unknown_parameter_is_rejected():

@@ -137,7 +137,8 @@ def test_distortion_decreases_with_more_terms_at_fixed_span():
 def test_rapid_spectrum_check_warns_on_rough_inputs():
     grid = Grid1D(-5.0, 5.0, 64)
     fn = gaussian_wavefunction(grid, 0.2)
-    assert _spectrum_weight_above(np.fft.fft(fn.values), grid.spacing) > 1e-6
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    assert _spectrum_weight_above(np.fft.fft(fn.values), k, grid.spacing) > 1e-6
     with pytest.warns(UserWarning):
         run_machine(fn, 4, 0.5, 0.1)
 
@@ -172,6 +173,28 @@ def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     get_scenario("time_machine").run({})
     assert len(calls) == 1
+
+
+def test_time_machine_scenario_builds_its_wavenumbers_and_multiplier_once(monkeypatch):
+    # the run, its Nyquist check and its analytic distortion share one k, B(k) and weight array
+    from twostate import timemachine
+    from twostate.scenarios import get_scenario
+
+    calls = []
+    multiplier, fftfreq = timemachine._binomial_multiplier, np.fft.fftfreq
+
+    def counting(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    timemachine._machine_spectrum.cache_clear()
+    monkeypatch.setattr(timemachine, "_binomial_multiplier", counting("multiplier", multiplier))
+    monkeypatch.setattr(np.fft, "fftfreq", counting("fftfreq", fftfreq))
+    assert get_scenario("time_machine").run({}).passed
+    assert sorted(calls) == ["fftfreq", "multiplier"]
+    info = timemachine._machine_spectrum.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    shared = timemachine._machine_spectrum(Grid1D(-48.0, 58.0, 4096), 13, 10.0, 1.0)  # the run's grid: a hit
+    assert len(calls) == 2 and not any(a.flags.writeable for a in shared)
 
 
 def test_time_machine_scenario_builds_each_schedule_once(monkeypatch):
@@ -265,7 +288,8 @@ def correlated_rows(fn, n_terms, eta, delta_t):
     sched = binomial_schedule(n_terms, eta)
     qos_initial = np.array([float(w) for w in sched.exact_weights]) / math.sqrt(float(sched.square_sum))
     shifts = np.arange(n_terms + 1) / n_terms * delta_t
-    spec, k = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
+    spec = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
+    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
     return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
 
 
@@ -279,7 +303,8 @@ def test_run_machine_final_function_and_distortion_match_their_position_space_fo
     row_sum = correlated_rows(fn, 13, 0.6, 1.0).sum(axis=0) / norm0
     assert np.abs(run.final_fn.values - row_sum).max() <= 1e-12
     unit = fn.normalized()
-    spec, k = _masked_shift_spectrum(unit, 0.0, 1.0)
+    spec = _masked_shift_spectrum(unit, 0.0, 1.0)
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     target = np.fft.ifft(spec * np.exp(-1j * k * 0.6))
     distance = np.sqrt(np.sum(np.abs(run.final_fn.values - target) ** 2) * grid.spacing) / unit.norm()
     assert run.distortion == pytest.approx(distance, rel=1e-12, abs=0)
