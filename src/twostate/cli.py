@@ -127,6 +127,8 @@ def cmd_sweep(args) -> int:
         if not values:
             raise ValidationError("no sweep values supplied")
         fixed = _parse_param_overrides(args.param or [])
+        if args.param_name in fixed:
+            raise ValidationError(f"parameter {args.param_name!r} is swept; it cannot also be fixed with --param")
         seed = 0 if args.seed is None else args.seed
         summaries = []
         all_passed = True

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -278,21 +278,26 @@ _FIGURE_BY_CONFIG = {
 }
 
 
+@cache  # sigma_xi, the read-only <+y| |+x> and its weak value: a sweep diagonalizes them once per process
+def _spin_xi_setup() -> tuple:
+    tsv = TwoStateVector(CoStateVector.from_ket(spin_up([0, 1, 0])), StateVector(spin_up([1, 0, 0])))
+    tsv.bra.row.flags.writeable = tsv.ket.amplitudes.flags.writeable = False
+    obs = spin_direction([1, 1, 0])
+    return obs, tsv, weak_value(tsv, obs).value
+
+
 def _run_spin_xi(params: dict, seed: int) -> ScenarioResult:
     delta = params["delta"]
     n_samples = params["ensemble"]
     postselect = params["postselect"]
-    up_x, up_y = spin_up([1, 0, 0]), spin_up([0, 1, 0])
-    obs = spin_direction([1, 1, 0])
-    tsv = TwoStateVector(CoStateVector.from_ket(up_y), StateVector(up_x))
-    wv = weak_value(tsv, obs).value
+    obs, tsv, wv = _spin_xi_setup()
     pointer = GaussianPointer.for_spectrum(delta, [1.0, -1.0])
 
     if postselect:
         dist = pointer_distribution_postselected(tsv, obs, pointer)
         target_mean = SQRT2
     else:
-        dist = pointer_distribution_preselected(StateVector(up_x), obs, pointer)
+        dist = pointer_distribution_preselected(tsv.ket, obs, pointer)
         target_mean = 1.0 / SQRT2
 
     estimate = ensemble_mean_estimator(dist, n_samples, seed)
@@ -334,8 +339,9 @@ def n_spin_tensor_oracle(n: int, pointer: GaussianPointer) -> PointerResult:
     """
     if n < 1 or 2**n > DIMENSION_CAP:
         raise ResourceLimit(f"the tensor oracle takes 1 to {DIMENSION_CAP.bit_length() - 1} spins, got {n}")
-    basis = np.hstack(hermitian_eigendecomposition(spin_direction([1, 1, 0])).blocks[::-1])
-    ket, row = (reduce(np.multiply.outer, [v] * n) for v in (spin_up([1, 0, 0]), spin_up([0, 1, 0]).conj()))
+    obs, tsv, _ = _spin_xi_setup()
+    basis = np.hstack(hermitian_eigendecomposition(obs).blocks[::-1])
+    ket, row = (reduce(np.multiply.outer, [v] * n) for v in (tsv.ket.amplitudes, tsv.bra.row))
     for site in range(n):
         ket, row = apply_on_site(basis.conj().T, ket, site), apply_on_site(basis.T, row, site)
     products, minus = (row * ket).ravel(), reduce(np.add.outer, [np.arange(2)] * n).ravel()
@@ -386,17 +392,29 @@ def _run_n_spin(params: dict, seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # negative kinetic energy of a tunneling particle
 
+_COARSE_LATTICE = (161, 20.0)  # sites and half-domain of the pointer-level confirmation
+
+
+def _kinetic_lattice(sites: int, half_domain: float):
+    x = np.linspace(-half_domain, half_domain, sites)
+    dx = x[1] - x[0]
+    return x, dx, np.full(sites, 1.0 / dx**2), np.full(sites - 1, -1.0 / (2 * dx**2))
+
+
 def _square_well_ground_state(sites: int, half_domain: float, depth: float, half_width: float):
     # imported here: scipy.linalg is half of `import twostate.cli`, and only this scenario needs it
     from scipy.linalg import eigh_tridiagonal
 
-    x = np.linspace(-half_domain, half_domain, sites)
-    dx = x[1] - x[0]
+    x, dx, kin_diag, kin_off = _kinetic_lattice(sites, half_domain)
     potential = np.where(np.abs(x) <= half_width, -depth, 0.0)
-    kin_diag = np.full(sites, 1.0 / dx**2)
-    kin_off = np.full(sites - 1, -1.0 / (2 * dx**2))
     energies, vectors = eigh_tridiagonal(kin_diag + potential, kin_off, select="i", select_range=(0, 0))
     return x, dx, potential, kin_diag, kin_off, float(energies[0]), vectors[:, 0]
+
+
+@cache  # no parameter changes it: built, Hermiticity-checked and diagonalized once per process
+def _coarse_kinetic_operator() -> DenseOperator:
+    _, _, diag, off = _kinetic_lattice(*_COARSE_LATTICE)
+    return DenseOperator(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _apply_tridiagonal(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -429,10 +447,10 @@ def _run_negative_kinetic(params: dict, seed: int) -> ScenarioResult:
     kw_inside = float(k_psi[i_in] / psi0[i_in])
 
     # pointer-level confirmation on a coarse lattice (moderate coupling)
-    xs, dxs, pot_s, kd_s, ko_s, e0_s, psi_s = _square_well_ground_state(161, 20.0, depth, half_width)
-    k_op = DenseOperator(np.diag(kd_s) + np.diag(ko_s, 1) + np.diag(ko_s, -1))
+    xs, *_, psi_s = _square_well_ground_state(*_COARSE_LATTICE, depth, half_width)
+    k_op = _coarse_kinetic_operator()
     i_fs = int(np.argmin(np.abs(xs - x_f)))
-    tsv = TwoStateVector(CoStateVector.from_ket(np.eye(161)[i_fs]), StateVector(psi_s))
+    tsv = TwoStateVector(CoStateVector.from_ket(np.eye(1, xs.size, i_fs)[0]), StateVector(psi_s))
     k_spectrum = hermitian_eigendecomposition(k_op).eigenvalues  # cached: the pointer reuses it
     pointer = GaussianPointer.for_spectrum(pointer_delta, k_spectrum)
     dist = pointer_distribution_postselected(tsv, k_op, pointer)

@@ -282,6 +282,16 @@ def test_a_sweep_value_outside_the_domain_is_refused_before_the_first_run(tmp_pa
     assert not any(tmp_path.iterdir())
 
 
+def test_a_sweep_refuses_a_fixed_override_of_its_swept_parameter(tmp_path, capsys):
+    argv = ["sweep", "spin_xi_weak", "--param-name", "delta", "--values", "1,3", "--param", "delta=5",
+            "--out", str(tmp_path)]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter 'delta' is swept; it cannot also be fixed with --param\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_list_shows_each_declared_domain(capsys):
     assert run_cli("list") == 0
     out = capsys.readouterr().out

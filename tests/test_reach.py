@@ -20,7 +20,7 @@ from pathlib import Path
 
 import twostate
 from twostate.cli import build_parser, main
-from twostate.scenarios import REGISTRY
+from twostate.scenarios import REGISTRY, _coarse_kinetic_operator, _spin_xi_setup
 from twostate.timemachine import _machine_spectrum, binomial_schedule
 
 SRC = Path(twostate.__file__).resolve().parent
@@ -100,8 +100,10 @@ def entered_functions(argvs: list) -> set:
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    binomial_schedule.cache_clear()  # a schedule, spectrum or parser cached by an earlier test would skip its function
+    binomial_schedule.cache_clear()  # a schedule, spectrum, setup or parser cached by an earlier test would skip its function
     _machine_spectrum.cache_clear()
+    _spin_xi_setup.cache_clear()
+    _coarse_kinetic_operator.cache_clear()
     build_parser.cache_clear()
     sys.setprofile(profile)
     try:

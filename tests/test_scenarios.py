@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from twostate import ideal, linalg
+from twostate.cli import _scalar_summaries, main
 from twostate.errors import ResourceLimit, ValidationError
 from twostate.ideal import counterfactual_decomposition_check
-from twostate.linalg import pauli
+from twostate.linalg import hermitian_eigendecomposition, pauli
 from twostate.pointer import GaussianPointer
 from twostate.reporting import csv_table, stable_json
-from twostate.scenarios import REGISTRY, ParamSpec, get_scenario, n_spin_tensor_oracle
+from twostate.scenarios import (
+    REGISTRY,
+    ParamSpec,
+    _coarse_kinetic_operator,
+    _spin_xi_setup,
+    get_scenario,
+    n_spin_tensor_oracle,
+)
 from twostate.states import StateVector
 
 EXPECTED_SCENARIOS = [
@@ -237,3 +245,67 @@ def test_n_box_allocates_no_box_sized_matrix():
         tracemalloc.stop()
     assert result.passed
     assert peak < 2_000_000
+
+
+# ---------------------------------------------------------------------------
+# per-process setup: each test clears the caches first, so it sees a cold process
+
+
+def clear_setup_caches():
+    _spin_xi_setup.cache_clear()
+    _coarse_kinetic_operator.cache_clear()
+
+
+@pytest.fixture
+def cold_setup():
+    clear_setup_caches()
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    shapes = []
+    lapack = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *a, **k: shapes.append(np.shape(m)) or lapack(m, *a, **k))
+    return shapes
+
+
+def test_a_spin_xi_sweep_diagonalizes_sigma_xi_and_its_spinors_once(cold_setup, eigh_shapes, tmp_path, capsys):
+    argv = ["sweep", "spin_xi_weak", "--param-name", "delta", "--values", "0.1,0.25,1,3,10", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert eigh_shapes == [(2, 2)] * 3  # +y, +x and sigma_xi, once for all five values
+
+
+def test_negative_kinetic_runs_diagonalize_the_coarse_operator_once(cold_setup, eigh_shapes):
+    for pointer_delta in (8.0, 5.0):
+        assert get_scenario("negative_kinetic_energy").run({"pointer_delta": pointer_delta}, seed=0).passed
+    assert eigh_shapes.count((161, 161)) == 1
+
+
+def test_every_array_the_setup_caches_hand_out_is_read_only(cold_setup):
+    obs, tsv, _ = _spin_xi_setup()
+    arrays = [tsv.bra.row, tsv.ket.amplitudes]
+    for op in (obs, _coarse_kinetic_operator()):
+        spectrum = hermitian_eigendecomposition(op)
+        arrays += [op.matrix, spectrum.eigenvalues, *spectrum.blocks]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+@pytest.mark.parametrize(
+    "scenario, name, values",
+    [("spin_xi_weak", "delta", "0.1,0.25,1,3,10"), ("negative_kinetic_energy", "pointer_delta", "8,10,16")],
+)
+def test_each_sweep_row_equals_an_independent_run_with_cold_caches(cold_setup, tmp_path, capsys, scenario, name, values):
+    argv = ["sweep", scenario, "--param-name", name, "--values", values, "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    header, *lines = (tmp_path / scenario / f"sweep_{name}.csv").read_text().strip().split("\n")
+    assert len(lines) == len(values.split(","))
+    for value, line in zip(values.split(","), lines):
+        clear_setup_caches()
+        flat = _scalar_summaries(get_scenario(scenario).run({name: value}, seed=3))
+        flat.pop(name, None)
+        row = dict(zip(header.split(","), line.split(",")))
+        assert float(row.pop(name)) == float(value)
+        assert sorted(row) == sorted(flat)
+        assert {key: float(cell) for key, cell in row.items()} == flat
