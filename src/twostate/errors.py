@@ -18,7 +18,7 @@ class ResourceLimit(TwoStateError, RuntimeError):
 
 
 class PostSelectionImpossible(TwoStateError, ValueError):
-    """The conditional probability formula has an identically zero denominator."""
+    """The conditional probability formula has an identically zero (or an overflowed) denominator."""
 
 
 class OverlapTooSmall(TwoStateError, ValueError):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import PostSelectionImpossible, ValidationError
+from .errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from .linalg import DenseOperator, SpectralDecomposition, hermitian_eigendecomposition, is_hermitian
 from .states import StateVector, TwoStateVector
 
@@ -38,8 +38,8 @@ class OutcomeDistribution:
     def __post_init__(self):
         e = np.asarray(self.eigenvalues, dtype=float)
         p = np.asarray(self.probabilities, dtype=float)
-        if e.shape != p.shape or e.ndim != 1:
-            raise ValidationError("eigenvalues and probabilities must be matching 1-D arrays")
+        if e.shape != p.shape or e.ndim != 1 or not (np.isfinite(e).all() and np.isfinite(p).all()):
+            raise ValidationError("eigenvalues and probabilities must be matching 1-D arrays of finite values")
         if np.any(p < -1e-12):
             raise ValidationError("negative probability")
         if abs(p.sum() - 1.0) > 1e-10:
@@ -55,8 +55,9 @@ class OutcomeDistribution:
 
 
 def _require_denominator(total) -> None:
-    if np.min(total) <= DENOMINATOR_FLOOR:
-        raise PostSelectionImpossible("post-selection is incompatible with every outcome (zero denominator)")
+    if not ((total > DENOMINATOR_FLOOR) & (total < np.inf)).all():  # a NaN fails both comparisons
+        cause = "zero: post-selection is incompatible with every outcome" if np.isfinite(total).all() else "not finite"
+        raise PostSelectionImpossible(f"the ABL denominator is {cause}")
 
 
 def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarray) -> OutcomeDistribution:
@@ -83,9 +84,19 @@ def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
     return hit / total
 
 
-def abl_generalized(description, obs: DenseOperator) -> OutcomeDistribution:
-    """`abl`, under the name that `bench/tracing.py` counts certainty-cone candidates by."""
-    return abl(description, obs)
+def abl_generalized(description, spinors) -> float:
+    """Prob(+1) = |A+|**2 / (|A+|**2 + |A-|**2) of sigma . n, for `spinors` the rows v+, v- (leading axes broadcast).
+
+    A+- = sum_i alpha_i (row_i . v+-)(v+-^H . ket_i): `abl` on a spin-1/2 description, with no operator built.
+    `bench/tracing.py` counts certainty-cone candidates by this name.
+    """
+    if description.dim != 2:
+        raise DimensionMismatch(f"abl_generalized takes a spin-1/2 description, not dim {description.dim}")
+    alpha, rows, kets = description.stacked_terms
+    weights = np.abs(((spinors @ rows.T) * (spinors.conj() @ kets.T)) @ alpha) ** 2
+    total = weights[..., 0] + weights[..., 1]
+    _require_denominator(total)
+    return weights[..., 0] / total
 
 
 def _require_projector(post_projector: DenseOperator) -> np.ndarray:

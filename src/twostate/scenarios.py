@@ -502,16 +502,14 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
     theta_derived = 2.0 * math.atan(math.sqrt(math.tan(chi)))
     theta_printed = 4.0 * math.atan(math.sqrt(math.tan(chi)))
 
-    try:
-        prob_derived = _certainty_probability(gtsv, theta_derived, 0.0)
-    except PostSelectionImpossible:
-        prob_derived = None  # chi = pi/4: both conditional amplitudes vanish there
-    prob_printed = None
-    if theta_printed <= math.pi:
+    def certainty(theta: float) -> float | None:
         try:
-            prob_printed = _certainty_probability(gtsv, theta_printed, 0.0)
+            return _certainty_probability(gtsv, theta, 0.0)
         except PostSelectionImpossible:
-            prob_printed = None
+            return None  # chi = pi/4 at the derived angle: both conditional amplitudes vanish there
+
+    prob_derived = certainty(theta_derived)
+    prob_printed = certainty(theta_printed) if theta_printed <= math.pi else None
 
     checks = [
         ("cone_nonempty", len(cone) > 0 or abs(chi - math.pi / 4) < 1e-12),

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, OverlapTooSmall, ValidationError
-from .linalg import DenseOperator, SpectralDecomposition
+from .linalg import DenseOperator, SpectralDecomposition, _read_only
 
 # Below this overlap magnitude, ratio formulas refuse to divide.
 OVERLAP_EPSILON = 1e-12
@@ -45,8 +46,11 @@ def _as_state_array(amplitudes) -> np.ndarray:
         raise ValidationError("state amplitudes must form a nonempty 1-D vector")
     if not np.all(np.isfinite(a)):
         raise ValidationError("state amplitudes must be finite")
-    if np.linalg.norm(a) == 0.0:
-        raise ValidationError("state must have nonzero norm")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not 0.0 < norm < np.inf:
+        cause = "overflows" if norm else "underflows to 0" if a.any() else "is 0"
+        raise ValidationError(f"state norm {cause}: a state needs a finite, positive norm")
     return a
 
 
@@ -131,6 +135,11 @@ class TwoStateVector:
         """<Phi|P_n|Psi> for every eigenvalue of `decomp`."""
         return decomp.selection_amplitudes(self.bra.row, self.ket.amplitudes)
 
+    @cached_property
+    def stacked_terms(self) -> tuple:
+        """(alpha, rows, kets) of the one term (1, bra, ket), stacked as a generalized description stacks its terms."""
+        return GeneralizedTwoStateVector([(1.0, self.bra, self.ket)]).stacked_terms
+
     def bilinear(self, op: DenseOperator):
         """<Phi| op |Psi>, as a numpy scalar: dividing it keeps numpy's complex division."""
         _check_operator_dim(op, self.dim)
@@ -167,6 +176,12 @@ class GeneralizedTwoStateVector:
     def selection_amplitudes(self, decomp: SpectralDecomposition) -> np.ndarray:
         """sum_i alpha_i <Phi_i|P_n|Psi_i> for every eigenvalue of `decomp`."""
         return sum(a * decomp.selection_amplitudes(b.row, k.amplitudes) for a, b, k in self.terms)
+
+    @cached_property
+    def stacked_terms(self) -> tuple:
+        """(alpha, rows, kets): weights, bra rows and kets as read-only arrays, one entry or row per term."""
+        alpha, rows, kets = zip(*((a, b.row, k.amplitudes) for a, b, k in self.terms))
+        return _read_only(np.array(alpha)), _read_only(np.array(rows)), _read_only(np.array(kets))
 
     def bilinear(self, op: DenseOperator) -> complex:
         """sum_i alpha_i <Phi_i| op |Psi_i>."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import _require_projector, abl_generalized, certain_outcome
-from .linalg import DenseOperator, SpectralOperator, hermitian_eigendecomposition, pauli
+from .linalg import DenseOperator, hermitian_eigendecomposition, pauli, require_integer
 from .states import StateVector, _require_overlap
 
 
@@ -69,15 +69,14 @@ class ConeDirection:
     probability: float
 
 
-def _direction_obs(theta: float, phi: float) -> DenseOperator:
-    """sigma . n at polar angle theta and azimuth phi, built from its closed-form eigenvectors."""
+def _spinors(theta, phi) -> np.ndarray:
+    """Rows v+, v-: the closed-form +-1 eigenvectors of sigma . n at polar angle theta, azimuth phi (or arrays)."""
     c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
-    return SpectralOperator([-1.0, 1.0], [np.array([[-e.conjugate() * s], [c]]), np.array([[c], [e * s]])])
+    return np.stack([np.stack([c, e * s], axis=-1), np.stack([-e.conj() * s, c], axis=-1)], axis=-2)
 
 
 def _certainty_probability(description, theta: float, phi: float) -> float:
-    dist = abl_generalized(description, _direction_obs(theta, phi))
-    return dist.probability_of(1.0, tol=1e-6)
+    return float(abl_generalized(description, _spinors(theta, phi)))
 
 
 def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
@@ -86,12 +85,11 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     The candidate set comes from the weak-vector criterion: the projection
     of the weak vector on the direction must equal 1 (two real constraints
     for a complex weak vector).  All candidates are built as one (m, 3)
-    array and their angles taken in one pass; each is then cross-checked
-    with the conditional-probability (ABL) formula, and only directions
-    whose probability reaches 1 - 1e-10 are returned.
+    array, their angles and closed-form +-1 spinors in one pass; each is
+    then cross-checked with one ABL contraction, and only directions whose
+    probability reaches 1 - 1e-10 are returned.
     """
-    if samples < 8:
-        raise ValidationError("use at least 8 azimuthal samples")
+    require_integer(samples, "azimuthal samples", 8)
     try:
         w = weak_vector(description).components
     except OverlapTooSmall:
@@ -125,9 +123,9 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     thetas = np.arccos(np.clip(nhat[:, 2], -1, 1))
     phis = np.arctan2(nhat[:, 1], nhat[:, 0]) % (2 * np.pi)
     out: list[ConeDirection] = []
-    for theta, phi in zip(thetas.tolist(), phis.tolist()):
+    for theta, phi, spinors in zip(thetas.tolist(), phis.tolist(), _spinors(thetas, phis)):
         try:
-            prob = _certainty_probability(description, theta, phi)
+            prob = float(abl_generalized(description, spinors))
         except PostSelectionImpossible:
             continue
         if prob >= 1.0 - 1e-10:

@@ -7,6 +7,10 @@ at seeds 0 and 7:
 
 - every golden case of ``tests/golden/record.py`` (``twostate run ...
   --format both``);
+- ``twostate run spin_cone --param samples=256 --format both`` at each
+  chi of ``CONE_CHIS``, which reach the certainty cone's ABL contraction
+  beyond the default chi: a thin and a wide cone, the empty cone at pi/4,
+  and two cones past it;
 - every CLI request of the benchmark workloads in ``bench/workloads.py``,
   in-process through ``twostate.cli.main``;
 - both library calls of the benchmark, whose ``to_dict()`` is written as
@@ -27,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path[:0] = [HERE, os.path.join(ROOT, "bench")]
 
 SEEDS = ("0", "7")
+CONE_CHIS = ("0.05", "0.7", repr(math.pi / 4), "1.2", "1.5")
 
 
 def _requests() -> list:
@@ -50,6 +56,9 @@ def _requests() -> list:
         for key, value in params.items():
             argv += ["--param", f"{key}={value}"]
         out.append((f"golden/{case}", argv))
+    for chi in CONE_CHIS:
+        argv = ["run", "spin_cone", "--param", f"chi={chi}", "--param", "samples=256", "--format", "both"]
+        out.append((f"cone/chi={chi}", argv))
     for workload, requests in WORKLOADS.items():
         for req in requests:
             name = f"{workload}/{req.key.replace(' ', '_')}"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from twostate.errors import PostSelectionImpossible, ValidationError
+from twostate.errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from twostate.ideal import (
+    OutcomeDistribution,
     abl,
+    abl_generalized,
     abl_degenerate_post,
     basis_occupation_probabilities,
     born,
@@ -107,6 +109,58 @@ def test_spin_cone_at_chi_quarter_pi_has_empty_denominator_on_the_equator():
     # numerically determined: both conditional amplitudes vanish at theta = pi/2
     with pytest.raises(PostSelectionImpossible):
         abl(gtsv, spin_direction([1, 0, 0]))
+
+
+def spinor_pair(n) -> np.ndarray:
+    """Rows v+, v-: the +1 and -1 eigenvectors of sigma . n, from LAPACK."""
+    return np.linalg.eigh(spin_direction(n).matrix)[1].T[::-1]
+
+
+@pytest.mark.parametrize("chi", [np.pi / 8, 0.7, 1.3])
+def test_abl_generalized_is_the_abl_probability_of_plus_one(chi):
+    pair = TwoStateVector(CoStateVector.from_ket([1.0, 1j]), StateVector([2.0, 0.5]))
+    for description in (spin_cone_gtsv(chi), pair):
+        for n in ([1.0, 0.0, 0.0], [0.3, -0.2, 0.9], [0.0, 0.0, -1.0]):
+            want = abl(description, spin_direction(n)).probability_of(1.0)
+            assert abl_generalized(description, spinor_pair(n)) == pytest.approx(want, abs=1e-14)
+
+
+def test_abl_generalized_broadcasts_over_a_leading_candidate_axis():
+    gtsv = spin_cone_gtsv(np.pi / 8)
+    directions = [[1.0, 0.0, 0.0], [0.3, -0.2, 0.9], [0.0, 1.0, 1.0]]
+    batch = abl_generalized(gtsv, np.array([spinor_pair(n) for n in directions]))
+    assert batch.tolist() == [abl_generalized(gtsv, spinor_pair(n)) for n in directions]
+
+
+def test_abl_generalized_refuses_an_empty_denominator_and_a_description_that_is_not_spin_half():
+    with pytest.raises(PostSelectionImpossible):
+        abl_generalized(spin_cone_gtsv(np.pi / 4), spinor_pair([1, 0, 0]))
+    with pytest.raises(DimensionMismatch):
+        abl_generalized(three_box_tsv(), spinor_pair([1, 0, 0]))
+
+
+def test_outcome_distribution_refuses_nan_probabilities():
+    with pytest.raises(ValidationError, match="finite"):
+        OutcomeDistribution([0.0, 1.0], [np.nan, np.nan])
+
+
+def test_abl_and_born_refuse_states_whose_norm_overflows_rather_than_return_nan():
+    big = np.array([1e200, 1e200j])
+    with pytest.raises(ValidationError, match="overflows"):
+        born(StateVector(big), pauli("x"))
+    with pytest.raises(ValidationError, match="overflows"):
+        abl(TwoStateVector(CoStateVector.from_ket(big), StateVector(big)), pauli("x"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_abl_refuses_selection_amplitudes_that_overflow():
+    # each norm is finite, but |<Phi|P_+|Psi>|**2 = 16e600 is not
+    large = 1e150 * np.array([1.0, 1.0])
+    tsv = TwoStateVector(CoStateVector.from_ket(large), StateVector(large))
+    with pytest.raises(PostSelectionImpossible, match="not finite"):
+        abl(tsv, pauli("x"))
+    with pytest.raises(PostSelectionImpossible, match="not finite"):
+        abl_generalized(tsv, spinor_pair([1, 0, 0]))
 
 
 def test_degenerate_post_with_identity_is_born_rule():

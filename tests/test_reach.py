@@ -61,6 +61,12 @@ UNREACHED = {
     "protective.weak_value_substituted_hamiltonian": "test_protective weak-value substitution tests",
     "scenarios.ParamSpec.__post_init__": "runs at import, when each parameter is declared",
     "scenarios._register": "runs at import, before any CLI call",
+    "states.GeneralizedTwoStateVector.selection_amplitudes": (
+        "test_properties::test_one_term_description_obeys_the_same_rules"
+    ),
+    "states.TwoStateVector.stacked_terms": (
+        "test_weak::test_certainty_cone_checks_each_candidate_once_and_matches_the_scalar_construction"
+    ),
     "states.interchange": f"time-reversal interchange, {CRITERION_10}",
     "timemachine._one_minus_sqrt_one_minus": DILATIONS,
     "timemachine._schwarzschild_radius": DILATIONS,

@@ -226,6 +226,16 @@ def test_spin_cone_makes_no_lapack_call(monkeypatch):
     assert calls == []
 
 
+def test_spin_cone_builds_no_operator_or_distribution_per_candidate(monkeypatch):
+    built = []
+    for cls, method in ((linalg.SpectralOperator, "__init__"), (ideal.OutcomeDistribution, "__post_init__")):
+        spied = getattr(cls, method)
+        monkeypatch.setattr(cls, method, lambda self, *a, spied=spied, **k: built.append(1) or spied(self, *a, **k))
+    result = get_scenario("spin_cone").run({"samples": 256}, seed=0)
+    assert result.passed and result.results["directions_found"] == 256
+    assert built == []
+
+
 def test_n_box_runs_no_hermiticity_check(monkeypatch):
     calls = []
     for module in (linalg, ideal):

@@ -124,6 +124,24 @@ def test_two_state_vector_dimension_check_and_overlap_floor():
         orthogonal.require_overlap()
 
 
+@pytest.mark.parametrize(
+    "amplitudes, cause",
+    [([0.0, 0.0], "is 0"), ([1e-200, -1e-200j], "underflows to 0"), ([1e200, 1e200j], "overflows")],
+    ids=["zero", "underflow", "overflow"],
+)
+def test_a_state_needs_a_finite_positive_norm(amplitudes, cause):
+    for build in (StateVector, CoStateVector):
+        with pytest.raises(ValidationError, match=f"state norm {cause}"):
+            build(amplitudes)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_states_near_the_ends_of_the_float_range_keep_their_bits(scale):
+    a = scale * np.array([1.0, -2.0j, 0.5])
+    assert np.array_equal(StateVector(a).amplitudes, a)
+    assert np.array_equal(CoStateVector(a).row, a)
+
+
 def test_generalized_validation():
     with pytest.raises(ValidationError):
         GeneralizedTwoStateVector([])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_oracles import expectation_value, kron_all, verify_projectors
+from dense_oracles import expectation_value, kron_all
 
 import twostate.weak as weak
 from twostate.errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
@@ -24,7 +24,7 @@ from twostate.states import (
 )
 from twostate.weak import (
     _certainty_probability,
-    _direction_obs,
+    _spinors,
     certainty_cone,
     theorem_i_check,
     theorem_ii_check,
@@ -278,6 +278,18 @@ def test_certainty_cone_checks_each_candidate_once_and_matches_the_scalar_constr
     assert ulps.max() <= 4
 
 
+@pytest.mark.parametrize("samples", [8.5, 16.0, "16", True, 7, np.int64(4)])
+def test_certainty_cone_refuses_samples_that_are_not_an_integer_of_at_least_8(samples):
+    with pytest.raises(ValidationError, match="azimuthal samples must be an integer of at least 8"):
+        certainty_cone(spin_cone_gtsv(np.pi / 8), samples)
+
+
+def test_weak_value_refuses_states_whose_norm_overflows():
+    big = [1e200, 1e200j]
+    with pytest.raises(ValidationError, match="overflows"):
+        weak_value(TwoStateVector(CoStateVector.from_ket(big), StateVector(big)), pauli("x"))
+
+
 def test_theorem_i_for_boxes_and_epr():
     tsv = three_box_tsv()
     report = theorem_i_check(tsv, projector_onto(np.eye(3)[0]))
@@ -405,17 +417,22 @@ def test_weak_value_and_cone_serialization_surfaces():
     assert len(text.strip().split("\n")) == 9
 
 
-@pytest.mark.parametrize("theta, phi", [(0.0, 0.0), (0.7, 2.1), (np.pi, 5.5), (2.9, -1.0)])
-def test_direction_observable_is_sigma_dot_n(theta, phi):
-    op = _direction_obs(theta, phi)
+ANGLES = [(0.0, 0.0), (0.7, 2.1), (np.pi, 5.5), (2.9, -1.0)]
+
+
+@pytest.mark.parametrize("theta, phi", ANGLES)
+def test_direction_spinors_are_the_eigenvectors_of_sigma_dot_n(theta, phi):
+    spinors = _spinors(theta, phi)
     n = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     dense = spin_direction(n)
-    assert np.abs(op.matrix - dense.matrix).max() <= 1e-15
-    dec = hermitian_eigendecomposition(op)
-    assert dec.eigenvalues.tolist() == [-1.0, 1.0]
-    verify_projectors(dec)
-    assert np.abs(dec.reconstruct() - dense.matrix).max() <= 1e-15
-    fresh = hermitian_eigendecomposition(DenseOperator(op.matrix))
-    assert np.abs(fresh.eigenvalues - [-1.0, 1.0]).max() <= 1e-15
-    for got, want in zip(fresh.projectors, hermitian_eigendecomposition(dense).projectors):
-        assert np.abs(got - want).max() <= 1e-15
+    for v, eigenvalue in zip(spinors, [1.0, -1.0]):
+        assert np.abs(dense.matrix @ v - eigenvalue * v).max() <= 1e-15
+    assert np.abs(spinors @ spinors.conj().T - np.eye(2)).max() <= 1e-15
+    # LAPACK's projectors, eigenvalues ascending, are those of the spinors read from -1 to +1
+    for v, want in zip(spinors[::-1], hermitian_eigendecomposition(dense).projectors):
+        assert np.abs(np.outer(v, v.conj()) - want).max() <= 1e-15
+
+
+def test_direction_spinors_of_an_angle_array_are_those_of_each_angle():
+    thetas, phis = np.array(ANGLES).T
+    assert np.array_equal(_spinors(thetas, phis), [_spinors(t, p) for t, p in ANGLES])
