@@ -48,7 +48,7 @@ from .linalg import (
     require_width,
     unit_density,
 )
-from .states import GeneralizedTwoStateVector, StateVector, TwoStateVector
+from .states import GeneralizedTwoStateVector, StateVector
 
 WEAK_REGIME_FACTOR = 10.0
 
@@ -209,7 +209,7 @@ def pointer_distribution_preselected(
 
 
 def pointer_distribution_postselected(
-    tsv: TwoStateVector | GeneralizedTwoStateVector,
+    tsv: GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
 ) -> PointerResult:
@@ -219,7 +219,7 @@ def pointer_distribution_postselected(
 
 
 def momentum_shift_imaginary_part(
-    tsv: TwoStateVector | GeneralizedTwoStateVector,
+    tsv: GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
 ) -> float:
@@ -239,7 +239,7 @@ def momentum_shift_imaginary_part(
 
 
 def moment_expansion_residual(
-    tsv: TwoStateVector | GeneralizedTwoStateVector,
+    tsv: GeneralizedTwoStateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
     order: int = 2,
@@ -326,8 +326,7 @@ def n_spin_weights_and_centers(n: int):
     computation confirms (one published form of the expression prints the
     centers as (2n-i)/n).
     """
-    if n < 1:
-        raise ValidationError("need at least one spin")
+    require_integer(n, "spins", 1)
     cos2, sin2 = np.cos(np.pi / 8) ** 2, np.sin(np.pi / 8) ** 2
     idx = np.arange(n + 1)
     weights = np.array(

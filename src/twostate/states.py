@@ -1,17 +1,18 @@
-"""Forward, backward, paired, and generalized state descriptions.
+"""Forward, backward, paired and generalized state descriptions.
 
 A system between two complete measurements is described by a pair
 (bra, ket): a ket fixed by the earlier outcome evolving forward, and a
-co-state fixed by the later outcome evolving backward.  Generalized
-descriptions are weighted superpositions of such pairs; their overall
+co-state fixed by the later outcome evolving backward.  A generalized
+description is a weighted superposition of such pairs; its overall
 normalization is deliberately not enforced because every consumer here is
-a ratio formula.  Both description types contract themselves with an
-operator or a spectrum (`overlap`, `require_overlap`, `selection_amplitudes`,
-`bilinear`), so every rule that uses only these takes either type.
+a ratio formula.  A `TwoStateVector` is its one-term case (1, bra, ket), so
+one implementation of each contraction (`overlap`, `require_overlap`,
+`selection_amplitudes`, `stacked_terms`, `bilinear`) serves every rule.
 """
 
 from __future__ import annotations
 
+import cmath
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,14 +31,11 @@ def _require_overlap(ov: complex, scale: float) -> complex:
 
     A subnormal |ov| is refused at any scale: numpy divides by multiplying with 1/ov, which overflows there.
     """
+    if not cmath.isfinite(ov):
+        raise ValidationError(f"overlap {ov} is not finite")
     if abs(ov) <= max(OVERLAP_EPSILON * scale, sys.float_info.min):
         raise OverlapTooSmall(f"overlap {abs(ov):.3e} is below the division threshold")
     return ov
-
-
-def _check_operator_dim(op: DenseOperator, dim: int) -> None:
-    if op.dim != dim:
-        raise DimensionMismatch(f"operator dim {op.dim} vs description dim {dim}")
 
 
 def _as_state_array(amplitudes) -> np.ndarray:
@@ -111,42 +109,6 @@ class CoStateVector:
 
 
 @dataclass(frozen=True)
-class TwoStateVector:
-    """Paired description <Phi| |Psi> of a pre- and post-selected system."""
-
-    bra: CoStateVector
-    ket: StateVector
-
-    def __post_init__(self):
-        if self.bra.dim != self.ket.dim:
-            raise DimensionMismatch(f"bra dim {self.bra.dim} vs ket dim {self.ket.dim}")
-
-    @property
-    def dim(self) -> int:
-        return self.ket.dim
-
-    def overlap(self) -> complex:
-        return self.bra.pair(self.ket)
-
-    def require_overlap(self) -> complex:
-        return _require_overlap(self.overlap(), self.bra.norm() * self.ket.norm())
-
-    def selection_amplitudes(self, decomp: SpectralDecomposition) -> np.ndarray:
-        """<Phi|P_n|Psi> for every eigenvalue of `decomp`."""
-        return decomp.selection_amplitudes(self.bra.row, self.ket.amplitudes)
-
-    @cached_property
-    def stacked_terms(self) -> tuple:
-        """(alpha, rows, kets) of the one term (1, bra, ket), stacked as a generalized description stacks its terms."""
-        return GeneralizedTwoStateVector([(1.0, self.bra, self.ket)]).stacked_terms
-
-    def bilinear(self, op: DenseOperator):
-        """<Phi| op |Psi>, as a numpy scalar: dividing it keeps numpy's complex division."""
-        _check_operator_dim(op, self.dim)
-        return self.bra.row @ op.apply(self.ket.amplitudes)
-
-
-@dataclass(frozen=True)
 class GeneralizedTwoStateVector:
     """Weighted superposition sum_i alpha_i <Phi_i| |Psi_i> (unnormalized) of (alpha_i, bra, ket) `terms`."""
 
@@ -156,6 +118,8 @@ class GeneralizedTwoStateVector:
         terms = tuple((complex(a), b, k) for a, b, k in self.terms)
         if not terms:
             raise ValidationError("generalized description needs at least one (weight, bra, ket) term")
+        if not all(cmath.isfinite(a) for a, _, _ in terms):
+            raise ValidationError("superposition weights must be finite")
         if all(a == 0 for a, _, _ in terms):
             raise ValidationError("all superposition weights vanish")
         dims = {v.dim for _, b, k in terms for v in (b, k)}
@@ -183,25 +147,34 @@ class GeneralizedTwoStateVector:
         alpha, rows, kets = zip(*((a, b.row, k.amplitudes) for a, b, k in self.terms))
         return _read_only(np.array(alpha)), _read_only(np.array(rows)), _read_only(np.array(kets))
 
-    def bilinear(self, op: DenseOperator) -> complex:
-        """sum_i alpha_i <Phi_i| op |Psi_i>."""
-        _check_operator_dim(op, self.dim)
-        return complex(sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in self.terms))
+    def bilinear(self, op: DenseOperator):
+        """sum_i alpha_i <Phi_i| op |Psi_i>, as a numpy scalar: dividing it keeps numpy's complex division."""
+        if op.dim != self.dim:
+            raise DimensionMismatch(f"operator dim {op.dim} vs description dim {self.dim}")
+        return sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in self.terms)
 
 
-def interchange(description):
-    """Time-reversal interchange <Phi||Psi> <-> <Psi||Phi>.
+class TwoStateVector(GeneralizedTwoStateVector):
+    """Paired description <Phi| |Psi> of a pre- and post-selected system: the one term (1, bra, ket)."""
 
-    For generalized descriptions the weights are conjugated along with the
-    swap.  Applying it twice is the identity.
+    def __init__(self, bra: CoStateVector, ket: StateVector):
+        super().__init__(((1.0, bra, ket),))
+
+    @property
+    def bra(self) -> CoStateVector:
+        return self.terms[0][1]
+
+    @property
+    def ket(self) -> StateVector:
+        return self.terms[0][2]
+
+
+def interchange(description: GeneralizedTwoStateVector) -> GeneralizedTwoStateVector:
+    """Time-reversal interchange sum_i alpha_i <Phi_i||Psi_i> -> sum_i conj(alpha_i) <Psi_i||Phi_i>.
+
+    Applying it twice is the identity; a two-state vector stays one.
     """
-    if isinstance(description, TwoStateVector):
-        return TwoStateVector(
-            bra=CoStateVector.from_ket(description.ket.amplitudes),
-            ket=StateVector(description.bra.ket_form),
-        )
-    if isinstance(description, GeneralizedTwoStateVector):
-        return GeneralizedTwoStateVector(
-            [(np.conj(a), CoStateVector.from_ket(k.amplitudes), StateVector(b.ket_form)) for a, b, k in description.terms]
-        )
-    raise ValidationError(f"cannot interchange {type(description).__name__}")
+    if not isinstance(description, GeneralizedTwoStateVector):
+        raise ValidationError(f"cannot interchange {type(description).__name__}")
+    terms = [(np.conj(a), CoStateVector.from_ket(k.amplitudes), StateVector(b.ket_form)) for a, b, k in description.terms]
+    return TwoStateVector(*terms[0][1:]) if isinstance(description, TwoStateVector) else GeneralizedTwoStateVector(terms)

@@ -17,6 +17,7 @@ import pytest
 from dense_oracles import kron_all
 from scipy.linalg import eigh_tridiagonal
 
+from twostate.errors import PostSelectionImpossible
 from twostate.ideal import (
     abl,
     abl_degenerate_post,
@@ -485,7 +486,7 @@ def test_criterion_10_symmetry_suite():
             g1 = abl(gtsv, obs).probabilities
             g2 = abl(interchange(gtsv), obs).probabilities
             worst_gen = max(worst_gen, float(np.abs(g1 - g2).max()))
-        except Exception:
+        except PostSelectionImpossible:
             pass  # vanishing generalized denominator: no distribution to compare
 
         sv = StateVector(psi)

@@ -90,7 +90,7 @@ def test_generalized_single_term_reduces_to_abl():
     gtsv = GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)])
     raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     obs = DenseOperator(raw + raw.conj().T)
-    assert np.abs(abl(gtsv, obs).probabilities - abl(tsv, obs).probabilities).max() <= 1e-14
+    assert np.array_equal(abl(gtsv, obs).probabilities, abl(tsv, obs).probabilities)
 
 
 def test_spin_cone_direction_is_certain():

@@ -410,6 +410,12 @@ def test_n_spin_centers_span_the_average_spectrum_and_weights_sum_to_cos_power()
     assert weights.sum() == pytest.approx(np.cos(np.pi / 4) ** 6, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 2.5, 3.0, "3", True], ids=["zero", "fraction", "integral_float", "string", "bool"])
+def test_the_spin_count_must_be_a_positive_integer(n):
+    with pytest.raises(ValidationError, match="spins must be an integer"):
+        n_spin_weights_and_centers(n)
+
+
 def test_n_spin_narrow_pointer_resolves_the_eigenvalue_comb():
     pointer = GaussianPointer.for_spectrum(0.01, [1.0, -1.0], points=8192)
     res = n_spin_pointer_closed_form(8, pointer)

@@ -88,7 +88,7 @@ def test_one_term_description_obeys_the_same_rules(case, delta):
         weak_value,
         (tsv, obs),
         (gtsv, obs),
-        lambda g, p: g.overlap_magnitude == p.overlap_magnitude and abs(g.value - p.value) <= 4 * EPS * abs(p.value),
+        lambda g, p: g.overlap_magnitude == p.overlap_magnitude and g.value == p.value,
     )
     assert_same(certain_outcome, (tsv, obs), (gtsv, obs), lambda g, p: g == p)
     pointer = GaussianPointer.for_spectrum(delta, hermitian_eigendecomposition(obs).eigenvalues, points=256)

@@ -155,6 +155,31 @@ def test_generalized_validation():
         )
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, complex(1.0, -np.inf)], ids=["nan", "inf", "imaginary_inf"])
+def test_a_non_finite_weight_is_refused(weight):
+    bra, ket = CoStateVector.from_ket([1.0, 0.0]), StateVector([1.0, 0.0])
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        GeneralizedTwoStateVector([(1.0, bra, ket), (weight, bra, ket)])
+
+
+def test_an_overflowing_overlap_is_refused_as_not_finite():
+    big = (CoStateVector.from_ket([1e10, 0.0]), StateVector([1e10, 0.0]))
+    small = (CoStateVector.from_ket([0.0, 1.0]), StateVector([0.0, 1.0]))
+    gtsv = GeneralizedTwoStateVector([(1e300, *big), (0.5, *small)])
+    with pytest.raises(ValidationError, match="not finite"):
+        gtsv.require_overlap()
+
+
+def test_a_two_state_vector_is_the_one_term_generalized_description():
+    bra, ket = CoStateVector.from_ket([1.0, 1.0j]), StateVector([2.0, 0.5])
+    tsv = TwoStateVector(bra, ket)
+    assert isinstance(tsv, GeneralizedTwoStateVector)
+    assert tsv.terms == ((1.0, bra, ket),) and tsv.bra is bra and tsv.ket is ket
+    assert repr(tsv).startswith("TwoStateVector(terms=")
+    assert type(interchange(tsv)) is TwoStateVector
+    assert type(interchange(GeneralizedTwoStateVector(tsv.terms))) is GeneralizedTwoStateVector
+
+
 def test_co_state_pairing_is_the_conjugated_contraction():
     a = np.array([1.0 + 2.0j, -0.5j, 3.0])
     b = np.array([0.5, 1.0 - 1.0j, 2.0j])
