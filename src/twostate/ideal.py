@@ -13,18 +13,18 @@ Born rule.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, PostSelectionImpossible, ValidationError
-from .linalg import DenseOperator, SpectralDecomposition, hermitian_eigendecomposition, is_hermitian
+from .linalg import DenseOperator, SpectralDecomposition, hermitian_eigendecomposition
 from .states import StateVector, TwoStateVector
 
 # An outcome is "certain" when its conditional probability reaches this level.
 CERTAINTY_THRESHOLD = 1.0 - 1e-10
 
-# Identically zero ABL denominators are detected against this floor.
+# Identically zero ABL denominators are detected against this floor, times the squared size of the amplitudes.
 DENOMINATOR_FLOOR = 1e-24
 
 
@@ -54,22 +54,23 @@ class OutcomeDistribution:
         return float(self.probabilities[hits].sum())
 
 
-def _require_denominator(total) -> None:
-    if not ((total > DENOMINATOR_FLOOR) & (total < np.inf)).all():  # a NaN fails both comparisons
+def _require_denominator(total, scale: float) -> None:
+    """Refuse a total at or below DENOMINATOR_FLOOR * scale**2, where `scale` bounds each amplitude, or not finite."""
+    if not ((total > DENOMINATOR_FLOOR * scale * scale) & (total < np.inf)).all():  # a NaN fails both comparisons
         cause = "zero: post-selection is incompatible with every outcome" if np.isfinite(total).all() else "not finite"
         raise PostSelectionImpossible(f"the ABL denominator is {cause}")
 
 
-def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarray) -> OutcomeDistribution:
+def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarray, scale: float) -> OutcomeDistribution:
     total = weights.sum()
-    _require_denominator(total)
+    _require_denominator(total, scale)
     return OutcomeDistribution(decomp.eigenvalues, weights / total)
 
 
 def abl(description, obs: DenseOperator) -> OutcomeDistribution:
     """Conditional probabilities for a two-state or a generalized description."""
     decomp = hermitian_eigendecomposition(obs)
-    return _distribution_from_weights(decomp, np.abs(description.selection_amplitudes(decomp)) ** 2)
+    return _distribution_from_weights(decomp, np.abs(description.selection_amplitudes(decomp)) ** 2, description.scale)
 
 
 def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
@@ -80,7 +81,7 @@ def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
     a = tsv.bra.row * tsv.ket.amplitudes
     hit = np.abs(a) ** 2
     total = np.abs(tsv.bra.row @ tsv.ket.amplitudes - a) ** 2 + hit
-    _require_denominator(total)
+    _require_denominator(total, tsv.scale)
     return hit / total
 
 
@@ -95,7 +96,7 @@ def abl_generalized(description, spinors) -> float:
     alpha, rows, kets = description.stacked_terms
     weights = np.abs(((spinors @ rows.T) * (spinors.conj() @ kets.T)) @ alpha) ** 2
     total = weights[..., 0] + weights[..., 1]
-    _require_denominator(total)
+    _require_denominator(total, description.scale)
     return weights[..., 0] / total
 
 
@@ -115,14 +116,14 @@ def abl_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: De
     pb = _require_projector(post_projector)
     decomp = hermitian_eigendecomposition(obs)
     weights = np.linalg.norm(decomp.branches(pre.amplitudes) @ pb.T, axis=1) ** 2
-    return _distribution_from_weights(decomp, weights)
+    return _distribution_from_weights(decomp, weights, pre.norm())
 
 
 def born(pre: StateVector, obs: DenseOperator) -> OutcomeDistribution:
     """Pre-selected-only outcome statistics, ||P_n |Psi>||^2 (normalized)."""
     decomp = hermitian_eigendecomposition(obs)
     weights = decomp.selection_amplitudes(pre.amplitudes.conj(), pre.amplitudes).real  # ||P_n psi||^2
-    return _distribution_from_weights(decomp, weights)
+    return _distribution_from_weights(decomp, weights, pre.norm())
 
 
 def born_backward(bra, obs: DenseOperator) -> OutcomeDistribution:
@@ -143,19 +144,7 @@ def certain_outcome(description, obs: DenseOperator):
     return None
 
 
-@dataclass(frozen=True)
-class ProductRuleReport:
-    a_certain: float | None
-    b_certain: float | None
-    ab_certain: float | None
-    product_rule_holds: bool | None
-    commutator_norm: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator) -> ProductRuleReport:
+def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator) -> dict:
     """Certainties of A, B, and the literal product AB, and whether they multiply.
 
     The product observable is formed as a matrix product and must itself be
@@ -163,18 +152,18 @@ def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator) -> Prod
     systems certainty of A and of B does not imply AB is certain at the
     product value; the report flags exactly that, comparing a*b with ab to 1e-9.
     """
-    prod = obs_a.matrix @ obs_b.matrix
-    if not is_hermitian(prod, 1e-10):
-        raise ValidationError("product observable is not Hermitian; measure the factors separately")
-    comm = float(np.linalg.norm(obs_a.matrix @ obs_b.matrix - obs_b.matrix @ obs_a.matrix, 2))
-    obs_ab = DenseOperator(prod)
+    try:
+        obs_ab = DenseOperator(obs_a.matrix @ obs_b.matrix)
+    except ValidationError as exc:  # the operator's one Hermiticity check, at HERMITIAN_RTOL
+        raise ValidationError("product observable is not Hermitian; measure the factors separately") from exc
     a_c = certain_outcome(tsv, obs_a)
     b_c = certain_outcome(tsv, obs_b)
     ab_c = certain_outcome(tsv, obs_ab)
     holds = None
     if a_c is not None and b_c is not None and ab_c is not None:
         holds = bool(abs(a_c * b_c - ab_c) <= 1e-9)
-    return ProductRuleReport(a_c, b_c, ab_c, holds, comm)
+    comm = float(np.linalg.norm(obs_ab.matrix - obs_b.matrix @ obs_a.matrix, 2))
+    return {"a_certain": a_c, "b_certain": b_c, "ab_certain": ab_c, "product_rule_holds": holds, "commutator_norm": comm}
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ DIMENSION_CAP = 2**20
 HERMITIAN_RTOL = 1e-12
 
 
-def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    """max|m - m^H| <= rtol * max(max|m|, 1)."""
-    return bool(np.abs(m - m.conj().T).max() <= rtol * max(np.abs(m).max(), 1.0))
+def is_hermitian(m: np.ndarray) -> bool:
+    """max|m - m^H| <= HERMITIAN_RTOL * max(max|m|, 1)."""
+    return bool(np.abs(m - m.conj().T).max() <= HERMITIAN_RTOL * max(np.abs(m).max(), 1.0))
 
 
 def require_integer(value, what: str, minimum: int) -> None:

@@ -215,7 +215,8 @@ def pointer_distribution_postselected(
 ) -> PointerResult:
     """Pointer left in Phi(Q) ∝ sum_n <Phi|P_n|Psi> psi_in(Q - c_n), normalized."""
     decomp = hermitian_eigendecomposition(obs)
-    return superposed_pointer(tsv.selection_amplitudes(decomp), decomp.eigenvalues, pointer, 1e-20)
+    floor = 1e-20 * tsv.scale * tsv.scale  # (1e-20 * scale) * scale: no intermediate scale**2 to overflow
+    return superposed_pointer(tsv.selection_amplitudes(decomp), decomp.eigenvalues, pointer, floor)
 
 
 def momentum_shift_imaginary_part(
@@ -275,17 +276,6 @@ def moment_expansion_residual(
     return float(num / den)
 
 
-@dataclass(frozen=True)
-class EnsembleEstimate:
-    mean: float
-    stderr: float
-    n_samples: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr, "n_samples": self.n_samples, "seed": self.seed}
-
-
 def _invert_cdf(u: np.ndarray, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Overwrite `u` with np.interp(u, cdf, q) bit for bit (each query is found on its own), looked up in sorted order."""
     order = np.argsort(u)  # sorted queries keep np.interp's searches in cache
@@ -293,8 +283,8 @@ def _invert_cdf(u: np.ndarray, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
     return u
 
 
-def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) -> EnsembleEstimate:
-    """Sample pointer readings from a computed pointer distribution and report their mean.
+def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) -> dict:
+    """Sample pointer readings from a computed pointer distribution: {"mean", "stderr", "n_samples", "seed"}.
 
     The quoted standard error uses the pointer-width convention of the
     Gaussian above (density ∝ exp(-Q**2/D**2), width D = sqrt(2)*sigma), so
@@ -307,13 +297,8 @@ def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) ->
     cdf /= cdf[-1]
     samples = _invert_cdf(np.random.default_rng(seed).random(n_samples), cdf, result.q_grid.values)
     spread = samples.std(ddof=1) if n_samples > 1 else result.delta
-    width_effective = np.sqrt(2.0) * spread
-    return EnsembleEstimate(
-        mean=float(samples.mean()),
-        stderr=float(width_effective / np.sqrt(n_samples)),
-        n_samples=n_samples,
-        seed=seed,
-    )
+    stderr = float(np.sqrt(2.0) * spread / np.sqrt(n_samples))
+    return {"mean": float(samples.mean()), "stderr": stderr, "n_samples": n_samples, "seed": seed}
 
 
 def n_spin_weights_and_centers(n: int):
@@ -340,17 +325,20 @@ def superposed_pointer(amplitudes, centers, pointer: GaussianPointer, min_norm_s
     """Pointer left in sum_n amplitudes[n] * psi_in(Q - centers[n]), normalized.
 
     Every pointer assembled from weighted centers goes through here.  A sum
-    whose squared norm on the grid is zero or below `min_norm_squared` is
-    refused (PostSelectionImpossible) before the resolution check.
-    Post-selection passes 1e-20, below which its normalized states leave
-    only rounding; the N-spin amplitudes sum to 2**(-n/2) by nature and
-    pass no floor.
+    whose squared norm on the grid is zero, below `min_norm_squared` or not
+    finite is refused (PostSelectionImpossible) before the resolution check.
+    Post-selection passes 1e-20 times its description's squared `scale`,
+    below which its states leave only rounding; the N-spin amplitudes sum
+    to 2**(-n/2) by nature and pass no floor.
     """
     pointer.check_covers(centers)
     norm = (np.pi * pointer.delta**2) ** -0.25
     vals = _gaussian_sum(pointer.grid.values, amplitudes * norm, centers, 2 * pointer.delta**2)
-    power = np.abs(vals) ** 2
-    norm_squared = float(np.sum(power) * pointer.grid.spacing)
+    with np.errstate(over="ignore"):  # an overflowed norm is refused just below
+        power = np.abs(vals) ** 2
+        norm_squared = float(np.sum(power) * pointer.grid.spacing)
+    if not norm_squared < math.inf:  # normalizing by it would leave a zero or NaN pointer
+        raise PostSelectionImpossible("projected pointer's squared norm on the grid is not finite")
     if norm_squared == 0.0 or norm_squared < min_norm_squared:
         raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
     pointer.check_resolves()

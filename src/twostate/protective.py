@@ -44,7 +44,7 @@ from .linalg import (
 )
 from .pointer import GaussianPointer, _peak_location
 from .states import CoStateVector, StateVector, TwoStateVector
-from .weak import WeakVector, weak_value
+from .weak import weak_value
 
 MOMENTUM_SIGNIFICANCE = 1e-10
 LEAKAGE_FLAG_LEVEL = 0.01
@@ -307,27 +307,21 @@ def _protection_matrix(spin: LargeSpin, coupling: float, sigmas) -> np.ndarray:
     return -coupling * (np.kron(sx, sigmas[0]) + np.kron(sy, sigmas[1]) + np.kron(sz, sigmas[2]))
 
 
-def _substituted_hamiltonian(
-    protector_tsv: TwoStateVector, spin: LargeSpin, coupling: float, sigmas
-) -> tuple[DenseOperator, WeakVector]:
-    """-lambda * (S_w . sigma) with the given sigma operators, and S_w."""
-    if protector_tsv.dim != spin.dim:
-        raise ValidationError("protector description does not match the spin dimension")
-    comps = [weak_value(protector_tsv, DenseOperator(m)).value for m in spin.operators()]
-    matrix = -coupling * (comps[0] * sigmas[0] + comps[1] * sigmas[1] + comps[2] * sigmas[2])
-    return DenseOperator(matrix, hermitian=is_hermitian(matrix)), WeakVector(*comps)
-
-
 def weak_value_substituted_hamiltonian(
-    protector_tsv: TwoStateVector, spin: LargeSpin, coupling: float
-) -> tuple[DenseOperator, WeakVector]:
-    """Effective target Hamiltonian -lambda * (S_w . sigma) for a protected pair.
+    protector_tsv: TwoStateVector, spin: LargeSpin, coupling: float, sigmas=(PAULI_X, PAULI_Y, PAULI_Z)
+) -> tuple[DenseOperator, np.ndarray]:
+    """Effective target Hamiltonian -lambda * (S_w . sigma) for a protected pair, and S_w.
 
     S_w holds the weak values of (Sx, Sy, Sz) in the protector's two-state
     description; they are complex in general, so the result is non-Hermitian
-    and acts differently on forward- and backward-evolving states.
+    and acts differently on forward- and backward-evolving states.  `sigmas`
+    are the target's Pauli operators: a model spin passes its own.
     """
-    return _substituted_hamiltonian(protector_tsv, spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    if protector_tsv.dim != spin.dim:
+        raise ValidationError("protector description does not match the spin dimension")
+    comps = np.array([weak_value(protector_tsv, DenseOperator(m)).value for m in spin.operators()])
+    matrix = -coupling * (comps[0] * sigmas[0] + comps[1] * sigmas[1] + comps[2] * sigmas[2])
+    return DenseOperator(matrix, hermitian=is_hermitian(matrix)), comps
 
 
 def _bloch_direction(spinor: np.ndarray) -> np.ndarray:
@@ -427,7 +421,7 @@ class ModelSpinProtection:
     protector_pre: np.ndarray
     protector_post: np.ndarray
     chi_direction: np.ndarray
-    weak_vector: WeakVector
+    weak_vector: np.ndarray
 
 
 def model_spin_protection(
@@ -470,7 +464,7 @@ def model_spin_protection(
     protection = DenseOperator(_protection_matrix(spin, coupling, (sig_x, sig_y, sig_z)))
 
     protector_tsv = TwoStateVector(CoStateVector.from_ket(protector_post), StateVector(protector_pre))
-    effective, s_w = _substituted_hamiltonian(protector_tsv, spin, coupling, (sig_x, sig_y, sig_z))
+    effective, s_w = weak_value_substituted_hamiltonian(protector_tsv, spin, coupling, (sig_x, sig_y, sig_z))
 
     return ModelSpinProtection(
         model_sigma=(sig_x, sig_y, sig_z),

@@ -8,6 +8,8 @@ normalization is deliberately not enforced because every consumer here is
 a ratio formula.  A `TwoStateVector` is its one-term case (1, bra, ket), so
 one implementation of each contraction (`overlap`, `require_overlap`,
 `selection_amplitudes`, `stacked_terms`, `bilinear`) serves every rule.
+Every refusal of a small ratio denominator is relative to the description's
+`scale`, so multiplying a bra or a ket by a constant changes no result.
 """
 
 from __future__ import annotations
@@ -134,8 +136,16 @@ class GeneralizedTwoStateVector:
     def overlap(self) -> complex:
         return complex(sum(a * b.pair(k) for a, b, k in self.terms))
 
+    @cached_property
+    def scale(self) -> float:
+        """sum_i |alpha_i| ||Phi_i|| ||Psi_i||, which bounds every amplitude: ratio refusals are relative to it."""
+        size = sum(abs(a) * b.norm() * k.norm() for a, b, k in self.terms)
+        if size == np.inf:
+            raise ValidationError("description size sum_i |alpha_i| ||Phi_i|| ||Psi_i|| overflows: it is not finite")
+        return size
+
     def require_overlap(self) -> complex:
-        return _require_overlap(self.overlap(), sum(abs(a) * b.norm() * k.norm() for a, b, k in self.terms))
+        return _require_overlap(self.overlap(), self.scale)
 
     def selection_amplitudes(self, decomp: SpectralDecomposition) -> np.ndarray:
         """sum_i alpha_i <Phi_i|P_n|Psi_i> for every eigenvalue of `decomp`."""

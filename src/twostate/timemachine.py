@@ -282,27 +282,15 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     )
 
 
-@dataclass(frozen=True)
-class ScalingProbe:
-    """Success probabilities against N in the degenerate-shift (unit overlap) limit.
-
-    `probability_ratios` tend to 1/(2*eta-1)**2; their square roots, the
-    per-step decay of the post-selection amplitude, tend to 1/(2*eta-1).
-    """
-
-    eta: float
-    probabilities: np.ndarray
-    probability_ratios: np.ndarray
-    amplitude_ratios: np.ndarray
-
-
-def success_scaling_probe(eta: float, n_values) -> ScalingProbe:
-    """Exact scaling of the success probability with the register size.
+def success_scaling_probe(eta: float, n_values) -> np.ndarray:
+    """Per-step ratios Prob(N') / Prob(N) of the success probability between consecutive sorted register sizes.
 
     Computed with unit overlaps between the shifted system states (the
     delta_t -> 0 limit), which isolates the register statistics:
     Prob(N) = 1 / ((N+1) * sum_n alpha_n^2), evaluated in exact rational
-    arithmetic.  Each size must be an integer, and no size may repeat.
+    arithmetic.  The ratios tend to 1/(2*eta-1)**2; their square roots, the
+    per-step decay of the post-selection amplitude, tend to 1/(2*eta-1).
+    Each size must be an integer, and no size may repeat.
     """
     sizes = sorted(n_values)
     for n in sizes:
@@ -312,5 +300,4 @@ def success_scaling_probe(eta: float, n_values) -> ScalingProbe:
     probs = np.array([1.0 / float((n + 1) * binomial_schedule(int(n), eta).square_sum) for n in sizes])
     ratios = probs[1:] / probs[:-1]
     # normalize ratios to a per-unit-N step when the sequence is not contiguous
-    per_step = ratios ** (1.0 / np.diff(sizes))
-    return ScalingProbe(float(eta), probs, per_step, np.sqrt(per_step))
+    return ratios ** (1.0 / np.diff(sizes))

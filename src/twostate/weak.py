@@ -28,19 +28,6 @@ class WeakValue:
     overlap_magnitude: float
 
 
-@dataclass(frozen=True)
-class WeakVector:
-    """Weak values of (sigma_x, sigma_y, sigma_z) for a spin-1/2 description."""
-
-    wx: complex
-    wy: complex
-    wz: complex
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.wx, self.wy, self.wz])
-
-
 def weak_value(description, obs: DenseOperator) -> WeakValue:
     """<Phi|C|Psi> / <Phi|Psi>, or its generalized form, for either description type."""
     ov = description.require_overlap()
@@ -51,15 +38,16 @@ def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, 
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
     pb = _require_projector(post_projector)
     psi = pre.amplitudes
-    denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), pre.norm() ** 2)
+    denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), pre.norm() * pre.norm())
     num = complex(np.vdot(psi, pb @ obs.apply(psi)))
     return WeakValue(num / denom, abs(denom))
 
 
-def weak_vector(description) -> WeakVector:
+def weak_vector(description) -> np.ndarray:
+    """Weak values of (sigma_x, sigma_y, sigma_z) for a spin-1/2 description, as a (3,) complex array."""
     if description.dim != 2:
         raise ValidationError("weak vectors are defined for spin-1/2 descriptions only")
-    return WeakVector(*(weak_value(description, pauli(ax)).value for ax in "xyz"))
+    return np.array([weak_value(description, pauli(ax)).value for ax in "xyz"])
 
 
 @dataclass(frozen=True)
@@ -91,7 +79,7 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     """
     require_integer(samples, "azimuthal samples", 8)
     try:
-        w = weak_vector(description).components
+        w = weak_vector(description)
     except OverlapTooSmall:
         return []  # overlap vanishes: no finite weak vector, no certified cone
     w_re, w_im = w.real, w.imag

@@ -224,24 +224,24 @@ def test_certain_outcome_cases():
 
 def test_product_rule_failure_for_epr_pair():
     report = product_rule_report(epr_tsv(), tensor_product(pauli("y"), identity(2)), tensor_product(identity(2), pauli("x")))
-    assert report.a_certain == pytest.approx(-1.0, abs=0)
-    assert report.b_certain == pytest.approx(-1.0, abs=0)
-    assert report.ab_certain == pytest.approx(-1.0, abs=0)
-    assert report.product_rule_holds is False
-    assert report.commutator_norm == pytest.approx(0.0, abs=1e-12)
+    assert report["a_certain"] == pytest.approx(-1.0, abs=0)
+    assert report["b_certain"] == pytest.approx(-1.0, abs=0)
+    assert report["ab_certain"] == pytest.approx(-1.0, abs=0)
+    assert report["product_rule_holds"] is False
+    assert report["commutator_norm"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_product_rule_failure_for_boxes():
     report = product_rule_report(three_box_tsv(), box_projector(0), box_projector(1))
-    assert (report.a_certain, report.b_certain, report.ab_certain) == (1.0, 1.0, 0.0)
-    assert report.product_rule_holds is False
+    assert (report["a_certain"], report["b_certain"], report["ab_certain"]) == (1.0, 1.0, 0.0)
+    assert report["product_rule_holds"] is False
 
 
 def test_product_rule_holds_for_symmetric_eigenstate_selection():
     up_z = spin_up([0, 0, 1])
     tsv = TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
     report = product_rule_report(tsv, pauli("z"), pauli("z"))
-    assert report.product_rule_holds is True
+    assert report["product_rule_holds"] is True
 
 
 def test_product_rule_rejects_non_hermitian_products():
@@ -249,6 +249,24 @@ def test_product_rule_rejects_non_hermitian_products():
     tsv = TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
     with pytest.raises(ValidationError):
         product_rule_report(tsv, pauli("x"), pauli("y"))
+
+
+def test_a_product_hermitian_only_to_1e_10_is_refused_with_the_product_message():
+    # AB - (AB)^H is 2e-11 off the diagonal: inside a 1e-10 check, outside the operator's HERMITIAN_RTOL of 1e-12
+    up_z = spin_up([0, 0, 1])
+    tsv = TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
+    nearly_one = DenseOperator(np.array([[1.0, 1e-11], [1e-11, 1.0]]))
+    with pytest.raises(ValidationError, match="product observable is not Hermitian"):
+        product_rule_report(tsv, pauli("z"), nearly_one)
+
+
+def test_a_small_three_box_description_keeps_its_certainties():
+    # x 1e-6 on the bra and the ket puts every ABL total near 1e-24 x its unit-scale value
+    tsv = three_box_tsv()
+    small = TwoStateVector(CoStateVector(1e-6 * tsv.bra.row), StateVector(1e-6 * tsv.ket.amplitudes))
+    for box in (0, 1):
+        assert certain_outcome(small, box_projector(box)) == certain_outcome(tsv, box_projector(box)) == 1.0
+    assert basis_occupation_probabilities(small) == pytest.approx(basis_occupation_probabilities(tsv), rel=1e-12, abs=0)
 
 
 def test_backward_only_description_measures_like_its_ket_form():

@@ -301,6 +301,25 @@ def test_higher_moment_terms_shrink_the_residual():
     assert fourth < second
 
 
+def test_a_small_description_gives_the_unit_description_s_pointer():
+    # at s = 1e-5 on the bra and the ket, the pointer's squared norm is about s**4 = 1e-20 of its unit-scale value
+    s = 1e-5
+    small = TwoStateVector(CoStateVector.from_ket(s * spin_up([0, 1, 0])), StateVector(s * spin_up([1, 0, 0])))
+    pointer = GaussianPointer.for_spectrum(10.0, [1.0, -1.0])
+    unit = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), pointer)
+    got = pointer_distribution_postselected(small, sigma_xi(), pointer)
+    assert np.allclose(got.q_density, unit.q_density, rtol=1e-12, atol=0)
+    assert got.peak_location == pytest.approx(unit.peak_location, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s", [1e77, 1e100])
+def test_a_description_whose_pointer_norm_overflows_is_refused(s):
+    # |amplitude|**2 near 1e308 (1e77) or past it (1e100): normalizing by an overflowed norm left a zero density
+    huge = TwoStateVector(CoStateVector.from_ket(s * spin_up([0, 1, 0])), StateVector(s * spin_up([1, 0, 0])))
+    with pytest.raises(PostSelectionImpossible, match="not finite"):
+        pointer_distribution_postselected(huge, sigma_xi(), GaussianPointer.for_spectrum(10.0, [1.0, -1.0]))
+
+
 def test_ensemble_estimator_is_seeded_and_calibrated():
     pointer = GaussianPointer.for_spectrum(10.0, [1.0, -1.0])
     dist = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), pointer)
@@ -308,10 +327,10 @@ def test_ensemble_estimator_is_seeded_and_calibrated():
     b = ensemble_mean_estimator(dist, 5000, seed=0)
     assert a == b
     c = ensemble_mean_estimator(dist, 5000, seed=1)
-    assert c.mean != a.mean
+    assert c["mean"] != a["mean"]
     # pointer-width convention: stderr ~ sqrt(2)*sigma/sqrt(n) ~ 10/sqrt(5000)
-    assert 0.10 <= a.stderr <= 0.20
-    assert abs(a.mean - SQRT2) <= 3 * a.stderr
+    assert 0.10 <= a["stderr"] <= 0.20
+    assert abs(a["mean"] - SQRT2) <= 3 * a["stderr"]
 
 
 @pytest.mark.parametrize("postselect", [True, False])
@@ -374,14 +393,14 @@ def test_preselected_ensemble_tracks_the_expectation_value():
     pointer = GaussianPointer.for_spectrum(10.0, [1.0, -1.0])
     dist = pointer_distribution_preselected(StateVector(spin_up([1, 0, 0])), sigma_xi(), pointer)
     est = ensemble_mean_estimator(dist, 5000, seed=3)
-    assert abs(est.mean - 1 / SQRT2) <= 3 * est.stderr
+    assert abs(est["mean"] - 1 / SQRT2) <= 3 * est["stderr"]
 
 
 def test_single_sample_sharp_pointer_reads_the_eigenvalue():
     pointer = GaussianPointer.for_spectrum(0.001, [1.0, -1.0], points=8192)
     dist = pointer_distribution_preselected(StateVector(spin_up([0, 0, 1])), pauli("z"), pointer)
     est = ensemble_mean_estimator(dist, 1, seed=9)
-    assert abs(est.mean - 1.0) <= 0.01
+    assert abs(est["mean"] - 1.0) <= 0.01
 
 
 def test_n_spin_closed_form_matches_full_tensor_computation():

@@ -13,6 +13,9 @@ much the terms cancel.
 
 The pointer sampler's sorted-order CDF inversion is checked against
 np.interp in draw order, bit for bit.
+
+Multiplying every bra and ket by a power of two changes no ABL probability,
+certain outcome or certainty-cone direction, bit for bit, and no refusal.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -30,7 +33,7 @@ from twostate.ideal import abl, abl_generalized, certain_outcome  # noqa: E402
 from twostate.linalg import DenseOperator, hermitian_eigendecomposition, spin_direction  # noqa: E402
 from twostate.pointer import GaussianPointer, _invert_cdf, pointer_distribution_postselected  # noqa: E402
 from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
-from twostate.weak import _spinors, weak_value  # noqa: E402
+from twostate.weak import _spinors, certainty_cone, weak_value  # noqa: E402
 
 EPS = math.ulp(1.0)
 TINY = math.ulp(0.0)  # the smallest subnormal: twice the largest error of a product that underflows
@@ -113,12 +116,17 @@ def test_interchange_twice_is_the_identity(case, weights):
         assert a2 == a and np.array_equal(b2.row, b.row) and np.array_equal(k2.amplitudes, k.amplitudes)
 
 
+def dyadic_entries(n: int):
+    """Complex entries on the grid 2**-20 * [-2**20, 2**20]: products of a few of them are never subnormal."""
+    return arrays(np.int64, (2, n), elements=st.integers(-(2**20), 2**20)).map(lambda x: (x[0] + 1j * x[1]) / 2**20)
+
+
 @st.composite
-def spin_half_descriptions(draw):
+def spin_half_descriptions(draw, entries=complex_entries):
     """A spin-1/2 description of 1-4 (weight, bra, ket) terms; a single term is a TwoStateVector half the time."""
     terms = []
     for _ in range(draw(st.integers(1, 4))):
-        weight, phi, psi = draw(complex_entries(1))[0], draw(complex_entries(2)), draw(complex_entries(2))
+        weight, phi, psi = draw(entries(1))[0], draw(entries(2)), draw(entries(2))
         assume(np.linalg.norm(phi) > 0 and np.linalg.norm(psi) > 0)
         terms.append((weight, CoStateVector.from_ket(phi), StateVector(psi)))
     assume(any(a != 0 for a, _, _ in terms))
@@ -189,6 +197,36 @@ def test_interchange_keeps_abl_probabilities_and_conjugates_weak_values(case, we
             <= (4 * d * EPS * size * (2 * norm_c + abs(p.value)) + underflow) / p.overlap_magnitude
             + 4 * EPS * abs(p.value) + 2 * TINY,
         )
+
+
+def scaled(description, s: float):
+    """The description with every bra and ket multiplied by s, of the same type."""
+    terms = [(a, CoStateVector(s * b.row), StateVector(s * k.amplitudes)) for a, b, k in description.terms]
+    return TwoStateVector(*terms[0][1:]) if isinstance(description, TwoStateVector) else GeneralizedTwoStateVector(terms)
+
+
+BISECTOR = TwoStateVector(CoStateVector.from_ket([1.0, 1.0j]), StateVector([1.0, 1.0]))  # weak vector (1, 1, i)
+
+
+@PROPERTY
+@given(spin_half_descriptions(dyadic_entries), st.integers(-60, 60), st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi))
+@example(BISECTOR, -60, math.pi / 2, 0.0)
+@example(BISECTOR, 60, math.pi / 2, math.pi / 2)
+def test_scaling_the_bra_and_ket_by_a_power_of_two_changes_no_result(description, k, theta, phi):
+    """Every rule is a ratio, and each of its refusals is relative to the description's size.
+
+    With s = 2**k and entries far from the subnormal range, s <Phi| s |Psi> has
+    every amplitude, overlap and size of <Phi| |Psi> times 2**(2k) exactly.
+    """
+    big = scaled(description, 2.0**k)
+    obs = spin_direction([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    assert_agree(
+        outcome(abl, description, obs),
+        outcome(abl, big, obs),
+        lambda g, p: np.array_equal(g.probabilities, p.probabilities) and np.array_equal(g.eigenvalues, p.eigenvalues),
+    )
+    assert_agree(outcome(certain_outcome, description, obs), outcome(certain_outcome, big, obs), lambda g, p: g == p)
+    assert_agree(outcome(certainty_cone, description, 8), outcome(certainty_cone, big, 8), lambda g, p: g == p)
 
 
 @st.composite

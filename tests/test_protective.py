@@ -74,7 +74,7 @@ def test_a_zero_coherent_state_direction_is_refused():
 def test_weak_value_substituted_hamiltonian_for_the_xy_protector():
     spin = LargeSpin(10)
     h_eff, s_w = weak_value_substituted_hamiltonian(protector_pair(spin, (1, 0, 0), (0, 1, 0)), spin, 1.0)
-    assert np.allclose(s_w.components, [10.0, 10.0, 10.0j], atol=1e-9)
+    assert np.allclose(s_w, [10.0, 10.0, 10.0j], atol=1e-9)
     assert not h_eff.hermitian
     # right eigenvector |up_x>, left eigenvector <up_y|, both at -lambda*N
     up_x, up_y = spin_up([1, 0, 0]), spin_up([0, 1, 0])
@@ -90,7 +90,7 @@ def test_weak_value_substitution_is_componentwise_consistent():
     _, s_w = weak_value_substituted_hamiltonian(tsv, spin, 0.3)
     post = tsv.bra.ket_form
     pre = tsv.ket.amplitudes
-    for comp, op in zip(s_w.components, spin.operators()):
+    for comp, op in zip(s_w, spin.operators()):
         direct = np.vdot(post, op @ pre) / np.vdot(post, pre)
         assert comp == pytest.approx(direct, abs=1e-12)
 
@@ -98,7 +98,7 @@ def test_weak_value_substitution_is_componentwise_consistent():
 def test_aligned_protector_gives_a_hermitian_zeeman_coupling():
     spin = LargeSpin(10)
     h_eff, s_w = weak_value_substituted_hamiltonian(protector_pair(spin, (0, 0, 1), (0, 0, 1)), spin, 1.0)
-    assert np.allclose(s_w.components, [0.0, 0.0, 10.0], atol=1e-10)
+    assert np.allclose(s_w, [0.0, 0.0, 10.0], atol=1e-10)
     assert h_eff.hermitian
 
 

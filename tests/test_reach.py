@@ -52,7 +52,6 @@ UNREACHED = {
     "protective._position_densities": CRITERION_9,
     "protective._protection_matrix": CRITERION_9,
     "protective._significant_momentum": CRITERION_9,
-    "protective._substituted_hamiltonian": CRITERION_9,
     "protective._two_level_exponential": CRITERION_9,
     "protective._two_level_product": CRITERION_9,
     "protective.adiabatic_protective_measurement": CRITERION_9,

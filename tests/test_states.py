@@ -170,6 +170,17 @@ def test_an_overflowing_overlap_is_refused_as_not_finite():
         gtsv.require_overlap()
 
 
+def test_an_overflowed_description_size_is_refused_as_an_overflow():
+    # the overlap is a finite 0.5, but the size sum_i |alpha_i| ||Phi_i|| ||Psi_i|| = 1e320 is not a float:
+    # measured against it, every overlap would read as vanishing
+    big = (CoStateVector.from_ket([1e10, 0.0]), StateVector([0.0, 1e10]))
+    small = (CoStateVector.from_ket([0.0, 1.0]), StateVector([0.0, 1.0]))
+    gtsv = GeneralizedTwoStateVector([(1e300, *big), (0.5, *small)])
+    assert gtsv.overlap() == 0.5
+    with pytest.raises(ValidationError, match="size .* overflows"):
+        gtsv.require_overlap()
+
+
 def test_a_two_state_vector_is_the_one_term_generalized_description():
     bra, ket = CoStateVector.from_ket([1.0, 1.0j]), StateVector([2.0, 0.5])
     tsv = TwoStateVector(bra, ket)

@@ -4,7 +4,7 @@ from dense_oracles import expectation_value, kron_all
 
 import twostate.weak as weak
 from twostate.errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
-from twostate.ideal import certain_outcome
+from twostate.ideal import abl, certain_outcome
 from twostate.linalg import (
     DenseOperator,
     identity,
@@ -153,15 +153,15 @@ def test_weak_vector_cases():
     up_z = spin_up([0, 0, 1])
     plain = TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
     w = weak_vector(plain)
-    assert np.allclose(w.components, [0.0, 0.0, 1.0], atol=1e-13)
+    assert np.allclose(w, [0.0, 0.0, 1.0], atol=1e-13)
 
     w2 = weak_vector(bisector_tsv())
-    assert np.allclose(w2.components, [1.0, 1.0, 1j], atol=1e-12)
+    assert np.allclose(w2, [1.0, 1.0, 1j], atol=1e-12)
 
     chi = np.pi / 8
     w3 = weak_vector(spin_cone_gtsv(chi))
     expected = (np.cos(chi) + np.sin(chi)) / (np.cos(chi) - np.sin(chi))
-    assert np.allclose(w3.components, [0.0, 0.0, expected], atol=1e-12)
+    assert np.allclose(w3, [0.0, 0.0, expected], atol=1e-12)
 
     with pytest.raises(ValidationError):
         weak_vector(three_box_tsv())
@@ -194,6 +194,16 @@ def test_certainty_cone_empty_at_chi_quarter_pi():
     assert certainty_cone(spin_cone_gtsv(np.pi / 4), samples=8) == []
 
 
+def test_a_tiny_two_state_vector_keeps_its_abl_answers_and_cone():
+    # <+y| s |+x> s at s = 1e-7: every ABL total is about s**4 = 1e-28, the overlap about s**2
+    s = 1e-7
+    tiny = TwoStateVector(CoStateVector.from_ket(s * spin_up([0, 1, 0])), StateVector(s * spin_up([1, 0, 0])))
+    assert weak_value(tiny, pauli("z")).value == pytest.approx(1j, abs=1e-12)
+    assert np.allclose(abl(tiny, pauli("z")).probabilities, [0.5, 0.5], rtol=0, atol=1e-12)
+    assert certain_outcome(tiny, pauli("x")) == pytest.approx(1.0, abs=1e-12)
+    assert len(certainty_cone(tiny, samples=8)) == len(certainty_cone(bisector_tsv(), samples=8)) == 2
+
+
 def test_certainty_cone_with_complex_weak_vector():
     # bisector pair: w = (1, 1, i); Im(w).n = 0 forces the equator in z,
     # and Re(w).n = 1 picks two candidate azimuths; both must certify +1.
@@ -209,7 +219,7 @@ def test_certainty_cone_with_complex_weak_vector():
 
 def scalar_cone_oracle(description, samples):
     """(theta, phi, probability) of every certified direction, one candidate built at a time."""
-    w = weak_vector(description).components
+    w = weak_vector(description)
     w_re, w_im = w.real, w.imag
     out = []
 
