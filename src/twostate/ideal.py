@@ -24,6 +24,9 @@ from .states import StateVector, TwoStateVector
 # An outcome is "certain" when its conditional probability reaches this level.
 CERTAINTY_THRESHOLD = 1.0 - 1e-10
 
+# An eigenvalue matches a queried outcome value within this distance.
+OUTCOME_TOL = 1e-9
+
 # Identically zero ABL denominators are detected against this floor, times the squared size of the amplitudes.
 DENOMINATOR_FLOOR = 1e-24
 
@@ -47,8 +50,8 @@ class OutcomeDistribution:
         object.__setattr__(self, "eigenvalues", e)
         object.__setattr__(self, "probabilities", np.clip(p, 0.0, None))
 
-    def probability_of(self, value: float, tol: float = 1e-9) -> float:
-        hits = np.where(np.abs(self.eigenvalues - value) <= tol)[0]
+    def probability_of(self, value: float) -> float:
+        hits = np.where(np.abs(self.eigenvalues - value) <= OUTCOME_TOL)[0]
         if hits.size == 0:
             raise ValidationError(f"{value} is not an eigenvalue of the measured observable")
         return float(self.probabilities[hits].sum())
@@ -76,7 +79,7 @@ def abl(description, obs: DenseOperator) -> OutcomeDistribution:
 def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
     """abl(tsv, projector_onto(e_i)).probability_of(1.0) for every basis state |i>, in one array pass.
 
-    a_i = <Phi|i><i|Psi>; the never-formed complement of |i> carries <Phi|Psi> - a_i.
+    a_i = <Phi|i><i|Psi> is the amplitude of outcome 1, and <Phi|Psi> - a_i that of outcome 0.
     """
     a = tsv.bra.row * tsv.ket.amplitudes
     hit = np.abs(a) ** 2
@@ -152,6 +155,8 @@ def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator) -> dict
     systems certainty of A and of B does not imply AB is certain at the
     product value; the report flags exactly that, comparing a*b with ab to 1e-9.
     """
+    if obs_a.dim != obs_b.dim:
+        raise DimensionMismatch(f"observable dims {obs_a.dim} and {obs_b.dim}")
     try:
         obs_ab = DenseOperator(obs_a.matrix @ obs_b.matrix)
     except ValidationError as exc:  # the operator's one Hermiticity check, at HERMITIAN_RTOL

@@ -113,9 +113,6 @@ class DenseOperator:
     def _spectrum(self) -> "SpectralDecomposition":
         return _decompose(self)
 
-    def apply(self, ket) -> np.ndarray:
-        return self.matrix @ ket
-
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dim != other.dim:
             raise DimensionMismatch(f"operator dims {self.dim} and {other.dim}")
@@ -154,11 +151,9 @@ def spin_up(direction) -> np.ndarray:
 
 
 def projector_onto(vec) -> DenseOperator:
-    """|v><v| / <v|v>: eigenvalue 1 on v, 0 on the (never formed) complement of v."""
+    """|v><v| / <v|v> as a dense operator."""
     v = unit_vector(vec, complex)
-    if v.size == 1:
-        return SpectralOperator([1.0], [v[:, None]])
-    return SpectralOperator([0.0, 1.0], [v[:, None]], complement=0)
+    return DenseOperator(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True)
@@ -167,80 +162,29 @@ class SpectralDecomposition:
 
     blocks[n] is a d x k_n matrix whose columns span the eigenspace of
     eigenvalues[n], so P_n = V_n V_n^H.  The kernels contract through the
-    blocks; the dense projectors are derived only when asked for.
-
-    An index `complement` gives that eigenvalue the orthogonal complement of
-    the blocks, which is never formed: `blocks` skip it, and its amplitude and
-    branch are <Phi|Psi> and |Psi> minus those of the blocks.
+    blocks and never form a d x d projector.
     """
 
     eigenvalues: np.ndarray
     blocks: list[np.ndarray]
-    grouping_tolerance: float
-    complement: int | None = None
 
     @property
     def dim(self) -> int:
         return self.blocks[0].shape[0]
 
-    @cached_property
-    def projectors(self) -> list[np.ndarray]:
-        out = [v @ v.conj().T for v in self.blocks]
-        if self.complement is not None:
-            out.insert(self.complement, np.eye(self.dim) - sum(out))
-        return out
-
     def _check_dim(self, *vecs) -> None:
         if any(np.shape(v) != (self.dim,) for v in vecs):
             raise DimensionMismatch(f"vector shapes {[np.shape(v) for v in vecs]} vs operator dim {self.dim}")
 
-    def _with_complement(self, parts: np.ndarray, whole) -> np.ndarray:
-        """The blocks' parts, with the complement's (whole minus their sum) in its place."""
-        if self.complement is None:
-            return parts
-        return np.insert(parts, self.complement, whole - parts.sum(axis=0), axis=0)
-
     def selection_amplitudes(self, row, ket) -> np.ndarray:
         """<Phi|P_n|Psi> = (row . V_n)(V_n^H . ket) for every eigenvalue, in order."""
         self._check_dim(row, ket)
-        return self._with_complement(np.array([(row @ v) @ (v.conj().T @ ket) for v in self.blocks]), row @ ket)
+        return np.array([(row @ v) @ (v.conj().T @ ket) for v in self.blocks])
 
     def branches(self, ket) -> np.ndarray:
         """P_n|Psi> = V_n (V_n^H . ket) for every eigenvalue, one row each."""
         self._check_dim(ket)
-        return self._with_complement(np.array([v @ (v.conj().T @ ket) for v in self.blocks]), ket)
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for c, p in zip(self.eigenvalues, self.projectors):
-            out += c * p
-        return out
-
-
-class SpectralOperator(DenseOperator):
-    """Hermitian operator given as its spectrum: no LAPACK call, no Hermiticity check.
-
-    Ascending, distinct `eigenvalues` with orthonormal eigenvector `blocks` (and
-    `complement`) as in SpectralDecomposition.  The read-only dense matrix is
-    formed only on demand: by `.matrix` or `+`.
-    """
-
-    def __init__(self, eigenvalues, blocks, complement: int | None = None):
-        w = _read_only(np.array(eigenvalues, dtype=float))
-        vs = [_read_only(np.asarray(b, dtype=complex)) for b in blocks]
-        self.__dict__["_spectrum"] = SpectralDecomposition(w, vs, 1e-9 * max(np.abs(w).max(), 1e-300), complement)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _read_only(self._spectrum.reconstruct())
-
-    @property
-    def dim(self) -> int:
-        return self._spectrum.dim
-
-    def apply(self, ket) -> np.ndarray:
-        """sum_n c_n P_n|Psi>, contracted through the blocks."""
-        return self._spectrum.eigenvalues @ self._spectrum.branches(ket)
+        return np.array([v @ (v.conj().T @ ket) for v in self.blocks])
 
 
 def hermitian_eigendecomposition(op: DenseOperator) -> SpectralDecomposition:
@@ -248,12 +192,12 @@ def hermitian_eigendecomposition(op: DenseOperator) -> SpectralDecomposition:
 
     Eigenvalues closer than 1e-9 times the spectral radius are merged into one
     block.  The decomposition is computed once per operator and cached on it
-    (operator matrices are read-only, so the cache cannot go stale); a
-    SpectralOperator's is the one it was built from.  A diagonal matrix with
-    an exactly real diagonal (no nonzero off-diagonal entry) needs no LAPACK
-    call: its eigenvalues are the diagonal in stable-sorted order and its
-    eigenvectors the matching columns of the identity.  Other real matrices
-    go through the real LAPACK routine, the rest through the complex one.
+    (operator matrices are read-only, so the cache cannot go stale).  A
+    diagonal matrix with an exactly real diagonal (no nonzero off-diagonal
+    entry), such as a basis projector, needs no LAPACK call: its eigenvalues
+    are the diagonal in stable-sorted order and its eigenvectors the matching
+    columns of the identity.  Other real matrices go through the real LAPACK
+    routine, the rest through the complex one.
     """
     return op._spectrum
 
@@ -278,7 +222,7 @@ def _decompose(op: DenseOperator) -> SpectralDecomposition:
             eigenvalues.append(ws[start] if i - start == 1 else float(w[start:i].mean()))
             blocks.append(v[:, start:i])
             start = i
-    return SpectralDecomposition(_read_only(np.array(eigenvalues)), blocks, float(tol))
+    return SpectralDecomposition(_read_only(np.array(eigenvalues)), blocks)
 
 
 def tensor_product(a, b):

@@ -161,7 +161,7 @@ class GeneralizedTwoStateVector:
         """sum_i alpha_i <Phi_i| op |Psi_i>, as a numpy scalar: dividing it keeps numpy's complex division."""
         if op.dim != self.dim:
             raise DimensionMismatch(f"operator dim {op.dim} vs description dim {self.dim}")
-        return sum(a * (b.row @ op.apply(k.amplitudes)) for a, b, k in self.terms)
+        return sum(a * (b.row @ (op.matrix @ k.amplitudes)) for a, b, k in self.terms)
 
 
 class TwoStateVector(GeneralizedTwoStateVector):

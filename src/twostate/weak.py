@@ -19,7 +19,7 @@ import numpy as np
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import _require_projector, abl_generalized, certain_outcome
 from .linalg import DenseOperator, hermitian_eigendecomposition, pauli, require_integer
-from .states import StateVector, _require_overlap
+from .states import StateVector, TwoStateVector, _require_overlap
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,17 @@ def weak_value(description, obs: DenseOperator) -> WeakValue:
     return WeakValue(complex(description.bilinear(obs) / ov), abs(ov))
 
 
+def basis_weak_values(tsv: TwoStateVector) -> np.ndarray:
+    """(|i><i|)_w = <Phi|i><i|Psi> / <Phi|Psi> for every basis state |i>, in one array pass (they sum to 1)."""
+    return tsv.bra.row * tsv.ket.amplitudes / tsv.require_overlap()
+
+
 def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: DenseOperator) -> WeakValue:
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
     pb = _require_projector(post_projector)
     psi = pre.amplitudes
     denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), pre.norm() * pre.norm())
-    num = complex(np.vdot(psi, pb @ obs.apply(psi)))
+    num = complex(np.vdot(psi, pb @ (obs.matrix @ psi)))
     return WeakValue(num / denom, abs(denom))
 
 

@@ -3,10 +3,11 @@
 The library evaluates its many-particle claims on (d,)*n product tensors,
 one site at a time, and never forms a d**n x d**n operator.  These helpers
 build the full vectors and operators with np.kron (or, for operators
-diagonal in the product basis, their diagonals).  `verify_projectors`
-checks a spectral decomposition through its dense projectors,
-`evolve_unitary` moves states in time, which the library never does, and
-`expectation_value` is the pre-selected-only end of the weak-value chain.
+diagonal in the product basis, their diagonals).  `projectors` forms a
+spectral decomposition's dense d x d projectors, which `verify_projectors`
+checks, and `evolve_unitary` moves states in time; the library does
+neither.  `expectation_value` is the pre-selected-only end of the
+weak-value chain.
 """
 
 from __future__ import annotations
@@ -19,17 +20,22 @@ from twostate.pointer import pointer_distribution_postselected
 from twostate.states import CoStateVector, StateVector, TwoStateVector
 
 
+def projectors(decomp) -> list:
+    """P_n = V_n V_n^H for every eigenvector block of a spectral decomposition, as dense matrices."""
+    return [v @ v.conj().T for v in decomp.blocks]
+
+
 def verify_projectors(decomp) -> None:
     """Idempotent, mutually orthogonal projectors resolving the identity, each to 1e-10."""
-    projectors = decomp.projectors
+    ps = projectors(decomp)
     total = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    for p in projectors:
+    for p in ps:
         assert np.abs(p @ p - p).max() <= 1e-10, "projector fails idempotency"
         total += p
     assert np.abs(total - np.eye(decomp.dim)).max() <= 1e-10, "projectors do not resolve the identity"
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            assert np.abs(projectors[i] @ projectors[j]).max() <= 1e-10, "projectors are not mutually orthogonal"
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            assert np.abs(ps[i] @ ps[j]).max() <= 1e-10, "projectors are not mutually orthogonal"
 
 
 def evolve_unitary(state: np.ndarray, hamiltonian: DenseOperator, t: float) -> np.ndarray:

@@ -11,6 +11,9 @@ at seeds 0 and 7:
   chi of ``CONE_CHIS``, which reach the certainty cone's ABL contraction
   beyond the default chi: a thin and a wide cone, the empty cone at pi/4,
   and two cones past it;
+- each request of ``EXTRA_RUNS`` with ``--format both``: ``n_box``'s
+  one-pass weak value at its fewest boxes, a mid count and its most, and
+  ``three_box`` one particle past its tensor cap;
 - every CLI request of the benchmark workloads in ``bench/workloads.py``,
   in-process through ``twostate.cli.main``;
 - both library calls of the benchmark, whose ``to_dict()`` is written as
@@ -43,6 +46,7 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "bench")]
 
 SEEDS = ("0", "7")
 CONE_CHIS = ("0.05", "0.7", repr(math.pi / 4), "1.2", "1.5")
+EXTRA_RUNS = (("n_box", "boxes=3"), ("n_box", "boxes=2360"), ("n_box", "boxes=100000"), ("three_box", "n_particles=10"))
 
 
 def _requests() -> list:
@@ -59,6 +63,8 @@ def _requests() -> list:
     for chi in CONE_CHIS:
         argv = ["run", "spin_cone", "--param", f"chi={chi}", "--param", "samples=256", "--format", "both"]
         out.append((f"cone/chi={chi}", argv))
+    for scenario, param in EXTRA_RUNS:
+        out.append((f"extra/{scenario}-{param}", ["run", scenario, "--param", param, "--format", "both"]))
     for workload, requests in WORKLOADS.items():
         for req in requests:
             name = f"{workload}/{req.key.replace(' ', '_')}"

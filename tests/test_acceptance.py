@@ -350,10 +350,8 @@ def test_criterion_07_spin_cone():
         probs, printed = [], []
         for gtsv, theta, theta_printed in cases:
             for phi in (0.0, 2.0, 4.5):
-                probs.append(abl(gtsv, observables(theta, phi)).probability_of(1.0, tol=1e-6))
-            printed.append(
-                abl(gtsv, observables(theta_printed, 0.0)).probability_of(1.0, tol=1e-6)
-            )
+                probs.append(abl(gtsv, observables(theta, phi)).probability_of(1.0))
+            printed.append(abl(gtsv, observables(theta_printed, 0.0)).probability_of(1.0))
         return probs, printed
 
     core()

@@ -251,6 +251,13 @@ def test_product_rule_rejects_non_hermitian_products():
         product_rule_report(tsv, pauli("x"), pauli("y"))
 
 
+def test_product_rule_refuses_observables_of_two_dimensions_before_the_product():
+    up_z = spin_up([0, 0, 1])
+    tsv = TwoStateVector(CoStateVector.from_ket(up_z), StateVector(up_z))
+    with pytest.raises(DimensionMismatch, match="observable dims 2 and 3"):
+        product_rule_report(tsv, pauli("z"), identity(3))
+
+
 def test_a_product_hermitian_only_to_1e_10_is_refused_with_the_product_message():
     # AB - (AB)^H is 2e-11 off the diagonal: inside a 1e-10 check, outside the operator's HERMITIAN_RTOL of 1e-12
     up_z = spin_up([0, 0, 1])
@@ -372,8 +379,10 @@ def n_box_tsv(n: int) -> TwoStateVector:
 def test_basis_occupation_probabilities_equal_the_per_box_abl_rule(boxes):
     tsv = n_box_tsv(boxes)
     batched = basis_occupation_probabilities(tsv)
-    per_box = [abl(tsv, projector_onto(np.eye(boxes)[i])).probability_of(1.0) for i in range(boxes)]
-    assert batched.tolist() == per_box
+    # each dense boxes x boxes projector costs about 60 ms at 1000 boxes, where the first boxes - 1 are alike
+    checked = range(boxes) if boxes <= 120 else [0, 1, boxes // 2, boxes - 2, boxes - 1]
+    per_box = [abl(tsv, projector_onto(np.eye(boxes)[i])).probability_of(1.0) for i in checked]
+    assert batched[checked].tolist() == per_box
     assert np.abs(batched[:-1] - 1.0).max() <= 1e-10
 
 

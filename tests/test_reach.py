@@ -33,6 +33,7 @@ UNREACHED = {
     "ideal._require_projector": f"degenerate post-selection, {CRITERION_10}",
     "ideal.abl_degenerate_post": CRITERION_10,
     "ideal.counterfactual_decomposition_check": CRITERION_10,
+    "linalg.SpectralDecomposition.branches": f"P_n|Psi> of {CRITERION_10} and the test_pointer joint-state tests",
     "pointer.JointState.pointer_density": "test_pointer::test_bisector_strong_measurement_is_bimodal_*",
     "pointer.joint_state_after_impulse": "test_pointer joint-state tests (product state, rigid shift, bimodal)",
     "pointer.moment_expansion_residual": "test_pointer::test_moment_expansion_residual_*",

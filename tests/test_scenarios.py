@@ -8,7 +8,7 @@ from twostate import ideal, linalg
 from twostate.cli import _scalar_summaries, main
 from twostate.errors import ResourceLimit, ValidationError
 from twostate.ideal import counterfactual_decomposition_check
-from twostate.linalg import hermitian_eigendecomposition, pauli
+from twostate.linalg import hermitian_eigendecomposition, pauli, projector_onto
 from twostate.pointer import GaussianPointer
 from twostate.reporting import csv_table, stable_json
 from twostate.scenarios import (
@@ -19,7 +19,8 @@ from twostate.scenarios import (
     get_scenario,
     n_spin_tensor_oracle,
 )
-from twostate.states import StateVector
+from twostate.states import CoStateVector, StateVector, TwoStateVector
+from twostate.weak import weak_value
 
 EXPECTED_SCENARIOS = [
     "epr_product_rule",
@@ -96,6 +97,15 @@ def test_n_box_grows_with_the_box_count():
     result = get_scenario("n_box").run({"boxes": 10}, seed=0)
     assert len(result.results["prob_per_box"]) == 9
     assert max(abs(p - 1.0) for p in result.results["prob_per_box"]) <= 1e-10
+
+
+def test_n_box_last_box_weak_value_is_that_of_the_dense_projector_bit_for_bit():
+    for n in range(3, 201):
+        root = math.sqrt(n - 2.0)
+        ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
+        bra = CoStateVector.from_ket(np.concatenate([np.ones(n - 1), [-root]]))
+        want = weak_value(TwoStateVector(bra, ket), projector_onto(np.eye(n)[-1])).value
+        assert get_scenario("n_box").run({"boxes": n}, seed=0).results["weak_value_last_box"] == [want.real, want.imag]
 
 
 def test_epr_reports_the_failure_pattern():
@@ -228,12 +238,16 @@ def test_spin_cone_makes_no_lapack_call(monkeypatch):
 
 def test_spin_cone_builds_no_operator_or_distribution_per_candidate(monkeypatch):
     built = []
-    for cls, method in ((linalg.SpectralOperator, "__init__"), (ideal.OutcomeDistribution, "__post_init__")):
-        spied = getattr(cls, method)
-        monkeypatch.setattr(cls, method, lambda self, *a, spied=spied, **k: built.append(1) or spied(self, *a, **k))
-    result = get_scenario("spin_cone").run({"samples": 256}, seed=0)
-    assert result.passed and result.results["directions_found"] == 256
-    assert built == []
+    for cls in (linalg.DenseOperator, ideal.OutcomeDistribution):
+        spied = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, spied=spied: built.append(1) or spied(self))
+    counts = []
+    for samples in (16, 256):
+        built.clear()
+        result = get_scenario("spin_cone").run({"samples": samples}, seed=0)
+        assert result.passed and result.results["directions_found"] == samples
+        counts.append(len(built))
+    assert counts[0] == counts[1]  # 16 times the candidates, not one more operator or distribution
 
 
 def test_n_box_runs_no_hermiticity_check(monkeypatch):

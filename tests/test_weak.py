@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_oracles import expectation_value, kron_all
+from dense_oracles import expectation_value, kron_all, projectors
 
 import twostate.weak as weak
 from twostate.errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
@@ -439,7 +439,7 @@ def test_direction_spinors_are_the_eigenvectors_of_sigma_dot_n(theta, phi):
         assert np.abs(dense.matrix @ v - eigenvalue * v).max() <= 1e-15
     assert np.abs(spinors @ spinors.conj().T - np.eye(2)).max() <= 1e-15
     # LAPACK's projectors, eigenvalues ascending, are those of the spinors read from -1 to +1
-    for v, want in zip(spinors[::-1], hermitian_eigendecomposition(dense).projectors):
+    for v, want in zip(spinors[::-1], projectors(hermitian_eigendecomposition(dense))):
         assert np.abs(np.outer(v, v.conj()) - want).max() <= 1e-15
 
 
