@@ -379,11 +379,30 @@ def n_box_tsv(n: int) -> TwoStateVector:
 def test_basis_occupation_probabilities_equal_the_per_box_abl_rule(boxes):
     tsv = n_box_tsv(boxes)
     batched = basis_occupation_probabilities(tsv)
-    # each dense boxes x boxes projector costs about 60 ms at 1000 boxes, where the first boxes - 1 are alike
-    checked = range(boxes) if boxes <= 120 else [0, 1, boxes // 2, boxes - 2, boxes - 1]
-    per_box = [abl(tsv, projector_onto(np.eye(boxes)[i])).probability_of(1.0) for i in checked]
-    assert batched[checked].tolist() == per_box
+    per_box = [abl(tsv, projector_onto(np.eye(boxes)[i])).probability_of(1.0) for i in range(boxes)]
+    assert batched.tolist() == per_box
     assert np.abs(batched[:-1] - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+def test_abl_and_certain_outcome_on_a_projector_off_the_basis(dim):
+    # the dense projector goes through LAPACK, so its eigenvalues are 0 and 1 only to rounding
+    rng = np.random.default_rng(dim)
+    v = np.ones(2) if dim == 2 else rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    u = v / np.linalg.norm(v)
+    phi, psi = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
+    proj = projector_onto(v)
+    dist = abl(TwoStateVector(CoStateVector.from_ket(phi), StateVector(psi)), proj)
+    assert np.abs(dist.eigenvalues - [0.0, 1.0]).max() <= 1e-14
+    hit = (phi.conj() @ u) * (u.conj() @ psi)
+    miss = phi.conj() @ psi - hit
+    expected = abs(hit) ** 2 / (abs(hit) ** 2 + abs(miss) ** 2)
+    assert abs(dist.probability_of(1.0) - expected) <= 1e-13
+    assert abs(dist.probability_of(0.0) - (1.0 - expected)) <= 1e-13
+    post = CoStateVector.from_ket(phi)
+    inside = certain_outcome(TwoStateVector(post, StateVector(u)), proj)
+    outside = certain_outcome(TwoStateVector(post, StateVector(psi - u * (u.conj() @ psi))), proj)
+    assert abs(inside - 1.0) <= 1e-14 and abs(outside) <= 1e-14
 
 
 def test_basis_occupation_probabilities_refuse_a_zero_denominator():

@@ -237,17 +237,19 @@ def test_spin_cone_makes_no_lapack_call(monkeypatch):
 
 
 def test_spin_cone_builds_no_operator_or_distribution_per_candidate(monkeypatch):
-    built = []
-    for cls in (linalg.DenseOperator, ideal.OutcomeDistribution):
+    built = {linalg.DenseOperator: [], ideal.OutcomeDistribution: []}
+    for cls, log in built.items():
         spied = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__", lambda self, spied=spied: built.append(1) or spied(self))
-    counts = []
+        monkeypatch.setattr(cls, "__post_init__", lambda self, spied=spied, log=log: log.append(1) or spied(self))
+    operators = []
     for samples in (16, 256):
-        built.clear()
+        for log in built.values():
+            log.clear()
         result = get_scenario("spin_cone").run({"samples": samples}, seed=0)
         assert result.passed and result.results["directions_found"] == samples
-        counts.append(len(built))
-    assert counts[0] == counts[1]  # 16 times the candidates, not one more operator or distribution
+        operators.append(len(built[linalg.DenseOperator]))
+        assert built[ideal.OutcomeDistribution] == []
+    assert operators[0] == operators[1]  # 16 times the candidates, not one more operator
 
 
 def test_n_box_runs_no_hermiticity_check(monkeypatch):
