@@ -13,12 +13,10 @@ Born rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, PostSelectionImpossible, ValidationError
-from .linalg import DenseOperator, SpectralDecomposition, hermitian_eigendecomposition
+from .linalg import DenseOperator, Record, SpectralDecomposition, hermitian_eigendecomposition
 from .states import StateVector, TwoStateVector
 
 # An outcome is "certain" when its conditional probability reaches this level.
@@ -31,8 +29,7 @@ OUTCOME_TOL = 1e-9
 DENOMINATOR_FLOOR = 1e-24
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(Record):
     """Eigenvalues of the measured observable with conditional probabilities."""
 
     eigenvalues: np.ndarray
@@ -171,8 +168,7 @@ def product_rule_report(tsv, obs_a: DenseOperator, obs_b: DenseOperator) -> dict
     return {"a_certain": a_c, "b_certain": b_c, "ab_certain": ab_c, "product_rule_holds": holds, "commutator_norm": comm}
 
 
-@dataclass(frozen=True)
-class CounterfactualReport:
+class CounterfactualReport(Record):
     """Two readings of the final-outcome decomposition of Prob(C = c_n).
 
     Reading (a) weighs the conditional probabilities by final-outcome

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +29,78 @@ DIMENSION_CAP = 2**20
 
 # Hermiticity is checked relative to the largest entry.
 HERMITIAN_RTOL = 1e-12
+
+
+class Record:
+    """Base of the package's records: the methods `dataclass(frozen=True)` would generate, defined once.
+
+    A subclass declares its fields as class annotations, in order, each with
+    an optional default; `__init_subclass__` reads them once per class.  A
+    record is built from its fields by position or keyword, a missing field
+    takes its default, and `__post_init__`, where the class has one, runs
+    last.  A record is frozen unless its class is declared with
+    `frozen=False`: assigning or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`, and the record hashes its fields (a
+    mutable one is unhashable).  Two records are equal when they are of the
+    same class and their fields are equal.  `dataclasses` generates these
+    methods per class with `exec`, which a cold process pays for on import.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+    _post_init = False
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        cls._post_init = hasattr(cls, "__post_init__")
+        if not frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._complete(args, kwargs)
+        for name, value in zip(cls._fields, args):  # not through __dict__, which would slow every attribute read
+            object.__setattr__(self, name, value)
+        if cls._post_init:
+            self.__post_init__()
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
+        """One value per field, in order: `args` first, then `kwargs`, then the defaults."""
+        names, rest = cls._fields, cls._fields[len(args) :]
+        if len(args) > len(names) or not kwargs.keys() <= set(rest):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} positional and {list(kwargs)}")
+        try:
+            return args + tuple([kwargs[name] if name in kwargs else cls._defaults[name] for name in rest])
+        except KeyError as missing:
+            raise TypeError(f"{cls.__name__}() missing field {missing}") from None
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -92,8 +163,7 @@ def _as_complex_matrix(m) -> np.ndarray:
     return _read_only(a)  # a private, frozen copy keeps the cached spectrum valid
 
 
-@dataclass(frozen=True)
-class DenseOperator:
+class DenseOperator(Record):
     """Dense complex operator with an (optionally verified) Hermitian flag."""
 
     matrix: np.ndarray
@@ -156,8 +226,7 @@ def projector_onto(vec) -> DenseOperator:
     return DenseOperator(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Distinct (grouped) eigenvalues with orthonormal eigenvector blocks.
 
     blocks[n] is a d x k_n matrix whose columns span the eigenspace of
@@ -244,8 +313,7 @@ def apply_on_site(op: np.ndarray, ket: np.ndarray, site: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(op, ket, axes=([1], [site])), 0, site)
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Record):
     """Uniform inclusive grid on finite bounds [lo, hi]; `points` is an integer of at least 16."""
 
     lo: float
@@ -274,8 +342,7 @@ def unit_density(d: np.ndarray, spacing: float) -> np.ndarray:
     return d / total
 
 
-@dataclass
-class WaveFunction1D:
+class WaveFunction1D(Record, frozen=False):
     """Sampled complex wavefunction on a uniform grid.
 
     `representation` is 'position' or 'momentum'.  `conjugate_lo` remembers

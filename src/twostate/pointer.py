@@ -29,7 +29,6 @@ the time machine (`timemachine`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +38,7 @@ from .ideal import born
 from .linalg import (
     DenseOperator,
     Grid1D,
+    Record,
     WaveFunction1D,
     _read_only,
     fourier_pair,
@@ -53,8 +53,7 @@ from .states import GeneralizedTwoStateVector, StateVector
 WEAK_REGIME_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class GaussianPointer:
+class GaussianPointer(Record):
     """Pointer width and sampling grid; grid must cover shifts plus 6 widths."""
 
     delta: float
@@ -88,8 +87,7 @@ class GaussianPointer:
             raise ValidationError(f"pointer width {self.delta} is below 2 grid spacings, {2.0 * self.grid.spacing:.3g}")
 
 
-@dataclass(frozen=True)
-class PointerResult:
+class PointerResult(Record):
     """The pointer's position density and readings; its momentum side is transformed on first read."""
 
     q_grid: Grid1D
@@ -116,8 +114,7 @@ class PointerResult:
         return {"peak": self.peak_location, "mean": self.mean, "delta": self.delta, "regime": self.regime}
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(Record):
     """System x pointer amplitudes after the impulse, row i = system basis index."""
 
     grid: Grid1D

@@ -23,7 +23,6 @@ value instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     DenseOperator,
+    Record,
     WaveFunction1D,
     fourier_pair,
     is_hermitian,
@@ -50,8 +50,7 @@ MOMENTUM_SIGNIFICANCE = 1e-10
 LEAKAGE_FLAG_LEVEL = 0.01
 
 
-@dataclass(frozen=True)
-class AdiabaticSchedule:
+class AdiabaticSchedule(Record):
     """Coupling profile with unit time integral, cosine-tapered over its first and last tenth."""
 
     total_time: float
@@ -75,8 +74,7 @@ class AdiabaticSchedule:
         return g, dt
 
 
-@dataclass(frozen=True)
-class LargeSpin:
+class LargeSpin(Record):
     """Spin-N triple (Sx, Sy, Sz) on the 2N+1 dimensional ladder basis."""
 
     spin_n: int
@@ -200,8 +198,7 @@ def _ordered_propagators(h0m: np.ndarray, am: np.ndarray, ps: np.ndarray, g: np.
     return out
 
 
-@dataclass(frozen=True)
-class AdiabaticResult:
+class AdiabaticResult(Record):
     pointer_shift: float
     branch_weights: np.ndarray
     branch_shifts: np.ndarray
@@ -335,8 +332,7 @@ def _bloch_direction(spinor: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class ProtectedMeasurementResult:
+class ProtectedMeasurementResult(Record):
     pointer_shift: float
     target_value: float
     error: float
@@ -411,8 +407,7 @@ def protected_two_state_measurement(
     )
 
 
-@dataclass(frozen=True)
-class ModelSpinProtection:
+class ModelSpinProtection(Record):
     """Protection recipe for an arbitrary pre/post pair via a model spin."""
 
     model_sigma: tuple

@@ -13,7 +13,6 @@ Scenarios are deterministic given their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache, reduce
 
 import numpy as np
@@ -31,6 +30,7 @@ from .linalg import (
     DIMENSION_CAP,
     DenseOperator,
     Grid1D,
+    Record,
     apply_on_site,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
@@ -62,8 +62,7 @@ SQRT2 = math.sqrt(2.0)
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(Record):
     """One scenario parameter and its domain: an int lies in [min, max], a float in (min, max).
 
     `coerce` refuses a value outside it before any compute runs, and the spec
@@ -82,6 +81,8 @@ class ParamSpec:
 
     def coerce(self, raw):
         try:
+            if isinstance(raw, bool) and self.kind != "bool":  # int(True) is 1, and JSON has true
+                raise TypeError
             if self.kind == "int":
                 value = int(raw, 10) if isinstance(raw, str) else int(raw)
                 if not isinstance(raw, str) and float(raw) != value:
@@ -105,14 +106,17 @@ class ParamSpec:
 SEED = ParamSpec("seed", "int", 0, min=0)  # numpy's default_rng refuses a negative seed
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(Record, frozen=False):
     name: str
     params: dict
     summary_line: str
     results: dict
-    tables: dict = field(default_factory=dict)  # file name -> builder of (header, columns), called only to write
-    checks: list = field(default_factory=list)
+    tables: dict = None  # file name -> builder of (header, columns), called only to write; None gives {}
+    checks: list = None  # (name, passed) pairs; None gives []
+
+    def __post_init__(self):
+        self.tables = {} if self.tables is None else self.tables
+        self.checks = [] if self.checks is None else self.checks
 
     @property
     def passed(self) -> bool:
@@ -128,8 +132,7 @@ class ScenarioResult:
         }
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     name: str
     summary: str
     params: tuple
@@ -402,7 +405,8 @@ def _kinetic_lattice(sites: int, half_domain: float):
 
 
 def _square_well_ground_state(sites: int, half_domain: float, depth: float, half_width: float):
-    # imported here: scipy.linalg is half of `import twostate.cli`, and only this scenario needs it
+    # imported here: scipy.linalg costs a cold process more than numpy and twostate together,
+    # and only this scenario needs it
     from scipy.linalg import eigh_tridiagonal
 
     x, dx, kin_diag, kin_off = _kinetic_lattice(sites, half_domain)

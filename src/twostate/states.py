@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, OverlapTooSmall, ValidationError
-from .linalg import DenseOperator, SpectralDecomposition, _read_only
+from .linalg import DenseOperator, Record, SpectralDecomposition, _read_only
 
 # Below this overlap magnitude, ratio formulas refuse to divide.
 OVERLAP_EPSILON = 1e-12
@@ -54,8 +53,7 @@ def _as_state_array(amplitudes) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Forward-evolving ket."""
 
     amplitudes: np.ndarray
@@ -74,8 +72,7 @@ class StateVector:
         return StateVector(self.amplitudes / self.norm())
 
 
-@dataclass(frozen=True)
-class CoStateVector:
+class CoStateVector(Record):
     """Backward-evolving co-state.
 
     `row` holds the dual-vector entries, i.e. already-conjugated ket
@@ -110,8 +107,7 @@ class CoStateVector:
         return complex(self.row @ amps)
 
 
-@dataclass(frozen=True)
-class GeneralizedTwoStateVector:
+class GeneralizedTwoStateVector(Record):
     """Weighted superposition sum_i alpha_i <Phi_i| |Psi_i> (unnormalized) of (alpha_i, bra, ket) `terms`."""
 
     terms: tuple

@@ -31,13 +31,11 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, WaveFunction1D, _read_only, require_integer, require_positive, require_width
+from .linalg import Grid1D, Record, WaveFunction1D, _read_only, require_integer, require_positive, require_width
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
@@ -60,8 +58,7 @@ def _require_schedule_inputs(n_terms: int, eta: float) -> None:
         raise ValidationError("eta must be finite")
 
 
-@dataclass(frozen=True)
-class BinomialSchedule:
+class BinomialSchedule(Record):
     """Exact binomial weights of the shifts n/N, with their sum and square sum."""
 
     n_terms: int
@@ -78,6 +75,8 @@ def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     Schedules are cached, and the cached one is shared by every caller.  Raises
     ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
     """
+    from fractions import Fraction  # imported here: of the scenarios only time_machine builds a schedule
+
     _require_schedule_inputs(n_terms, eta)
     e = Fraction(eta)
     complement = 1 - e
@@ -234,8 +233,7 @@ def radius_schedule(n_terms: int, delta_t: float, shell_mass: float, r0: float, 
     return np.array(radii)
 
 
-@dataclass(frozen=True)
-class MachineRun:
+class MachineRun(Record):
     """Outcome of the control-register construction.
 
     `final_fn` is the bare superposition sum alpha_n f_n (the system state

@@ -12,18 +12,15 @@ callers can judge the conditioning of the ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import _require_projector, abl_generalized, certain_outcome
-from .linalg import DenseOperator, hermitian_eigendecomposition, pauli, require_integer
+from .linalg import DenseOperator, Record, hermitian_eigendecomposition, pauli, require_integer
 from .states import StateVector, TwoStateVector, _require_overlap
 
 
-@dataclass(frozen=True)
-class WeakValue:
+class WeakValue(Record):
     value: complex
     overlap_magnitude: float
 
@@ -55,8 +52,7 @@ def weak_vector(description) -> np.ndarray:
     return np.array([weak_value(description, pauli(ax)).value for ax in "xyz"])
 
 
-@dataclass(frozen=True)
-class ConeDirection:
+class ConeDirection(Record):
     theta: float
     phi: float
     probability: float
@@ -126,8 +122,7 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     return out
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     applicable: bool
     passed: bool | None
     certain_value: float | None

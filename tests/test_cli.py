@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -198,16 +197,30 @@ def test_widths_whose_square_leaves_the_float_range_are_refused(scenario, param,
     assert not any(tmp_path.iterdir())
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # nor the protective module, which no scenario runs
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    # nor the protective module, which no scenario runs; nor fractions and decimal, which only the time machine's
+    # schedule needs; and no class of the package is a dataclass, whose methods a cold import would compile
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, twostate.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'twostate.protective'))"
-    )
+    code = f"""
+import json, sys, twostate.cli
+
+def loaded():
+    unwanted = ("scipy", "fractions", "decimal")
+    modules = sorted(m for m in sys.modules if m.split(".")[0] in unwanted or m == "twostate.protective")
+    classes = [
+        f"{{name}}.{{attr}}"
+        for name, module in list(sys.modules.items()) if name.startswith("twostate")
+        for attr, obj in vars(module).items() if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")
+    ]
+    return modules + classes
+
+after_import = loaded()
+exit_code = twostate.cli.main(["run", "three_box", "--out", {str(tmp_path)!r}])
+print(json.dumps([after_import, exit_code, loaded()]))
+"""
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 
 
 def test_environment_variable_sets_the_default_out_dir(tmp_path, capsys, monkeypatch):
@@ -344,6 +357,27 @@ def test_config_files_that_are_not_requests_are_refused(content, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "scenario, request_json, refused",
+    [
+        ("n_spin_single_system", '{"params": {"spins": true}}', "parameter 'spins' expects int, got True"),
+        ("spin_xi_weak", '{"params": {"delta": true}}', "parameter 'delta' expects float, got True"),
+        ("n_box", '{"params": {"boxes": false}}', "parameter 'boxes' expects int, got False"),
+        ("n_box", '{"seed": true}', "parameter 'seed' expects int, got True"),
+    ],
+    ids=["int-param", "float-param", "false-int-param", "seed"],
+)
+def test_a_json_boolean_is_refused_as_a_number(scenario, request_json, refused, tmp_path, capsys):
+    config = tmp_path / "request.json"
+    config.write_text(request_json)
+    assert run_cli("run", scenario, "--config", str(config), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {refused}\n"
+    assert not (tmp_path / "out").exists()
+
+    config.write_text('{"params": {"postselect": false}}')  # a bool parameter still takes one
+    assert run_cli("run", "spin_xi_weak", "--config", str(config), "--format", "json", "--out", str(tmp_path)) == 0
+
+
+@pytest.mark.parametrize(
     "argv, config",
     [
         (["--seed", "-1"], None),
@@ -462,7 +496,7 @@ def test_sizes_above_their_cap_are_refused_before_any_compute(scenario, name, ca
         raise AssertionError("a value outside the domain reached the scenario")
 
     spec = get_scenario(scenario)
-    monkeypatch.setitem(REGISTRY, scenario, dataclasses.replace(spec, runner=computes))
+    monkeypatch.setitem(REGISTRY, scenario, ScenarioSpec(spec.name, spec.summary, spec.params, computes))
     param = {p.name: p for p in spec.params}[name]
     upper = cap == param.max
     if param.kind == "int":  # an int's bounds are inclusive
