@@ -29,10 +29,14 @@ INTERNAL_ERROR = 3
 
 
 def _parse_param_overrides(pairs: list[str]) -> dict:
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValidationError(f"parameter override {pair!r} must look like key=value")
-    return {key.strip(): value.strip() for key, value in (pair.split("=", 1) for pair in pairs)}
+    overrides = {}
+    for key, equals, value in (pair.partition("=") for pair in pairs):
+        if not equals:
+            raise ValidationError(f"parameter override {key!r} must look like key=value")
+        if key.strip() in overrides:
+            raise ValidationError(f"parameter {key.strip()!r} is given more than once with --param")
+        overrides[key.strip()] = value.strip()
+    return overrides
 
 
 def _default_out_dir() -> str:

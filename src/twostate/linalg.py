@@ -38,26 +38,23 @@ class Record:
     an optional default; `__init_subclass__` reads them once per class.  A
     record is built from its fields by position or keyword, a missing field
     takes its default, and `__post_init__`, where the class has one, runs
-    last.  A record is frozen unless its class is declared with
-    `frozen=False`: assigning or deleting an attribute raises
-    `dataclasses.FrozenInstanceError`, and the record hashes its fields (a
-    mutable one is unhashable).  Two records are equal when they are of the
-    same class and their fields are equal.  `dataclasses` generates these
-    methods per class with `exec`, which a cold process pays for on import.
+    last.  A record is frozen: assigning or deleting an attribute raises
+    `dataclasses.FrozenInstanceError`, and the record hashes its fields.
+    Two records are equal when they are of the same class and their fields
+    are equal.  `dataclasses` generates these methods per class with
+    `exec`, which a cold process pays for on import.
     """
 
     _fields: tuple = ()
     _defaults: dict = {}
     _post_init = False
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields)
         cls._fields += own
         cls._defaults = {**cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}}
         cls._post_init = hasattr(cls, "__post_init__")
-        if not frozen:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -134,12 +131,12 @@ def require_width(value: float, what: str) -> None:
 def unit_vector(vec, dtype=float) -> np.ndarray:
     """vec / norm(vec) as a 1-D `dtype` array; a vector that is empty, zero or not finite is refused.
 
-    A norm that under- or overflows is taken again after dividing by max|vec|.
+    A norm that overflows, or whose square is not a normal float, is taken again after dividing by max|vec|.
     """
     v = np.asarray(vec, dtype=dtype)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
-    if v.ndim == 1 and norm in (0.0, np.inf) and np.isfinite(v).all() and v.any():
+    if v.ndim == 1 and not 2.0**-511 <= norm < np.inf and np.isfinite(v).all() and v.any():
         v = v / np.abs(v).max()
         norm = np.linalg.norm(v)
     if v.ndim != 1 or not 0 < norm < np.inf:
@@ -164,16 +161,15 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 
 class DenseOperator(Record):
-    """Dense complex operator with an (optionally verified) Hermitian flag."""
+    """Dense complex Hermitian operator: a matrix that fails `is_hermitian` is refused."""
 
     matrix: np.ndarray
-    hermitian: bool = True
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if self.hermitian and not is_hermitian(m):
-            raise ValidationError("matrix marked Hermitian fails the Hermiticity check")
+        if not is_hermitian(m):
+            raise ValidationError("operator matrix fails the Hermiticity check")
 
     @property
     def dim(self) -> int:
@@ -186,7 +182,7 @@ class DenseOperator(Record):
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dim != other.dim:
             raise DimensionMismatch(f"operator dims {self.dim} and {other.dim}")
-        return DenseOperator(self.matrix + other.matrix, hermitian=self.hermitian and other.hermitian)
+        return DenseOperator(self.matrix + other.matrix)
 
 
 def identity(dim: int) -> DenseOperator:
@@ -272,13 +268,12 @@ def hermitian_eigendecomposition(op: DenseOperator) -> SpectralDecomposition:
 
 
 def _decompose(op: DenseOperator) -> SpectralDecomposition:
-    if not op.hermitian:
-        raise ValidationError("spectral decomposition requires a Hermitian operator")
     m = op.matrix
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag) and not np.any(diag.imag):
         order = np.argsort(diag.real, kind="stable")
-        w, v = diag.real[order], np.eye(m.shape[0], dtype=complex)[:, order]
+        w, v = diag.real[order], np.zeros(m.shape, dtype=complex, order="F")
+        v[order, np.arange(order.size)] = 1.0  # the identity's columns in `order`, as np.eye(d)[:, order] lays them out
     else:
         w, v = np.linalg.eigh(m if np.any(m.imag) else m.real)
     v = _read_only(v.astype(complex, copy=False))  # the cache shares the blocks with every caller
@@ -299,7 +294,7 @@ def tensor_product(a, b):
     if isinstance(a, DenseOperator) and isinstance(b, DenseOperator):
         if a.dim * b.dim > DIMENSION_CAP:
             raise ResourceLimit(f"tensor dimension {a.dim * b.dim} exceeds cap {DIMENSION_CAP}")
-        return DenseOperator(np.kron(a.matrix, b.matrix), hermitian=a.hermitian and b.hermitian)
+        return DenseOperator(np.kron(a.matrix, b.matrix))
     av, bv = np.asarray(a), np.asarray(b)
     if av.ndim == 1 and bv.ndim == 1:
         if av.size * bv.size > DIMENSION_CAP:
@@ -342,7 +337,7 @@ def unit_density(d: np.ndarray, spacing: float) -> np.ndarray:
     return d / total
 
 
-class WaveFunction1D(Record, frozen=False):
+class WaveFunction1D(Record):
     """Sampled complex wavefunction on a uniform grid.
 
     `representation` is 'position' or 'momentum'.  `conjugate_lo` remembers
@@ -363,7 +358,7 @@ class WaveFunction1D(Record, frozen=False):
             raise ValidationError("wavefunction values must be finite")
         if self.representation not in ("position", "momentum"):
             raise ValidationError(f"unknown representation {self.representation!r}")
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.spacing)

@@ -114,16 +114,6 @@ class PointerResult(Record):
         return {"peak": self.peak_location, "mean": self.mean, "delta": self.delta, "regime": self.regime}
 
 
-class JointState(Record):
-    """System x pointer amplitudes after the impulse, row i = system basis index."""
-
-    grid: Grid1D
-    amplitudes: np.ndarray  # shape (system dimension, grid.points)
-
-    def pointer_density(self) -> np.ndarray:
-        return unit_density((np.abs(self.amplitudes) ** 2).sum(axis=0), self.grid.spacing)
-
-
 def _gaussian_sum(q: np.ndarray, weights, centers, s: float) -> np.ndarray:
     """sum_n weights[n] * exp(-(q - centers[n])**2 / s), added one term at a time.
 
@@ -177,15 +167,14 @@ def joint_state_after_impulse(
     pre: StateVector,
     obs: DenseOperator,
     pointer: GaussianPointer,
-) -> JointState:
-    """sum_n (P_n psi) x psi_in(Q - c_n), exact via the spectral shift."""
+) -> np.ndarray:
+    """sum_n (P_n psi) x psi_in(Q - c_n), exact via the spectral shift: row i is basis state i on `pointer.grid`."""
     decomp = hermitian_eigendecomposition(obs)
     pointer.check_covers(decomp.eigenvalues)
     pointer.check_resolves()
     norm = (np.pi * pointer.delta**2) ** -0.25
     branches = decomp.branches(pre.amplitudes) * norm
-    amplitudes = _gaussian_sum(pointer.grid.values, branches, decomp.eigenvalues, 2 * pointer.delta**2)
-    return JointState(pointer.grid, amplitudes)
+    return _gaussian_sum(pointer.grid.values, branches, decomp.eigenvalues, 2 * pointer.delta**2)
 
 
 def pointer_distribution_preselected(

@@ -35,7 +35,6 @@ from .linalg import (
     Record,
     WaveFunction1D,
     fourier_pair,
-    is_hermitian,
     require_integer,
     require_positive,
     top_eigenvector,
@@ -238,8 +237,6 @@ def adiabatic_protective_measurement(
     h0 eigenstate, sum_p w_p sum_i |alpha_i|^2 sum_{j != i} |<E_j|U_p|E_i>|^2,
     summed directly so that a small leakage keeps its relative precision.
     """
-    if not (h0.hermitian and obs.hermitian):
-        raise ValidationError("both the free Hamiltonian and the observable must be Hermitian")
     if h0.dim != obs.dim or h0.dim != initial.dim:
         raise ValidationError("dimension mismatch between Hamiltonian, observable, and state")
     energies, basis = np.linalg.eigh(h0.matrix)
@@ -306,19 +303,19 @@ def _protection_matrix(spin: LargeSpin, coupling: float, sigmas) -> np.ndarray:
 
 def weak_value_substituted_hamiltonian(
     protector_tsv: TwoStateVector, spin: LargeSpin, coupling: float, sigmas=(PAULI_X, PAULI_Y, PAULI_Z)
-) -> tuple[DenseOperator, np.ndarray]:
-    """Effective target Hamiltonian -lambda * (S_w . sigma) for a protected pair, and S_w.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Effective target Hamiltonian matrix -lambda * (S_w . sigma) for a protected pair, and S_w.
 
     S_w holds the weak values of (Sx, Sy, Sz) in the protector's two-state
-    description; they are complex in general, so the result is non-Hermitian
-    and acts differently on forward- and backward-evolving states.  `sigmas`
-    are the target's Pauli operators: a model spin passes its own.
+    description; they are complex in general, so the matrix is non-Hermitian
+    (no `DenseOperator`) and acts differently on forward- and
+    backward-evolving states.  `sigmas` are the target's Pauli operators: a
+    model spin passes its own.
     """
     if protector_tsv.dim != spin.dim:
         raise ValidationError("protector description does not match the spin dimension")
-    comps = np.array([weak_value(protector_tsv, DenseOperator(m)).value for m in spin.operators()])
-    matrix = -coupling * (comps[0] * sigmas[0] + comps[1] * sigmas[1] + comps[2] * sigmas[2])
-    return DenseOperator(matrix, hermitian=is_hermitian(matrix)), comps
+    comps = np.array([weak_value(protector_tsv, DenseOperator(m)) for m in spin.operators()])
+    return -coupling * (comps[0] * sigmas[0] + comps[1] * sigmas[1] + comps[2] * sigmas[2]), comps
 
 
 def _bloch_direction(spinor: np.ndarray) -> np.ndarray:
@@ -395,7 +392,7 @@ def protected_two_state_measurement(
     dens = unit_density(sum(terms), grid.spacing)
     q = grid.values
     shift = float((q * dens).sum() * grid.spacing)
-    target = weak_value(target_tsv, obs).value.real
+    target = weak_value(target_tsv, obs).real
     p0 = 1.0 / pointer.delta
     return ProtectedMeasurementResult(
         pointer_shift=shift,
@@ -412,7 +409,7 @@ class ModelSpinProtection(Record):
 
     model_sigma: tuple
     protection_hamiltonian: DenseOperator
-    effective_hamiltonian: DenseOperator
+    effective_hamiltonian: np.ndarray  # non-Hermitian in general
     protector_pre: np.ndarray
     protector_post: np.ndarray
     chi_direction: np.ndarray

@@ -106,17 +106,13 @@ class ParamSpec(Record):
 SEED = ParamSpec("seed", "int", 0, min=0)  # numpy's default_rng refuses a negative seed
 
 
-class ScenarioResult(Record, frozen=False):
+class ScenarioResult(Record):
     name: str
-    params: dict
+    params: dict  # the coerced parameters, seed included
     summary_line: str
     results: dict
-    tables: dict = None  # file name -> builder of (header, columns), called only to write; None gives {}
-    checks: list = None  # (name, passed) pairs; None gives []
-
-    def __post_init__(self):
-        self.tables = {} if self.tables is None else self.tables
-        self.checks = [] if self.checks is None else self.checks
+    tables: dict  # file name -> builder of (header, columns), called only to write
+    checks: list  # (name, passed) pairs
 
     @property
     def passed(self) -> bool:
@@ -146,9 +142,7 @@ class ScenarioSpec(Record):
             if key not in schema:
                 raise ValidationError(f"unknown parameter {key!r} for scenario {self.name!r}")
             values[key] = schema[key].coerce(raw)
-        result = self.runner(values, seed)
-        result.params = dict(values, seed=seed)
-        return result
+        return self.runner(dict(values, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +151,7 @@ class ScenarioSpec(Record):
 THREE_BOX_TENSOR_CAP = 9  # tensor pressure up to here: a warm 12-16 ms at 9, 36-46 ms at 10 (2-core x86-64)
 
 
-def _run_three_box(params: dict, seed: int) -> ScenarioResult:
+def _run_three_box(params: dict) -> ScenarioResult:
     n_particles = params["n_particles"]
     ket = StateVector(np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0))
     tsv = TwoStateVector(CoStateVector.from_ket(np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)), ket)
@@ -165,7 +159,7 @@ def _run_three_box(params: dict, seed: int) -> ScenarioResult:
     prob1, prob2, _ = basis_occupation_probabilities(tsv).tolist()
     joint = certain_outcome(tsv, DenseOperator(p1.matrix @ p2.matrix))
     both_open = abl(tsv, p1 + p2)
-    wv = [weak_value(tsv, p).value for p in (p1, p2, p3)]
+    wv = [weak_value(tsv, p) for p in (p1, p2, p3)]
     rule = product_rule_report(tsv, p1, p2)
 
     labels = ("N1", "N2", "N3")
@@ -203,10 +197,10 @@ def _run_three_box(params: dict, seed: int) -> ScenarioResult:
         f"three_box: Prob(P1=1)={prob1:.6f} Prob(P2=1)={prob2:.6f} "
         f"(P3)_w={wv[2].real:+.3f} (N3)_w={pressure['N3']:+.3f}"
     )
-    return ScenarioResult("three_box", params, line, results, checks=checks)
+    return ScenarioResult("three_box", params, line, results, {}, checks)
 
 
-def _run_n_box(params: dict, seed: int) -> ScenarioResult:
+def _run_n_box(params: dict) -> ScenarioResult:
     n = params["boxes"]
     root = math.sqrt(n - 2.0)
     ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
@@ -227,13 +221,13 @@ def _run_n_box(params: dict, seed: int) -> ScenarioResult:
         "weak_value_last_box": [wv_last.real, wv_last.imag],
     }
     line = f"n_box: {n - 1} of {n} boxes each certain (max dev {max(abs(p - 1) for p in probs):.2e})"
-    return ScenarioResult("n_box", params, line, results, checks=checks)
+    return ScenarioResult("n_box", params, line, results, {}, checks)
 
 
 # ---------------------------------------------------------------------------
 # EPR pair
 
-def _run_epr(params: dict, seed: int) -> ScenarioResult:
+def _run_epr(params: dict) -> ScenarioResult:
     up_x, up_y = spin_up([1, 0, 0]), spin_up([0, 1, 0])
     singlet = (tensor_product([1, 0], [0, 1]) - tensor_product([0, 1], [1, 0])) / SQRT2
     tsv = TwoStateVector(CoStateVector.from_ket(tensor_product(up_x, up_y)), StateVector(singlet))
@@ -264,7 +258,7 @@ def _run_epr(params: dict, seed: int) -> ScenarioResult:
         f"epr_product_rule: s1y={rule['a_certain']:+.0f} s2x={rule['b_certain']:+.0f} "
         f"product={rule['ab_certain']:+.0f} rule_holds={rule['product_rule_holds']}"
     )
-    return ScenarioResult("epr_product_rule", params, line, results, checks=checks)
+    return ScenarioResult("epr_product_rule", params, line, results, {}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +280,10 @@ def _spin_xi_setup() -> tuple:
     tsv = TwoStateVector(CoStateVector.from_ket(spin_up([0, 1, 0])), StateVector(spin_up([1, 0, 0])))
     tsv.bra.row.flags.writeable = tsv.ket.amplitudes.flags.writeable = False
     obs = spin_direction([1, 1, 0])
-    return obs, tsv, weak_value(tsv, obs).value
+    return obs, tsv, weak_value(tsv, obs)
 
 
-def _run_spin_xi(params: dict, seed: int) -> ScenarioResult:
+def _run_spin_xi(params: dict) -> ScenarioResult:
     delta = params["delta"]
     n_samples = params["ensemble"]
     postselect = params["postselect"]
@@ -303,7 +297,7 @@ def _run_spin_xi(params: dict, seed: int) -> ScenarioResult:
         dist = pointer_distribution_preselected(tsv.ket, obs, pointer)
         target_mean = 1.0 / SQRT2
 
-    estimate = ensemble_mean_estimator(dist, n_samples, seed)
+    estimate = ensemble_mean_estimator(dist, n_samples, params["seed"])
 
     fig = _FIGURE_BY_CONFIG.get((postselect, float(delta)), "pointer")
     tables = {
@@ -352,7 +346,7 @@ def n_spin_tensor_oracle(n: int, pointer: GaussianPointer) -> PointerResult:
     return superposed_pointer(amps, (n - 2 * np.arange(n + 1)) / n, pointer)
 
 
-def _run_n_spin(params: dict, seed: int) -> ScenarioResult:
+def _run_n_spin(params: dict) -> ScenarioResult:
     n = params["spins"]
     delta = params["delta"]
     pointer = GaussianPointer.for_spectrum(delta, [1.0, -1.0])
@@ -428,7 +422,7 @@ def _apply_tridiagonal(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> np
     return out
 
 
-def _run_negative_kinetic(params: dict, seed: int) -> ScenarioResult:
+def _run_negative_kinetic(params: dict) -> ScenarioResult:
     sites = params["sites"]
     depth = params["well_depth"]
     half_width = params["well_half_width"]
@@ -480,7 +474,7 @@ def _run_negative_kinetic(params: dict, seed: int) -> ScenarioResult:
         f"negative_kinetic_energy: E0={e0:.6f} K_w={kw:.6f} "
         f"pointer_mean={dist.mean:.4f} (< 0: {dist.mean < 0})"
     )
-    return ScenarioResult("negative_kinetic_energy", params, line, results, checks=checks)
+    return ScenarioResult("negative_kinetic_energy", params, line, results, {}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +491,7 @@ def _spin_cone_description(chi: float) -> GeneralizedTwoStateVector:
     )
 
 
-def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
+def _run_spin_cone(params: dict) -> ScenarioResult:
     chi = params["chi"]
     samples = params["samples"]
     gtsv = _spin_cone_description(chi)
@@ -517,8 +511,8 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
 
     checks = [
         ("cone_nonempty", len(cone) > 0 or abs(chi - math.pi / 4) < 1e-12),
-        ("cone_probabilities_certain", all(d.probability >= 1.0 - 1e-10 for d in cone)),
-        ("derived_angle_matches_half_angle", not cone or abs(math.cos(cone[0].theta) - cos_theta) <= 1e-9),
+        ("cone_probabilities_certain", all(cone[:, 2] >= 1.0 - 1e-10)),
+        ("derived_angle_matches_half_angle", len(cone) == 0 or abs(math.cos(cone[0, 0]) - cos_theta) <= 1e-9),
         ("derived_angle_certifies", prob_derived is None or prob_derived >= 1.0 - 1e-10),
     ]
     results = {
@@ -533,12 +527,7 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
         ),
         "directions_found": len(cone),
     }
-    tables = {
-        "cone.csv": lambda: (
-            ["theta", "phi", "probability"],
-            [[d.theta for d in cone], [d.phi for d in cone], [d.probability for d in cone]],
-        )
-    }
+    tables = {"cone.csv": lambda: (["theta", "phi", "probability"], cone.T)}
     certainty = "undefined" if prob_derived is None else f"{prob_derived:.12f}"
     printed = "undefined" if prob_printed is None else f"{prob_printed:.6f}"
     line = f"spin_cone: chi={chi:.4f} theta={theta_derived:.4f} certainty={certainty} printed-angle prob={printed}"
@@ -548,7 +537,7 @@ def _run_spin_cone(params: dict, seed: int) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # superposed time evolutions
 
-def _run_time_machine(params: dict, seed: int) -> ScenarioResult:
+def _run_time_machine(params: dict) -> ScenarioResult:
     n_terms = params["n_terms"]
     eta = params["eta"]
     delta_t = params["delta_t"]

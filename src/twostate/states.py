@@ -31,6 +31,7 @@ def _require_overlap(ov: complex, scale: float) -> complex:
     """`ov`, refused when |ov| is at most OVERLAP_EPSILON times `scale`, the size of the norms it is made of.
 
     A subnormal |ov| is refused at any scale: numpy divides by multiplying with 1/ov, which overflows there.
+    Every overlap a ratio divides by passes here: |ov| / scale is the conditioning of that ratio.
     """
     if not cmath.isfinite(ov):
         raise ValidationError(f"overlap {ov} is not finite")

@@ -6,8 +6,8 @@ The weak value of C for <Phi||Psi> is the (generally complex) ratio
 
 A sufficiently gentle pointer coupling reads Re(C_w) in position and
 Im(C_w) in momentum; the value may lie far outside the spectrum of C.
-Every function returns the overlap magnitude alongside the value so
-callers can judge the conditioning of the ratio.
+Every denominator passes `states._require_overlap`, which refuses an
+overlap too small to divide by.
 """
 
 from __future__ import annotations
@@ -20,15 +20,9 @@ from .linalg import DenseOperator, Record, hermitian_eigendecomposition, pauli, 
 from .states import StateVector, TwoStateVector, _require_overlap
 
 
-class WeakValue(Record):
-    value: complex
-    overlap_magnitude: float
-
-
-def weak_value(description, obs: DenseOperator) -> WeakValue:
+def weak_value(description, obs: DenseOperator) -> complex:
     """<Phi|C|Psi> / <Phi|Psi>, or its generalized form, for either description type."""
-    ov = description.require_overlap()
-    return WeakValue(complex(description.bilinear(obs) / ov), abs(ov))
+    return complex(description.bilinear(obs) / description.require_overlap())
 
 
 def basis_weak_values(tsv: TwoStateVector) -> np.ndarray:
@@ -36,26 +30,20 @@ def basis_weak_values(tsv: TwoStateVector) -> np.ndarray:
     return tsv.bra.row * tsv.ket.amplitudes / tsv.require_overlap()
 
 
-def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: DenseOperator) -> WeakValue:
+def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: DenseOperator) -> complex:
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
     pb = _require_projector(post_projector)
     psi = pre.amplitudes
     denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), pre.norm() * pre.norm())
     num = complex(np.vdot(psi, pb @ (obs.matrix @ psi)))
-    return WeakValue(num / denom, abs(denom))
+    return num / denom
 
 
 def weak_vector(description) -> np.ndarray:
     """Weak values of (sigma_x, sigma_y, sigma_z) for a spin-1/2 description, as a (3,) complex array."""
     if description.dim != 2:
         raise ValidationError("weak vectors are defined for spin-1/2 descriptions only")
-    return np.array([weak_value(description, pauli(ax)).value for ax in "xyz"])
-
-
-class ConeDirection(Record):
-    theta: float
-    phi: float
-    probability: float
+    return np.array([weak_value(description, pauli(ax)) for ax in "xyz"])
 
 
 def _spinors(theta, phi) -> np.ndarray:
@@ -68,27 +56,28 @@ def _certainty_probability(description, theta: float, phi: float) -> float:
     return float(abl_generalized(description, _spinors(theta, phi)))
 
 
-def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
-    """Directions along which the spin component is +1 with certainty.
+def certainty_cone(description, samples: int = 16) -> np.ndarray:
+    """Directions along which the spin component is +1 with certainty, as (theta, phi, probability) rows.
 
     The candidate set comes from the weak-vector criterion: the projection
     of the weak vector on the direction must equal 1 (two real constraints
     for a complex weak vector).  All candidates are built as one (m, 3)
     array, their angles and closed-form +-1 spinors in one pass; each is
     then cross-checked with one ABL contraction, and only directions whose
-    probability reaches 1 - 1e-10 are returned.
+    probability reaches 1 - 1e-10 are returned, as an (m, 3) float array
+    (no direction: shape (0, 3)).
     """
     require_integer(samples, "azimuthal samples", 8)
     try:
         w = weak_vector(description)
     except OverlapTooSmall:
-        return []  # overlap vanishes: no finite weak vector, no certified cone
+        return np.empty((0, 3))  # overlap vanishes: no finite weak vector, no certified cone
     w_re, w_im = w.real, w.imag
     complex_w = np.linalg.norm(w_im) > 1e-9
     pole = w_im if complex_w else w_re  # of the great circle Im(w) . n = 0, else of the cone Re(w) . n = 1
     length = np.linalg.norm(pole)
     if not complex_w and length < 1.0 - 1e-12:
-        return []
+        return np.empty((0, 3))
     axis = pole / length
     seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     u = np.cross(axis, seed)
@@ -99,7 +88,7 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
         a, b = float(w_re @ u), float(w_re @ v)
         r = np.hypot(a, b)
         if r < 1.0 - 1e-12:
-            return []
+            return np.empty((0, 3))
         ang = np.arctan2(b, a) + np.array([[1.0], [-1.0]]) * np.arccos(np.clip(1.0 / r, -1, 1))
         nhat = np.cos(ang) * u + np.sin(ang) * v
     elif length <= 1.0 + 1e-12:
@@ -111,15 +100,15 @@ def certainty_cone(description, samples: int = 16) -> list[ConeDirection]:
     nhat = nhat / np.sqrt(nhat[:, None, :] @ nhat[:, :, None])[:, 0]  # each row's norm summed as np.linalg.norm sums it
     thetas = np.arccos(np.clip(nhat[:, 2], -1, 1))
     phis = np.arctan2(nhat[:, 1], nhat[:, 0]) % (2 * np.pi)
-    out: list[ConeDirection] = []
+    out = []
     for theta, phi, spinors in zip(thetas.tolist(), phis.tolist(), _spinors(thetas, phis)):
         try:
             prob = float(abl_generalized(description, spinors))
         except PostSelectionImpossible:
             continue
         if prob >= 1.0 - 1e-10:
-            out.append(ConeDirection(theta, phi, prob))
-    return out
+            out.append((theta, phi, prob))
+    return np.array(out).reshape(-1, 3)
 
 
 class TheoremReport(Record):
@@ -134,7 +123,7 @@ def theorem_i_check(description, obs: DenseOperator) -> TheoremReport:
     certain = certain_outcome(description, obs)
     if certain is None:
         return TheoremReport(False, None, None, None)
-    wv = weak_value(description, obs).value
+    wv = weak_value(description, obs)
     ok = bool(abs(wv - certain) <= 1e-10)
     return TheoremReport(True, ok, certain, wv)
 
@@ -144,7 +133,7 @@ def theorem_ii_check(description, obs: DenseOperator) -> TheoremReport:
     decomp = hermitian_eigendecomposition(obs)
     if len(decomp.eigenvalues) != 2:
         raise ValidationError("theorem (ii) applies to dichotomic observables only")
-    wv = weak_value(description, obs).value
+    wv = weak_value(description, obs)
     matches = [c for c in decomp.eigenvalues if abs(wv - c) <= 1e-10]
     if not matches:
         return TheoremReport(False, None, None, wv)

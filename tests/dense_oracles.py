@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from twostate.errors import DimensionMismatch, ValidationError
+from twostate.errors import DimensionMismatch
 from twostate.linalg import DenseOperator, spin_direction, spin_up
 from twostate.pointer import pointer_distribution_postselected
 from twostate.states import CoStateVector, StateVector, TwoStateVector
@@ -40,8 +40,6 @@ def verify_projectors(decomp) -> None:
 
 def evolve_unitary(state: np.ndarray, hamiltonian: DenseOperator, t: float) -> np.ndarray:
     """exp(-i*H*t) applied to a state vector (exact, via eigendecomposition)."""
-    if not hamiltonian.hermitian:
-        raise ValidationError("unitary evolution requires a Hermitian Hamiltonian")
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (hamiltonian.dim,):
         raise DimensionMismatch(f"state dim {psi.shape} vs operator dim {hamiltonian.dim}")

@@ -10,7 +10,7 @@ from twostate import cli
 from twostate.cli import main
 from twostate.errors import ValidationError
 from twostate.reporting import csv_table, format_float
-from twostate.scenarios import REGISTRY, ScenarioSpec, get_scenario
+from twostate.scenarios import REGISTRY, ScenarioResult, ScenarioSpec, get_scenario
 
 
 def run_cli(*argv):
@@ -138,8 +138,8 @@ def _spy_on_deferred_work(monkeypatch) -> list:
 
     def spied_run(self, overrides=None, seed=0):
         result = run(self, overrides, seed)
-        result.tables = {filename: spy(filename, build) for filename, build in result.tables.items()}
-        return result
+        tables = {filename: spy(filename, build) for filename, build in result.tables.items()}
+        return ScenarioResult(result.name, result.params, result.summary_line, result.results, tables, result.checks)
 
     monkeypatch.setattr(ScenarioSpec, "run", spied_run)
     return calls
@@ -302,6 +302,24 @@ def test_a_sweep_refuses_a_fixed_override_of_its_swept_parameter(tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: parameter 'delta' is swept; it cannot also be fixed with --param\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["run", "n_box", "--param", "boxes=4", "--param", "boxes=9"], "boxes"),
+        (["run", "n_box", "--param", "boxes=4", "--param", " boxes = 4"], "boxes"),  # equal values, spaced key
+        (["sweep", "spin_xi_weak", "--param-name", "delta", "--values", "10",
+          "--param", "ensemble=10", "--param", "ensemble=20"], "ensemble"),
+    ],
+)
+def test_a_parameter_given_twice_with_param_is_refused(argv, key, tmp_path, capsys):
+    # the last value used to win silently: boxes=9 ran 9 boxes, and the sweep ran an ensemble of 20
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter {key!r} is given more than once with --param\n"
     assert not any(tmp_path.iterdir())
 
 

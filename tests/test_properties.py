@@ -20,9 +20,17 @@ np.interp in draw order, bit for bit.
 
 Multiplying every bra and ket by a power of two changes no ABL probability,
 certain outcome or certainty-cone direction, bit for bit, and no refusal.
+
+The degenerate-post rules reduce, at the identity, to the Born rule and to
+<psi|C|psi> / <psi|psi> (against exact rationals), and at a rank-one
+projector onto phi to the ABL rule on <phi| |psi>, over random kets,
+co-states and Hermitian observables of dimension 1-6, each within a bound
+derived from the rounding of every step.
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,12 +40,24 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from twostate.errors import TwoStateError  # noqa: E402
-from twostate.ideal import abl, abl_generalized, certain_outcome  # noqa: E402
-from twostate.linalg import DenseOperator, hermitian_eigendecomposition, projector_onto, spin_direction  # noqa: E402
+from twostate.errors import OverlapTooSmall, TwoStateError  # noqa: E402
+from twostate.ideal import abl, abl_degenerate_post, abl_generalized, born, certain_outcome  # noqa: E402
+from twostate.linalg import (  # noqa: E402
+    DenseOperator,
+    hermitian_eigendecomposition,
+    identity,
+    projector_onto,
+    spin_direction,
+)
 from twostate.pointer import GaussianPointer, _invert_cdf, pointer_distribution_postselected  # noqa: E402
 from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
-from twostate.weak import _spinors, basis_weak_values, certainty_cone, weak_value  # noqa: E402
+from twostate.weak import (  # noqa: E402
+    _spinors,
+    basis_weak_values,
+    certainty_cone,
+    weak_value,
+    weak_value_degenerate_post,
+)
 
 EPS = math.ulp(1.0)
 TINY = math.ulp(0.0)  # the smallest subnormal: twice the largest error of a product that underflows
@@ -67,10 +87,12 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def assert_agree(plain, general, same) -> None:
-    """The same TwoStateError on both sides, or results for which same(general, plain) holds."""
-    if isinstance(plain, type) or isinstance(general, type):
+def assert_agree(plain, general, same, near_floor: bool = False) -> None:
+    """The same TwoStateError on both sides (or on one side alone, if `near_floor`), or same(general, plain)."""
+    if isinstance(plain, type) and isinstance(general, type):
         assert general is plain
+    elif isinstance(plain, type) or isinstance(general, type):
+        assert near_floor, (plain, general)
     else:
         assert same(general, plain)
 
@@ -78,6 +100,13 @@ def assert_agree(plain, general, same) -> None:
 def assert_same(fn, args, general_args, same) -> None:
     """fn on both descriptions: the same TwoStateError, or results for which same(general, plain) holds."""
     assert_agree(outcome(fn, *args), outcome(fn, *general_args), same)
+
+
+def scaled_norm(a: np.ndarray) -> float:
+    """|a|, taken on a / max|a| so that a vector of tiny entries does not underflow its sum of squares to 0."""
+    size = np.abs(a)
+    top = size.max()
+    return float(top * np.linalg.norm(size / top)) if top > 0 else 0.0
 
 
 def term_size(description) -> float:
@@ -95,7 +124,7 @@ def test_one_term_description_obeys_the_same_rules(case, delta):
         weak_value,
         (tsv, obs),
         (gtsv, obs),
-        lambda g, p: g.overlap_magnitude == p.overlap_magnitude and g.value == p.value,
+        lambda g, p: g == p and abs(gtsv.overlap()) == abs(tsv.overlap()),
     )
     assert_same(certain_outcome, (tsv, obs), (gtsv, obs), lambda g, p: g == p)
     pointer = GaussianPointer.for_spectrum(delta, hermitian_eigendecomposition(obs).eigenvalues, points=256)
@@ -197,9 +226,9 @@ def test_interchange_keeps_abl_probabilities_and_conjugates_weak_values(case, we
             weak_value,
             (description, obs),
             (interchange(description), obs),
-            lambda g, p: abs(g.value - p.value.conjugate())
-            <= (4 * d * EPS * size * (2 * norm_c + abs(p.value)) + underflow) / p.overlap_magnitude
-            + 4 * EPS * abs(p.value) + 2 * TINY,
+            lambda g, p: abs(g - p.conjugate())
+            <= (4 * d * EPS * size * (2 * norm_c + abs(p)) + underflow) / abs(description.overlap())
+            + 4 * EPS * abs(p) + 2 * TINY,
         )
 
 
@@ -227,7 +256,7 @@ def test_basis_weak_values_sum_to_one_and_are_those_of_the_basis_projectors(tsv)
         assert_agree(
             outcome(weak_value, tsv, projector_onto(e)),
             values,
-            lambda g, p: abs(g[i] - p.value) <= 4 * EPS * abs(g[i]),
+            lambda g, p: abs(g[i] - p) <= 4 * EPS * abs(g[i]),
         )
     if not isinstance(values, type):
         a = tsv.bra.row * tsv.ket.amplitudes
@@ -263,7 +292,9 @@ def test_scaling_the_bra_and_ket_by_a_power_of_two_changes_no_result(description
         lambda g, p: np.array_equal(g.probabilities, p.probabilities) and np.array_equal(g.eigenvalues, p.eigenvalues),
     )
     assert_agree(outcome(certain_outcome, description, obs), outcome(certain_outcome, big, obs), lambda g, p: g == p)
-    assert_agree(outcome(certainty_cone, description, 8), outcome(certainty_cone, big, 8), lambda g, p: g == p)
+    assert_agree(
+        outcome(certainty_cone, description, 8), outcome(certainty_cone, big, 8), lambda g, p: np.array_equal(g, p)
+    )
 
 
 @st.composite
@@ -287,3 +318,136 @@ def cdfs_and_draws(draw):
 def test_the_sorted_cdf_inversion_is_np_interp_in_draw_order(case):
     u, cdf, q = case
     assert np.array_equal(_invert_cdf(u.copy(), cdf, q), np.interp(u, cdf, q))
+
+
+@st.composite
+def selections(draw):
+    """(pre, phi, obs): a ket, the ket form of a co-state and a Hermitian observable of dimension 1-6."""
+    d = draw(st.integers(1, 6))
+    psi, phi = draw(complex_entries(d)), draw(complex_entries(d))
+    assume(np.linalg.norm(psi) > 0 and np.linalg.norm(phi) > 0)
+    raw = draw(complex_entries(d * d)).reshape(d, d)
+    return StateVector(psi), phi, DenseOperator(raw + raw.conj().T)  # r + r^H is Hermitian exactly
+
+
+def exact_expectation(psi: np.ndarray, c: np.ndarray) -> tuple:
+    """(<psi|C|psi> / <psi|psi> as a (real, imag) pair of Fractions, <psi|psi> as a Fraction), with no rounding."""
+    re, im = [Fraction(x) for x in psi.real], [Fraction(x) for x in psi.imag]
+    cr, ci = ([[Fraction(x) for x in row] for row in part] for part in (c.real, c.imag))
+    d = len(re)
+    yr = [sum(cr[i][j] * re[j] - ci[i][j] * im[j] for j in range(d)) for i in range(d)]
+    yi = [sum(cr[i][j] * im[j] + ci[i][j] * re[j] for j in range(d)) for i in range(d)]
+    den = sum(x * x + y * y for x, y in zip(re, im))
+    num_r = sum(re[i] * yr[i] + im[i] * yi[i] for i in range(d))
+    num_i = sum(re[i] * yi[i] - im[i] * yr[i] for i in range(d))
+    return (num_r / den, num_i / den), den
+
+
+TINY_SQUARES = (  # weights of about 1e-316: their squares underflow, which each bound must budget
+    StateVector([2.363380835410426e-158, 0.0, 0.0]),
+    np.array([0.5, 0.0, 0.0], dtype=complex),
+    DenseOperator(np.full((3, 3), 2.0)),
+)
+
+
+@PROPERTY
+@given(selections())
+@example(TINY_SQUARES)
+@example((StateVector([1 + 1j]), np.array([3e-162 + 3e-162j]), DenseOperator([[0.0]])))  # P was no projector
+def test_the_degenerate_post_rules_reduce_to_born_and_to_abl(case):
+    """abl_degenerate_post and weak_value_degenerate_post at their two ends: the identity and a rank-one projector.
+
+    Write s = |psi|, S = |phi| s, V for the cached eigenvector matrix (the
+    same on every side, so the bounds take it as exact data), and
+    delta >= |V^H V - I|_2, taken as the Frobenius norm of the computed
+    V^H V - I plus its own rounding, 2 d (d + 2) eps.  A complex dot product
+    of length m is within gamma_{m+2} <= (m + 2) eps of its sum of
+    magnitudes; products that underflow add at most U = 64 d**2 TINY to any
+    amplitude or weight (at most 16 d**2 real products a side, each off by
+    TINY/2, reaching a result multiplied by at most 8).  Weights off by e in
+    all from weights of total T move each probability by at most
+    2 e / (T - e); amplitudes X off by |dX| move each |X_n|**2 / |X|**2 by
+    at most 4 |dX| / |X|.
+
+    1. Identity post against Born.  Both form c = V^H psi, each entry within
+       gamma_{d+2} |V_j| s.  Born's weights Re(conj(c) . c) are off by at
+       most 4 d (d + 2) eps (1 + delta) s**2 + U in all; the post side's
+       |V_n c_n|**2 (the identity product is exact) by delta |c|**2 for V's
+       departure from orthonormality plus (4.2 sqrt(d) + 1.01) gamma_{d+4}
+       for rounding: at most (1 + delta)**2 (delta + 6 sqrt(d) (d + 4) eps)
+       s**2 + U.  T >= (1 - delta) s**2 less either error, and each side's
+       final division adds (2d + 5) eps.
+    2. Identity post against <psi|C|psi> / <psi|psi> in exact rationals.  The
+       numerator is within 3 (d + 2) eps |psi|^T |C| |psi| + 3 d**2 TINY, the
+       denominator within (d + 2) eps s**2 + d TINY, and Smith's division
+       adds 4 eps |q|.  A denominator that rounds to a subnormal is refused
+       as OverlapTooSmall, as every overlap is; the exact s**2 is then at most
+       float_info.min (1 + (d + 2) eps) + d TINY.
+    3. Rank-one post P = |v><v|, v = phi / |phi|, against abl(<phi| |psi>).
+       With exact data, |P V_n c_n| = |A_n| / |phi| for the ABL amplitudes
+       A_n = <phi|V_n c_n>, so both sides have the same exact probabilities.
+       The ABL amplitudes are off by at most 4 d (d + 2) eps (1 + delta) S + U
+       in all, and the post side's vectors P V_n c_n (c, V_n c_n, and P within
+       2 gamma_{d+5} entrywise) by at most 5.2 d (d + 5) eps (1 + delta) s +
+       2 U, against |X| = R / |phi| with R = |A| >= |A computed| less its
+       error.  Squares that underflow cost the ABL weights (total R**2) at
+       most d TINY / 2 and the post side's (total (R / |phi|)**2) at most
+       2 d**2 TINY, and each final division adds (2d + 8) eps.
+
+    Both rules refuse a total at or below 1e-24 times the squared size; for
+    claims 1 and 3 that floor is the same in exact arithmetic, so one side
+    alone may refuse only where the lower bound of the exact total is
+    within a factor 2 of the floor, or where it is no larger than what the
+    squares can lose to underflow.
+    """
+    pre, phi, obs = case
+    d, psi = pre.dim, pre.amplitudes
+    v = np.hstack(hermitian_eigendecomposition(obs).blocks)
+    delta = float(np.linalg.norm(v.conj().T @ v - np.eye(d))) + 2 * d * (d + 2) * EPS
+    under = 64 * d * d * TINY
+    exact_q, den = exact_expectation(psi, obs.matrix)
+    s2 = float(den) * (1 + EPS)  # s**2 rounded up
+
+    # 1. the identity post is the Born rule
+    e_born = 4 * d * (d + 2) * EPS * (1 + delta) * s2 + under
+    e_post = (1 + delta) ** 2 * (delta + 6 * math.sqrt(d) * (d + 4) * EPS) * s2 + under
+    low = (1 - delta) * s2 - max(e_born, e_post)
+    bound = 2 * (e_born + e_post) / low + 2 * (2 * d + 5) * EPS if low > 0 else math.inf
+    assert_agree(
+        outcome(born, pre, obs),
+        outcome(abl_degenerate_post, pre, identity(d), obs),
+        lambda g, p: np.array_equal(g.eigenvalues, p.eigenvalues)
+        and np.abs(g.probabilities - p.probabilities).max() <= bound,
+        near_floor=low <= 2e-24 * s2,
+    )
+
+    # 2. the identity post's weak value is the expectation value
+    got = outcome(weak_value_degenerate_post, pre, identity(d), obs)
+    if isinstance(got, type):
+        assert got is OverlapTooSmall and den <= Fraction(sys.float_info.min) * (1 + (d + 2) * EPS) + d * TINY
+    else:
+        size = float(np.abs(psi) @ np.abs(obs.matrix) @ np.abs(psi)) * (1 + 2 * d * EPS)
+        q = math.hypot(*map(float, exact_q))
+        d_num = 3 * (d + 2) * EPS * size + 3 * d * d * TINY
+        d_den = (d + 2) * EPS * s2 + d * TINY
+        limit = (d_num + q * d_den) / (float(den) - d_den) + 4 * EPS * q
+        assert math.hypot(float(Fraction(got.real) - exact_q[0]), float(Fraction(got.imag) - exact_q[1])) <= limit
+
+    # 3. a rank-one post is the ABL rule on <phi| |psi>
+    tsv = TwoStateVector(CoStateVector.from_ket(phi), pre)
+    phi_norm = scaled_norm(phi) * (1 + 2 * d * EPS)
+    big_s = phi_norm * scaled_norm(psi) * (1 + 2 * d * EPS)
+    e_abl = 4 * d * (d + 2) * EPS * (1 + delta) * big_s + under
+    e_vec = 5.2 * d * (d + 5) * EPS * (1 + delta) * big_s + 2 * under * phi_norm
+    r_low = scaled_norm(tsv.selection_amplitudes(hermitian_eigendecomposition(obs))) - e_abl
+    t_abl, t_post = r_low**2 - d * TINY, (r_low / phi_norm) ** 2 - 3 * d * d * TINY
+    bound = math.inf
+    if r_low > 0 and t_abl > 0 and t_post > 0:
+        bound = 4 * (e_abl + e_vec) / r_low + d * TINY / t_abl + 4 * d * d * TINY / t_post + 2 * (2 * d + 8) * EPS
+    assert_agree(
+        outcome(abl, tsv, obs),
+        outcome(abl_degenerate_post, pre, projector_onto(phi), obs),
+        lambda g, p: np.array_equal(g.eigenvalues, p.eigenvalues)
+        and np.abs(g.probabilities - p.probabilities).max() <= bound,
+        near_floor=r_low <= 2e-12 * big_s or t_abl <= 0 or t_post <= 0,
+    )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def test_scenarios_are_deterministic_given_a_seed(name):
         assert csv_table(*b.tables[filename]()) == csv_table(*table())
 
 
+@pytest.mark.parametrize("name", EXPECTED_SCENARIOS)
+def test_a_scenario_result_is_frozen_and_holds_the_coerced_params_with_the_seed(name):
+    # run() used to overwrite the params of a mutable result after its runner returned
+    spec = get_scenario(name)
+    result = spec.run({p.name: str(p.default) for p in spec.params}, seed="7")
+    want = dict({p.name: p.coerce(p.default) for p in spec.params}, seed=7)
+    assert result.params == want and [type(v) for v in result.params.values()] == [type(v) for v in want.values()]
+    assert result.name == name and type(result.tables) is dict and type(result.checks) is list
+    with pytest.raises(FrozenInstanceError):
+        result.params = {}
+
+
 def test_three_box_default_results():
     result = get_scenario("three_box").run(seed=0)
     res = result.results
@@ -104,7 +117,7 @@ def test_n_box_last_box_weak_value_is_that_of_the_dense_projector_bit_for_bit():
         root = math.sqrt(n - 2.0)
         ket = StateVector(np.concatenate([np.ones(n - 1), [root]]))
         bra = CoStateVector.from_ket(np.concatenate([np.ones(n - 1), [-root]]))
-        want = weak_value(TwoStateVector(bra, ket), projector_onto(np.eye(n)[-1])).value
+        want = weak_value(TwoStateVector(bra, ket), projector_onto(np.eye(n)[-1]))
         assert get_scenario("n_box").run({"boxes": n}, seed=0).results["weak_value_last_box"] == [want.real, want.imag]
 
 

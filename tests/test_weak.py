@@ -59,9 +59,31 @@ def up_z_pair() -> TwoStateVector:
 
 
 def test_bisector_weak_value_is_sqrt_two():
-    wv = weak_value(bisector_tsv(), spin_direction([1, 1, 0]))
-    assert wv.value == pytest.approx(np.sqrt(2), abs=1e-14)
-    assert wv.overlap_magnitude == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    tsv = bisector_tsv()
+    assert weak_value(tsv, spin_direction([1, 1, 0])) == pytest.approx(np.sqrt(2), abs=1e-14)
+    assert abs(tsv.require_overlap()) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+WEAK_VALUE_FORMS = {
+    "two-state vector": (lambda: weak_value(bisector_tsv(), spin_direction([1, 1, 0])), np.sqrt(2)),
+    "generalized two-state vector": (
+        lambda: weak_value(spin_cone_gtsv(np.pi / 8), pauli("z")),
+        (np.cos(np.pi / 8) + np.sin(np.pi / 8)) / (np.cos(np.pi / 8) - np.sin(np.pi / 8)),
+    ),
+    "degenerate post-selection": (
+        lambda: weak_value_degenerate_post(StateVector([0.6, 0.8]), identity(2), pauli("z")),
+        0.36 - 0.64,
+    ),
+}
+
+
+@pytest.mark.parametrize("form", WEAK_VALUE_FORMS)
+def test_a_weak_value_is_returned_as_a_complex_number(form):
+    # it used to come wrapped in a record beside the overlap magnitude
+    compute, want = WEAK_VALUE_FORMS[form]
+    value = compute()
+    assert type(value) is complex
+    assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_identity_weak_value_is_one():
@@ -69,12 +91,12 @@ def test_identity_weak_value_is_one():
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
     phi = rng.normal(size=5) + 1j * rng.normal(size=5)
     tsv = TwoStateVector(CoStateVector.from_ket(phi), StateVector(psi))
-    assert weak_value(tsv, identity(5)).value == pytest.approx(1.0, abs=1e-13)
+    assert weak_value(tsv, identity(5)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_three_box_occupation_weak_values():
     tsv = three_box_tsv()
-    values = [weak_value(tsv, projector_onto(np.eye(3)[i])).value for i in range(3)]
+    values = [weak_value(tsv, projector_onto(np.eye(3)[i])) for i in range(3)]
     assert values[0] == pytest.approx(1.0, abs=1e-13)
     assert values[1] == pytest.approx(1.0, abs=1e-13)
     assert values[2] == pytest.approx(-1.0, abs=1e-13)
@@ -105,7 +127,7 @@ def test_generalized_single_term_matches_plain_weak_value():
     obs = DenseOperator(raw + raw.conj().T)
     tsv = TwoStateVector(CoStateVector.from_ket(phi), StateVector(psi))
     gtsv = GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)])
-    assert weak_value(gtsv, obs).value == weak_value(tsv, obs).value
+    assert weak_value(gtsv, obs) == weak_value(tsv, obs)
 
 
 def test_spin_cone_weak_values_closed_form():
@@ -113,8 +135,8 @@ def test_spin_cone_weak_values_closed_form():
     # (sigma_z)_w = (cos+sin)/(cos-sin) and (sigma_x)_w = 0
     chi = np.pi / 8
     gtsv = spin_cone_gtsv(chi)
-    wz = weak_value(gtsv, pauli("z")).value
-    wx = weak_value(gtsv, pauli("x")).value
+    wz = weak_value(gtsv, pauli("z"))
+    wx = weak_value(gtsv, pauli("x"))
     expected = (np.cos(chi) + np.sin(chi)) / (np.cos(chi) - np.sin(chi))
     assert wz == pytest.approx(expected, abs=1e-12)
     assert wx == pytest.approx(0.0, abs=1e-13)
@@ -125,13 +147,13 @@ def test_degenerate_post_expectation_and_rank_one_limits():
     psi = StateVector(rng.normal(size=3) + 1j * rng.normal(size=3))
     raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     obs = DenseOperator(raw + raw.conj().T)
-    assert weak_value_degenerate_post(psi, identity(3), obs).value == pytest.approx(
+    assert weak_value_degenerate_post(psi, identity(3), obs) == pytest.approx(
         expectation_value(psi, obs), abs=1e-12
     )
     phi = rng.normal(size=3) + 1j * rng.normal(size=3)
     tsv = TwoStateVector(CoStateVector.from_ket(phi), psi)
-    assert weak_value_degenerate_post(psi, projector_onto(phi), obs).value == pytest.approx(
-        weak_value(tsv, obs).value, abs=1e-12
+    assert weak_value_degenerate_post(psi, projector_onto(phi), obs) == pytest.approx(
+        weak_value(tsv, obs), abs=1e-12
     )
 
 
@@ -145,8 +167,8 @@ def test_degenerate_post_two_by_two_oracle():
     c = spin_direction([1, 1, 0]).matrix
     v = psi.normalized().amplitudes
     oracle = np.vdot(v, p @ (c @ v)) / np.vdot(v, p @ v)
-    assert wv.value == pytest.approx(oracle, abs=1e-14)
-    assert wv.value == pytest.approx((1 - 1j) / np.sqrt(2), abs=1e-12)
+    assert wv == pytest.approx(oracle, abs=1e-14)
+    assert wv == pytest.approx((1 - 1j) / np.sqrt(2), abs=1e-12)
 
 
 def test_weak_vector_cases():
@@ -174,9 +196,9 @@ def test_certainty_cone_against_analytic_half_angle():
         cone = certainty_cone(spin_cone_gtsv(chi), samples=12)
         assert len(cone) == 12
         cos_theta = (1 - np.tan(chi)) / (1 + np.tan(chi))
-        for d in cone:
-            assert np.cos(d.theta) == pytest.approx(cos_theta, abs=1e-10)
-            assert d.probability >= 1.0 - 1e-10
+        for theta, _, probability in cone:
+            assert np.cos(theta) == pytest.approx(cos_theta, abs=1e-10)
+            assert probability >= 1.0 - 1e-10
 
 
 def test_certainty_cone_exists_for_long_real_weak_vectors():
@@ -187,18 +209,18 @@ def test_certainty_cone_exists_for_long_real_weak_vectors():
 def test_certainty_cone_degenerates_for_plain_expectation():
     cone = certainty_cone(up_z_pair(), samples=8)
     assert len(cone) == 1
-    assert cone[0].theta == pytest.approx(0.0, abs=1e-10)
+    assert cone[0, 0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_certainty_cone_empty_at_chi_quarter_pi():
-    assert certainty_cone(spin_cone_gtsv(np.pi / 4), samples=8) == []
+    assert certainty_cone(spin_cone_gtsv(np.pi / 4), samples=8).shape == (0, 3)
 
 
 def test_a_tiny_two_state_vector_keeps_its_abl_answers_and_cone():
     # <+y| s |+x> s at s = 1e-7: every ABL total is about s**4 = 1e-28, the overlap about s**2
     s = 1e-7
     tiny = TwoStateVector(CoStateVector.from_ket(s * spin_up([0, 1, 0])), StateVector(s * spin_up([1, 0, 0])))
-    assert weak_value(tiny, pauli("z")).value == pytest.approx(1j, abs=1e-12)
+    assert weak_value(tiny, pauli("z")) == pytest.approx(1j, abs=1e-12)
     assert np.allclose(abl(tiny, pauli("z")).probabilities, [0.5, 0.5], rtol=0, atol=1e-12)
     assert certain_outcome(tiny, pauli("x")) == pytest.approx(1.0, abs=1e-12)
     assert len(certainty_cone(tiny, samples=8)) == len(certainty_cone(bisector_tsv(), samples=8)) == 2
@@ -209,10 +231,10 @@ def test_certainty_cone_with_complex_weak_vector():
     # and Re(w).n = 1 picks two candidate azimuths; both must certify +1.
     cone = certainty_cone(bisector_tsv(), samples=8)
     assert len(cone) == 2
-    for d in cone:
-        assert d.probability >= 1.0 - 1e-10
-        assert np.cos(d.theta) == pytest.approx(0.0, abs=1e-10)
-    phis = sorted(d.phi for d in cone)
+    for theta, _, probability in cone:
+        assert probability >= 1.0 - 1e-10
+        assert np.cos(theta) == pytest.approx(0.0, abs=1e-10)
+    phis = sorted(cone[:, 1])
     assert phis[0] == pytest.approx(0.0, abs=1e-9)
     assert phis[1] == pytest.approx(np.pi / 2, abs=1e-9)
 
@@ -282,8 +304,8 @@ def test_certainty_cone_checks_each_candidate_once_and_matches_the_scalar_constr
     monkeypatch.setattr(weak, "abl_generalized", lambda desc, obs: calls.append(obs) or abl_generalized(desc, obs))
     cone = certainty_cone(description, samples=samples)
     assert len(calls) == checks  # the benchmark tracer's certified ratio counts exactly these calls
-    got = np.array([(d.theta, d.phi, d.probability) for d in cone])
-    assert got.shape == oracle.shape == (checks, 3)
+    got = cone
+    assert got.dtype == float and got.shape == oracle.shape == (checks, 3)
     ulps = np.abs(got - oracle) / np.spacing(np.maximum(np.abs(got), np.abs(oracle)))
     assert ulps.max() <= 4
 
@@ -328,7 +350,7 @@ def test_theorem_ii_branches():
 
     # engineered (sigma_z)_w = 1: post-select up_z against a generic ket
     engineered = TwoStateVector(CoStateVector.from_ket([1.0, 0.0]), StateVector([0.7, 0.3 + 0.4j]))
-    assert weak_value(engineered, pauli("z")).value == pytest.approx(1.0, abs=1e-13)
+    assert weak_value(engineered, pauli("z")) == pytest.approx(1.0, abs=1e-13)
     report2 = theorem_ii_check(engineered, pauli("z"))
     assert report2.applicable and report2.passed
 
@@ -349,8 +371,8 @@ def test_weak_value_linearity():
     a = DenseOperator(ra + ra.conj().T)
     b = DenseOperator(rb + rb.conj().T)
     combined = DenseOperator(2.5 * a.matrix - 1.25 * b.matrix)
-    lhs = weak_value(tsv, combined).value
-    rhs = 2.5 * weak_value(tsv, a).value - 1.25 * weak_value(tsv, b).value
+    lhs = weak_value(tsv, combined)
+    rhs = 2.5 * weak_value(tsv, a) - 1.25 * weak_value(tsv, b)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -363,8 +385,8 @@ def test_interchange_conjugates_weak_values():
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         obs = DenseOperator(raw + raw.conj().T)
         tsv = TwoStateVector(CoStateVector.from_ket(phi), StateVector(psi))
-        direct = weak_value(tsv, obs).value
-        swapped = weak_value(interchange(tsv), obs).value
+        direct = weak_value(tsv, obs)
+        swapped = weak_value(interchange(tsv), obs)
         assert swapped == pytest.approx(np.conj(direct), abs=1e-12)
 
 
@@ -377,10 +399,10 @@ def test_reduction_chain_on_random_instances():
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         obs = DenseOperator(raw + raw.conj().T)
         tsv = TwoStateVector(CoStateVector.from_ket(phi), psi)
-        one_term = weak_value(GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)]), obs).value
-        direct = weak_value(tsv, obs).value
-        rank_one = weak_value_degenerate_post(psi, projector_onto(phi), obs).value
-        expect = weak_value_degenerate_post(psi, identity(dim), obs).value
+        one_term = weak_value(GeneralizedTwoStateVector([(1.0, tsv.bra, tsv.ket)]), obs)
+        direct = weak_value(tsv, obs)
+        rank_one = weak_value_degenerate_post(psi, projector_onto(phi), obs)
+        expect = weak_value_degenerate_post(psi, identity(dim), obs)
         scale = max(1.0, abs(direct))  # relative where the ratio blows up
         assert abs(one_term - direct) <= 1e-12 * scale
         assert abs(rank_one - direct) <= 1e-12 * scale
@@ -400,7 +422,7 @@ def test_number_operator_weak_value_scales_with_particle_count():
             ops = [np.eye(3)] * n
             ops[site] = p3
             number_op += kron_all(ops)
-        wv = weak_value(tsv, DenseOperator(number_op)).value
+        wv = weak_value(tsv, DenseOperator(number_op))
         assert wv == pytest.approx(-n, abs=1e-12)
 
 
@@ -411,18 +433,15 @@ def test_certain_strong_outcome_matches_weak_value_for_cone_direction():
     theta = np.arccos(cos_theta)
     obs = spin_direction([np.sin(theta), 0.0, np.cos(theta)])
     assert certain_outcome(gtsv, obs) == pytest.approx(1.0, abs=0)
-    assert weak_value(gtsv, obs).value == pytest.approx(1.0, abs=1e-10)
+    assert weak_value(gtsv, obs) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weak_value_and_cone_serialization_surfaces():
-    wv = weak_value(bisector_tsv(), spin_direction([1, 1, 0]))
-    assert wv.value.real == pytest.approx(np.sqrt(2), abs=0)
-    assert wv.overlap_magnitude > 0
+    tsv = bisector_tsv()
+    assert weak_value(tsv, spin_direction([1, 1, 0])).real == pytest.approx(np.sqrt(2), abs=0)
+    assert abs(tsv.require_overlap()) > 0
     cone = certainty_cone(spin_cone_gtsv(np.pi / 8), samples=8)
-    text = csv_table(
-        ["theta", "phi", "probability"],
-        [[d.theta for d in cone], [d.phi for d in cone], [d.probability for d in cone]],
-    )
+    text = csv_table(["theta", "phi", "probability"], cone.T)
     assert text.startswith("theta,phi,probability\n")
     assert len(text.strip().split("\n")) == 9
 
