@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a scenario's numerical self-checks fail,
 2 on usage errors (unknown scenario, malformed or unknown parameters or seed,
 a value outside its declared domain, a missing or malformed config file)
-and on outputs that cannot be written,
-3 on any other exception, reported as one `internal error:` line.
+and on outputs that cannot be written, reported as one `error:` line,
+3 on any other exception, reported as one `internal error:` line.  `main`
+alone maps exceptions to these codes.
 Identical requests (including the seed) produce byte-identical files.
 """
 
@@ -75,24 +76,20 @@ def _write_outputs(result: ScenarioResult, out_dir: str, fmt: str) -> list[str]:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = get_scenario(args.scenario)
-        overrides = _parse_param_overrides(args.param or [])
-        seed = 0 if args.seed is None else args.seed
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                file_request = json.load(handle)
-            file_params = file_request.get("params", {}) if isinstance(file_request, dict) else None
-            if not isinstance(file_params, dict):
-                raise ValidationError(f"config {args.config!r} must hold a JSON object, and its 'params' an object")
-            overrides = {**file_params, **overrides}  # flags win over the file
-            if args.seed is None:
-                seed = file_request.get("seed", 0)  # run coerces it
-        result = spec.run(overrides, seed=seed)
-        written = _write_outputs(result, args.out or _default_out_dir(), args.format)
-    except (TwoStateError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    spec = get_scenario(args.scenario)
+    overrides = _parse_param_overrides(args.param or [])
+    seed = 0 if args.seed is None else args.seed
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            file_request = json.load(handle)
+        file_params = file_request.get("params", {}) if isinstance(file_request, dict) else None
+        if not isinstance(file_params, dict):
+            raise ValidationError(f"config {args.config!r} must hold a JSON object, and its 'params' an object")
+        overrides = {**file_params, **overrides}  # flags win over the file
+        if args.seed is None:
+            seed = file_request.get("seed", 0)  # run coerces it
+    result = spec.run(overrides, seed=seed)
+    written = _write_outputs(result, args.out or _default_out_dir(), args.format)
     print(result.summary_line)
     for path in written:
         print(f"  wrote {path}")
@@ -118,38 +115,34 @@ def _scalar_summaries(result: ScenarioResult) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        spec = get_scenario(args.scenario)
-        schema = {p.name: p for p in spec.params}
-        if args.param_name not in schema:
-            raise ValidationError(f"scenario {args.scenario!r} has no parameter {args.param_name!r}")
-        param = schema[args.param_name]
-        if param.kind not in ("int", "float"):
-            raise ValidationError(f"parameter {args.param_name!r} is not numeric")
-        # every value is checked against the domain before the first run computes
-        values = [param.coerce(v.strip()) for v in args.values.split(",") if v.strip()]
-        if not values:
-            raise ValidationError("no sweep values supplied")
-        fixed = _parse_param_overrides(args.param or [])
-        if args.param_name in fixed:
-            raise ValidationError(f"parameter {args.param_name!r} is swept; it cannot also be fixed with --param")
-        seed = 0 if args.seed is None else args.seed
-        summaries = []
-        all_passed = True
-        for value in values:
-            result = spec.run({**fixed, args.param_name: value}, seed=seed)
-            all_passed = all_passed and result.passed
-            flat = _scalar_summaries(result)
-            flat.pop(args.param_name, None)  # already the leading column
-            summaries.append(flat)
-            print(result.summary_line)
-        path = os.path.join(args.out or _default_out_dir(), spec.name, f"sweep_{args.param_name}.csv")
-        keys = sorted(set().union(*summaries))  # a value any run reports gets a column
-        columns = [values] + [[flat.get(key) for flat in summaries] for key in keys]
-        write_text_atomic(path, csv_table([args.param_name] + keys, columns))
-    except (TwoStateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    spec = get_scenario(args.scenario)
+    schema = {p.name: p for p in spec.params}
+    if args.param_name not in schema:
+        raise ValidationError(f"scenario {args.scenario!r} has no parameter {args.param_name!r}")
+    param = schema[args.param_name]
+    if param.kind not in ("int", "float"):
+        raise ValidationError(f"parameter {args.param_name!r} is not numeric")
+    # every value is checked against the domain before the first run computes
+    values = [param.coerce(v.strip()) for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ValidationError("no sweep values supplied")
+    fixed = _parse_param_overrides(args.param or [])
+    if args.param_name in fixed:
+        raise ValidationError(f"parameter {args.param_name!r} is swept; it cannot also be fixed with --param")
+    seed = 0 if args.seed is None else args.seed
+    summaries = []
+    all_passed = True
+    for value in values:
+        result = spec.run({**fixed, args.param_name: value}, seed=seed)
+        all_passed = all_passed and result.passed
+        flat = _scalar_summaries(result)
+        flat.pop(args.param_name, None)  # already the leading column
+        summaries.append(flat)
+        print(result.summary_line)
+    path = os.path.join(args.out or _default_out_dir(), spec.name, f"sweep_{args.param_name}.csv")
+    keys = sorted(set().union(*summaries))  # a value any run reports gets a column
+    columns = [values] + [[flat.get(key) for flat in summaries] for key in keys]
+    write_text_atomic(path, csv_table([args.param_name] + keys, columns))
     print(f"  wrote {path}")
     return 0 if all_passed else CHECK_FAILURE
 
@@ -196,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except (TwoStateError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except Exception as exc:  # not a failed self-check, so not exit 1
         message = str(exc).replace("\n", " ")
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from .linalg import DenseOperator, Record, SpectralDecomposition, hermitian_eigendecomposition
-from .states import StateVector, TwoStateVector
+from .states import StateVector, TwoStateVector, _unit_scaled
 
 # An outcome is "certain" when its conditional probability reaches this level.
 CERTAINTY_THRESHOLD = 1.0 - 1e-10
@@ -70,7 +70,8 @@ def _distribution_from_weights(decomp: SpectralDecomposition, weights: np.ndarra
 def abl(description, obs: DenseOperator) -> OutcomeDistribution:
     """Conditional probabilities for a two-state or a generalized description."""
     decomp = hermitian_eigendecomposition(obs)
-    return _distribution_from_weights(decomp, np.abs(description.selection_amplitudes(decomp)) ** 2, description.scale)
+    amplitudes, scale = _unit_scaled(description.selection_amplitudes(decomp), description.scale)
+    return _distribution_from_weights(decomp, np.abs(amplitudes) ** 2, scale)
 
 
 def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
@@ -78,10 +79,11 @@ def basis_occupation_probabilities(tsv: TwoStateVector) -> np.ndarray:
 
     a_i = <Phi|i><i|Psi> is the amplitude of outcome 1, and <Phi|Psi> - a_i that of outcome 0.
     """
-    a = tsv.bra.row * tsv.ket.amplitudes
+    row, scale = _unit_scaled(tsv.bra.row, tsv.scale)
+    a = row * tsv.ket.amplitudes
     hit = np.abs(a) ** 2
-    total = np.abs(tsv.bra.row @ tsv.ket.amplitudes - a) ** 2 + hit
-    _require_denominator(total, tsv.scale)
+    total = np.abs(row @ tsv.ket.amplitudes - a) ** 2 + hit
+    _require_denominator(total, scale)
     return hit / total
 
 
@@ -93,10 +95,10 @@ def abl_generalized(description, spinors) -> float:
     """
     if description.dim != 2:
         raise DimensionMismatch(f"abl_generalized takes a spin-1/2 description, not dim {description.dim}")
-    alpha, rows, kets = description.stacked_terms
+    alpha, rows, kets, scale = description.stacked_terms
     weights = np.abs(((spinors @ rows.T) * (spinors.conj() @ kets.T)) @ alpha) ** 2
     total = weights[..., 0] + weights[..., 1]
-    _require_denominator(total, description.scale)
+    _require_denominator(total, scale)
     return weights[..., 0] / total
 
 
@@ -115,15 +117,17 @@ def abl_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: De
     """
     pb = _require_projector(post_projector)
     decomp = hermitian_eigendecomposition(obs)
-    weights = np.linalg.norm(decomp.branches(pre.amplitudes) @ pb.T, axis=1) ** 2
-    return _distribution_from_weights(decomp, weights, pre.norm())
+    psi, norm = _unit_scaled(pre.amplitudes, pre.norm())
+    weights = np.linalg.norm(decomp.branches(psi) @ pb.T, axis=1) ** 2
+    return _distribution_from_weights(decomp, weights, norm)
 
 
 def born(pre: StateVector, obs: DenseOperator) -> OutcomeDistribution:
     """Pre-selected-only outcome statistics, ||P_n |Psi>||^2 (normalized)."""
     decomp = hermitian_eigendecomposition(obs)
-    weights = decomp.selection_amplitudes(pre.amplitudes.conj(), pre.amplitudes).real  # ||P_n psi||^2
-    return _distribution_from_weights(decomp, weights, pre.norm())
+    psi, norm = _unit_scaled(pre.amplitudes, pre.norm())
+    weights = decomp.selection_amplitudes(psi.conj(), psi).real  # ||P_n psi||^2
+    return _distribution_from_weights(decomp, weights, norm)
 
 
 def born_backward(bra, obs: DenseOperator) -> OutcomeDistribution:

@@ -177,7 +177,7 @@ class DenseOperator(Record):
 
     @cached_property
     def _spectrum(self) -> "SpectralDecomposition":
-        return _decompose(self)
+        return _decompose(self.matrix)
 
     def __add__(self, other: "DenseOperator") -> "DenseOperator":
         if self.dim != other.dim:
@@ -267,8 +267,7 @@ def hermitian_eigendecomposition(op: DenseOperator) -> SpectralDecomposition:
     return op._spectrum
 
 
-def _decompose(op: DenseOperator) -> SpectralDecomposition:
-    m = op.matrix
+def _decompose(m: np.ndarray) -> SpectralDecomposition:
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag) and not np.any(diag.imag):
         order = np.argsort(diag.real, kind="stable")
@@ -391,10 +390,6 @@ def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> Wa
     return WaveFunction1D(grid, vals.astype(complex))
 
 
-def _momentum_grid(grid: Grid1D) -> np.ndarray:
-    return np.fft.fftshift(2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing))
-
-
 def fourier_pair(wf: WaveFunction1D) -> WaveFunction1D:
     """Unitary transform between position and momentum representations.
 
@@ -406,7 +401,7 @@ def fourier_pair(wf: WaveFunction1D) -> WaveFunction1D:
     dx = wf.grid.spacing
     x0 = wf.grid.lo
     if wf.representation == "position":
-        p = _momentum_grid(wf.grid)
+        p = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(n, d=dx))
         # psi_tilde(p_k) = dx/sqrt(2 pi) * exp(-i p_k x0) * FFT[psi_j * exp(-i p_min j dx)]
         inner = wf.values * np.exp(-1j * p[0] * dx * np.arange(n))
         transformed = np.fft.fft(inner)

@@ -6,7 +6,7 @@ The measuring device is a 1-D pointer prepared in the Gaussian
 
 whose position density has width D in the exp(-Q**2/D**2) convention.  An
 impulsive coupling g(t) * P * C of unit time integral rigidly translates the
-pointer by c_n within the c_n eigenspace of C, so the joint state is
+pointer by c_n within the c_n eigenspace of C, so every pointer state is
 assembled exactly from the spectral decomposition; there is no time-stepping
 error anywhere in this module.  A coupling integral g0 is the same as
 measuring the observable g0 * C.
@@ -163,20 +163,6 @@ def _pointer_result(pointer: GaussianPointer, q_density: np.ndarray, p_source: W
     )
 
 
-def joint_state_after_impulse(
-    pre: StateVector,
-    obs: DenseOperator,
-    pointer: GaussianPointer,
-) -> np.ndarray:
-    """sum_n (P_n psi) x psi_in(Q - c_n), exact via the spectral shift: row i is basis state i on `pointer.grid`."""
-    decomp = hermitian_eigendecomposition(obs)
-    pointer.check_covers(decomp.eigenvalues)
-    pointer.check_resolves()
-    norm = (np.pi * pointer.delta**2) ** -0.25
-    branches = decomp.branches(pre.amplitudes) * norm
-    return _gaussian_sum(pointer.grid.values, branches, decomp.eigenvalues, 2 * pointer.delta**2)
-
-
 def pointer_distribution_preselected(
     pre: StateVector,
     obs: DenseOperator,
@@ -203,26 +189,6 @@ def pointer_distribution_postselected(
     decomp = hermitian_eigendecomposition(obs)
     floor = 1e-20 * tsv.scale * tsv.scale  # (1e-20 * scale) * scale: no intermediate scale**2 to overflow
     return superposed_pointer(tsv.selection_amplitudes(decomp), decomp.eigenvalues, pointer, floor)
-
-
-def momentum_shift_imaginary_part(
-    tsv: GeneralizedTwoStateVector,
-    obs: DenseOperator,
-    pointer: GaussianPointer,
-) -> float:
-    """Mean momentum of the post-selected pointer.
-
-    In the weak regime this equals Im(C_w) / D**2: the momentum-space
-    Gaussian exp(-D**2 P**2 / 2) picks up exp(Im(C_w) * P) from the complex
-    shift, which recenters its density at Im(C_w)/D**2.
-    """
-    result = pointer_distribution_postselected(tsv, obs, pointer)
-    if result.regime != "weak":
-        import warnings
-
-        warnings.warn("pointer width is outside the weak regime; momentum shift is not Im(C_w)/D^2")
-    p = result.p_grid.values
-    return float(np.sum(p * result.p_density) * result.p_grid.spacing)
 
 
 def moment_expansion_residual(

@@ -67,16 +67,12 @@ def stable_json(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
-def _format_cell(cell) -> str:
-    return _encode(cell, 0) if isinstance(cell, (int, float)) else str(cell)  # a bool is an int: true/false
-
-
 def _column_cells(column) -> tuple[str, list]:
     """The `%` conversion of one column and its cells: finite floats as floats under `%.17g`, else text under `%s`."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f" and np.isfinite(column).all():
         return "%.17g", column.tolist()  # the float path of format_float, without its per-cell NaN/inf tests
     cells = column.tolist() if isinstance(column, np.ndarray) else column
-    return "%s", [_format_cell(cell) for cell in cells]
+    return "%s", [_encode(cell, 0) if isinstance(cell, (int, float)) else str(cell) for cell in cells]  # bool: true/false
 
 
 def csv_table(header: list[str], columns) -> str:

@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import PostSelectionImpossible, ResourceLimit, ValidationError
 from .ideal import (
+    CERTAINTY_THRESHOLD,
     abl,
+    abl_generalized,
     basis_occupation_probabilities,
     born,
     born_backward,
-    certain_outcome,
     product_rule_report,
 )
 from .linalg import (
@@ -56,7 +57,7 @@ from .timemachine import (
     run_machine,
     success_scaling_probe,
 )
-from .weak import _certainty_probability, basis_weak_values, certainty_cone, weak_value
+from .weak import _spinors, basis_weak_values, certainty_cone, weak_value
 
 SQRT2 = math.sqrt(2.0)
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -157,10 +158,10 @@ def _run_three_box(params: dict) -> ScenarioResult:
     tsv = TwoStateVector(CoStateVector.from_ket(np.array([1.0, 1.0, -1.0]) / math.sqrt(3.0)), ket)
     p1, p2, p3 = (projector_onto(e) for e in np.eye(3))
     prob1, prob2, _ = basis_occupation_probabilities(tsv).tolist()
-    joint = certain_outcome(tsv, DenseOperator(p1.matrix @ p2.matrix))
     both_open = abl(tsv, p1 + p2)
     wv = [weak_value(tsv, p) for p in (p1, p2, p3)]
     rule = product_rule_report(tsv, p1, p2)
+    joint = rule["ab_certain"]  # P1 P2, the product observable the report decomposes
 
     labels = ("N1", "N2", "N3")
     if n_particles <= THREE_BOX_TENSOR_CAP:
@@ -502,7 +503,7 @@ def _run_spin_cone(params: dict) -> ScenarioResult:
 
     def certainty(theta: float) -> float | None:
         try:
-            return _certainty_probability(gtsv, theta, 0.0)
+            return float(abl_generalized(gtsv, _spinors(theta, 0.0)))
         except PostSelectionImpossible:
             return None  # chi = pi/4 at the derived angle: both conditional amplitudes vanish there
 
@@ -511,9 +512,9 @@ def _run_spin_cone(params: dict) -> ScenarioResult:
 
     checks = [
         ("cone_nonempty", len(cone) > 0 or abs(chi - math.pi / 4) < 1e-12),
-        ("cone_probabilities_certain", all(cone[:, 2] >= 1.0 - 1e-10)),
+        ("cone_probabilities_certain", all(cone[:, 2] >= CERTAINTY_THRESHOLD)),
         ("derived_angle_matches_half_angle", len(cone) == 0 or abs(math.cos(cone[0, 0]) - cos_theta) <= 1e-9),
-        ("derived_angle_certifies", prob_derived is None or prob_derived >= 1.0 - 1e-10),
+        ("derived_angle_certifies", prob_derived is None or prob_derived >= CERTAINTY_THRESHOLD),
     ]
     results = {
         "chi": chi,
@@ -522,9 +523,7 @@ def _run_spin_cone(params: dict) -> ScenarioResult:
         "theta_printed_four_arctan": theta_printed,
         "prob_at_derived_angle": prob_derived,
         "prob_at_printed_angle": prob_printed,
-        "printed_angle_agrees": (
-            None if prob_printed is None else bool(prob_printed >= 1.0 - 1e-10)
-        ),
+        "printed_angle_agrees": None if prob_printed is None else prob_printed >= CERTAINTY_THRESHOLD,
         "directions_found": len(cone),
     }
     tables = {"cone.csv": lambda: (["theta", "phi", "probability"], cone.T)}

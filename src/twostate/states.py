@@ -15,6 +15,7 @@ Every refusal of a small ratio denominator is relative to the description's
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from functools import cached_property
 
@@ -38,6 +39,20 @@ def _require_overlap(ov: complex, scale: float) -> complex:
     if abs(ov) <= max(OVERLAP_EPSILON * scale, sys.float_info.min):
         raise OverlapTooSmall(f"overlap {abs(ov):.3e} is below the division threshold")
     return ov
+
+
+def _unit_scaled(values, scale: float):
+    """`values` and `scale` times the power of two that takes `scale` into [0.5, 1); from below 2**-960, by none.
+
+    A power of two multiplies exactly, so every ratio of the values keeps its bits while their squares stop under-
+    and overflowing: every ratio rule (`abl`, `born` and their kin) scales its amplitudes or its ket here.  Below
+    2**-960, an amplitude that the ABL floor (1e-12 of the scale) lets through can carry more than 2**-52 of its
+    size in products that underflow (2**-1074 each, up to 2**22 of them), so such a description stays unscaled.
+    """
+    if not scale >= 2.0**-960:
+        return values, scale
+    factor = 2.0 ** -math.frexp(scale)[1]
+    return values * factor, scale * factor
 
 
 def _as_state_array(amplitudes) -> np.ndarray:
@@ -150,9 +165,13 @@ class GeneralizedTwoStateVector(Record):
 
     @cached_property
     def stacked_terms(self) -> tuple:
-        """(alpha, rows, kets): weights, bra rows and kets as read-only arrays, one entry or row per term."""
+        """(alpha, rows, kets, scale): weights, bra rows and kets as read-only arrays, one entry or row per term.
+
+        The weights and the `scale` are `_unit_scaled` once here, so a contraction through them pays nothing for it.
+        """
         alpha, rows, kets = zip(*((a, b.row, k.amplitudes) for a, b, k in self.terms))
-        return _read_only(np.array(alpha)), _read_only(np.array(rows)), _read_only(np.array(kets))
+        alpha, scale = _unit_scaled(np.array(alpha), self.scale)
+        return _read_only(alpha), _read_only(np.array(rows)), _read_only(np.array(kets)), scale
 
     def bilinear(self, op: DenseOperator):
         """sum_i alpha_i <Phi_i| op |Psi_i>, as a numpy scalar: dividing it keeps numpy's complex division."""

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
-from .ideal import _require_projector, abl_generalized, certain_outcome
-from .linalg import DenseOperator, Record, hermitian_eigendecomposition, pauli, require_integer
-from .states import StateVector, TwoStateVector, _require_overlap
+from .ideal import CERTAINTY_THRESHOLD, _require_projector, abl_generalized, certain_outcome
+from .linalg import DenseOperator, hermitian_eigendecomposition, pauli, require_integer
+from .states import StateVector, TwoStateVector, _require_overlap, _unit_scaled
 
 
 def weak_value(description, obs: DenseOperator) -> complex:
@@ -33,8 +33,8 @@ def basis_weak_values(tsv: TwoStateVector) -> np.ndarray:
 def weak_value_degenerate_post(pre: StateVector, post_projector: DenseOperator, obs: DenseOperator) -> complex:
     """<Psi| P_B C |Psi> / <Psi| P_B |Psi>; the identity projector gives <C>."""
     pb = _require_projector(post_projector)
-    psi = pre.amplitudes
-    denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), pre.norm() * pre.norm())
+    psi, norm = _unit_scaled(pre.amplitudes, pre.norm())
+    denom = _require_overlap(complex(np.vdot(psi, pb @ psi)), norm * norm)
     num = complex(np.vdot(psi, pb @ (obs.matrix @ psi)))
     return num / denom
 
@@ -52,10 +52,6 @@ def _spinors(theta, phi) -> np.ndarray:
     return np.stack([np.stack([c, e * s], axis=-1), np.stack([-e.conj() * s, c], axis=-1)], axis=-2)
 
 
-def _certainty_probability(description, theta: float, phi: float) -> float:
-    return float(abl_generalized(description, _spinors(theta, phi)))
-
-
 def certainty_cone(description, samples: int = 16) -> np.ndarray:
     """Directions along which the spin component is +1 with certainty, as (theta, phi, probability) rows.
 
@@ -64,7 +60,7 @@ def certainty_cone(description, samples: int = 16) -> np.ndarray:
     for a complex weak vector).  All candidates are built as one (m, 3)
     array, their angles and closed-form +-1 spinors in one pass; each is
     then cross-checked with one ABL contraction, and only directions whose
-    probability reaches 1 - 1e-10 are returned, as an (m, 3) float array
+    probability reaches CERTAINTY_THRESHOLD are returned, as an (m, 3) float array
     (no direction: shape (0, 3)).
     """
     require_integer(samples, "azimuthal samples", 8)
@@ -106,37 +102,27 @@ def certainty_cone(description, samples: int = 16) -> np.ndarray:
             prob = float(abl_generalized(description, spinors))
         except PostSelectionImpossible:
             continue
-        if prob >= 1.0 - 1e-10:
+        if prob >= CERTAINTY_THRESHOLD:
             out.append((theta, phi, prob))
     return np.array(out).reshape(-1, 3)
 
 
-class TheoremReport(Record):
-    applicable: bool
-    passed: bool | None
-    certain_value: float | None
-    weak_value: complex | None
-
-
-def theorem_i_check(description, obs: DenseOperator) -> TheoremReport:
-    """Certain strong outcome implies the weak value equals that eigenvalue (to 1e-10)."""
+def theorem_i_check(description, obs: DenseOperator) -> bool | None:
+    """Certain strong outcome implies a weak value at that eigenvalue (to 1e-10); None when no outcome is certain."""
     certain = certain_outcome(description, obs)
     if certain is None:
-        return TheoremReport(False, None, None, None)
-    wv = weak_value(description, obs)
-    ok = bool(abs(wv - certain) <= 1e-10)
-    return TheoremReport(True, ok, certain, wv)
+        return None
+    return bool(abs(weak_value(description, obs) - certain) <= 1e-10)
 
 
-def theorem_ii_check(description, obs: DenseOperator) -> TheoremReport:
-    """For dichotomic observables, a weak value at an eigenvalue (to 1e-10) implies certainty."""
+def theorem_ii_check(description, obs: DenseOperator) -> bool | None:
+    """For dichotomic observables, a weak value at an eigenvalue (to 1e-10) implies certainty; None if it is at none."""
     decomp = hermitian_eigendecomposition(obs)
     if len(decomp.eigenvalues) != 2:
         raise ValidationError("theorem (ii) applies to dichotomic observables only")
     wv = weak_value(description, obs)
     matches = [c for c in decomp.eigenvalues if abs(wv - c) <= 1e-10]
     if not matches:
-        return TheoremReport(False, None, None, wv)
+        return None
     certain = certain_outcome(description, obs)
-    ok = certain is not None and abs(certain - matches[0]) <= 1e-10
-    return TheoremReport(True, bool(ok), certain, wv)
+    return certain is not None and bool(abs(certain - matches[0]) <= 1e-10)

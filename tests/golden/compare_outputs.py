@@ -17,7 +17,9 @@ at seeds 0 and 7:
 - every CLI request of the benchmark workloads in ``bench/workloads.py``,
   in-process through ``twostate.cli.main``;
 - both library calls of the benchmark, whose ``to_dict()`` is written as
-  JSON with full float precision.
+  JSON with full float precision;
+- ``twostate list`` and each request of ``REFUSED``, which the CLI refuses
+  with one line on standard error.
 
 Every stdout and every written file of one checkout must equal the other's
 byte for byte; the script lists each difference and exits 1 if there is
@@ -25,8 +27,10 @@ any.  Under each differing file it prints every changed JSON field, CSV
 column (at its cell of largest relative change) or other text line, with
 the old value, the new value and the relative change.  Requests, cases and
 library inputs come from this script's own checkout, so both sides run the
-same list.  Standard error is not compared:
-warnings name source lines, which move with any edit.
+same list.  Standard error is compared for ``list`` and the refused
+requests only: elsewhere it holds warnings, which name source lines that
+move with any edit.  Both checkouts write under the same directory name, so
+a message that holds an absolute output path reads the same on both.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -47,6 +52,18 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "bench")]
 SEEDS = ("0", "7")
 CONE_CHIS = ("0.05", "0.7", repr(math.pi / 4), "1.2", "1.5")
 EXTRA_RUNS = (("n_box", "boxes=3"), ("n_box", "boxes=2360"), ("n_box", "boxes=100000"), ("three_box", "n_particles=10"))
+# Requests the CLI refuses, with exit 2 and one `error:` line.  Each takes the --seed and --out of every run;
+# the --out of out-under-file is a regular file, made before it runs.
+REFUSED = (
+    ("unknown-scenario", ("run", "no_such_scenario")),
+    ("param-without-equals", ("run", "n_box", "--param", "boxes")),
+    ("boxes-not-an-int", ("run", "n_box", "--param", "boxes=2.5")),
+    ("repeated-key", ("run", "n_box", "--param", "boxes=4", "--param", "boxes=5")),
+    ("boxes-below-domain", ("run", "n_box", "--param", "boxes=2")),
+    ("missing-config", ("run", "n_box", "--config", "no-such-config.json")),
+    ("boolean-sweep", ("sweep", "spin_xi_weak", "--param-name", "postselect", "--values", "true,false")),
+    ("out-under-file", ("run", "n_box")),
+)
 
 
 def _requests() -> list:
@@ -69,6 +86,8 @@ def _requests() -> list:
         for req in requests:
             name = f"{workload}/{req.key.replace(' ', '_')}"
             out.append((name, req.key if req.kind == "lib" else list(req.argv)))
+    out.append(("stderr/list", ["list"]))
+    out += [(f"stderr/refused/{name}", list(argv)) for name, argv in REFUSED]
     return out
 
 
@@ -87,10 +106,16 @@ def emit(out_root: str) -> None:
                 fn, args, _ = library.call(request)
                 text = json.dumps(fn(*args).to_dict(), sort_keys=True)
             else:
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(request + ["--seed", seed, "--out", os.path.join(target, "out")])
+                out = os.path.join(target, "out")
+                if name == "stderr/refused/out-under-file":
+                    open(out, "w").close()
+                argv = request if request == ["list"] else request + ["--seed", seed, "--out", out]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
                 text = f"{stdout.getvalue()}exit {code}\n"
+                if name.startswith("stderr/"):
+                    text += f"stderr:\n{stderr.getvalue()}"
             with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as handle:
                 handle.write(text)
 
@@ -169,12 +194,13 @@ def main(argv: list) -> int:
 
     with tempfile.TemporaryDirectory() as scratch:
         outputs = []
+        out_root = os.path.join(scratch, "out")
         for tree in argv:
-            out_root = os.path.join(scratch, str(len(outputs)))
             os.makedirs(out_root)
             cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_root]
             subprocess.run(cmd, env=child_env(os.path.abspath(tree)), check=True)
             outputs.append(_files(out_root))
+            shutil.rmtree(out_root)
     old, new = outputs
     differ = sorted(name for name in set(old) | set(new) if old.get(name) != new.get(name))
     for name in differ:

@@ -24,6 +24,7 @@ from twostate.linalg import (
     tensor_product,
 )
 from twostate.reporting import csv_table
+from twostate.weak import weak_value_degenerate_post
 from twostate.states import (
     CoStateVector,
     GeneralizedTwoStateVector,
@@ -152,15 +153,74 @@ def test_abl_and_born_refuse_states_whose_norm_overflows_rather_than_return_nan(
         abl(TwoStateVector(CoStateVector.from_ket(big), StateVector(big)), pauli("x"))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_abl_refuses_selection_amplitudes_that_overflow():
-    # each norm is finite, but |<Phi|P_+|Psi>|**2 = 16e600 is not
+def test_abl_takes_selection_amplitudes_whose_squares_overflow():
+    # each norm is finite, and |<Phi|P_+|Psi>|**2 = 16e600 is not, but the rule is a ratio: the unit-scale answer.
+    # 1e150 is no power of two, so the -1 amplitude, 0 at unit scale, cancels to within about 4 eps of the +1 one.
     large = 1e150 * np.array([1.0, 1.0])
     tsv = TwoStateVector(CoStateVector.from_ket(large), StateVector(large))
-    with pytest.raises(PostSelectionImpossible, match="not finite"):
-        abl(tsv, pauli("x"))
-    with pytest.raises(PostSelectionImpossible, match="not finite"):
-        abl_generalized(tsv, spinor_pair([1, 0, 0]))
+    unit = TwoStateVector(CoStateVector.from_ket([1.0, 1.0]), StateVector([1.0, 1.0]))
+    expected = abl(unit, pauli("x")).probabilities
+    assert abl(tsv, pauli("x")).probabilities == pytest.approx(expected, rel=0, abs=(4 * np.finfo(float).eps) ** 2)
+    assert abl_generalized(tsv, spinor_pair([1, 0, 0])) == abl_generalized(unit, spinor_pair([1, 0, 0])) == 1.0
+
+
+SCALES = [-530, -450, -300, 300, 450]
+
+
+def _scale_case():
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    obs = DenseOperator(raw + raw.conj().T)
+    phi, psi = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
+    post = DenseOperator(np.diag([1.0, 1.0, 0.0]).astype(complex))
+    return obs, phi, psi, post
+
+
+def _times_power_of_two(v, k: int) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    return np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
+
+
+def _pair_rules(phi, psi, obs, k):
+    """abl, abl_generalized and basis_occupation_probabilities with every bra and ket times 2**k."""
+    tsv = TwoStateVector(CoStateVector.from_ket(_times_power_of_two(phi, k)), StateVector(_times_power_of_two(psi, k)))
+    gtsv = GeneralizedTwoStateVector([(0.6, tsv.bra, tsv.ket), (-0.3j, tsv.bra, tsv.ket)])
+    rows, kets = [[1.0, 0.5], [0.0, 1.0]], [[0.25, 1.0], [1.0, 0.75]]
+    spin = GeneralizedTwoStateVector(
+        [(a, CoStateVector(_times_power_of_two(r, k)), StateVector(_times_power_of_two(v, k)))
+         for a, r, v in zip((0.8, -0.4), rows, kets)]
+    )
+    return [
+        abl(tsv, obs).probabilities,
+        abl(gtsv, obs).probabilities,
+        abl_generalized(spin, spinor_pair([1, 2, 3])),
+        basis_occupation_probabilities(tsv),
+    ]
+
+
+def _ket_rules(psi, obs, post, k):
+    """born, abl_degenerate_post and weak_value_degenerate_post with the ket times 2**k."""
+    pre = StateVector(_times_power_of_two(psi, k))
+    degenerate = abl_degenerate_post(pre, post, obs).probabilities
+    return [born(pre, obs).probabilities, degenerate, weak_value_degenerate_post(pre, post, obs)]
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_ratio_rules_give_their_unit_scale_answer_bit_for_bit_at_any_scale(k):
+    # each rule is a ratio, so a power of two on its amplitudes cancels exactly; only the squares could
+    # underflow (2**-1060 is subnormal) or overflow (2**1800 is not a float), and the rules square unit-scaled values
+    obs, phi, psi, post = _scale_case()
+    if abs(k) <= 450:  # the bra and the ket each carry 2**k, so the amplitudes carry 2**(2k)
+        for scaled, unit in zip(_pair_rules(phi, psi, obs, k), _pair_rules(phi, psi, obs, 0)):
+            assert np.array_equal(scaled, unit)
+    for scaled, unit in zip(_ket_rules(psi, obs, post, k), _ket_rules(psi, obs, post, 0)):
+        assert np.array_equal(scaled, unit)
+
+
+def test_abl_takes_a_description_whose_amplitudes_square_to_zero():
+    # <1e-100 e1| |1e-100 e1>: the amplitude 1e-200 squares to 0 in floats
+    tiny = TwoStateVector(CoStateVector.from_ket([1e-100, 0.0]), StateVector([1e-100, 0.0]))
+    assert np.array_equal(abl(tiny, pauli("z")).probabilities, [0.0, 1.0])
 
 
 def test_degenerate_post_with_identity_is_born_rule():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from pointer_views import joint_state_after_impulse, momentum_shift_imaginary_part
 
 from twostate.errors import GridOverflow, PostSelectionImpossible, ValidationError
 from twostate.linalg import (
@@ -19,9 +20,7 @@ from twostate.pointer import (
     GaussianPointer,
     _invert_cdf,
     ensemble_mean_estimator,
-    joint_state_after_impulse,
     moment_expansion_residual,
-    momentum_shift_imaginary_part,
     n_spin_pointer_closed_form,
     n_spin_weights_and_centers,
     pointer_distribution_postselected,

@@ -26,6 +26,11 @@ The degenerate-post rules reduce, at the identity, to the Born rule and to
 projector onto phi to the ABL rule on <phi| |psi>, over random kets,
 co-states and Hermitian observables of dimension 1-6, each within a bound
 derived from the rounding of every step.
+
+On rational entries n/m (|n|, m <= 20) and a diagonal observable, abl, born
+and the basis occupations match the same probabilities taken in exact
+Fractions from the float inputs, within a bound derived from the rounding
+of each product and sum.
 """
 
 import math
@@ -40,8 +45,15 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from twostate.errors import OverlapTooSmall, TwoStateError  # noqa: E402
-from twostate.ideal import abl, abl_degenerate_post, abl_generalized, born, certain_outcome  # noqa: E402
+from twostate.errors import OverlapTooSmall, PostSelectionImpossible, TwoStateError  # noqa: E402
+from twostate.ideal import (  # noqa: E402
+    abl,
+    abl_degenerate_post,
+    abl_generalized,
+    basis_occupation_probabilities,
+    born,
+    certain_outcome,
+)
 from twostate.linalg import (  # noqa: E402
     DenseOperator,
     hermitian_eigendecomposition,
@@ -111,8 +123,7 @@ def scaled_norm(a: np.ndarray) -> float:
 
 def term_size(description) -> float:
     """S = sum_i |alpha_i| |row_i| |ket_i|: what the terms' contractions would add up to if nothing cancelled."""
-    alpha, rows, kets = description.stacked_terms
-    return float(np.sum(np.abs(alpha) * np.linalg.norm(rows, axis=1) * np.linalg.norm(kets, axis=1)))
+    return float(sum(abs(a) * np.linalg.norm(b.row) * np.linalg.norm(k.amplitudes) for a, b, k in description.terms))
 
 
 @PROPERTY
@@ -212,9 +223,8 @@ def test_interchange_keeps_abl_probabilities_and_conjugates_weak_values(case, we
     norm_c = d * np.abs(obs.matrix).max()
     for description in (tsv, one_term, several):
         size = term_size(description)
-        alpha, rows, _ = description.stacked_terms
-        underflow = 4 * d * d * TINY * np.sum(np.abs(alpha) * (np.linalg.norm(rows, axis=1) + 1) + 1)
-        spread = np.linalg.norm(description.selection_amplitudes(decomp))
+        underflow = 4 * d * d * TINY * sum(abs(a) * (np.linalg.norm(b.row) + 1) + 1 for a, b, _ in description.terms)
+        spread = scaled_norm(description.selection_amplitudes(decomp))
         assert_same(
             abl,
             (description, obs),
@@ -450,4 +460,136 @@ def test_the_degenerate_post_rules_reduce_to_born_and_to_abl(case):
         lambda g, p: np.array_equal(g.eigenvalues, p.eigenvalues)
         and np.abs(g.probabilities - p.probabilities).max() <= bound,
         near_floor=r_low <= 2e-12 * big_s or t_abl <= 0 or t_post <= 0,
+    )
+
+
+RATIONAL = st.builds(lambda n, m: n / m, st.integers(-20, 20), st.integers(1, 20))  # zero included
+
+
+@st.composite
+def rational_selections(draw):
+    """(row, psi, diagonal): a bra row, a ket and an observable's diagonal of dimension 2-5, every part a float n/m."""
+    d = draw(st.integers(2, 5))
+    row, psi = (np.array([complex(draw(RATIONAL), draw(RATIONAL)) for _ in range(d)]) for _ in range(2))
+    assume(row.any() and psi.any())
+    return row, psi, np.array([draw(RATIONAL) for _ in range(d)])
+
+
+def exact(z: complex) -> tuple:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_product(x: complex, y: complex) -> tuple:
+    (xr, xi), (yr, yi) = exact(x), exact(y)
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def exact_sum(zs) -> tuple:
+    zs = list(zs)
+    return sum((z[0] for z in zs), Fraction(0)), sum((z[1] for z in zs), Fraction(0))
+
+
+def squared(z: tuple) -> Fraction:
+    return z[0] ** 2 + z[1] ** 2
+
+
+def ratio_bound(error: float, total: Fraction, outcomes: int) -> float:
+    """Weights off by `error` in all from exact weights of sum `total`, summed and divided in floats."""
+    low = float(total) * (1 - EPS) - error
+    return 2 * error / low + (outcomes + 1) * EPS if low > 0 else math.inf
+
+
+def assert_near_exact(got, exact_probabilities, bound: float, refused_low: float, scale: float) -> None:
+    """Each probability within `bound` of its exact value; a refusal only where `refused_low` is near the floor."""
+    if isinstance(got, type):
+        assert got is PostSelectionImpossible and refused_low <= 2e-24 * scale * scale
+    else:
+        assert len(got) == len(exact_probabilities)
+        assert max(float(abs(Fraction(float(g)) - p)) for g, p in zip(got, exact_probabilities)) <= bound
+
+
+@PROPERTY
+@given(rational_selections())
+def test_abl_born_and_basis_occupations_match_exact_rationals(case):
+    """abl, born and basis_occupation_probabilities against the same probabilities in Fractions.
+
+    Every real and imaginary part of the bra row and the ket, and every
+    entry of the diagonal observable, is a float n/m with |n| <= 20 and
+    1 <= m <= 20.  The observable takes the diagonal path of `_decompose`:
+    its eigenvectors are basis vectors, and each block holds the indices of
+    one diagonal value (distinct values differ by at least 1/380, far above
+    the 1e-9 grouping tolerance).  The reference works in Fractions on the
+    exact values of the float inputs, so every difference is the library's
+    rounding.  No product of two nonzero parts is below 1/400, so nothing
+    underflows, and the scaling by a power of two is exact.
+
+    With eps = ulp(1) and S = sum_i |row_i| |psi_i| (rounded up):
+
+    - Contracting with 0/1 eigenvector blocks is exact.  Each ABL amplitude
+      A_g = sum_{i in g} row_i psi_i is one complex dot product of length at
+      most d, within (d + 2) eps S of A_g; Born's weight ||P_g psi||**2 is
+      the real part of one, within (d + 2) eps s**2 in all (s = |psi|).
+    - |X|**2, a hypot within 1 ulp and a square, is within 3 eps of |X|**2
+      relative, so an amplitude within e of A gives a weight within
+      e (2 |A| + e) + 3 eps (|A| + e)**2.  Over the groups, with
+      sum |A_g| <= S, the ABL weights are off by at most
+      E = (d + 2) eps S**2 (2 + (d + 2) eps) + 3 eps S**2 (1 + (d + 2) eps)**2.
+    - For basis state i, a_i = row_i psi_i is one complex product, within
+      2 eps |row_i| |psi_i| <= 2 eps S; the overlap is a dot product within
+      (d + 2) eps S, and the rounded difference c_i = <Phi|Psi> - a_i is
+      within (d + 5) eps S, with |a_i|, |c_i| <= S.
+    - Weights off by E in all from exact weights of total T move each
+      probability by at most 2 E / (T - E); summing at most d weights and
+      dividing add (d + 1) eps.
+
+    Each rule refuses a total at or below 1e-24 times its squared scale, so a
+    refusal is allowed only where T - E is within a factor 2 of that floor.
+    """
+    row, psi, diagonal = case
+    d = row.size
+    tsv = TwoStateVector(CoStateVector(row), StateVector(psi))
+    obs = DenseOperator(np.diag(diagonal).astype(complex))
+    groups = [np.flatnonzero(diagonal == c) for c in sorted(set(diagonal.tolist()))]
+    products = [exact_product(r, p) for r, p in zip(row, psi)]
+    size = float(np.abs(row) @ np.abs(psi)) * (1 + 2 * d * EPS)
+    scale = float(np.linalg.norm(row) * np.linalg.norm(psi))
+
+    amplitudes = [exact_sum(products[i] for i in g) for g in groups]
+    total = sum(map(squared, amplitudes))
+    overlap = exact_sum(products)
+    misses = [squared((overlap[0] - a[0], overlap[1] - a[1])) for a in products]
+    assume(total != 0 and all(squared(a) + m != 0 for a, m in zip(products, misses)))
+
+    e_a = (d + 2) * EPS * size
+    error = e_a * (2 * size + e_a) + 3 * EPS * (size + e_a) ** 2
+    assert_near_exact(
+        outcome(lambda: abl(tsv, obs).probabilities),
+        [squared(a) / total for a in amplitudes],
+        ratio_bound(error, total, len(groups)),
+        float(total) - error,
+        scale,
+    )
+
+    born_weights = [sum((squared(exact(psi[i])) for i in g), Fraction(0)) for g in groups]
+    s2 = sum(born_weights)
+    assert_near_exact(
+        outcome(lambda: born(tsv.ket, obs).probabilities),
+        [w / s2 for w in born_weights],
+        ratio_bound((d + 2) * EPS * float(s2) * (1 + EPS), s2, len(groups)),
+        float(s2),
+        float(np.linalg.norm(psi)),
+    )
+
+    e_hit, e_miss = 2 * EPS * size, (d + 5) * EPS * size
+    error = e_hit * (2 * size + e_hit) + e_miss * (2 * size + e_miss)
+    error += 3 * EPS * ((size + e_hit) ** 2 + (size + e_miss) ** 2)
+    hits = [squared(a) for a in products]
+    got = outcome(lambda: basis_occupation_probabilities(tsv))
+    totals = [h + m for h, m in zip(hits, misses)]
+    assert_near_exact(
+        got,
+        [h / t for h, t in zip(hits, totals)],
+        max(ratio_bound(error, t, 2) for t in totals),
+        min(float(t) for t in totals) - error,
+        scale,
     )

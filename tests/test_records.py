@@ -75,11 +75,6 @@ CASES = {
         },
         {},
     ),
-    "weak.TheoremReport": (
-        weak.TheoremReport,
-        {"applicable": True, "passed": True, "certain_value": 1.0, "weak_value": 1 + 0j},
-        {},
-    ),
     "pointer.GaussianPointer": (pointer.GaussianPointer, {"delta": 1.0, "grid": GRID}, {}),
     "pointer.PointerResult": (
         pointer.PointerResult,
@@ -299,8 +294,8 @@ def test_records_of_one_class_with_equal_fields_are_equal_and_hash_equal(name):
 
 def test_records_differing_in_one_field_or_in_class_are_unequal():
     assert linalg.Grid1D(-1.0, 1.0, 16) != linalg.Grid1D(-1.0, 1.0, 17)
-    assert weak.TheoremReport(True, True, 1.0, 1.0) != weak.TheoremReport(True, True, 1.0, 0.5)
-    assert weak.TheoremReport(True, True, 1.0, 1.0) == weak.TheoremReport(True, True, 1.0, 1.0 + 0j)
+    assert scenarios.ParamSpec("boxes", "int", 5, min=3) != scenarios.ParamSpec("boxes", "int", 5, min=4)
+    assert scenarios.ParamSpec("boxes", "int", 5, min=3) == scenarios.ParamSpec("boxes", "int", 5, min=3.0)
     assert states.StateVector([1.0, 0.0]) != states.CoStateVector([1.0, 0.0])
     tsv = states.TwoStateVector(DOWN_ROW, UP)
     assert tsv != states.GeneralizedTwoStateVector(tsv.terms) and tsv == copy.copy(tsv)

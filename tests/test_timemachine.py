@@ -9,18 +9,20 @@ import pytest
 
 from twostate.errors import GridOverflow, ResourceLimit, ValidationError
 from twostate.linalg import Grid1D, WaveFunction1D, gaussian_wavefunction
-from twostate.timemachine import (
+from shell_dilations import (
     GRAVITATIONAL_CONSTANT,
     LIGHT_SPEED,
+    gr_dilation,
+    radius_schedule,
+    shell_pair_dilation,
+    sr_dilation,
+)
+from twostate.timemachine import (
     _masked_shift_spectrum,
     _spectrum_weight_above,
     binomial_schedule,
     gaussian_shift_distortion,
-    gr_dilation,
-    radius_schedule,
     run_machine,
-    shell_pair_dilation,
-    sr_dilation,
     success_scaling_probe,
 )
 
