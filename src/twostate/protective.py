@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import PostSelectionImpossible, ValidationError
+from .errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from .linalg import (
     PAULI_X,
     PAULI_Y,
@@ -363,9 +363,18 @@ def protected_two_state_measurement(
     post-selected, and the pointer mean then approaches the real part of
     the target's weak value as the protection dominates the momentum scale
     (reported as lambda*N/P0 with P0 = 1/delta).
+
+    D = exp(-i pi J_z), up to a phase the signature (-1)^(spin + target index),
+    commutes with the protection and negates I x obs when `obs` has a zero
+    diagonal (any sigma in the xy-plane); then h(-p) = D h(p) D entry by entry
+    and U(-p) init = D U(p) D init, so each exact +-p pair shares one eigh.
     """
     if target_tsv.dim != 2:
         raise ValidationError("the protected target must be a spin-1/2 description")
+    if obs.dim != 2:
+        raise DimensionMismatch(f"the protected observable must be 2x2, got {obs.dim}x{obs.dim}")
+    if not math.isfinite(coupling):
+        raise ValidationError(f"protection coupling must be finite, got {coupling}")
     alpha_dir = _bloch_direction(target_tsv.ket.normalized().amplitudes)
     beta_dir = _bloch_direction(target_tsv.bra.ket_form / np.linalg.norm(target_tsv.bra.ket_form))
     pre_protector = spin.coherent_state(alpha_dir)
@@ -377,12 +386,18 @@ def protected_two_state_measurement(
     init = np.kron(pre_protector, target_tsv.ket.normalized().amplitudes)
 
     mom, mask = _significant_momentum(pointer)
+    ps, significant = mom.grid.values, np.flatnonzero(mask)
+    partner = {} if obs.matrix.diagonal().any() else dict(zip(ps[significant].tolist(), significant))
+    sign = np.kron((-1.0) ** np.arange(dim_s), [1.0, -1.0])
     out = np.zeros((mom.grid.points, 2), dtype=complex)
-    for idx in np.where(mask)[0]:
-        h = protection + mom.grid.values[idx] * coupling_op
-        w, v = np.linalg.eigh(h)
-        evolved = v @ (np.exp(-1j * w) * (v.conj().T @ init))
-        out[idx] = (post_protector.conj() @ evolved.reshape(dim_s, 2)) * mom.values[idx]
+    for idx in significant:
+        mirror = partner.get(-ps[idx], idx)
+        if mirror < idx:
+            continue
+        w, v = np.linalg.eigh(protection + ps[idx] * coupling_op)
+        for j, flip in ((idx, 1.0), (mirror, sign))[: 1 + (mirror != idx)]:
+            evolved = flip * (v @ (np.exp(-1j * w) * (v.conj().T @ (flip * init))))
+            out[j] = (post_protector.conj() @ evolved.reshape(dim_s, 2)) * mom.values[j]
 
     post_norm = float((np.abs(out[mask]) ** 2).sum() * mom.grid.spacing)
     if post_norm < 1e-20:

@@ -7,7 +7,9 @@ diagonal in the product basis, their diagonals).  `projectors` forms a
 spectral decomposition's dense d x d projectors, which `verify_projectors`
 checks, and `evolve_unitary` moves states in time; the library does
 neither.  `expectation_value` is the pre-selected-only end of the
-weak-value chain.
+weak-value chain.  `protected_measurement_per_momentum` is the protected
+two-state measurement with one eigh for every momentum, which the library
+shares between each +-p pair.
 """
 
 from __future__ import annotations
@@ -15,9 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 from twostate.errors import DimensionMismatch
-from twostate.linalg import DenseOperator, spin_direction, spin_up
-from twostate.pointer import pointer_distribution_postselected
+from twostate.linalg import PAULI_X, PAULI_Y, PAULI_Z, DenseOperator, spin_direction, spin_up, unit_density
+from twostate.pointer import _peak_location, pointer_distribution_postselected
+from twostate.protective import (
+    ProtectedMeasurementResult,
+    _bloch_direction,
+    _position_densities,
+    _protection_matrix,
+    _significant_momentum,
+)
 from twostate.states import CoStateVector, StateVector, TwoStateVector
+from twostate.weak import weak_value
 
 
 def projectors(decomp) -> list:
@@ -87,3 +97,32 @@ def n_spin_pointer(n: int, pointer):
     up_x, up_y = spin_up([1, 0, 0]), spin_up([0, 1, 0])
     tsv = TwoStateVector(CoStateVector.from_ket(kron_all([up_y] * n)), StateVector(kron_all([up_x] * n)))
     return pointer_distribution_postselected(tsv, DenseOperator(avg), pointer)
+
+
+def protected_measurement_per_momentum(target_tsv, obs, spin, coupling, pointer) -> ProtectedMeasurementResult:
+    """`protected_two_state_measurement` with its own eigh of -lambda*S.sigma + p*obs at every significant p."""
+    ket, bra = target_tsv.ket.normalized().amplitudes, target_tsv.bra.ket_form
+    pre_protector = spin.coherent_state(_bloch_direction(ket))
+    post_protector = spin.coherent_state(_bloch_direction(bra / np.linalg.norm(bra)))
+    protection = _protection_matrix(spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    coupling_op = np.kron(np.eye(spin.dim), obs.matrix)
+    init = np.kron(pre_protector, ket)
+    mom, mask = _significant_momentum(pointer)
+    out = np.zeros((mom.grid.points, 2), dtype=complex)
+    for idx in np.flatnonzero(mask):
+        w, v = np.linalg.eigh(protection + mom.grid.values[idx] * coupling_op)
+        evolved = v @ (np.exp(-1j * w) * (v.conj().T @ init))
+        out[idx] = (post_protector.conj() @ evolved.reshape(spin.dim, 2)) * mom.values[idx]
+    post_norm = float((np.abs(out[mask]) ** 2).sum() * mom.grid.spacing)
+    grid, terms = _position_densities(mom.grid, out, mom.conjugate_lo)
+    dens = unit_density(sum(terms), grid.spacing)
+    shift = float((grid.values * dens).sum() * grid.spacing)
+    target = weak_value(target_tsv, obs).real
+    return ProtectedMeasurementResult(
+        pointer_shift=shift,
+        target_value=target,
+        error=abs(shift - target),
+        lambda_n_over_p0=coupling * spin.spin_n / (1.0 / pointer.delta),
+        post_selection_prob=post_norm,
+        peak_location=_peak_location(grid, dens),
+    )

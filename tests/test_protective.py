@@ -1,9 +1,14 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from twostate.errors import ValidationError
+from dense_oracles import protected_measurement_per_momentum
+from twostate.errors import DimensionMismatch, ValidationError
 from twostate.linalg import (
     DenseOperator,
     PAULI_X,
@@ -22,6 +27,7 @@ from twostate.protective import (
     LargeSpin,
     _eigh_exponential,
     _ordered_propagators,
+    _protection_matrix,
     _significant_momentum,
     _two_level_exponential,
     adiabatic_protective_measurement,
@@ -369,6 +375,154 @@ def test_aligned_selections_reduce_to_single_state_protection():
     same = TwoStateVector(CoStateVector.from_ket(up_x), StateVector(up_x))
     res = protected_two_state_measurement(same, spin_direction([1, 1, 0]), spin, 0.5, pointer)
     assert res.pointer_shift == pytest.approx(1 / SQRT2, abs=1e-3)
+
+
+def _protected_case(obs_direction=(1, 1, 0), spin_n=10, coupling=0.5, delta=10.0, points=4096, target=None):
+    target = bisector_target() if target is None else target
+    pointer = GaussianPointer.for_spectrum(delta, [1.0], points=points)
+    return target, spin_direction(list(obs_direction)), LargeSpin(spin_n), coupling, pointer
+
+
+def _aligned_target():
+    up_x = spin_up([1, 0, 0])
+    return TwoStateVector(CoStateVector.from_ket(up_x), StateVector(up_x))
+
+
+# The benchmark's request, this module's spin-10 requests, a coarse grid with an
+# asymmetric xy observable, and two observables with a nonzero diagonal, where
+# no momentum pairs.
+PROTECTED_CASES = {
+    "bench": lambda: _protected_case(spin_n=20, coupling=1.0),
+    "spin10-ratio5": lambda: _protected_case(coupling=0.05),
+    "spin10-ratio15": lambda: _protected_case(coupling=0.15),
+    "spin10-ratio50": lambda: _protected_case(),
+    "spin10-unprotected": lambda: _protected_case(coupling=0.0),
+    "spin10-aligned": lambda: _protected_case(target=_aligned_target()),
+    "delta3-1024": lambda: _protected_case((1, -2, 0), delta=3.0, points=1024),
+    "obs-xz": lambda: _protected_case((1, 0, 1)),
+    "obs-z": lambda: _protected_case((0, 0, 1)),
+}
+
+
+def mirror_mismatches(cases=PROTECTED_CASES) -> dict:
+    """For each case, the result fields where the library and the one-eigh-per-momentum oracle differ."""
+    mismatches = {}
+    for name, case in cases.items():
+        got = protected_two_state_measurement(*case()).to_dict()
+        want = protected_measurement_per_momentum(*case()).to_dict()
+        mismatches[name] = {key: [got[key], want[key]] for key in want if got[key] != want[key]}
+    return mismatches
+
+
+@pytest.mark.parametrize("name", sorted(PROTECTED_CASES))
+def test_the_pm_p_mirror_leaves_every_result_bit_unchanged(name):
+    assert mirror_mismatches({name: PROTECTED_CASES[name]}) == {name: {}}
+
+
+def test_the_mirror_signature_maps_each_bench_block_onto_its_partner_exactly():
+    target, obs, spin, coupling, pointer = PROTECTED_CASES["bench"]()
+    protection = _protection_matrix(spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    coupling_op = np.kron(np.eye(spin.dim), obs.matrix)
+    mirror = np.diag(np.kron((-1.0) ** np.arange(spin.dim), [1.0, -1.0]))
+    mom, mask = _significant_momentum(pointer)
+    ps = set(mom.grid.values[mask].tolist())
+    paired = sorted(p for p in ps if p > 0 and -p in ps)
+    assert len(paired) == 17
+    for p in paired:
+        assert np.array_equal(protection - p * coupling_op, mirror @ (protection + p * coupling_op) @ mirror)
+
+
+@pytest.mark.parametrize(
+    "name, momenta, decompositions", [("bench", 35, 18), ("delta3-1024", 37, 25), ("obs-xz", 35, 35)]
+)
+def test_each_pm_p_pair_shares_one_decomposition(monkeypatch, name, momenta, decompositions):
+    target, obs, spin, coupling, pointer = PROTECTED_CASES[name]()
+    assert _significant_momentum(pointer)[1].sum() == momenta
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    protected_two_state_measurement(target, obs, spin, coupling, pointer)
+    joint = (2 * spin.dim, 2 * spin.dim)
+    assert calls.count(joint) == decompositions
+    assert len(calls) == decompositions + 2  # and one for each protector coherent state
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# Runs mirror_mismatches under the kernel OPENBLAS_CORETYPE names, and prints
+# the core OpenBLAS reports ("" where its library cannot be found) with them.
+_KERNEL_CHILD = """
+import ctypes, glob, json, os
+import numpy as np
+from test_protective import mirror_mismatches
+
+core = ""
+for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+        if hasattr(lib, name):
+            getattr(lib, name).restype = ctypes.c_char_p
+            core = getattr(lib, name)().decode()
+print(json.dumps([core, mirror_mismatches()]))
+"""
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_the_mirror_is_bit_exact_under_other_openblas_kernels():
+    # the sharing rests on eigh(D h D) returning eigh(h)'s eigenvalues and D times its eigenvectors, up to
+    # column signs, bit for bit; this holds it to two kernels besides the default
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    children = {
+        core: subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_CHILD],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1"),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for core in ("Haswell", "SkylakeX")
+    }
+    outputs = {core: child.communicate()[0] for core, child in children.items()}
+    for core, child in children.items():
+        assert child.returncode == 0
+        reported, mismatches = json.loads(outputs[core].splitlines()[-1])
+        if not reported:
+            pytest.skip("the OpenBLAS library does not report its core name")
+        assert reported.lower() == core.lower()
+        assert mismatches == {name: {} for name in PROTECTED_CASES}
+
+
+def _no_decomposition(*args, **kwargs):
+    raise AssertionError("eigh ran before the request was refused")
+
+
+def test_a_protected_observable_that_is_not_two_by_two_is_refused_before_any_work(monkeypatch):
+    # at the parent numpy raised "operands could not be broadcast together with shapes (14,14) (21,21)"
+    target, _, _, _, pointer = _protected_case()
+    monkeypatch.setattr(np.linalg, "eigh", _no_decomposition)
+    with pytest.raises(DimensionMismatch, match="2x2"):
+        protected_two_state_measurement(target, DenseOperator(np.diag([1.0, 0.0, -1.0])), LargeSpin(3), 0.5, pointer)
+
+
+@pytest.mark.parametrize("coupling", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_protection_coupling_is_refused_before_any_work(monkeypatch, coupling):
+    # at the parent a NaN coupling reached LAPACK: "Eigenvalues did not converge"
+    args = _protected_case(coupling=coupling)
+    monkeypatch.setattr(np.linalg, "eigh", _no_decomposition)
+    with pytest.raises(ValidationError, match="coupling must be finite"):
+        protected_two_state_measurement(*args)
 
 
 def test_model_spin_protection_reproduces_the_spin_half_case():
