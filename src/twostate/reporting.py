@@ -3,7 +3,8 @@
 Every number is written with 17 significant digits (round-trippable for
 IEEE doubles), keys are sorted, line endings are LF, and files are written
 atomically (temp file + rename) so interrupted runs never leave partial
-output behind.
+output behind.  A `Grid1D` column is formatted once per process: its text
+depends only on the grid's exact bounds and point count.
 """
 
 from __future__ import annotations
@@ -12,8 +13,11 @@ import json
 import math
 import os
 import tempfile
+from functools import lru_cache
 
 import numpy as np
+
+from .linalg import Grid1D
 
 
 def format_float(x: float) -> str:
@@ -67,8 +71,18 @@ def stable_json(obj) -> str:
     return _encode(obj, 0) + "\n"
 
 
+@lru_cache(maxsize=16)
+def _grid_text(lo: str, hi: str, points: int) -> str:
+    """The `%.17g` cells of the float64 grid on the bounds `float.fromhex(lo)`, `float.fromhex(hi)`, one per line."""
+    return ("%.17g\n" * points % tuple(Grid1D(float.fromhex(lo), float.fromhex(hi), points).values.tolist()))[:-1]
+
+
 def _column_cells(column) -> tuple[str, list]:
     """The `%` conversion of one column and its cells: finite floats as floats under `%.17g`, else text under `%s`."""
+    if isinstance(column, Grid1D):
+        if column.values.dtype == np.float64:  # keyed by the bounds' bits: Grid1D equality takes -0.0 for 0.0
+            return "%s", _grid_text(float(column.lo).hex(), float(column.hi).hex(), column.points).split("\n")
+        column = column.values
     if isinstance(column, np.ndarray) and column.dtype.kind == "f" and np.isfinite(column).all():
         return "%.17g", column.tolist()  # the float path of format_float, without its per-cell NaN/inf tests
     cells = column.tolist() if isinstance(column, np.ndarray) else column
@@ -78,8 +92,10 @@ def _column_cells(column) -> tuple[str, list]:
 def csv_table(header: list[str], columns) -> str:
     """CSV of equal-length columns: 17-significant-digit floats, comma separators, LF endings.
 
-    A column is a numpy array or a sequence of Python values; cells are
-    written as `true`/`false`, integers, `format_float` floats, or `str()`.
+    A column is a numpy array, a sequence of Python values or a `Grid1D`;
+    cells are written as `true`/`false`, integers, `format_float` floats, or
+    `str()`.  A float64 `Grid1D` column is formatted once per process, keyed
+    by the exact bits of its bounds and its point count.
     The cells, interleaved row by row, fill one `%` template of the table in
     one pass; the header stays outside it, so a `%` in a name is kept as is.
     """

@@ -302,8 +302,8 @@ def _run_spin_xi(params: dict) -> ScenarioResult:
 
     fig = _FIGURE_BY_CONFIG.get((postselect, float(delta)), "pointer")
     tables = {
-        f"{fig}.csv": lambda: (["Q", "probability"], [dist.q_grid.values, dist.q_density]),
-        f"{fig}_momentum.csv": lambda: (["P", "probability"], [dist.p_grid.values, dist.p_density]),
+        f"{fig}.csv": lambda: (["Q", "probability"], [dist.q_grid, dist.q_density]),
+        f"{fig}_momentum.csv": lambda: (["P", "probability"], [dist.p_grid, dist.p_density]),
     }
 
     checks = [("weak_value_sqrt2", abs(wv - SQRT2) <= 1e-12)]
@@ -379,7 +379,7 @@ def _run_n_spin(params: dict) -> ScenarioResult:
         "local_maxima_above_1pct": n_peaks,
         "tensor_oracle_max_deviation": tensor_dev,
     }
-    tables = {"fig4.csv": lambda: (["Q", "probability"], [closed.q_grid.values, closed.q_density])}
+    tables = {"fig4.csv": lambda: (["Q", "probability"], [closed.q_grid, closed.q_density])}
     line = (
         f"n_spin_single_system: n={n} delta={delta} peak={closed.peak_location:.4f} "
         f"local_maxima={n_peaks}"
@@ -553,7 +553,7 @@ def _run_time_machine(params: dict) -> ScenarioResult:
     def fig5():
         target = gaussian_wavefunction(grid, width, center=eta * delta_t)
         columns = [np.abs(f.values) ** 2 for f in (fn, run.final_fn, target)]
-        return ["Q", "original", "superposed", "ideally_shifted"], [grid.values, *columns]
+        return ["Q", "original", "superposed", "ideally_shifted"], [grid, *columns]
 
     checks = [
         ("distortion_matches_analytic", abs(run.distortion - analytic) <= 1e-9 * max(analytic, 1e-30)),

@@ -42,15 +42,16 @@ def _require_overlap(ov: complex, scale: float) -> complex:
 
 
 def _unit_scaled(values, scale: float):
-    """`values` and `scale` times the power of two that takes `scale` into [0.5, 1); from below 2**-960, by none.
+    """`values` and `scale` times the power of two that takes `scale` into [0.5, 1); below 2**-960, refused.
 
     A power of two multiplies exactly, so every ratio of the values keeps its bits while their squares stop under-
     and overflowing: every ratio rule (`abl`, `born` and their kin) scales its amplitudes or its ket here.  Below
     2**-960, an amplitude that the ABL floor (1e-12 of the scale) lets through can carry more than 2**-52 of its
-    size in products that underflow (2**-1074 each, up to 2**22 of them), so such a description stays unscaled.
+    size in products that underflow (2**-1074 each, up to 2**22 of them), so such a description cannot be scaled,
+    and unscaled every amplitude (at most the scale) squares to 0.
     """
     if not scale >= 2.0**-960:
-        return values, scale
+        raise ValidationError(f"description scale {scale:.3e} is below 2**-960: its squared amplitudes underflow")
     factor = 2.0 ** -math.frexp(scale)[1]
     return values * factor, scale * factor
 

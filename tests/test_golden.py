@@ -18,6 +18,8 @@ import math
 import pytest
 from golden.record import CASES, golden_path, run_case
 
+from twostate.reporting import _grid_text
+
 RTOL = 1e-12
 COLUMN_FLOOR = 1e-14
 
@@ -104,3 +106,10 @@ def test_csv_only_runs_write_the_same_tables(case):
     both = run_case(case, "both")
     csv_only = run_case(case, "csv")
     assert csv_only == {name: text for name, text in both.items() if name != "results.json"}
+
+
+def test_every_golden_table_is_written_byte_for_byte_alike_with_the_grid_cache_cold_and_warm():
+    _grid_text.cache_clear()
+    cold = {case: run_case(case, "csv") for case in CASES}
+    assert _grid_text.cache_info().currsize > 0
+    assert {case: run_case(case, "csv") for case in CASES} == cold

@@ -223,6 +223,20 @@ def test_abl_takes_a_description_whose_amplitudes_square_to_zero():
     assert np.array_equal(abl(tiny, pauli("z")).probabilities, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("rule", ["abl", "basis_occupations", "abl_generalized"])
+def test_a_description_below_the_scaling_range_is_refused_by_its_scale(rule):
+    # <1e-150 e1| |1e-150 e1> has scale 1e-300, below 2**-960: its amplitudes square to 0, and the rules refused it as
+    # "post-selection is incompatible with every outcome", which it is not
+    tiny = TwoStateVector(CoStateVector.from_ket([1e-150, 0.0]), StateVector([1e-150, 0.0]))
+    call = {
+        "abl": lambda: abl(tiny, projector_onto([1.0, 0.0])),
+        "basis_occupations": lambda: basis_occupation_probabilities(tiny),
+        "abl_generalized": lambda: abl_generalized(tiny, np.eye(2)),
+    }[rule]
+    with pytest.raises(ValidationError, match=r"scale 1\.000e-300 is below 2\*\*-960"):
+        call()
+
+
 def test_degenerate_post_with_identity_is_born_rule():
     rng = np.random.default_rng(2)
     psi = StateVector(rng.normal(size=4) + 1j * rng.normal(size=4))

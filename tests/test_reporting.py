@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twostate.reporting import csv_table, format_float
+from twostate.linalg import Grid1D
+from twostate.reporting import _grid_text, csv_table, format_float
 
 
 def rowwise_csv(header, rows):
@@ -84,3 +85,48 @@ def test_percent_signs_in_names_and_cells_are_written_as_they_stand():
     text = csv_table(header, columns)
     assert text == rowwise_csv(header, zip(*cells))
     assert text == "50%,%s,%%,x\n50%,%s,0.25,1\n%d,%(x)s,100,NaN\n"
+
+
+def assert_grid_written_as_its_values(grid):
+    density = np.linspace(0.0, 1.0, grid.points) ** 3
+    assert csv_table(["Q", "p"], [grid, density]) == csv_table(["Q", "p"], [grid.values, density])
+
+
+def test_grids_that_compare_equal_but_end_in_signed_zeros_keep_their_own_text():
+    # Grid1D(-1.0, -0.0, 16) == Grid1D(-1.0, 0.0, 16), with equal hashes, but linspace ends one in -0.0 and the
+    # other in 0.0: a cache keyed by the grid would write the first one's last cell for the second
+    negative, positive = Grid1D(-1.0, -0.0, 16), Grid1D(-1.0, 0.0, 16)
+    assert negative == positive
+    for order in ((negative, positive), (positive, negative)):
+        _grid_text.cache_clear()
+        for grid in order:
+            assert_grid_written_as_its_values(grid)
+    assert csv_table(["Q"], [negative]).endswith("\n-0\n") and csv_table(["Q"], [positive]).endswith("\n0\n")
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 3), (-2, 1.5), (1e-300, 3e-300), (-5e-300, 1e-300), (-1e300, 1e300), (1e299, 1.7e300)]
+)
+@pytest.mark.parametrize("points", [16, 4096])
+def test_a_grid_column_is_written_as_its_values_cold_and_warm(lo, hi, points):
+    grid = Grid1D(lo, hi, points)
+    _grid_text.cache_clear()
+    assert_grid_written_as_its_values(grid)  # formatted
+    assert_grid_written_as_its_values(Grid1D(lo, hi, points))  # read back, for an equal grid
+
+
+def test_grids_evicted_from_the_cache_are_written_as_their_values_again():
+    _grid_text.cache_clear()
+    held = _grid_text.cache_info().maxsize
+    grids = [Grid1D(0.0, 1.0 + k, 16) for k in range(held + 4)]
+    for grid in grids + grids:
+        assert_grid_written_as_its_values(grid)
+    assert _grid_text.cache_info().currsize == held
+
+
+def test_a_float32_grid_is_written_as_its_float32_values_beside_the_float64_grid_on_its_bounds():
+    single = Grid1D(np.float32(0.1), np.float32(1.0), 16)
+    double = Grid1D(float(np.float32(0.1)), 1.0, 16)
+    assert single.values.dtype == np.float32 and not np.array_equal(single.values, double.values)
+    for grid in (double, single, double):
+        assert_grid_written_as_its_values(grid)
