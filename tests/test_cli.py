@@ -197,9 +197,8 @@ def test_widths_whose_square_leaves_the_float_range_are_refused(scenario, param,
     assert not any(tmp_path.iterdir())
 
 
-def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
-    # nor the protective module, which no scenario runs; nor fractions and decimal, which only the time machine's
-    # schedule needs; and no class of the package is a dataclass, whose methods a cold import would compile
+def unwanted_modules_around_a_cli_run(argv, tmp_path):
+    """[after import, exit code, after the run]: the unwanted modules and dataclasses loaded in a fresh process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"""
@@ -216,11 +215,24 @@ def loaded():
     return modules + classes
 
 after_import = loaded()
-exit_code = twostate.cli.main(["run", "three_box", "--out", {str(tmp_path)!r}])
+exit_code = twostate.cli.main(["run", *{argv!r}, "--out", {str(tmp_path)!r}])
 print(json.dumps([after_import, exit_code, loaded()]))
 """
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    # nor the protective module, which no scenario runs; nor fractions and decimal, which only the time machine's
+    # schedule needs; and no class of the package is a dataclass, whose methods a cold import would compile
+    assert unwanted_modules_around_a_cli_run(["three_box"], tmp_path) == [[], 0, []]
+
+
+def test_writing_csv_tables_leaves_scipy_fractions_and_decimal_unloaded(tmp_path):
+    # the float cells' power-of-ten table is made from Python integers alone
+    argv = ["spin_xi_weak", "--format", "both"]
+    assert unwanted_modules_around_a_cli_run(argv, tmp_path) == [[], 0, []]
+    assert sorted(os.listdir(tmp_path / "spin_xi_weak")) == ["fig3e.csv", "fig3e_momentum.csv", "results.json"]
 
 
 def test_environment_variable_sets_the_default_out_dir(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ import math
 import pytest
 from golden.record import CASES, golden_path, run_case
 
-from twostate.reporting import _grid_text
+from twostate.reporting import _grid_words
 
 RTOL = 1e-12
 COLUMN_FLOOR = 1e-14
@@ -109,7 +109,7 @@ def test_csv_only_runs_write_the_same_tables(case):
 
 
 def test_every_golden_table_is_written_byte_for_byte_alike_with_the_grid_cache_cold_and_warm():
-    _grid_text.cache_clear()
+    _grid_words.cache_clear()
     cold = {case: run_case(case, "csv") for case in CASES}
-    assert _grid_text.cache_info().currsize > 0
+    assert _grid_words.cache_info().currsize > 0
     assert {case: run_case(case, "csv") for case in CASES} == cold

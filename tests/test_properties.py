@@ -31,6 +31,9 @@ On rational entries n/m (|n|, m <= 20) and a diagonal observable, abl, born
 and the basis occupations match the same probabilities taken in exact
 Fractions from the float inputs, within a bound derived from the rounding
 of each product and sum.
+
+csv_table writes any finite float64 bit pattern as Python's `'%.17g' % x`,
+byte for byte.
 """
 
 import math
@@ -62,6 +65,7 @@ from twostate.linalg import (  # noqa: E402
     spin_direction,
 )
 from twostate.pointer import GaussianPointer, _invert_cdf, pointer_distribution_postselected  # noqa: E402
+from twostate.reporting import csv_table  # noqa: E402
 from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
 from twostate.weak import (  # noqa: E402
     _spinors,
@@ -593,3 +597,12 @@ def test_abl_born_and_basis_occupations_match_exact_rationals(case):
         min(float(t) for t in totals) - error,
         scale,
     )
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_csv_table_writes_finite_float64_bit_patterns_as_percent_17g(patterns):
+    # the array passes of csv_table against Python's correctly rounded conversion, cell by cell
+    x = np.array(patterns, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)]
+    assert csv_table(["x"], [x]) == "x\n" + "".join("%.17g\n" % v for v in x.tolist())

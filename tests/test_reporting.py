@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from twostate.linalg import Grid1D
-from twostate.reporting import _grid_text, csv_table, format_float
+from twostate.reporting import _grid_words, csv_table, format_float
 
 
 def rowwise_csv(header, rows):
@@ -98,7 +99,7 @@ def test_grids_that_compare_equal_but_end_in_signed_zeros_keep_their_own_text():
     negative, positive = Grid1D(-1.0, -0.0, 16), Grid1D(-1.0, 0.0, 16)
     assert negative == positive
     for order in ((negative, positive), (positive, negative)):
-        _grid_text.cache_clear()
+        _grid_words.cache_clear()
         for grid in order:
             assert_grid_written_as_its_values(grid)
     assert csv_table(["Q"], [negative]).endswith("\n-0\n") and csv_table(["Q"], [positive]).endswith("\n0\n")
@@ -110,18 +111,18 @@ def test_grids_that_compare_equal_but_end_in_signed_zeros_keep_their_own_text():
 @pytest.mark.parametrize("points", [16, 4096])
 def test_a_grid_column_is_written_as_its_values_cold_and_warm(lo, hi, points):
     grid = Grid1D(lo, hi, points)
-    _grid_text.cache_clear()
+    _grid_words.cache_clear()
     assert_grid_written_as_its_values(grid)  # formatted
     assert_grid_written_as_its_values(Grid1D(lo, hi, points))  # read back, for an equal grid
 
 
 def test_grids_evicted_from_the_cache_are_written_as_their_values_again():
-    _grid_text.cache_clear()
-    held = _grid_text.cache_info().maxsize
+    _grid_words.cache_clear()
+    held = _grid_words.cache_info().maxsize
     grids = [Grid1D(0.0, 1.0 + k, 16) for k in range(held + 4)]
     for grid in grids + grids:
         assert_grid_written_as_its_values(grid)
-    assert _grid_text.cache_info().currsize == held
+    assert _grid_words.cache_info().currsize == held
 
 
 def test_a_float32_grid_is_written_as_its_float32_values_beside_the_float64_grid_on_its_bounds():
@@ -130,3 +131,86 @@ def test_a_float32_grid_is_written_as_its_float32_values_beside_the_float64_grid
     assert single.values.dtype == np.float32 and not np.array_equal(single.values, double.values)
     for grid in (double, single, double):
         assert_grid_written_as_its_values(grid)
+
+
+def assert_written_as_percent_17g(values):
+    """csv_table writes each finite float64 as `'%.17g' % x`, alone and beside another column."""
+    x = np.asarray(values, dtype=np.float64)
+    assert np.isfinite(x).all()
+    expected = ["%.17g" % v for v in x.tolist()]
+    for columns in ([x], [x, np.arange(x.size)]):
+        lines = csv_table([f"c{j}" for j in range(len(columns))], columns).split("\n")
+        assert len(lines) == x.size + 2 and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        wrong = [(v, row[0], want) for v, row, want in zip(x.tolist(), rows, expected) if row[0] != want]
+        assert not wrong, f"{len(wrong)} of {x.size} cells differ from %.17g; (value, written, expected): {wrong[:5]}"
+        assert all(row[1:] == [str(k)] * (len(columns) - 1) for k, row in enumerate(rows))
+
+
+def neighbours(x, steps=3):
+    """x and the `steps` doubles on either side of it."""
+    below, above = [float(x)], [float(x)]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def test_every_power_of_two_is_written_as_percent_17g():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    assert powers.size == 2098 and powers[0] == SUBNORMAL and np.isfinite(powers).all()
+    assert_written_as_percent_17g(np.concatenate([powers, -powers]))
+
+
+def test_every_power_of_ten_and_its_neighbours_are_written_as_percent_17g():
+    tens = [float(f"1e{k}") for k in range(-323, 309)]  # the double nearest 10**k
+    assert_written_as_percent_17g([x for ten in tens for x in neighbours(ten, 1)])
+
+
+@pytest.mark.parametrize("x", [1e-5, 1e-4, 1e16, 1e17])
+def test_neighbours_of_the_layout_and_exponent_changes_are_written_as_percent_17g(x):
+    # %g writes fixed point for 1e-4 <= |x| < 1e17, once rounded to 17 digits, and the exponent form elsewhere
+    assert_written_as_percent_17g(neighbours(x, 20) + [-v for v in neighbours(x, 20)])
+
+
+def test_the_ends_of_the_float_range_zeros_and_negatives_are_written_as_percent_17g():
+    tiny = sys.float_info.min
+    ends = [SUBNORMAL, 2 * SUBNORMAL, *neighbours(tiny), sys.float_info.max, math.nextafter(sys.float_info.max, 0)]
+    cells = csv_table(["x"], [np.array(ends + [-v for v in ends] + [0.0, -0.0])]).split("\n")
+    assert cells[1:3] == ["4.9406564584124654e-324", "9.8813129168249309e-324"]
+    assert cells[-3:] == ["0", "-0", ""]
+    assert_written_as_percent_17g(ends + [-v for v in ends] + [0.0, -0.0])
+
+
+def decimal_ties(odd_17th_digit, per_scale=40, seed=0):
+    """Doubles m / 2**k whose decimal expansion has exactly 18 significant digits and ends in 5.
+
+    m is odd, so m / 2**k = m 5**k / 10**k ends in 5; with m 5**k between 1e17
+    and 1e18 its 17-digit rounding is an exact tie, which `%.17g` rounds half
+    to even.  Every such tie has 2 <= k <= 25.
+    """
+    rng = np.random.default_rng(seed)
+    ties = []
+    for k in range(2, 26):
+        low, high = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+        for m in rng.integers(low, high, per_scale * 4).tolist():
+            m |= 1
+            digits = m * 5**k
+            if 10**17 <= digits < 10**18 and (digits // 10) % 2 == odd_17th_digit:
+                ties.append(m / 2**k)
+    assert len(ties) > 10 * per_scale
+    return ties
+
+
+@pytest.mark.parametrize("odd_17th_digit", [1, 0], ids=["odd 17th digit", "even 17th digit"])
+def test_exact_decimal_ties_are_rounded_half_to_even_as_percent_17g(odd_17th_digit):
+    ties = decimal_ties(odd_17th_digit)
+    assert_written_as_percent_17g(ties + [-x for x in ties])
+    expected = "x\n1166471051748867.8\n1166471051748867.2\n"  # the 17th digits 7 and 2 round up and stay
+    assert csv_table(["x"], [np.array([1166471051748867.75, 1166471051748867.25])]) == expected
+
+
+def test_a_text_cell_holding_a_nul_character_is_refused():
+    with pytest.raises(ValueError, match="NUL"):
+        csv_table(["s"], [["a", "b\0c"]])
+
