@@ -137,8 +137,13 @@ def _regime(delta: float, eigenvalues) -> str:
     return "intermediate"
 
 
-def _peak_location(grid: Grid1D, density: np.ndarray) -> float:
-    """Quadratic interpolation around the grid maximum for sub-grid accuracy."""
+def density_mean(grid: Grid1D, density: np.ndarray) -> float:
+    """The mean of a unit density sampled on `grid`: the Riemann sum of Q * density."""
+    return float(np.sum(grid.values * density) * grid.spacing)
+
+
+def density_peak(grid: Grid1D, density: np.ndarray) -> float:
+    """The density's maximum, quadratically interpolated between its grid neighbours for sub-grid accuracy."""
     i = int(np.argmax(density))
     if i == 0 or i == density.size - 1:
         return float(grid.values[i])
@@ -156,8 +161,8 @@ def _pointer_result(pointer: GaussianPointer, q_density: np.ndarray, p_source: W
         q_grid=grid,
         q_density=q_density,
         p_source=p_source,
-        peak_location=_peak_location(grid, q_density),
-        mean=float(np.sum(grid.values * q_density) * grid.spacing),
+        peak_location=density_peak(grid, q_density),
+        mean=density_mean(grid, q_density),
         delta=pointer.delta,
         regime=_regime(pointer.delta, centers),
     )

@@ -41,7 +41,7 @@ from .linalg import (
     unit_density,
     unit_vector,
 )
-from .pointer import GaussianPointer, _peak_location
+from .pointer import GaussianPointer, density_mean, density_peak
 from .states import CoStateVector, StateVector, TwoStateVector
 from .weak import weak_value
 
@@ -270,16 +270,14 @@ def adiabatic_protective_measurement(
     block = np.zeros((mom.grid.points, d), dtype=complex)
     block[mask] = branch_amps * mom.values[mask, None]
     grid, terms = _position_densities(mom.grid, block, mom.conjugate_lo)
-    q = grid.values
-    overall_shift = float((q * unit_density(sum(terms), grid.spacing)).sum() * grid.spacing)
+    overall_shift = density_mean(grid, unit_density(sum(terms), grid.spacing))
 
     weights, shifts = [], []
     for i in range(d):
         wgt = float((np.abs(block[mask, i]) ** 2).sum() / (np.abs(block[mask]) ** 2).sum())
         weights.append(wgt)
         if wgt > 1e-12:
-            bdens = unit_density(terms[i], grid.spacing)
-            shifts.append(float((q * bdens).sum() * grid.spacing))
+            shifts.append(density_mean(grid, unit_density(terms[i], grid.spacing)))
         else:
             shifts.append(float("nan"))
     targets = np.array([float(np.vdot(basis[:, i], am @ basis[:, i]).real) for i in range(d)])
@@ -405,8 +403,7 @@ def protected_two_state_measurement(
 
     grid, terms = _position_densities(mom.grid, out, mom.conjugate_lo)
     dens = unit_density(sum(terms), grid.spacing)
-    q = grid.values
-    shift = float((q * dens).sum() * grid.spacing)
+    shift = density_mean(grid, dens)
     target = weak_value(target_tsv, obs).real
     p0 = 1.0 / pointer.delta
     return ProtectedMeasurementResult(
@@ -415,7 +412,7 @@ def protected_two_state_measurement(
         error=abs(shift - target),
         lambda_n_over_p0=coupling * spin.spin_n / p0,
         post_selection_prob=post_norm,
-        peak_location=_peak_location(grid, dens),
+        peak_location=density_peak(grid, dens),
     )
 
 

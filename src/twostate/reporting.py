@@ -60,16 +60,14 @@ def _encode(obj, level: int) -> str:
             return "[]"
         items = [f"{pad_in}{_encode(v, level + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    # numpy scalars and arrays funnel through their Python equivalents
-    if hasattr(obj, "item") and not hasattr(obj, "__len__"):
-        return _encode(obj.item(), level)
-    if hasattr(obj, "tolist"):
-        return _encode(obj.tolist(), level)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def stable_json(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indents, 17-significant-digit floats, LF."""
+    """Canonical JSON text: sorted keys, two-space indents, 17-significant-digit floats, LF.
+
+    `obj` holds Python values only: None, bools, ints, floats, strings, lists, tuples and dicts keyed by strings.
+    """
     return _encode(obj, 0) + "\n"
 
 

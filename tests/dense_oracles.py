@@ -18,7 +18,7 @@ import numpy as np
 
 from twostate.errors import DimensionMismatch
 from twostate.linalg import PAULI_X, PAULI_Y, PAULI_Z, DenseOperator, spin_direction, spin_up, unit_density
-from twostate.pointer import _peak_location, pointer_distribution_postselected
+from twostate.pointer import density_peak, pointer_distribution_postselected
 from twostate.protective import (
     ProtectedMeasurementResult,
     _bloch_direction,
@@ -124,5 +124,5 @@ def protected_measurement_per_momentum(target_tsv, obs, spin, coupling, pointer)
         error=abs(shift - target),
         lambda_n_over_p0=coupling * spin.spin_n / (1.0 / pointer.delta),
         post_selection_prob=post_norm,
-        peak_location=_peak_location(grid, dens),
+        peak_location=density_peak(grid, dens),
     )

@@ -13,7 +13,7 @@ at seeds 0 and 7:
   and two cones past it;
 - each request of ``EXTRA_RUNS`` with ``--format both``: ``n_box``'s
   one-pass weak value at its fewest boxes, a mid count and its most, and
-  ``three_box`` one particle past its tensor cap;
+  ``three_box`` at ten particles, twice its default;
 - every CLI request of the benchmark workloads in ``bench/workloads.py``,
   in-process through ``twostate.cli.main``;
 - both library calls of the benchmark, whose ``to_dict()`` is written as

@@ -9,8 +9,8 @@ import pytest
 from twostate import cli
 from twostate.cli import main
 from twostate.errors import ValidationError
-from twostate.reporting import csv_table, format_float
-from twostate.scenarios import REGISTRY, ScenarioResult, ScenarioSpec, get_scenario
+from twostate.reporting import csv_table, format_float, write_text_atomic
+from twostate.scenarios import REGISTRY, ParamSpec, ScenarioResult, ScenarioSpec, get_scenario
 
 
 def run_cli(*argv):
@@ -551,3 +551,61 @@ def test_n_box_weak_value_sum_is_checked_at_its_own_round_off(boxes, tmp_path, c
     payload = json.loads((tmp_path / "n_box" / "results.json").read_text())
     assert payload["passed"] is True
     assert payload["checks"]["weak_values_sum_to_one"] is True
+
+
+def _checked_stand_in(monkeypatch) -> None:
+    """Register `checked`, whose check `x_is_not_2` fails for x = 2 only; it writes results.json and one table."""
+
+    def runner(params):
+        checks = [("always_holds", True), ("x_is_not_2", params["x"] != 2)]
+        tables = {"x.csv": lambda: (["x"], [[params["x"]]])}
+        return ScenarioResult("checked", params, f"checked: x={params['x']}", {"x": params["x"]}, tables, checks)
+
+    spec = ScenarioSpec("checked", "a stand-in with a failing check", (ParamSpec("x", "int", 2),), runner)
+    monkeypatch.setitem(REGISTRY, "checked", spec)
+
+
+def test_a_failed_check_exits_1_names_the_check_and_still_writes_the_files(tmp_path, monkeypatch, capsys):
+    _checked_stand_in(monkeypatch)
+    assert run_cli("run", "checked", "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "numerical checks failed: x_is_not_2\n"
+    assert sorted(p.name for p in (tmp_path / "checked").iterdir()) == ["results.json", "x.csv"]
+    payload = json.loads((tmp_path / "checked" / "results.json").read_text())
+    assert payload["passed"] is False and payload["checks"] == {"always_holds": True, "x_is_not_2": False}
+    assert run_cli("run", "checked", "--param", "x=3", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_sweep_exits_1_when_any_value_fails_its_checks(tmp_path, monkeypatch, capsys):
+    _checked_stand_in(monkeypatch)
+    assert run_cli("sweep", "checked", "--param-name", "x", "--values", "1,3", "--out", str(tmp_path)) == 0
+    assert run_cli("sweep", "checked", "--param-name", "x", "--values", "1,2,3", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "checked" / "sweep_x.csv").read_text() == "x\n1\n2\n3\n"
+
+
+def test_a_param_override_without_an_equals_sign_is_a_usage_error(tmp_path, capsys):
+    assert run_cli("run", "three_box", "--param", "n_particles", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: parameter override 'n_particles' must look like key=value\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("values", ["", ",", " , ,"])
+def test_a_sweep_without_values_is_a_usage_error(values, tmp_path, capsys):
+    assert run_cli("sweep", "n_box", "--param-name", "boxes", "--values", values, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: no sweep values supplied\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_write_whose_rename_fails_leaves_no_temporary_file_and_exits_2(tmp_path, capsys):
+    # os.replace cannot put a file over a directory: the temporary file is removed and the OSError raised
+    target = tmp_path / "three_box" / "results.json"
+    target.mkdir(parents=True)
+    with pytest.raises(OSError):
+        write_text_atomic(str(target), "{}\n")
+    assert [p.name for p in (tmp_path / "three_box").iterdir()] == ["results.json"]
+    assert run_cli("run", "three_box", "--format", "json", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in (tmp_path / "three_box").iterdir()] == ["results.json"] and target.is_dir()

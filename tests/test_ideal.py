@@ -485,3 +485,16 @@ def test_basis_occupation_probabilities_refuse_a_zero_denominator():
         abl(tsv, projector_onto([0.0, 0.0, 1.0]))
     with pytest.raises(PostSelectionImpossible):
         basis_occupation_probabilities(tsv)
+
+
+def test_outcome_distribution_refuses_a_negative_probability_past_round_off():
+    assert OutcomeDistribution([0.0, 1.0], [-1e-13, 1.0 + 1e-13]).probabilities[0] == 0.0  # round-off is clipped
+    with pytest.raises(ValidationError, match="negative probability"):
+        OutcomeDistribution([0.0, 1.0], [-0.5, 1.5])
+
+
+def test_probability_of_a_value_that_is_not_an_eigenvalue_is_refused():
+    dist = OutcomeDistribution([-1.0, 1.0], [0.25, 0.75])
+    assert dist.probability_of(1.0) == 0.75
+    with pytest.raises(ValidationError, match="0.5 is not an eigenvalue"):
+        dist.probability_of(0.5)

@@ -479,3 +479,31 @@ def test_top_eigenvector_is_phase_fixed_and_unit_density_refuses_zero():
     assert dens.sum() * 0.25 == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValidationError):
         unit_density(np.zeros(64), 0.25)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [(np.ones((2, 3)), "expected a square matrix"), (np.ones(4), "expected a square matrix"),
+     ([[1.0, np.nan], [np.nan, 1.0]], "entries must be finite"), ([[np.inf]], "entries must be finite")],
+)
+def test_an_operator_matrix_that_is_not_square_or_not_finite_is_refused(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        DenseOperator(matrix)
+
+
+def test_operators_of_different_dimensions_do_not_add():
+    with pytest.raises(DimensionMismatch, match="operator dims 2 and 3"):
+        pauli("z") + identity(3)
+
+
+def test_a_tensor_product_of_vectors_past_the_cap_is_refused_before_it_is_built():
+    short, long = np.ones(2**10), np.ones(2**10 + 1)  # 2**20 + 2**10 entries: past DIMENSION_CAP by one row
+    assert tensor_product(short, short).size == 2**20
+    with pytest.raises(ResourceLimit, match="exceeds cap"):
+        tensor_product(short, long)
+
+
+@pytest.mark.parametrize("pair", [(lambda: (pauli("x"), np.ones(2))), (lambda: (np.ones(2), pauli("x")))])
+def test_a_tensor_product_of_an_operator_and_a_vector_is_refused(pair):
+    with pytest.raises(ValidationError, match="two operators or two vectors"):
+        tensor_product(*pair())

@@ -19,6 +19,8 @@ from twostate.linalg import (
 from twostate.pointer import (
     GaussianPointer,
     _invert_cdf,
+    density_mean,
+    density_peak,
     ensemble_mean_estimator,
     moment_expansion_residual,
     n_spin_pointer_closed_form,
@@ -515,3 +517,29 @@ def test_weak_limit_mean_approaches_the_weak_value():
     pointer = GaussianPointer.for_spectrum(30.0, [1.0, -1.0])
     res = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), pointer)
     assert abs(res.mean - SQRT2) <= 0.02
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_a_density_peak_at_a_grid_end_is_that_grid_point(end):
+    grid = Grid1D(0.0, 15.0, 16)
+    density = np.exp(-np.arange(16.0))
+    density = density if end == 0 else density[::-1]
+    assert density_peak(grid, density) == grid.values[end]
+
+
+def test_a_zero_second_difference_at_the_maximum_gives_the_grid_point():
+    # (1 - 2**-53) - 2 rounds to -1 (a tie, to even), so y0 - 2 y1 + y2 is 0 though y0 < y1 = y2
+    grid = Grid1D(0.0, 15.0, 16)
+    density = np.zeros(16)
+    density[4:7] = np.nextafter(1.0, 0.0), 1.0, 1.0
+    assert density[4] - 2 * density[5] + density[6] == 0.0
+    assert density_peak(grid, density) == grid.values[5] == 5.0
+    density[4:7] = 0.5, 1.0, 0.25
+    assert density_peak(grid, density) == pytest.approx(4.9, rel=0, abs=1e-15)  # the parabola through the three
+
+
+def test_the_density_mean_is_the_riemann_sum_of_q_times_the_density():
+    grid = Grid1D(0.0, 15.0, 16)
+    density = np.zeros(16)
+    density[4:7] = 0.25, 0.5, 0.25
+    assert density_mean(grid, density) == 5.0

@@ -127,7 +127,7 @@ def scaled_norm(a: np.ndarray) -> float:
 
 def term_size(description) -> float:
     """S = sum_i |alpha_i| |row_i| |ket_i|: what the terms' contractions would add up to if nothing cancelled."""
-    return float(sum(abs(a) * np.linalg.norm(b.row) * np.linalg.norm(k.amplitudes) for a, b, k in description.terms))
+    return float(sum(abs(a) * scaled_norm(b.row) * scaled_norm(k.amplitudes) for a, b, k in description.terms))
 
 
 @PROPERTY
@@ -196,7 +196,7 @@ def test_the_cone_kernel_is_the_abl_probability_of_plus_one(description, theta, 
     which the terms cancel.
     """
     obs = spin_direction([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
-    spread = np.linalg.norm(description.selection_amplitudes(hermitian_eigendecomposition(obs)))
+    spread = scaled_norm(description.selection_amplitudes(hermitian_eigendecomposition(obs)))
     assert_agree(
         outcome(abl, description, obs),
         outcome(abl_generalized, description, _spinors(theta, phi)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dense_oracles import protected_measurement_per_momentum
-from twostate.errors import DimensionMismatch, ValidationError
+from twostate.errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from twostate.linalg import (
     DenseOperator,
     PAULI_X,
@@ -580,3 +580,44 @@ def test_report_dictionaries_expose_the_run_diagnostics():
     adiabatic_payload = adiabatic.to_dict()
     assert "adiabaticity_leakage" in adiabatic_payload
     assert "shift" in adiabatic_payload
+
+
+@pytest.mark.parametrize(
+    "h0, obs, state",
+    [(3, 2, 2), (2, 3, 2), (2, 2, 3)],
+    ids=["hamiltonian", "observable", "state"],
+)
+def test_the_adiabatic_measurement_refuses_mismatched_dimensions(h0, obs, state, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _no_decomposition)
+    pointer = GaussianPointer.for_spectrum(2.0, [1.0], points=512)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        adiabatic_protective_measurement(
+            DenseOperator(np.diag(np.arange(1.0, h0 + 1))),
+            DenseOperator(np.eye(obs)),
+            StateVector(np.eye(state)[0]),
+            AdiabaticSchedule(total_time=5.0, steps=150),
+            pointer,
+        )
+
+
+def test_a_protector_description_of_another_dimension_is_refused():
+    spin = LargeSpin(3)
+    protector = protector_pair(LargeSpin(2), [1, 0, 0], [0, 1, 0])
+    with pytest.raises(ValidationError, match="does not match the spin dimension"):
+        weak_value_substituted_hamiltonian(protector, spin, 0.5)
+
+
+def test_a_protected_target_that_is_not_spin_half_is_refused_before_any_work(monkeypatch):
+    _, obs, spin, coupling, pointer = _protected_case()
+    target = TwoStateVector(CoStateVector.from_ket([1.0, 0.0, 1.0]), StateVector([1.0, 1.0, 0.0]))
+    monkeypatch.setattr(np.linalg, "eigh", _no_decomposition)
+    with pytest.raises(ValidationError, match="must be a spin-1/2 description"):
+        protected_two_state_measurement(target, obs, spin, coupling, pointer)
+
+
+def test_a_protector_post_selection_that_vanishes_is_refused():
+    # unprotected (coupling 0), the protector stays in its pre-selected coherent state along +z,
+    # orthogonal to the post-selected one along -z
+    target = TwoStateVector(CoStateVector.from_ket(spin_up([0, 0, -1])), StateVector(spin_up([0, 0, 1])))
+    with pytest.raises(PostSelectionImpossible, match="protector post-selection amplitude vanishes"):
+        protected_two_state_measurement(*_protected_case(coupling=0.0, points=512, target=target))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twostate.linalg import Grid1D
-from twostate.reporting import _grid_words, csv_table, format_float
+from twostate.reporting import _grid_words, csv_table, format_float, stable_json
 
 
 def rowwise_csv(header, rows):
@@ -214,3 +214,25 @@ def test_a_text_cell_holding_a_nul_character_is_refused():
     with pytest.raises(ValueError, match="NUL"):
         csv_table(["s"], [["a", "b\0c"]])
 
+
+
+def test_a_bool_is_not_formatted_as_a_float():
+    with pytest.raises(TypeError, match="bool is not a float"):
+        format_float(True)
+
+
+def test_json_object_keys_must_be_strings():
+    assert stable_json({"1": 2}) == '{\n  "1": 2\n}\n'
+    with pytest.raises(TypeError, match="keys must be strings, got int"):
+        stable_json({"results": {1: 2}})
+
+
+@pytest.mark.parametrize(
+    "value", [object(), {1.0, 2.0}, b"bytes", 1j, np.int64(3), np.bool_(True), np.array([0.5, 1.0])],
+    ids=["object", "set", "bytes", "complex", "numpy_int", "numpy_bool", "numpy_array"],
+)
+def test_stable_json_refuses_a_value_it_has_no_rule_for(value):
+    # results hold Python values: a numpy float64 is a float, every other numpy value is refused
+    assert stable_json([np.float64(0.1)]) == "[\n  0.10000000000000001\n]\n"
+    with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
+        stable_json({"value": [value]})

@@ -83,18 +83,17 @@ def test_three_box_default_results():
     assert res["prob_both_boxes_empty"] == pytest.approx(0.2, abs=1e-12)
 
 
-def test_three_box_linearity_fallback_for_large_ensembles():
-    result = get_scenario("three_box").run({"n_particles": 40}, seed=0)
-    assert result.results["pressure_weak_values"]["N3"] == pytest.approx(-40.0, abs=1e-9)
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
+def test_three_box_pressures_are_exactly_n_n_minus_n(n):
+    # (N_k)_w = n (P_k)_w, and (P_k)_w is exactly 1, 1, -1: no round-off survives
+    pressure = get_scenario("three_box").run({"n_particles": n}).results["pressure_weak_values"]
+    assert pressure == {"N1": float(n), "N2": float(n), "N3": float(-n)}
 
 
-def test_three_box_pressure_matches_the_kron_oracle_up_to_the_tensor_cap():
+def test_three_box_pressure_matches_the_kron_oracle():
     from dense_oracles import three_box_pressure
 
-    from twostate.scenarios import THREE_BOX_TENSOR_CAP
-
-    assert THREE_BOX_TENSOR_CAP >= 9  # n = 9 takes 12-16 ms warm on the tensors, n = 10 36-46 ms
-    for n in range(1, THREE_BOX_TENSOR_CAP + 1):
+    for n in range(1, 10):  # the oracle holds 3**n amplitudes
         pressure = get_scenario("three_box").run({"n_particles": n}).results["pressure_weak_values"]
         for box, label in enumerate(("N1", "N2", "N3")):
             assert pressure[label] == pytest.approx(three_box_pressure(n, box), rel=1e-12, abs=0)
@@ -347,3 +346,12 @@ def test_each_sweep_row_equals_an_independent_run_with_cold_caches(cold_setup, t
         assert float(row.pop(name)) == float(value)
         assert sorted(row) == sorted(flat)
         assert {key: float(cell) for key, cell in row.items()} == flat
+
+
+@pytest.mark.parametrize("sites, postselect_x", [(5, 5.0), (3, 1.5), (2049, -1.01)])
+def test_a_post_selection_point_whose_nearest_site_is_inside_the_well_is_refused(sites, postselect_x):
+    # |x| is past the well's half-width 1, but the lattice site nearest to it lies inside the well
+    x = np.linspace(-60.0, 60.0, sites)
+    assert abs(postselect_x) > 1.0 >= abs(x[np.argmin(np.abs(x - postselect_x))])
+    with pytest.raises(ValidationError, match="must sit at exactly zero potential"):
+        get_scenario("negative_kinetic_energy").run({"sites": sites, "postselect_x": postselect_x})

@@ -9,6 +9,7 @@ from twostate.states import (
     GeneralizedTwoStateVector,
     StateVector,
     TwoStateVector,
+    _require_overlap,
     interchange,
 )
 
@@ -199,3 +200,29 @@ def test_co_state_pairing_is_the_conjugated_contraction():
     assert np.allclose(bra.ket_form, a)
     with pytest.raises(DimensionMismatch):
         bra.pair(StateVector([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("amplitudes", [[1.0, np.nan], [np.inf, 0.0], [1.0, complex(0.0, -np.inf)]])
+def test_non_finite_amplitudes_are_refused(amplitudes):
+    for build in (StateVector, CoStateVector):
+        with pytest.raises(ValidationError, match="amplitudes must be finite"):
+            build(amplitudes)
+
+
+def test_a_bilinear_across_dimensions_is_refused():
+    tsv = TwoStateVector(CoStateVector.from_ket([1.0, 0.0]), StateVector([1.0, 1.0]))
+    with pytest.raises(DimensionMismatch, match="operator dim 3 vs description dim 2"):
+        tsv.bilinear(DenseOperator(np.eye(3)))
+
+
+@pytest.mark.parametrize("overlap", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(np.nan, 1.0)])
+def test_a_non_finite_overlap_is_refused_before_its_size_is_compared(overlap):
+    # every description whose overlap overflows overflows its size first, so the rule is called directly
+    with pytest.raises(ValidationError, match="is not finite"):
+        _require_overlap(overlap, 1.0)
+
+
+@pytest.mark.parametrize("thing", [StateVector([1.0, 0.0]), CoStateVector.from_ket([1.0, 0.0]), None])
+def test_only_a_description_can_be_interchanged(thing):
+    with pytest.raises(ValidationError, match=f"cannot interchange {type(thing).__name__}"):
+        interchange(thing)

@@ -532,3 +532,17 @@ def test_schedule_stores_its_exact_sums():
     sched = binomial_schedule(13, 10.0)
     assert sched.total == sum(sched.exact_weights) == 1
     assert sched.square_sum == sum(w * w for w in sched.exact_weights)
+
+
+def test_run_machine_refuses_a_momentum_space_function():
+    fn = gaussian_wavefunction(Grid1D(-10.0, 10.0, 256), 1.0)
+    momentum = WaveFunction1D(fn.grid, fn.values, "momentum")
+    with pytest.raises(ValidationError, match="shift the position representation"):
+        run_machine(momentum, 4, 2.0, 0.5)
+
+
+def test_a_zero_function_has_no_support_to_shift():
+    # run_machine normalizes first and refuses a zero function there, so the shift rule is called directly
+    zero = WaveFunction1D(Grid1D(-10.0, 10.0, 256), np.zeros(256))
+    with pytest.raises(ValidationError, match="cannot shift a zero wavefunction"):
+        _masked_shift_spectrum(zero, 0.0, 1.0)

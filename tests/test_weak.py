@@ -459,3 +459,30 @@ def test_direction_spinors_are_the_eigenvectors_of_sigma_dot_n(theta, phi):
 def test_direction_spinors_of_an_angle_array_are_those_of_each_angle():
     thetas, phis = np.array(ANGLES).T
     assert np.array_equal(_spinors(thetas, phis), [_spinors(t, p) for t, p in ANGLES])
+
+
+def test_a_real_weak_vector_shorter_than_one_has_an_empty_cone_and_no_candidate(monkeypatch):
+    # 3/4 <up| |up> + 1/4 <down| |down> (weights 3 and 1): w = (0, 0, 1/2), and w . n = 1 has no solution
+    up, down = spin_up([0, 0, 1]), spin_up([0, 0, -1])
+    mixed = GeneralizedTwoStateVector(
+        [(3.0, CoStateVector.from_ket(up), StateVector(up)), (1.0, CoStateVector.from_ket(down), StateVector(down))]
+    )
+    assert np.allclose(weak_vector(mixed), [0.0, 0.0, 0.5], rtol=0, atol=1e-15)
+    monkeypatch.setattr(weak, "abl_generalized", lambda *args: pytest.fail("a candidate was certified"))
+    assert certainty_cone(mixed, samples=8).shape == (0, 3)
+
+
+def test_a_candidate_whose_abl_denominator_vanishes_is_skipped(monkeypatch):
+    full = certainty_cone(spin_cone_gtsv(np.pi / 8), samples=8)
+    assert len(full) == 8  # every candidate certified
+    abl_generalized, calls = weak.abl_generalized, []
+
+    def first_refused(description, spinors):
+        calls.append(spinors)
+        if len(calls) == 1:
+            raise PostSelectionImpossible("the ABL denominator is zero: post-selection is incompatible with every outcome")
+        return abl_generalized(description, spinors)
+
+    monkeypatch.setattr(weak, "abl_generalized", first_refused)
+    cone = certainty_cone(spin_cone_gtsv(np.pi / 8), samples=8)
+    assert len(calls) == 8 and np.array_equal(cone, full[1:])
