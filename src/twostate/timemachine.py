@@ -20,9 +20,9 @@ product form of the spectral multiplier
 which is stable where the expanded sum is catastrophically ill-conditioned.
 `run_machine` shifts through the module's masked spectrum
 (`_masked_shift_spectrum`); every distortion is one Parseval sum
-(`_shift_distortion`) over the k, B(k) and weights that a run and its
-analytic check share (`_machine_spectrum`).  The shell radii that realize
-the lags are no input of a run: a run takes the lags delta_t_n themselves.
+(`_shift_distortion`).  B(k) and its weights are evaluated only where the
+spectrum is nonzero (`_multiplier_on_support`).  The shell radii that
+realize the lags are no input of a run: a run takes the lags themselves.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import warnings
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, Record, WaveFunction1D, _read_only, require_integer, require_width
+from .linalg import Grid1D, Record, WaveFunction1D, require_integer, require_width
 
 # Spectral components below this fraction of the peak are treated as noise
 # when a superposition is assembled by Fourier shifting; binomial weight
@@ -88,13 +88,13 @@ def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float
     return (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
 
 
-@functools.lru_cache(maxsize=1, typed=True)  # one entry: a run and its analytic check share it
-def _machine_spectrum(grid: Grid1D, n_terms: int, eta: float, delta_t: float):
-    """Read-only wavenumbers k of `grid`, multiplier B(k) and distortion weights |B(k) - exp(-i*k*eta*delta_t)|**2."""
-    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
-    multiplier = _binomial_multiplier(k, n_terms, eta, delta_t)
-    miss = np.abs(multiplier - np.exp(-1j * k * (eta * delta_t))) ** 2
-    return _read_only(k), _read_only(multiplier), _read_only(miss)
+def _multiplier_on_support(spec: np.ndarray, k: np.ndarray, n_terms: int, eta: float, delta_t: float):
+    """Indices where `spec` is nonzero, B(k) there, and weights |B(k) - exp(-i*k*eta*delta_t)|**2, 0 elsewhere."""
+    kept = np.flatnonzero(spec)
+    multiplier = _binomial_multiplier(k[kept], n_terms, eta, delta_t)
+    miss = np.zeros(k.shape)
+    miss[kept] = np.abs(multiplier - np.exp(-1j * k[kept] * (eta * delta_t))) ** 2
+    return kept, multiplier, miss
 
 
 def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float) -> np.ndarray:
@@ -115,32 +115,29 @@ def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float)
     if support[0] + lo_shift < fn.grid.lo - 1e-9 or support[-1] + hi_shift > fn.grid.hi + 1e-9:
         raise GridOverflow("shifted support would leave the grid")
     spec = np.fft.fft(fn.values)
-    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
+    magnitude = np.abs(spec)
+    spec[magnitude < SPECTRAL_MASK_RTOL * magnitude.max()] = 0.0
     return spec
 
 
-def _spectrum_weight_above(spec: np.ndarray, k: np.ndarray, spacing: float) -> float:
-    """Fraction of the power of the FFT `spec` (wavenumbers `k`, samples `spacing` apart) above a quarter of Nyquist."""
-    power = np.abs(spec) ** 2
+def _spectrum_weight_above(power: np.ndarray, k: np.ndarray, spacing: float) -> float:
+    """Fraction of the spectral `power` |FFT|**2 (wavenumbers `k`, samples `spacing` apart) above a quarter of Nyquist."""
     total = power.sum()
     cut = 2 * np.pi * (0.25 * 0.5 / spacing)  # k of a quarter of the Nyquist frequency 0.5/spacing
     return float(power[np.abs(k) > cut].sum() / total) if total > 0 else 0.0
 
 
-def _shift_distortion(spec: np.ndarray, miss: np.ndarray) -> float:
-    """||superposition - f(. - shift)|| / ||f||, by discrete Parseval from the spectrum `spec` of f.
+def _shift_distortion(power: np.ndarray, miss: np.ndarray) -> float:
+    """||superposition - f(. - shift)|| / ||f||, by discrete Parseval from the power |spec|**2 of the spectrum of f.
 
     The superposition spec * B and the rigid shift spec * exp(-i*k*shift) differ
     by |spec|**2 * `miss`, miss = |B - exp(-i*k*shift)|**2, in power;
     sum_q |f_q|**2 dx = (dx/n) sum_k |spec_k|**2, and dx/n cancels in the ratio.
     """
-    power = np.abs(spec) ** 2
     return float(np.sqrt(np.sum(power * miss) / np.sum(power)))
 
 
-def gaussian_shift_distortion(
-    n_terms: int, eta: float, delta_t: float, width: float, grid: Grid1D
-) -> float:
+def gaussian_shift_distortion(n_terms: int, eta: float, delta_t: float, width: float, grid: Grid1D) -> float:
     """Distortion of the binomial superposition for an analytic Gaussian input.
 
     Uses the exact Gaussian spectrum instead of an FFT of samples, so the
@@ -150,13 +147,13 @@ def gaussian_shift_distortion(
     _require_schedule_inputs(n_terms, eta)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
     require_width(width, "width")
-    k, _, miss = _machine_spectrum(grid, n_terms, eta, delta_t)
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
     # grid is assumed wide enough that boundary tails vanish); only moduli
     # enter the Parseval sums, so grid-origin phases are irrelevant.
     amp = (np.pi * width**2) ** -0.25
     spectrum = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
-    return _shift_distortion(spectrum, miss)
+    return _shift_distortion(spectrum**2, _multiplier_on_support(spectrum, k, n_terms, eta, delta_t)[2])
 
 
 class MachineRun(Record):
@@ -190,10 +187,13 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     fn = system_fn.normalized()
     reach = sorted((0.0, delta_t, eta * delta_t))
     spec = _masked_shift_spectrum(fn, reach[0], reach[-1])
-    k, multiplier, miss = _machine_spectrum(fn.grid, n_terms, eta, delta_t)
-    if _spectrum_weight_above(spec, k, fn.grid.spacing) > 1e-6:
+    power = np.abs(spec) ** 2
+    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
+    if _spectrum_weight_above(power, k, fn.grid.spacing) > 1e-6:
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
-    superposed = np.fft.ifft(spec * multiplier)
+    kept, multiplier, miss = _multiplier_on_support(spec, k, n_terms, eta, delta_t)
+    spec[kept] *= multiplier  # the product spec * B(k); masked entries stay 0
+    superposed = np.fft.ifft(spec)
     norm0 = 1.0 / math.sqrt(float(sched.square_sum))
     contracted = norm0 / math.sqrt(n_terms + 1) * superposed
     success = float(np.sum(np.abs(contracted) ** 2) * fn.grid.spacing)
@@ -201,7 +201,7 @@ def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: fl
     return MachineRun(
         schedule=sched,
         final_fn=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
-        distortion=_shift_distortion(spec, miss),
+        distortion=_shift_distortion(power, miss),
         success_prob=success,
     )
 

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dense_oracles import protected_measurement_per_momentum
+from protection_models import model_spin_protection, verify_spin_algebra, weak_value_substituted_hamiltonian
 from twostate.errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from twostate.linalg import (
     DenseOperator,
@@ -31,9 +33,7 @@ from twostate.protective import (
     _significant_momentum,
     _two_level_exponential,
     adiabatic_protective_measurement,
-    model_spin_protection,
     protected_two_state_measurement,
-    weak_value_substituted_hamiltonian,
 )
 from twostate.states import CoStateVector, StateVector, TwoStateVector
 
@@ -53,7 +53,18 @@ def bisector_target() -> TwoStateVector:
 
 def test_spin_algebra_holds_up_to_n_twenty():
     for n in (1, 5, 10, 20):
-        LargeSpin(n).verify_algebra()
+        verify_spin_algebra(LargeSpin(n))
+
+
+def test_the_spin_algebra_check_refuses_a_wrong_commutator_and_a_wrong_casimir():
+    sx, sy, sz = LargeSpin(1).operators()
+    flipped = SimpleNamespace(spin_n=1, dim=3, operators=lambda: (sx, sy, -sz))
+    with pytest.raises(ValidationError, match=r"commutator \[Sx, Sy\] != i Sz"):
+        verify_spin_algebra(flipped)
+    # spin-2 operators keep the commutator but carry the Casimir 6, not the 2 of a spin 1
+    relabelled = SimpleNamespace(spin_n=1, dim=5, operators=LargeSpin(2).operators)
+    with pytest.raises(ValidationError, match=r"Casimir invariant is not N\(N\+1\)"):
+        verify_spin_algebra(relabelled)
 
 
 def test_spin_quantum_number_must_be_an_integer():

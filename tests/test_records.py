@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import protection_models
 from twostate import ideal, linalg, pointer, protective, scenarios, states, timemachine, weak
 from twostate.errors import ValidationError
 
@@ -154,8 +155,8 @@ CASES = {
         },
         {},
     ),
-    "protective.ModelSpinProtection": (
-        protective.ModelSpinProtection,
+    "protection_models.ModelSpinProtection": (
+        protection_models.ModelSpinProtection,
         {
             "model_sigma": (linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z),
             "protection_hamiltonian": linalg.pauli("z"),
@@ -221,9 +222,11 @@ def _build(name, **changes):
 
 
 def test_every_record_class_of_the_package_is_a_case():
+    # and of protection_models, the test helper that keeps the model-spin recipe no run takes
+    modules = (linalg, states, ideal, weak, pointer, timemachine, scenarios, protective, protection_models)
     classes = {
-        f"{module.__name__.split('.')[1]}.{attr}": obj
-        for module in (linalg, states, ideal, weak, pointer, timemachine, scenarios, protective)
+        f"{module.__name__.rsplit('.', 1)[-1]}.{attr}": obj
+        for module in modules
         for attr, obj in vars(module).items()
         if isinstance(obj, type) and obj.__module__ == module.__name__
     }

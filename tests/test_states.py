@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dense_oracles import evolve_unitary
@@ -163,11 +165,14 @@ def test_a_non_finite_weight_is_refused(weight):
         GeneralizedTwoStateVector([(1.0, bra, ket), (weight, bra, ket)])
 
 
-def test_an_overflowing_overlap_is_refused_as_not_finite():
+def test_a_description_whose_overlap_overflows_is_refused_by_its_overflowing_size():
+    # the overlap 1e320 overflows, but the size sum_i |alpha_i| ||Phi_i|| ||Psi_i|| overflows with it and is refused
+    # first; test_a_non_finite_overlap_is_refused_before_its_size_is_compared reaches the overlap's own check
     big = (CoStateVector.from_ket([1e10, 0.0]), StateVector([1e10, 0.0]))
     small = (CoStateVector.from_ket([0.0, 1.0]), StateVector([0.0, 1.0]))
     gtsv = GeneralizedTwoStateVector([(1e300, *big), (0.5, *small)])
-    with pytest.raises(ValidationError, match="not finite"):
+    message = "description size sum_i |alpha_i| ||Phi_i|| ||Psi_i|| overflows: it is not finite"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         gtsv.require_overlap()
 
 

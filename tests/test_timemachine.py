@@ -18,6 +18,7 @@ from shell_dilations import (
     sr_dilation,
 )
 from twostate.timemachine import (
+    SPECTRAL_MASK_RTOL,
     _masked_shift_spectrum,
     _spectrum_weight_above,
     binomial_schedule,
@@ -140,7 +141,7 @@ def test_rapid_spectrum_check_warns_on_rough_inputs():
     grid = Grid1D(-5.0, 5.0, 64)
     fn = gaussian_wavefunction(grid, 0.2)
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
-    assert _spectrum_weight_above(np.fft.fft(fn.values), k, grid.spacing) > 1e-6
+    assert _spectrum_weight_above(np.abs(np.fft.fft(fn.values)) ** 2, k, grid.spacing) > 1e-6
     with pytest.warns(UserWarning):
         run_machine(fn, 4, 0.5, 0.1)
 
@@ -177,26 +178,59 @@ def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
     assert len(calls) == 1
 
 
-def test_time_machine_scenario_builds_its_wavenumbers_and_multiplier_once(monkeypatch):
-    # the run, its Nyquist check and its analytic distortion share one k, B(k) and weight array
+def test_time_machine_scenario_evaluates_its_multiplier_only_where_its_spectra_are_nonzero(monkeypatch):
+    # the run's masked spectrum keeps 43 of the grid's 4096 components, the analytic Gaussian spectrum 217:
+    # B(k) is evaluated there and nowhere else, never on a grid-length array
     from twostate import timemachine
     from twostate.scenarios import get_scenario
 
-    calls = []
-    multiplier, fftfreq = timemachine._binomial_multiplier, np.fft.fftfreq
+    sizes = []
+    multiplier = timemachine._binomial_multiplier
 
-    def counting(name, fn):
-        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+    def counting(k, *args):
+        sizes.append(k.size)
+        return multiplier(k, *args)
 
-    timemachine._machine_spectrum.cache_clear()
-    monkeypatch.setattr(timemachine, "_binomial_multiplier", counting("multiplier", multiplier))
-    monkeypatch.setattr(np.fft, "fftfreq", counting("fftfreq", fftfreq))
+    monkeypatch.setattr(timemachine, "_binomial_multiplier", counting)
     assert get_scenario("time_machine").run({}).passed
-    assert sorted(calls) == ["fftfreq", "multiplier"]
-    info = timemachine._machine_spectrum.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    shared = timemachine._machine_spectrum(Grid1D(-48.0, 58.0, 4096), 13, 10.0, 1.0)  # the run's grid: a hit
-    assert len(calls) == 2 and not any(a.flags.writeable for a in shared)
+    assert sizes == [43, 217]
+
+
+def full_band_machine(fn, n_terms, eta, delta_t, width):
+    """run_machine's and gaussian_shift_distortion's numbers with B(k) and its weights on every wavenumber of the grid.
+
+    Returns the superposition, the distortion, the success probability and the analytic Gaussian distortion.
+    """
+    fn = fn.normalized()
+    spacing = fn.grid.spacing
+    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=spacing)
+    multiplier = (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
+    miss = np.abs(multiplier - np.exp(-1j * k * (eta * delta_t))) ** 2
+    spec = np.fft.fft(fn.values)
+    spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
+    superposed = np.fft.ifft(spec * multiplier)
+    power = np.abs(spec) ** 2
+    distortion = float(np.sqrt(np.sum(power * miss) / np.sum(power)))
+    norm0 = 1.0 / math.sqrt(float(binomial_schedule(n_terms, eta).square_sum))
+    success = float(np.sum(np.abs(norm0 / math.sqrt(n_terms + 1) * superposed) ** 2) * spacing)
+    amp = (np.pi * width**2) ** -0.25
+    gaussian = np.abs(amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / spacing) ** 2
+    return superposed, distortion, success, float(np.sqrt(np.sum(gaussian * miss) / np.sum(gaussian)))
+
+
+@pytest.mark.parametrize("eta", [-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 10.0])
+@pytest.mark.parametrize("n_terms", [1, 2, 13, 60, 115])
+def test_the_multiplier_on_the_spectral_support_equals_the_full_band_evaluation_bit_for_bit(n_terms, eta):
+    # a zero spectral component meets only zero power, so leaving it out changes no bit of any output
+    for delta_t in (0.0, 1.0, 3.0):
+        for width in (1.0, 6.0):
+            grid = Grid1D(-8.0 * width + min(0.0, eta * delta_t), 8.0 * width + max(delta_t, eta * delta_t), 4096)
+            fn = gaussian_wavefunction(grid, width)
+            run = run_machine(fn, n_terms, eta, delta_t)
+            superposed, distortion, success, analytic = full_band_machine(fn, n_terms, eta, delta_t, width)
+            assert run.final_fn.values.tobytes() == superposed.tobytes()
+            assert run.distortion == distortion and run.success_prob == success
+            assert gaussian_shift_distortion(n_terms, eta, delta_t, width, grid) == analytic
 
 
 def test_time_machine_scenario_builds_each_schedule_once(monkeypatch):
