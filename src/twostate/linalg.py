@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -194,8 +194,12 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+_PAULI_OPERATORS = {"x": DenseOperator(PAULI_X), "y": DenseOperator(PAULI_Y), "z": DenseOperator(PAULI_Z)}
+
+
 def pauli(axis: str) -> DenseOperator:
-    return DenseOperator({"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}[axis])
+    """sigma_x, sigma_y or sigma_z: one shared, read-only operator per axis, decomposed once per process."""
+    return _PAULI_OPERATORS[axis]
 
 
 def spin_direction(direction) -> DenseOperator:
@@ -395,27 +399,34 @@ def fourier_pair(wf: WaveFunction1D) -> WaveFunction1D:
 
     Implemented as an FFT with pre/post phase factors so arbitrary (uniform)
     grid offsets are handled exactly; fourier_pair(fourier_pair(wf)) recovers
-    wf on its original grid.
+    wf on its original grid.  The factors depend on the grids alone: see `_fourier_factors`.
     """
-    n = wf.grid.points
-    dx = wf.grid.spacing
-    x0 = wf.grid.lo
-    if wf.representation == "position":
+    grid, n, forward = wf.grid, wf.grid.points, wf.representation == "position"
+    x_lo = None if forward else float(wf.conjugate_lo if wf.conjugate_lo is not None else -np.pi / grid.spacing).hex()
+    out_grid, ramp, phase = _fourier_factors(float(grid.lo).hex(), float(grid.hi).hex(), n, x_lo)
+    values = phase * np.fft.fft(wf.values * ramp) if forward else phase * (np.fft.ifft(wf.values * ramp) * n)
+    return WaveFunction1D(out_grid, values, "momentum" if forward else "position", conjugate_lo=grid.lo)
+
+
+@lru_cache(maxsize=16)
+def _fourier_factors(lo: str, hi: str, points: int, x_lo: str | None) -> tuple:
+    """(output grid, pre-FFT phase ramp, prefactor times output phase) of `fourier_pair`, the arrays read-only.
+
+    Keyed by the bits of the bounds (`float.hex`), as `Grid1D` equality takes -0.0 for 0.0.  `x_lo` None
+    transforms position to momentum, otherwise momentum to the position grid from `float.fromhex(x_lo)`.
+    """
+    grid = Grid1D(float.fromhex(lo), float.fromhex(hi), points)
+    n, x0 = points, grid.lo
+    if x_lo is None:
+        dx = grid.spacing
         p = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(n, d=dx))
         # psi_tilde(p_k) = dx/sqrt(2 pi) * exp(-i p_k x0) * FFT[psi_j * exp(-i p_min j dx)]
-        inner = wf.values * np.exp(-1j * p[0] * dx * np.arange(n))
-        transformed = np.fft.fft(inner)
-        out_vals = dx / np.sqrt(2 * np.pi) * np.exp(-1j * p * x0) * transformed
-        out_grid = Grid1D(float(p[0]), float(p[-1]), n)
-        return WaveFunction1D(out_grid, out_vals, "momentum", conjugate_lo=x0)
+        ramp = np.exp(-1j * p[0] * dx * np.arange(n))
+        phase = dx / np.sqrt(2 * np.pi) * np.exp(-1j * p * x0)
+        return Grid1D(float(p[0]), float(p[-1]), n), _read_only(ramp), _read_only(phase)
     # momentum -> position: psi_j = dp/sqrt(2 pi) * sum_k psi_tilde_k exp(+i p_k x_j)
-    p0 = wf.grid.lo
-    dp = wf.grid.spacing
-    dx_out = 2 * np.pi / (n * dp)
-    x_lo = wf.conjugate_lo if wf.conjugate_lo is not None else -np.pi / dp
-    x = x_lo + dx_out * np.arange(n)
-    inner = wf.values * np.exp(1j * wf.grid.values * x_lo)
-    transformed = np.fft.ifft(inner) * n
-    out_vals = dp / np.sqrt(2 * np.pi) * np.exp(1j * p0 * (x - x_lo)) * transformed
-    out_grid = Grid1D(float(x[0]), float(x[-1]), n)
-    return WaveFunction1D(out_grid, out_vals, "position", conjugate_lo=p0)
+    x_lo, dp = float.fromhex(x_lo), grid.spacing
+    x = x_lo + 2 * np.pi / (n * dp) * np.arange(n)
+    ramp = np.exp(1j * grid.values * x_lo)
+    phase = dp / np.sqrt(2 * np.pi) * np.exp(1j * x0 * (x - x_lo))
+    return Grid1D(float(x[0]), float(x[-1]), n), _read_only(ramp), _read_only(phase)

@@ -6,10 +6,11 @@ dynamics splits into independent system evolutions labelled by the pointer
 momentum p.  Each momentum block is propagated with exact matrix
 exponentials, one for each run of equal couplings (a flat stretch of the
 schedule is a single exponential; a two-level system takes it in closed
-form, with no eigh call), and the pointer is reassembled
-afterwards; the only approximation anywhere is the physical one (finite
-duration or finite coupling), never time discretization of a fixed
-Hamiltonian.
+form, with no eigh call, each matrix entry one array over runs and momenta),
+and the pointer is reassembled afterwards; the only approximation anywhere
+is the physical one (finite duration or finite coupling), never time
+discretization of a fixed Hamiltonian.  The pointer's transforms take their
+phase factors from `linalg.fourier_pair`'s cache, once per grid.
 
 Protection of a single state uses a slow, weak coupling dominated by a
 nondegenerate free Hamiltonian: the pointer then shifts by the expectation
@@ -131,35 +132,30 @@ def _eigh_exponential(h: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w * tau[..., None]), v.conj())
 
 
-def _two_level_exponential(h: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """exp(-i h tau) for a stack of Hermitian 2x2 h, in closed form (no LAPACK).
+def _two_level_exponential(h0m: np.ndarray, am: np.ndarray, gp: np.ndarray, tau: np.ndarray) -> tuple:
+    """Entries (u00, u01, u10, u11) of exp(-i h tau), h = h0 + gp am for 2x2 Hermitian h0 and am, in closed form.
 
+    Each entry is one contiguous array of the shape of gp and tau broadcast.
     With h = a I + b.sigma, exp(-i h tau) = e^{-i a tau} [cos(|b| tau) I
     - i tau sinc(|b| tau / pi) (h - a I)]; np.sinc covers |b| = 0.  The
     cosine takes the very angle the sinc's sine does, so the result stays
     unitary to rounding even where |b| tau is large.
     """
-    h00, h11, h01 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    h00, h11, h01 = (h0m[i, k] + gp * am[i, k] for i, k in ((0, 0), (1, 1), (0, 1)))
+    h00, h11 = h00.real, h11.real
     a, bz = (h00 + h11) / 2, (h00 - h11) / 2
     x = np.hypot(bz, np.abs(h01)) * tau / np.pi
     phase = np.exp(-1j * a * tau)
     c = phase * np.cos(np.pi * x)
     s = -1j * phase * tau * np.sinc(x)
-    out = np.empty(h.shape, dtype=complex)
-    out[..., 0, 0] = c + s * bz
-    out[..., 0, 1] = s * h01
-    out[..., 1, 0] = s * h01.conj()
-    out[..., 1, 1] = c - s * bz
-    return out
+    return c + s * bz, s * h01, s * h01.conj(), c - s * bz
 
 
-def _two_level_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y over equal stacks of 2x2 matrices, entry by entry (an order of magnitude faster than matmul)."""
-    out = np.empty(x.shape, dtype=complex)
-    for i in range(2):
-        for k in range(2):
-            out[..., i, k] = x[..., i, 0] * y[..., 0, k] + x[..., i, 1] * y[..., 1, k]
-    return out
+def _two_level_product(x: tuple, y: tuple) -> tuple:
+    """x @ y over equal stacks of 2x2 matrices held entry by entry, (m00, m01, m10, m11)."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return x00 * y00 + x01 * y10, x00 * y01 + x01 * y11, x10 * y00 + x11 * y10, x10 * y01 + x11 * y11
 
 
 def _ordered_propagators(h0m: np.ndarray, am: np.ndarray, ps: np.ndarray, g: np.ndarray, dt: float) -> np.ndarray:
@@ -168,23 +164,31 @@ def _ordered_propagators(h0m: np.ndarray, am: np.ndarray, ps: np.ndarray, g: np.
     Consecutive steps with exactly equal couplings share one Hamiltonian, so
     each run of n of them is the single exact exponential exp(-i H n dt): in
     closed form for a two-level system, by eigh otherwise.  Each batch of
-    runs is multiplied pairwise, in log2(runs) batched rounds.
+    runs is multiplied pairwise, in log2(runs) batched rounds.  A stack is a
+    tuple over runs: the four entries of a 2x2, or one (runs, momenta, d, d).
     """
     starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
     lengths = np.diff(np.r_[starts, g.size])
     d = h0m.shape[0]
-    exponential, product = (_two_level_exponential, _two_level_product) if d == 2 else (_eigh_exponential, np.matmul)
-    out = np.broadcast_to(np.eye(d, dtype=complex), (ps.size, d, d)).copy()
+    if d == 2:
+        product, out = _two_level_product, tuple(np.full(ps.size, e, dtype=complex) for e in (1, 0, 0, 1))
+    else:
+        product, out = lambda x, y: (x[0] @ y[0],), (np.broadcast_to(np.eye(d, dtype=complex), (ps.size, d, d)),)
     for lo in range(0, starts.size, _RUNS_PER_EIGH):
-        gr, nr = g[starts[lo : lo + _RUNS_PER_EIGH]], lengths[lo : lo + _RUNS_PER_EIGH]
-        steps = exponential(h0m + (gr[:, None] * ps)[:, :, None, None] * am, (nr * dt)[:, None])
-        while len(steps) > 1:
-            paired = product(steps[1::2], steps[: len(steps) - 1 : 2])
-            if len(steps) % 2:
-                paired[-1] = product(steps[-1], paired[-1])
+        gp, tau = g[starts[lo : lo + _RUNS_PER_EIGH], None] * ps, (lengths[lo : lo + _RUNS_PER_EIGH] * dt)[:, None]
+        if d == 2:
+            steps = _two_level_exponential(h0m, am, gp, tau)
+        else:
+            steps = (_eigh_exponential(h0m + gp[:, :, None, None] * am, tau),)
+        while len(steps[0]) > 1:
+            n = len(steps[0])
+            paired = product([e[1::2] for e in steps], [e[: n - 1 : 2] for e in steps])
+            if n % 2:
+                for e, last in zip(paired, product([e[-1] for e in steps], [e[-1] for e in paired])):
+                    e[-1] = last
             steps = paired
-        out = product(steps[0], out)
-    return out
+        out = product([e[0] for e in steps], out)
+    return np.stack(out, axis=-1).reshape(ps.size, 2, 2) if d == 2 else out[0]
 
 
 class AdiabaticResult(Record):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from functools import cache, lru_cache
 
 import numpy as np
@@ -237,11 +236,13 @@ def csv_table(header: list[str], columns) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` by a rename from a file beside it, made as a plain `open` makes it (0o666 & ~umask)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")  # a name already taken raises here, before any cleanup
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -9,7 +9,10 @@ checks, and `evolve_unitary` moves states in time; the library does
 neither.  `expectation_value` is the pre-selected-only end of the
 weak-value chain.  `protected_measurement_per_momentum` is the protected
 two-state measurement with one eigh for every momentum, which the library
-shares between each +-p pair.
+shares between each +-p pair.  `stacked_two_level_propagators` is the
+two-level ordered product on a strided (runs, momenta, 2, 2) stack of whole
+matrices: the operations of the library's entry-by-entry kernel in the same
+order, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from twostate.errors import DimensionMismatch
 from twostate.linalg import PAULI_X, PAULI_Y, PAULI_Z, DenseOperator, spin_direction, spin_up, unit_density
 from twostate.pointer import density_peak, pointer_distribution_postselected
 from twostate.protective import (
+    _RUNS_PER_EIGH,
     ProtectedMeasurementResult,
     _bloch_direction,
     _position_densities,
@@ -126,3 +130,46 @@ def protected_measurement_per_momentum(target_tsv, obs, spin, coupling, pointer)
         post_selection_prob=post_norm,
         peak_location=density_peak(grid, dens),
     )
+
+
+def stacked_two_level_exponential(h: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(-i h tau) for a (..., 2, 2) stack of Hermitian h, in closed form, as a (..., 2, 2) stack."""
+    h00, h11, h01 = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    a, bz = (h00 + h11) / 2, (h00 - h11) / 2
+    x = np.hypot(bz, np.abs(h01)) * tau / np.pi
+    phase = np.exp(-1j * a * tau)
+    c = phase * np.cos(np.pi * x)
+    s = -1j * phase * tau * np.sinc(x)
+    out = np.empty(h.shape, dtype=complex)
+    out[..., 0, 0] = c + s * bz
+    out[..., 0, 1] = s * h01
+    out[..., 1, 0] = s * h01.conj()
+    out[..., 1, 1] = c - s * bz
+    return out
+
+
+def stacked_two_level_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over equal (..., 2, 2) stacks, entry by entry."""
+    out = np.empty(x.shape, dtype=complex)
+    for i in range(2):
+        for k in range(2):
+            out[..., i, k] = x[..., i, 0] * y[..., 0, k] + x[..., i, 1] * y[..., 1, k]
+    return out
+
+
+def stacked_two_level_propagators(h0m, am, ps, g, dt) -> np.ndarray:
+    """prod_k exp(-i (h0 + g_k p am) dt) for 2x2 h0 and am, later steps on the left: a closed form per run, pairwise."""
+    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    lengths = np.diff(np.r_[starts, g.size])
+    out = np.broadcast_to(np.eye(2, dtype=complex), (ps.size, 2, 2)).copy()
+    for lo in range(0, starts.size, _RUNS_PER_EIGH):
+        gr, nr = g[starts[lo : lo + _RUNS_PER_EIGH]], lengths[lo : lo + _RUNS_PER_EIGH]
+        h = h0m + (gr[:, None] * ps)[:, :, None, None] * am
+        steps = stacked_two_level_exponential(h, (nr * dt)[:, None])
+        while len(steps) > 1:
+            paired = stacked_two_level_product(steps[1::2], steps[: len(steps) - 1 : 2])
+            if len(steps) % 2:
+                paired[-1] = stacked_two_level_product(steps[-1], paired[-1])
+            steps = paired
+        out = stacked_two_level_product(steps[0], out)
+    return out

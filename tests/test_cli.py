@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -596,6 +597,24 @@ def test_a_sweep_without_values_is_a_usage_error(values, tmp_path, capsys):
     assert run_cli("sweep", "n_box", "--param-name", "boxes", "--values", values, "--out", str(tmp_path)) == 2
     assert capsys.readouterr().err == "error: no sweep values supplied\n"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_every_file_a_run_writes_has_the_mode_a_plain_open_gives(umask, tmp_path, capsys):
+    previous = os.umask(umask)
+    try:
+        assert run_cli("run", "spin_xi_weak", "--format", "both", "--out", str(tmp_path)) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "spin_xi_weak").iterdir()}
+    assert "results.json" in modes and len(modes) > 1 and not any(name.startswith(".tmp-") for name in modes)
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(str(tmp_path / "results.json"), "{}\n\ud800")  # a lone surrogate has no UTF-8 form
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_write_whose_rename_fails_leaves_no_temporary_file_and_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from twostate.linalg import (
     DenseOperator,
     Grid1D,
     WaveFunction1D,
+    _fourier_factors,
     apply_on_site,
     fourier_pair,
     gaussian_wavefunction,
@@ -401,6 +402,13 @@ def test_normalizing_a_vector_keeps_the_division_by_its_norm():
     assert np.array_equal(unit_vector(v, complex), v / np.linalg.norm(v))
 
 
+def test_pauli_returns_one_shared_read_only_operator_per_axis_decomposed_once():
+    for axis, matrix in zip("xyz", (PAULI_X, PAULI_Y, PAULI_Z)):
+        op = pauli(axis)
+        assert op is pauli(axis) and np.array_equal(op.matrix, matrix) and not op.matrix.flags.writeable
+        assert hermitian_eigendecomposition(op) is hermitian_eigendecomposition(pauli(axis))
+
+
 def test_fourier_gaussian_is_self_conjugate():
     g = Grid1D(-40.0, 40.0, 2048)
     mom = fourier_pair(gaussian_wavefunction(g, 1.0))
@@ -444,6 +452,69 @@ def test_fourier_round_trip_and_parseval_on_band_limited_inputs():
         back = fourier_pair(mom)
         assert np.abs(back.values - wf.values).max() <= 1e-10 * np.abs(wf.values).max()
         assert abs(mom.norm_squared() - wf.norm_squared()) <= 1e-10 * wf.norm_squared()
+
+
+def uncached_fourier_pair(wf: WaveFunction1D) -> WaveFunction1D:
+    """`fourier_pair` with every phase factor evaluated in the call, uncached: the same operations, bit for bit."""
+    n, dx, x0 = wf.grid.points, wf.grid.spacing, wf.grid.lo
+    if wf.representation == "position":
+        p = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(n, d=dx))
+        inner = wf.values * np.exp(-1j * p[0] * dx * np.arange(n))
+        out_vals = dx / np.sqrt(2 * np.pi) * np.exp(-1j * p * x0) * np.fft.fft(inner)
+        return WaveFunction1D(Grid1D(float(p[0]), float(p[-1]), n), out_vals, "momentum", conjugate_lo=x0)
+    p0, dp = wf.grid.lo, wf.grid.spacing
+    x_lo = wf.conjugate_lo if wf.conjugate_lo is not None else -np.pi / dp
+    x = x_lo + 2 * np.pi / (n * dp) * np.arange(n)
+    inner = wf.values * np.exp(1j * wf.grid.values * x_lo)
+    out_vals = dp / np.sqrt(2 * np.pi) * np.exp(1j * p0 * (x - x_lo)) * (np.fft.ifft(inner) * n)
+    return WaveFunction1D(Grid1D(float(x[0]), float(x[-1]), n), out_vals, "position", conjugate_lo=p0)
+
+
+def _bits(wf: WaveFunction1D) -> tuple:
+    g = wf.grid
+    lo = None if wf.conjugate_lo is None else float(wf.conjugate_lo).hex()
+    return float(g.lo).hex(), float(g.hi).hex(), g.points, wf.values.tobytes(), wf.representation, lo
+
+
+# pairs of grids that differ only in the sign of a zero bound or in the last bit of a bound, each pair in turn,
+# so that a cache that took one for the other would hand the second the first one's factors
+BIT_TWIN_GRIDS = [
+    (-1.0, -0.0, 16),
+    (-1.0, 0.0, 16),
+    (-0.0, 3.0, 17),
+    (0.0, 3.0, 17),
+    (-5.0, 5.0, 64),
+    (-5.0, np.nextafter(5.0, 6.0), 64),
+    (np.nextafter(-5.0, -6.0), 5.0, 64),
+    (-40.0, 40.0, 4096),
+]
+
+
+def test_fourier_pair_equals_an_uncached_evaluation_bit_for_bit():
+    rng = np.random.default_rng(41)
+    sides = [("position", None), ("momentum", None), ("momentum", -0.0), ("momentum", 0.0), ("momentum", -3.5)]
+    for lo, hi, n in BIT_TWIN_GRIDS:
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for representation, conjugate_lo in sides:
+            wf = WaveFunction1D(Grid1D(lo, hi, n), vals, representation, conjugate_lo)
+            got, want = fourier_pair(wf), uncached_fourier_pair(wf)
+            assert _bits(got) == _bits(want)
+            assert _bits(fourier_pair(got)) == _bits(uncached_fourier_pair(want))  # the way back
+
+
+def test_fourier_factors_are_cached_once_for_each_grid_by_its_bits():
+    _fourier_factors.cache_clear()
+    for lo, hi, n in BIT_TWIN_GRIDS * 2:
+        fourier_pair(WaveFunction1D(Grid1D(lo, hi, n), np.ones(n)))
+    assert _fourier_factors.cache_info()[:2] == (len(BIT_TWIN_GRIDS), len(BIT_TWIN_GRIDS))  # hits, misses
+
+
+def test_fourier_factors_are_read_only_and_shared_per_grid():
+    wf = gaussian_wavefunction(Grid1D(-8.0, 8.0, 256), 1.0)
+    assert fourier_pair(wf).grid is fourier_pair(wf).grid
+    for factor in _fourier_factors(float(-8.0).hex(), float(8.0).hex(), 256, None)[1:]:
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
 
 
 def test_wavefunction_requires_matching_grid():

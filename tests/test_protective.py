@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dense_oracles import protected_measurement_per_momentum
+from dense_oracles import protected_measurement_per_momentum, stacked_two_level_propagators
 from protection_models import model_spin_protection, verify_spin_algebra, weak_value_substituted_hamiltonian
 from twostate.errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from twostate.linalg import (
@@ -242,14 +242,44 @@ def test_run_propagators_match_the_stepwise_product_without_equal_neighbours():
     assert np.abs(got - stepwise_propagators(h0m, am, ps, g, 0.05)).max() <= 1e-12
 
 
+def _assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()  # bytes: signed zeros and NaN payloads too
+
+
+@pytest.mark.parametrize("steps", [300, 1200, 2400])
+def test_two_level_propagators_equal_the_stacked_kernel_bit_for_bit_on_the_benchmark_input(steps):
+    h0m, am, ps = _adiabatic_blocks()
+    g, dt = AdiabaticSchedule(total_time=40.0, steps=steps).sampled_coupling()
+    if steps == 2400:
+        assert _runs(g) == 481 > _RUNS_PER_EIGH  # two batches
+    _assert_bit_equal(_ordered_propagators(h0m, am, ps, g, dt), stacked_two_level_propagators(h0m, am, ps, g, dt))
+
+
+# one run; an odd number in one batch; two batches; three, the last holding one run
+@pytest.mark.parametrize("runs", [1, 7, 300, 513])
+def test_two_level_propagators_equal_the_stacked_kernel_bit_for_bit_on_random_complex_blocks(runs):
+    rng = np.random.default_rng(runs)
+    h0m, am = _random_hermitian_pairs(rng, (2,))
+    ps = rng.normal(scale=2.0, size=23)
+    g = rng.uniform(-1.0, 2.0, size=runs)
+    assert _runs(g) == runs
+    _assert_bit_equal(_ordered_propagators(h0m, am, ps, g, 0.05), stacked_two_level_propagators(h0m, am, ps, g, 0.05))
+
+
 def _random_hermitian_pairs(rng, shape):
     raw = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
     return raw + np.swapaxes(raw, -1, -2).conj()
 
 
+def two_level_exponential(h, tau):
+    """The closed form on a (..., 2, 2) stack of h, entered entry by entry as h0 with no coupling, as a stack."""
+    entries = _two_level_exponential(np.moveaxis(h, (-2, -1), (0, 1)), np.zeros((2, 2)), 0.0, tau)
+    return np.stack(entries, axis=-1).reshape(*entries[0].shape, 2, 2)
+
+
 def _assert_matches_eigh(h, tau, c=64):
     """Closed form against eigh, within c * eps * max(1, ||h|| tau), and unitary."""
-    got = _two_level_exponential(h, tau)
+    got = two_level_exponential(h, tau)
     scale = max(1.0, float((np.linalg.norm(h, ord=2, axis=(-2, -1)) * np.abs(tau)).max()))
     assert np.abs(got - _eigh_exponential(h, tau)).max() <= c * np.finfo(float).eps * scale
     unitarity = np.einsum("...ij,...kj->...ik", got, got.conj()) - np.eye(2)
@@ -265,7 +295,7 @@ def test_two_level_exponential_of_a_multiple_of_the_identity_is_a_phase():
     h = np.broadcast_to(2.5 * np.eye(2, dtype=complex), (4, 3, 2, 2))
     tau = np.array([[0.0], [0.1], [1.0], [7.3]])
     _assert_matches_eigh(h, tau)
-    got = _two_level_exponential(h, tau)
+    got = two_level_exponential(h, tau)
     assert np.array_equal(got[..., 0, 1], np.zeros((4, 3)))
     assert np.abs(got[..., 0, 0] - np.exp(-2.5j * tau)).max() <= 1e-15
 

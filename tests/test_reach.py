@@ -23,6 +23,7 @@ from pathlib import Path
 
 import twostate
 from twostate.cli import build_parser, main
+from twostate.linalg import _fourier_factors
 from twostate.reporting import _cell_layout, _grid_words
 from twostate.scenarios import REGISTRY, _coarse_kinetic_operator, _spin_xi_setup
 from twostate.timemachine import binomial_schedule
@@ -98,13 +99,14 @@ def entered_functions(argvs: list) -> set:
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    # a schedule, setup, parser, grid or cell layout cached by an earlier test would skip its function
+    # a schedule, setup, parser, grid, cell layout or Fourier factor cached by an earlier test would skip its function
     binomial_schedule.cache_clear()
     _spin_xi_setup.cache_clear()
     _coarse_kinetic_operator.cache_clear()
     build_parser.cache_clear()
     _grid_words.cache_clear()
     _cell_layout.cache_clear()
+    _fourier_factors.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in argvs]
