@@ -98,10 +98,10 @@ class LargeSpin(Record):
         sy = (raise_op - raise_op.conj().T) / 2j
         return sx, sy, sz
 
-    def coherent_state(self, direction) -> np.ndarray:
-        """Top eigenstate |S.n = N> of the spin component along `direction`."""
+    def coherent_state(self, direction, operators: tuple | None = None) -> np.ndarray:
+        """Top eigenstate |S.n = N> of the spin component along `direction`; `operators`, if given, is `operators()`."""
         d = unit_vector(direction)
-        sx, sy, sz = self.operators()
+        sx, sy, sz = self.operators() if operators is None else operators
         return top_eigenvector(d[0] * sx + d[1] * sy + d[2] * sz)
 
 
@@ -287,9 +287,9 @@ def adiabatic_protective_measurement(
     )
 
 
-def _protection_matrix(spin: LargeSpin, coupling: float, sigmas) -> np.ndarray:
-    """-lambda * (S . sigma) = -lambda * sum_i S_i x sigma_i, protector factor first."""
-    sx, sy, sz = spin.operators()
+def _protection_matrix(operators: tuple, coupling: float, sigmas) -> np.ndarray:
+    """-lambda * (S . sigma) = -lambda * sum_i S_i x sigma_i, protector factor first, from the spin's `operators()`."""
+    sx, sy, sz = operators
     return -coupling * (np.kron(sx, sigmas[0]) + np.kron(sy, sigmas[1]) + np.kron(sz, sigmas[2]))
 
 
@@ -352,11 +352,12 @@ def protected_two_state_measurement(
         raise ValidationError(f"protection coupling must be finite, got {coupling}")
     alpha_dir = _bloch_direction(target_tsv.ket.normalized().amplitudes)
     beta_dir = _bloch_direction(target_tsv.bra.ket_form / np.linalg.norm(target_tsv.bra.ket_form))
-    pre_protector = spin.coherent_state(alpha_dir)
-    post_protector = spin.coherent_state(beta_dir)
+    operators = spin.operators()
+    pre_protector = spin.coherent_state(alpha_dir, operators)
+    post_protector = spin.coherent_state(beta_dir, operators)
     dim_s = spin.dim
 
-    protection = _protection_matrix(spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    protection = _protection_matrix(operators, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
     coupling_op = np.kron(np.eye(dim_s), obs.matrix)
     init = np.kron(pre_protector, target_tsv.ket.normalized().amplitudes)
 

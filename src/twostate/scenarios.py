@@ -53,6 +53,7 @@ from .pointer import (
 )
 from .states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector
 from .timemachine import (
+    gaussian_input,
     gaussian_shift_distortion,
     run_machine,
     success_scaling_probe,
@@ -532,14 +533,13 @@ def _run_time_machine(params: dict) -> ScenarioResult:
     lo = -span + min(0.0, eta * delta_t)
     hi = span + max(delta_t, eta * delta_t, 0.0)
     grid = Grid1D(lo, hi, 4096)
-    fn = gaussian_wavefunction(grid, width)
-    run = run_machine(fn, n_terms, eta, delta_t)
+    run = run_machine(gaussian_input(grid, width), n_terms, eta, delta_t)
     analytic = gaussian_shift_distortion(n_terms, eta, delta_t, width, grid)
     ratios = success_scaling_probe(eta, [n_terms, n_terms + 1]) if eta > 1 else None
 
     def fig5():
         target = gaussian_wavefunction(grid, width, center=eta * delta_t)
-        columns = [np.abs(f.values) ** 2 for f in (fn, run.final_fn, target)]
+        columns = [np.abs(f.values) ** 2 for f in (gaussian_wavefunction(grid, width), run.final_fn, target)]
         return ["Q", "original", "superposed", "ideally_shifted"], [grid, *columns]
 
     checks = [

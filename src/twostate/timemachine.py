@@ -18,10 +18,13 @@ product form of the spectral multiplier
     B(k) = (eta * exp(-i*k*delta_t/N) + 1 - eta)**N,
 
 which is stable where the expanded sum is catastrophically ill-conditioned.
-`run_machine` shifts through the module's masked spectrum
-(`_masked_shift_spectrum`); every distortion is one Parseval sum
-(`_shift_distortion`).  B(k) and its weights are evaluated only where the
-spectrum is nonzero (`_multiplier_on_support`).  The shell radii that
+`run_machine` shifts through the masked spectrum of a `MachineInput`,
+which holds all that a run takes from its input alone; the scenario's
+Gaussian input is built once per grid and width (`gaussian_input`), so
+runs that differ only in n_terms, eta or delta_t share it.  Every
+distortion is one Parseval sum (`_shift_distortion`).  B(k) and its
+weights are evaluated only where the spectrum is nonzero
+(`_multiplier_on_support`).  The shell radii that
 realize the lags are no input of a run: a run takes the lags themselves.
 """
 
@@ -35,7 +38,7 @@ import warnings
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, Record, WaveFunction1D, require_integer, require_width
+from .linalg import Grid1D, Record, WaveFunction1D, _read_only, gaussian_wavefunction, require_integer, require_width
 
 # Spectral components below this fraction of the peak are treated as noise
 # when a superposition is assembled by Fourier shifting; binomial weight
@@ -88,36 +91,12 @@ def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float
     return (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
 
 
-def _multiplier_on_support(spec: np.ndarray, k: np.ndarray, n_terms: int, eta: float, delta_t: float):
-    """Indices where `spec` is nonzero, B(k) there, and weights |B(k) - exp(-i*k*eta*delta_t)|**2, 0 elsewhere."""
-    kept = np.flatnonzero(spec)
+def _multiplier_on_support(kept: np.ndarray, k: np.ndarray, n_terms: int, eta: float, delta_t: float):
+    """B(k) at the indices `kept`, and the weights |B(k) - exp(-i*k*eta*delta_t)|**2 there, 0 elsewhere."""
     multiplier = _binomial_multiplier(k[kept], n_terms, eta, delta_t)
     miss = np.zeros(k.shape)
     miss[kept] = np.abs(multiplier - np.exp(-1j * k[kept] * (eta * delta_t))) ** 2
-    return kept, multiplier, miss
-
-
-def _masked_shift_spectrum(fn: WaveFunction1D, lo_shift: float, hi_shift: float) -> np.ndarray:
-    """Spectrum of `fn`, masked at SPECTRAL_MASK_RTOL of its peak.
-
-    Multiplying the spectrum by exp(-i*k*c) shifts `fn` by c.  The support of
-    `fn` (|f| above 1e-12 of its peak) moved by any shift in [lo_shift,
-    hi_shift] must stay on the grid, or the shift would wrap around its ends.
-    Signed weight schedules can amplify round-off floor components by many
-    orders of magnitude, and anything that far below the peak is sampling
-    noise, not signal, hence the mask.
-    """
-    if fn.representation != "position":
-        raise ValidationError("shift the position representation")
-    support = fn.grid.values[np.abs(fn.values) > 1e-12 * np.abs(fn.values).max()]
-    if support.size == 0:
-        raise ValidationError("cannot shift a zero wavefunction")
-    if support[0] + lo_shift < fn.grid.lo - 1e-9 or support[-1] + hi_shift > fn.grid.hi + 1e-9:
-        raise GridOverflow("shifted support would leave the grid")
-    spec = np.fft.fft(fn.values)
-    magnitude = np.abs(spec)
-    spec[magnitude < SPECTRAL_MASK_RTOL * magnitude.max()] = 0.0
-    return spec
+    return multiplier, miss
 
 
 def _spectrum_weight_above(power: np.ndarray, k: np.ndarray, spacing: float) -> float:
@@ -137,23 +116,92 @@ def _shift_distortion(power: np.ndarray, miss: np.ndarray) -> float:
     return float(np.sqrt(np.sum(power * miss) / np.sum(power)))
 
 
+class MachineInput(Record):
+    """All that a run takes from its input alone, whatever its n_terms, eta and delta_t; every array read-only.
+
+    `spectrum` is the FFT of the normalized samples with every component
+    below SPECTRAL_MASK_RTOL of the peak set to 0 (signed weight schedules
+    amplify round-off floor components by many orders of magnitude, and
+    anything that far below the peak is sampling noise, not signal), `kept`
+    the indices of its nonzero components, `power` its |.|**2 and `k` its
+    wavenumbers.  `support` holds the first and last grid points where the
+    normalized |f| exceeds 1e-12 of its peak, and `rough` tells whether more
+    than 1e-6 of the power lies above a quarter of the Nyquist rate.
+    `gaussian`, for the input of `gaussian_input` only, holds the nonzero
+    indices and the square of the exact spectrum modulus of the sampled
+    unit Gaussian.
+    """
+
+    grid: Grid1D
+    conjugate_lo: float | None
+    support: tuple
+    spectrum: np.ndarray
+    kept: np.ndarray
+    power: np.ndarray
+    k: np.ndarray
+    rough: bool
+    gaussian: tuple | None = None
+
+
+def _prepare_input(fn: WaveFunction1D, width: float | None = None) -> MachineInput:
+    """The `MachineInput` of `fn`, normalized here, with the exact spectrum of the unit Gaussian of `width` if given."""
+    fn = fn.normalized()
+    if fn.representation != "position":
+        raise ValidationError("shift the position representation")
+    grid = fn.grid
+    modulus = np.abs(fn.values)
+    support = grid.values[modulus > 1e-12 * modulus.max()]
+    spec = np.fft.fft(fn.values)
+    magnitude = np.abs(spec)
+    spec[magnitude < SPECTRAL_MASK_RTOL * magnitude.max()] = 0.0
+    power = np.abs(spec) ** 2
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    gaussian = None
+    if width is not None:
+        # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
+        # grid is assumed wide enough that boundary tails vanish); only moduli
+        # enter the Parseval sums, so grid-origin phases are irrelevant.
+        amp = (np.pi * width**2) ** -0.25
+        exact = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
+        gaussian = (_read_only(np.flatnonzero(exact)), _read_only(exact**2))
+    return MachineInput(
+        grid,
+        fn.conjugate_lo,
+        (float(support[0]), float(support[-1])),
+        *(_read_only(a) for a in (spec, np.flatnonzero(spec), power, k)),
+        _spectrum_weight_above(power, k, grid.spacing) > 1e-6,
+        gaussian,
+    )
+
+
+def gaussian_input(grid: Grid1D, width: float) -> MachineInput:
+    """The `MachineInput` of `gaussian_wavefunction(grid, width)` with its exact spectrum, once per grid and width."""
+    require_width(width, "width")
+    return _gaussian_input(float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex())
+
+
+@functools.lru_cache(maxsize=16)
+def _gaussian_input(lo: str, hi: str, points: int, width: str) -> MachineInput:
+    """`gaussian_input`, keyed by the bits of the bounds and the width (`float.hex`).
+
+    Not by `Grid1D` equality, which takes -0.0 for 0.0.
+    """
+    grid, width = Grid1D(float.fromhex(lo), float.fromhex(hi), points), float.fromhex(width)
+    return _prepare_input(gaussian_wavefunction(grid, width), width)
+
+
 def gaussian_shift_distortion(n_terms: int, eta: float, delta_t: float, width: float, grid: Grid1D) -> float:
     """Distortion of the binomial superposition for an analytic Gaussian input.
 
-    Uses the exact Gaussian spectrum instead of an FFT of samples, so the
-    result is well conditioned even for strongly signed schedules, and a
-    direct high-precision summation oracle reproduces it to ~1e-12.
+    Uses the exact Gaussian spectrum of `gaussian_input` instead of an FFT of
+    samples, so the result is well conditioned even for strongly signed
+    schedules, and a direct high-precision summation oracle reproduces it to ~1e-12.
     """
     _require_schedule_inputs(n_terms, eta)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    require_width(width, "width")
-    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
-    # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
-    # grid is assumed wide enough that boundary tails vanish); only moduli
-    # enter the Parseval sums, so grid-origin phases are irrelevant.
-    amp = (np.pi * width**2) ** -0.25
-    spectrum = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
-    return _shift_distortion(spectrum**2, _multiplier_on_support(spectrum, k, n_terms, eta, delta_t)[2])
+    machine_input = gaussian_input(grid, width)
+    kept, power = machine_input.gaussian
+    return _shift_distortion(power, _multiplier_on_support(kept, machine_input.k, n_terms, eta, delta_t)[1])
 
 
 class MachineRun(Record):
@@ -170,38 +218,44 @@ class MachineRun(Record):
     success_prob: float
 
 
-def run_machine(system_fn: WaveFunction1D, n_terms: int, eta: float, delta_t: float) -> MachineRun:
+def run_machine(system: WaveFunction1D | MachineInput, n_terms: int, eta: float, delta_t: float) -> MachineRun:
     """Run the product -> correlated -> post-selected register construction.
 
     `n_terms` and `eta` are checked by binomial_schedule, `delta_t` (finite,
-    nonnegative) here, before any FFT.  The system function is normalized on
-    entry.  Post-selecting the uniform register state contracts the
-    correlated rows N0 * alpha_n * f_n to N0/sqrt(N+1) * sum_n alpha_n f_n,
-    with N0 = (sum |alpha_n|^2)**-1/2; the sum is one inverse FFT of the
-    masked spectrum times the binomial multiplier, never summed row by row,
-    and the success probability is the squared norm of the contraction.
-    Distortion is the distance of the sum from the input shifted by eta*delta_t.
+    nonnegative) here, before any FFT.  A wavefunction is prepared on entry
+    (`_prepare_input`, which normalizes it); a `MachineInput` is used as it
+    is.  Multiplying the spectrum by exp(-i*k*c) shifts the input by c, so
+    its support moved by any shift between 0, delta_t and eta*delta_t must
+    stay on the grid, or the shift would wrap around its ends (`GridOverflow`).
+    Post-selecting the uniform register state contracts the correlated rows
+    N0 * alpha_n * f_n to N0/sqrt(N+1) * sum_n alpha_n f_n, with
+    N0 = (sum |alpha_n|^2)**-1/2; the sum is one inverse FFT of the masked
+    spectrum times the binomial multiplier, never summed row by row, and the
+    success probability is the squared norm of the contraction.  Distortion
+    is the distance of the sum from the input shifted by eta*delta_t.
     """
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
     sched = binomial_schedule(n_terms, eta)
-    fn = system_fn.normalized()
+    machine_input = system if isinstance(system, MachineInput) else _prepare_input(system)
+    grid, (first, last) = machine_input.grid, machine_input.support
     reach = sorted((0.0, delta_t, eta * delta_t))
-    spec = _masked_shift_spectrum(fn, reach[0], reach[-1])
-    power = np.abs(spec) ** 2
-    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
-    if _spectrum_weight_above(power, k, fn.grid.spacing) > 1e-6:
+    if first + reach[0] < grid.lo - 1e-9 or last + reach[-1] > grid.hi + 1e-9:
+        raise GridOverflow("shifted support would leave the grid")
+    if machine_input.rough:
         warnings.warn("input spectrum extends beyond a quarter of the Nyquist rate")
-    kept, multiplier, miss = _multiplier_on_support(spec, k, n_terms, eta, delta_t)
+    kept = machine_input.kept
+    multiplier, miss = _multiplier_on_support(kept, machine_input.k, n_terms, eta, delta_t)
+    spec = machine_input.spectrum.copy()
     spec[kept] *= multiplier  # the product spec * B(k); masked entries stay 0
     superposed = np.fft.ifft(spec)
     norm0 = 1.0 / math.sqrt(float(sched.square_sum))
     contracted = norm0 / math.sqrt(n_terms + 1) * superposed
-    success = float(np.sum(np.abs(contracted) ** 2) * fn.grid.spacing)
+    success = float(np.sum(np.abs(contracted) ** 2) * grid.spacing)
 
     return MachineRun(
         schedule=sched,
-        final_fn=WaveFunction1D(fn.grid, superposed, "position", fn.conjugate_lo),
-        distortion=_shift_distortion(power, miss),
+        final_fn=WaveFunction1D(grid, superposed, "position", machine_input.conjugate_lo),
+        distortion=_shift_distortion(machine_input.power, miss),
         success_prob=success,
     )
 

@@ -108,7 +108,7 @@ def protected_measurement_per_momentum(target_tsv, obs, spin, coupling, pointer)
     ket, bra = target_tsv.ket.normalized().amplitudes, target_tsv.bra.ket_form
     pre_protector = spin.coherent_state(_bloch_direction(ket))
     post_protector = spin.coherent_state(_bloch_direction(bra / np.linalg.norm(bra)))
-    protection = _protection_matrix(spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    protection = _protection_matrix(spin.operators(), coupling, (PAULI_X, PAULI_Y, PAULI_Z))
     coupling_op = np.kron(np.eye(spin.dim), obs.matrix)
     init = np.kron(pre_protector, ket)
     mom, mask = _significant_momentum(pointer)

@@ -94,7 +94,7 @@ def model_spin_protection(
     protector_pre = spin.coherent_state([0.0, 0.0, 1.0])
     protector_post = spin.coherent_state(chi)
 
-    protection = DenseOperator(_protection_matrix(spin, coupling, (sig_x, sig_y, sig_z)))
+    protection = DenseOperator(_protection_matrix(spin.operators(), coupling, (sig_x, sig_y, sig_z)))
 
     protector_tsv = TwoStateVector(CoStateVector.from_ket(protector_post), StateVector(protector_pre))
     effective, s_w = weak_value_substituted_hamiltonian(protector_tsv, spin, coupling, (sig_x, sig_y, sig_z))

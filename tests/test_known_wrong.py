@@ -110,3 +110,54 @@ def test_negative_kinetic_energy_well_depth_400_exits_2_or_reads_the_ground_ener
 )
 def test_n_spin_spins_1030_is_not_an_internal_error(tmp_path, capsys):
     assert _run(tmp_path, "n_spin_single_system", "spins=1030")[0] != 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 7: exits 1 on ensemble_mean_consistent, with the sample mean 1.3816 more than 3 quoted stderrs "
+        "(0.0099) below sqrt(2): the sampler pairs each bin's CDF with its centre, dx/2 low, and the check's target "
+        "is sqrt(2), not the pointer's true mean 1.4072"
+    ),
+)
+def test_spin_xi_weak_ensemble_1000000_seed_7_exits_0(tmp_path, capsys):
+    code = cli.main(["run", "spin_xi_weak", "--param", "ensemble=1000000", "--seed", "7", "--out", str(tmp_path)])
+    assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 16: exits 1 on pointer_shift_negative, with the pointer mean at +1.78; K_w is right, but a "
+        "pointer of width 0.5 is not weak, and the scenario asserts the weak-regime shift at every width"
+    ),
+)
+def test_negative_kinetic_energy_pointer_delta_half_exits_0_or_2(tmp_path, capsys):
+    assert _run(tmp_path, "negative_kinetic_energy", "pointer_delta=0.5")[0] in (0, 2)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP item 22: exits 1 on bound_state_exists; no lattice site lies inside a well of half width 1e-300 "
+        "(2048 sites, none at 0), so the request describes a free particle and is not refused"
+    ),
+)
+def test_negative_kinetic_energy_well_half_width_1e_300_exits_2(tmp_path, capsys):
+    assert _run(tmp_path, "negative_kinetic_energy", "well_half_width=1e-300")[0] == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "ROADMAP items 11 and 22: exits 1 with |K_w - E0| = 1.5e-10 past the fixed 1e-10 tolerance; the discrete "
+        "Laplacian at the post-selection site cancels to about eps/dx**2, and nothing bounds `sites`"
+    ),
+)
+def test_negative_kinetic_energy_sites_100000_exits_2_or_reads_the_ground_energy(tmp_path, capsys):
+    code, results = _run(tmp_path, "negative_kinetic_energy", "sites=100000")
+    assert code == 2 or (code == 0 and abs(results["kinetic_weak_value"] - results["ground_energy"]) <= 1e-10)

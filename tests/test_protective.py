@@ -462,7 +462,7 @@ def test_the_pm_p_mirror_leaves_every_result_bit_unchanged(name):
 
 def test_the_mirror_signature_maps_each_bench_block_onto_its_partner_exactly():
     target, obs, spin, coupling, pointer = PROTECTED_CASES["bench"]()
-    protection = _protection_matrix(spin, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    protection = _protection_matrix(spin.operators(), coupling, (PAULI_X, PAULI_Y, PAULI_Z))
     coupling_op = np.kron(np.eye(spin.dim), obs.matrix)
     mirror = np.diag(np.kron((-1.0) ** np.arange(spin.dim), [1.0, -1.0]))
     mom, mask = _significant_momentum(pointer)
@@ -491,6 +491,22 @@ def test_each_pm_p_pair_shares_one_decomposition(monkeypatch, name, momenta, dec
     joint = (2 * spin.dim, 2 * spin.dim)
     assert calls.count(joint) == decompositions
     assert len(calls) == decompositions + 2  # and one for each protector coherent state
+
+
+def test_a_protected_measurement_builds_the_spin_operators_once(monkeypatch):
+    # both protector coherent states and the protection matrix take the one (Sx, Sy, Sz) triple
+    target, obs, spin, coupling, pointer = PROTECTED_CASES["bench"]()
+    want = protected_two_state_measurement(target, obs, spin, coupling, pointer).to_dict()
+    calls = []
+    operators = LargeSpin.operators
+
+    def counting(self):
+        calls.append(self.spin_n)
+        return operators(self)
+
+    monkeypatch.setattr(LargeSpin, "operators", counting)
+    assert protected_two_state_measurement(target, obs, spin, coupling, pointer).to_dict() == want
+    assert calls == [spin.spin_n]
 
 
 def _dynamic_arch_openblas() -> bool:

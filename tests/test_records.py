@@ -101,6 +101,21 @@ CASES = {
         },
         {},
     ),
+    "timemachine.MachineInput": (
+        timemachine.MachineInput,
+        {
+            "grid": GRID,
+            "conjugate_lo": None,
+            "support": (-1.0, 1.0),
+            "spectrum": np.ones(16, dtype=complex),
+            "kept": np.arange(16),
+            "power": np.ones(16),
+            "k": np.zeros(16),
+            "rough": False,
+            "gaussian": None,
+        },
+        {"gaussian": None},
+    ),
     "timemachine.MachineRun": (
         timemachine.MachineRun,
         {"schedule": None, "final_fn": WAVE, "distortion": 1e-3, "success_prob": 0.25},

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import FrozenInstanceError
@@ -17,11 +18,13 @@ from shell_dilations import (
     shell_pair_dilation,
     sr_dilation,
 )
+from twostate import timemachine
 from twostate.timemachine import (
     SPECTRAL_MASK_RTOL,
-    _masked_shift_spectrum,
+    _prepare_input,
     _spectrum_weight_above,
     binomial_schedule,
+    gaussian_input,
     gaussian_shift_distortion,
     run_machine,
     success_scaling_probe,
@@ -163,7 +166,7 @@ def test_run_machine_rejects_offgrid_schedules():
 
 
 def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
-    # the masked spectrum serves both the shift and the Nyquist check
+    # the masked spectrum serves both the shift and the Nyquist check, and a second run on the same grid reuses it
     from twostate.scenarios import get_scenario
 
     calls = []
@@ -174,7 +177,10 @@ def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
+    timemachine._gaussian_input.cache_clear()
     get_scenario("time_machine").run({})
+    assert len(calls) == 1
+    get_scenario("time_machine").run({"n_terms": 20})
     assert len(calls) == 1
 
 
@@ -194,6 +200,138 @@ def test_time_machine_scenario_evaluates_its_multiplier_only_where_its_spectra_a
     monkeypatch.setattr(timemachine, "_binomial_multiplier", counting)
     assert get_scenario("time_machine").run({}).passed
     assert sizes == [43, 217]
+
+
+def _scenario_outputs(result):
+    """The scenario's results.json payload and its fig5 columns, as bytes."""
+    header, (grid, *columns) = result.tables["fig5.csv"]()
+    return json.dumps(result.to_dict(), sort_keys=True), header, repr(grid), [c.tobytes() for c in columns]
+
+
+# the benchmark's n_terms sweep, then other eta, delta_t and width on fresh or shared grids
+SCENARIO_SWEEP = [{"n_terms": n} for n in (13, 20, 40, 60)] + [
+    {"eta": 0.5, "n_terms": 20},
+    {"eta": 2.0, "delta_t": 3.0},
+    {"width": 2.0},
+    {"width": 2.0, "n_terms": 5},
+]
+
+
+def test_the_scenario_on_the_cached_gaussian_input_writes_the_uncached_outputs_byte_for_byte(monkeypatch):
+    from twostate import scenarios
+
+    spec = scenarios.get_scenario("time_machine")
+    timemachine._gaussian_input.cache_clear()
+    cached = [_scenario_outputs(spec.run(params)) for params in SCENARIO_SWEEP]
+    assert timemachine._gaussian_input.cache_info().hits > 0
+    # fig5's "original" column is the Gaussian as sampled, not the run's renormalized copy
+    grid = Grid1D(-48.0, 58.0, 4096)  # the default run's grid: 8 widths of 6 either side, and the reach 10 of eta 10
+    assert cached[0][2] == repr(grid)
+    assert cached[0][3][0] == (np.abs(gaussian_wavefunction(grid, 6.0).values) ** 2).tobytes()
+
+    def uncached(grid, width):
+        return _prepare_input(gaussian_wavefunction(grid, width), width)
+
+    monkeypatch.setattr(timemachine, "gaussian_input", uncached)  # the analytic distortion's input
+    monkeypatch.setattr(scenarios, "gaussian_input", gaussian_wavefunction)  # run_machine prepares the samples
+    assert [_scenario_outputs(spec.run(params)) for params in SCENARIO_SWEEP] == cached
+
+
+def test_runs_on_the_cached_gaussian_input_equal_runs_on_its_samples_bit_for_bit():
+    timemachine._gaussian_input.cache_clear()
+    for width in (1.0, 6.0):
+        grid = Grid1D(-8.0 * width, 8.0 * width + 10.0, 4096)
+        fn = gaussian_wavefunction(grid, width)
+        for n_terms in (13, 20, 40, 60):
+            cached = run_machine(gaussian_input(grid, width), n_terms, 10.0, 1.0)
+            plain = run_machine(fn, n_terms, 10.0, 1.0)
+            assert cached.final_fn.values.tobytes() == plain.final_fn.values.tobytes()
+            assert cached.final_fn.grid == plain.final_fn.grid
+            assert (cached.distortion, cached.success_prob) == (plain.distortion, plain.success_prob)
+            analytic = full_band_machine(fn, n_terms, 10.0, 1.0, width)[3]
+            assert gaussian_shift_distortion(n_terms, 10.0, 1.0, width, grid) == analytic
+    info = timemachine._gaussian_input.cache_info()
+    assert (info.misses, info.hits) == (2, 14)
+
+
+def test_gaussian_inputs_are_keyed_by_the_bits_of_the_bounds_and_the_width():
+    # Grid1D equality takes -0.0 for 0.0, so an entry keyed by value would hand one grid the other's input
+    timemachine._gaussian_input.cache_clear()
+    plus = gaussian_input(Grid1D(0.0, 40.0, 256), 2.0)
+    minus = gaussian_input(Grid1D(-0.0, 40.0, 256), 2.0)
+    assert math.copysign(1.0, plus.grid.lo) == 1.0 and math.copysign(1.0, minus.grid.lo) == -1.0
+    above = math.nextafter(40.0, math.inf)
+    assert gaussian_input(Grid1D(-40.0, above, 256), 2.0).grid.hi == above
+    assert gaussian_input(Grid1D(-40.0, 40.0, 256), 2.0).grid.hi == 40.0
+    grid, wider = Grid1D(-40.0, 40.0, 256), math.nextafter(2.0, math.inf)
+    power = gaussian_input(grid, wider).gaussian[1]
+    assert power.tobytes() == _prepare_input(gaussian_wavefunction(grid, wider), wider).gaussian[1].tobytes()
+    assert power.tobytes() != gaussian_input(grid, 2.0).gaussian[1].tobytes()
+    assert timemachine._gaussian_input.cache_info().currsize == 5
+
+
+def test_cached_gaussian_inputs_are_read_only():
+    machine_input = gaussian_input(Grid1D(-40.0, 40.0, 4096), 1.0)
+    assert gaussian_input(Grid1D(-40.0, 40.0, 4096), 1.0) is machine_input
+    arrays = [machine_input.spectrum, machine_input.kept, machine_input.power, machine_input.k, *machine_input.gaussian]
+    for array in arrays + [machine_input.grid.values]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        machine_input.rough = True
+    run_machine(machine_input, 13, 0.5, 1.0)  # a run multiplies a copy of the spectrum
+    assert machine_input.spectrum.tobytes() == gaussian_input(Grid1D(-40.0, 40.0, 4096), 1.0).spectrum.tobytes()
+
+
+def test_every_run_on_a_rough_cached_input_warns():
+    rough = gaussian_input(Grid1D(-5.0, 5.0, 64), 0.2)
+    assert rough.rough
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="Nyquist"):
+            run_machine(rough, 4, 0.5, 0.1)
+
+
+def test_a_cached_input_refuses_a_larger_span_that_leaves_the_grid():
+    # the support, |f| above 1e-12 of its peak, reaches |q| = 7.43: a shift of 2 fits on [-10, 10], one of 8 does not
+    machine_input = gaussian_input(Grid1D(-10.0, 10.0, 256), 1.0)
+    assert run_machine(machine_input, 8, 2.0, 1.0).success_prob > 0
+    with pytest.raises(GridOverflow):
+        run_machine(machine_input, 8, 2.0, 4.0)
+    with pytest.raises(GridOverflow):
+        run_machine(machine_input, 8, -2.0, 4.0)
+    assert run_machine(machine_input, 8, 2.0, 1.0).success_prob > 0
+
+
+def test_refusals_keep_their_order(monkeypatch):
+    # span, then schedule, then the input (zero, then representation), then the grid, then the Nyquist warning
+    grid = Grid1D(-10.0, 10.0, 256)
+    zero = WaveFunction1D(grid, np.zeros(256))
+    momentum = WaveFunction1D(grid, gaussian_wavefunction(grid, 1.0).values, "momentum")
+    with pytest.raises(ValidationError, match="delta_t"):
+        run_machine(zero, 0, math.nan, -1.0)
+    with pytest.raises(ValidationError, match="n_terms"):
+        run_machine(zero, 0, 10.0, 1.0)
+    with pytest.raises(ResourceLimit):
+        run_machine(zero, 121, 10.0, 1.0)
+    with pytest.raises(ValidationError, match="zero wavefunction"):
+        run_machine(zero, 8, 9.0, 1.0)
+    with pytest.raises(ValidationError, match="position representation"):
+        run_machine(momentum, 8, 9.0, 1.0)
+    rough = gaussian_input(Grid1D(-5.0, 5.0, 64), 0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(GridOverflow):
+            run_machine(rough, 4, 0.5, 10.0)
+    assert caught == []
+    with pytest.raises(ValidationError, match="n_terms"):
+        gaussian_shift_distortion(0, 10.0, -1.0, math.nan, grid)
+    with pytest.raises(ValidationError, match="delta_t"):
+        gaussian_shift_distortion(13, 10.0, -1.0, math.nan, grid)
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: pytest.fail("an FFT ran"))
+    with pytest.raises(ValidationError, match="width"):
+        gaussian_shift_distortion(13, 10.0, 1.0, math.nan, grid)
+    with pytest.raises(ValidationError, match="width"):
+        gaussian_input(grid, 1e-300)
 
 
 def full_band_machine(fn, n_terms, eta, delta_t, width):
@@ -320,11 +458,10 @@ def test_run_machine_zero_span_success_probability_is_exact():
 
 def correlated_rows(fn, n_terms, eta, delta_t):
     """The literal correlated register rows N0 * alpha_n * f(q - delta_t_n), one FFT pair each."""
-    fn = fn.normalized()
     sched = binomial_schedule(n_terms, eta)
     qos_initial = np.array([float(w) for w in sched.exact_weights]) / math.sqrt(float(sched.square_sum))
     shifts = np.arange(n_terms + 1) / n_terms * delta_t
-    spec = _masked_shift_spectrum(fn, shifts.min(), shifts.max())
+    spec = _prepare_input(fn).spectrum
     k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
     return np.array([a * np.fft.ifft(spec * np.exp(-1j * k * s)) for a, s in zip(qos_initial, shifts)])
 
@@ -339,7 +476,7 @@ def test_run_machine_final_function_and_distortion_match_their_position_space_fo
     row_sum = correlated_rows(fn, 13, 0.6, 1.0).sum(axis=0) / norm0
     assert np.abs(run.final_fn.values - row_sum).max() <= 1e-12
     unit = fn.normalized()
-    spec = _masked_shift_spectrum(unit, 0.0, 1.0)
+    spec = _prepare_input(fn).spectrum
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     target = np.fft.ifft(spec * np.exp(-1j * k * 0.6))
     distance = np.sqrt(np.sum(np.abs(run.final_fn.values - target) ** 2) * grid.spacing) / unit.norm()
@@ -575,8 +712,9 @@ def test_run_machine_refuses_a_momentum_space_function():
         run_machine(momentum, 4, 2.0, 0.5)
 
 
-def test_a_zero_function_has_no_support_to_shift():
-    # run_machine normalizes first and refuses a zero function there, so the shift rule is called directly
+def test_a_zero_function_is_refused_before_its_spectrum_is_taken(monkeypatch):
+    # the input is normalized first, so a zero function never reaches the support or the FFT
     zero = WaveFunction1D(Grid1D(-10.0, 10.0, 256), np.zeros(256))
-    with pytest.raises(ValidationError, match="cannot shift a zero wavefunction"):
-        _masked_shift_spectrum(zero, 0.0, 1.0)
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: pytest.fail("an FFT ran"))
+    with pytest.raises(ValidationError, match="cannot normalize a zero wavefunction"):
+        run_machine(zero, 4, 2.0, 0.5)
