@@ -98,10 +98,10 @@ class LargeSpin(Record):
         sy = (raise_op - raise_op.conj().T) / 2j
         return sx, sy, sz
 
-    def coherent_state(self, direction, operators: tuple | None = None) -> np.ndarray:
-        """Top eigenstate |S.n = N> of the spin component along `direction`; `operators`, if given, is `operators()`."""
+    def coherent_state(self, direction, operators: tuple) -> np.ndarray:
+        """Top eigenstate |S.n = N> of the spin component along `direction`, from the spin's `operators()`."""
         d = unit_vector(direction)
-        sx, sy, sz = self.operators() if operators is None else operators
+        sx, sy, sz = operators
         return top_eigenvector(d[0] * sx + d[1] * sy + d[2] * sz)
 
 

@@ -20,8 +20,9 @@ product form of the spectral multiplier
 which is stable where the expanded sum is catastrophically ill-conditioned.
 `run_machine` shifts through the masked spectrum of a `MachineInput`,
 which holds all that a run takes from its input alone; the scenario's
-Gaussian input is built once per grid and width (`gaussian_input`), so
-runs that differ only in n_terms, eta or delta_t share it.  Every
+Gaussian input is built once per grid and width (`gaussian_input`), and
+so is the exact Gaussian spectrum of `gaussian_shift_distortion`, so
+runs that differ only in n_terms, eta or delta_t share both.  Every
 distortion is one Parseval sum (`_shift_distortion`).  B(k) and its
 weights are evaluated only where the spectrum is nonzero
 (`_multiplier_on_support`).  The shell radii that
@@ -127,9 +128,6 @@ class MachineInput(Record):
     wavenumbers.  `support` holds the first and last grid points where the
     normalized |f| exceeds 1e-12 of its peak, and `rough` tells whether more
     than 1e-6 of the power lies above a quarter of the Nyquist rate.
-    `gaussian`, for the input of `gaussian_input` only, holds the nonzero
-    indices and the square of the exact spectrum modulus of the sampled
-    unit Gaussian.
     """
 
     grid: Grid1D
@@ -140,11 +138,10 @@ class MachineInput(Record):
     power: np.ndarray
     k: np.ndarray
     rough: bool
-    gaussian: tuple | None = None
 
 
-def _prepare_input(fn: WaveFunction1D, width: float | None = None) -> MachineInput:
-    """The `MachineInput` of `fn`, normalized here, with the exact spectrum of the unit Gaussian of `width` if given."""
+def _prepare_input(fn: WaveFunction1D) -> MachineInput:
+    """The `MachineInput` of `fn`, normalized here."""
     fn = fn.normalized()
     if fn.representation != "position":
         raise ValidationError("shift the position representation")
@@ -156,26 +153,17 @@ def _prepare_input(fn: WaveFunction1D, width: float | None = None) -> MachineInp
     spec[magnitude < SPECTRAL_MASK_RTOL * magnitude.max()] = 0.0
     power = np.abs(spec) ** 2
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
-    gaussian = None
-    if width is not None:
-        # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
-        # grid is assumed wide enough that boundary tails vanish); only moduli
-        # enter the Parseval sums, so grid-origin phases are irrelevant.
-        amp = (np.pi * width**2) ** -0.25
-        exact = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
-        gaussian = (_read_only(np.flatnonzero(exact)), _read_only(exact**2))
     return MachineInput(
         grid,
         fn.conjugate_lo,
         (float(support[0]), float(support[-1])),
         *(_read_only(a) for a in (spec, np.flatnonzero(spec), power, k)),
         _spectrum_weight_above(power, k, grid.spacing) > 1e-6,
-        gaussian,
     )
 
 
 def gaussian_input(grid: Grid1D, width: float) -> MachineInput:
-    """The `MachineInput` of `gaussian_wavefunction(grid, width)` with its exact spectrum, once per grid and width."""
+    """The `MachineInput` of `gaussian_wavefunction(grid, width)`, once per grid and width."""
     require_width(width, "width")
     return _gaussian_input(float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex())
 
@@ -186,22 +174,41 @@ def _gaussian_input(lo: str, hi: str, points: int, width: str) -> MachineInput:
 
     Not by `Grid1D` equality, which takes -0.0 for 0.0.
     """
+    grid = Grid1D(float.fromhex(lo), float.fromhex(hi), points)
+    return _prepare_input(gaussian_wavefunction(grid, float.fromhex(width)))
+
+
+@functools.lru_cache(maxsize=16)
+def _gaussian_power(lo: str, hi: str, points: int, width: str) -> tuple:
+    """(k, nonzero indices, square) of the exact spectrum modulus of the sampled unit Gaussian, read-only.
+
+    Keyed as `_gaussian_input`, but from the grid's wavenumbers alone: no
+    sample is taken, so a grid too wide for the Gaussian's samples still
+    has its analytic spectrum.
+    """
     grid, width = Grid1D(float.fromhex(lo), float.fromhex(hi), points), float.fromhex(width)
-    return _prepare_input(gaussian_wavefunction(grid, width), width)
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
+    # grid is assumed wide enough that boundary tails vanish); only moduli
+    # enter the Parseval sums, so grid-origin phases are irrelevant.
+    amp = (np.pi * width**2) ** -0.25
+    spectrum = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
+    return tuple(_read_only(a) for a in (k, np.flatnonzero(spectrum), spectrum**2))
 
 
 def gaussian_shift_distortion(n_terms: int, eta: float, delta_t: float, width: float, grid: Grid1D) -> float:
     """Distortion of the binomial superposition for an analytic Gaussian input.
 
-    Uses the exact Gaussian spectrum of `gaussian_input` instead of an FFT of
-    samples, so the result is well conditioned even for strongly signed
-    schedules, and a direct high-precision summation oracle reproduces it to ~1e-12.
+    Uses the exact Gaussian spectrum instead of an FFT of samples, so the
+    result is well conditioned even for strongly signed schedules, and a
+    direct high-precision summation oracle reproduces it to ~1e-12.  The
+    spectrum is built once per grid and width (`_gaussian_power`).
     """
     _require_schedule_inputs(n_terms, eta)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    machine_input = gaussian_input(grid, width)
-    kept, power = machine_input.gaussian
-    return _shift_distortion(power, _multiplier_on_support(kept, machine_input.k, n_terms, eta, delta_t)[1])
+    require_width(width, "width")
+    k, kept, power = _gaussian_power(float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex())
+    return _shift_distortion(power, _multiplier_on_support(kept, k, n_terms, eta, delta_t)[1])
 
 
 class MachineRun(Record):

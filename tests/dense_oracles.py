@@ -106,9 +106,10 @@ def n_spin_pointer(n: int, pointer):
 def protected_measurement_per_momentum(target_tsv, obs, spin, coupling, pointer) -> ProtectedMeasurementResult:
     """`protected_two_state_measurement` with its own eigh of -lambda*S.sigma + p*obs at every significant p."""
     ket, bra = target_tsv.ket.normalized().amplitudes, target_tsv.bra.ket_form
-    pre_protector = spin.coherent_state(_bloch_direction(ket))
-    post_protector = spin.coherent_state(_bloch_direction(bra / np.linalg.norm(bra)))
-    protection = _protection_matrix(spin.operators(), coupling, (PAULI_X, PAULI_Y, PAULI_Z))
+    operators = spin.operators()
+    pre_protector = spin.coherent_state(_bloch_direction(ket), operators)
+    post_protector = spin.coherent_state(_bloch_direction(bra / np.linalg.norm(bra)), operators)
+    protection = _protection_matrix(operators, coupling, (PAULI_X, PAULI_Y, PAULI_Z))
     coupling_op = np.kron(np.eye(spin.dim), obs.matrix)
     init = np.kron(pre_protector, ket)
     mom, mask = _significant_momentum(pointer)

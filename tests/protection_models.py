@@ -91,10 +91,11 @@ def model_spin_protection(
     sig_z = np.outer(up, up.conj()) - np.outer(down, down.conj())
 
     chi = _bloch_direction(np.array([a, b]))
-    protector_pre = spin.coherent_state([0.0, 0.0, 1.0])
-    protector_post = spin.coherent_state(chi)
+    operators = spin.operators()
+    protector_pre = spin.coherent_state([0.0, 0.0, 1.0], operators)
+    protector_post = spin.coherent_state(chi, operators)
 
-    protection = DenseOperator(_protection_matrix(spin.operators(), coupling, (sig_x, sig_y, sig_z)))
+    protection = DenseOperator(_protection_matrix(operators, coupling, (sig_x, sig_y, sig_z)))
 
     protector_tsv = TwoStateVector(CoStateVector.from_ket(protector_post), StateVector(protector_pre))
     effective, s_w = weak_value_substituted_hamiltonian(protector_tsv, spin, coupling, (sig_x, sig_y, sig_z))

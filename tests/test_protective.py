@@ -41,9 +41,10 @@ SQRT2 = np.sqrt(2.0)
 
 
 def protector_pair(spin: LargeSpin, pre_dir, post_dir) -> TwoStateVector:
+    operators = spin.operators()
     return TwoStateVector(
-        CoStateVector.from_ket(spin.coherent_state(post_dir)),
-        StateVector(spin.coherent_state(pre_dir)),
+        CoStateVector.from_ket(spin.coherent_state(post_dir, operators)),
+        StateVector(spin.coherent_state(pre_dir, operators)),
     )
 
 
@@ -78,7 +79,7 @@ def test_coherent_states_are_top_eigenvectors():
     spin = LargeSpin(6)
     sx, sy, sz = spin.operators()
     for direction, op in (((1, 0, 0), sx), ((0, 1, 0), sy), ((0, 0, 1), sz)):
-        vec = spin.coherent_state(direction)
+        vec = spin.coherent_state(direction, (sx, sy, sz))
         assert np.abs(op @ vec - 6 * vec).max() <= 1e-10
 
 
@@ -86,7 +87,7 @@ def test_a_zero_coherent_state_direction_is_refused():
     # at the parent this raised numpy's LinAlgError "Eigenvalues did not converge"
     for direction in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0]):
         with pytest.raises(ValidationError, match="nonzero, finite"):
-            LargeSpin(3).coherent_state(direction)
+            LargeSpin(3).coherent_state(direction, LargeSpin(3).operators())
 
 
 def test_weak_value_substituted_hamiltonian_for_the_xy_protector():

@@ -26,7 +26,7 @@ from twostate.cli import build_parser, main
 from twostate.linalg import _fourier_factors
 from twostate.reporting import _cell_layout, _grid_words
 from twostate.scenarios import REGISTRY, _coarse_kinetic_operator, _spin_xi_setup
-from twostate.timemachine import _gaussian_input, binomial_schedule
+from twostate.timemachine import _gaussian_input, _gaussian_power, binomial_schedule
 
 SRC = Path(twostate.__file__).resolve().parent
 
@@ -99,8 +99,8 @@ def entered_functions(argvs: list) -> set:
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    # a schedule, setup, parser, grid, cell layout, Fourier factor or machine input cached by an earlier test would
-    # skip its function
+    # a schedule, setup, parser, grid, cell layout, Fourier factor, machine input or Gaussian spectrum cached by an
+    # earlier test would skip its function
     binomial_schedule.cache_clear()
     _spin_xi_setup.cache_clear()
     _coarse_kinetic_operator.cache_clear()
@@ -109,6 +109,7 @@ def entered_functions(argvs: list) -> set:
     _cell_layout.cache_clear()
     _fourier_factors.cache_clear()
     _gaussian_input.cache_clear()
+    _gaussian_power.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in argvs]

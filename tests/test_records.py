@@ -112,9 +112,8 @@ CASES = {
             "power": np.ones(16),
             "k": np.zeros(16),
             "rough": False,
-            "gaussian": None,
         },
-        {"gaussian": None},
+        {},
     ),
     "timemachine.MachineRun": (
         timemachine.MachineRun,

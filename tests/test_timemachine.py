@@ -222,23 +222,22 @@ def test_the_scenario_on_the_cached_gaussian_input_writes_the_uncached_outputs_b
 
     spec = scenarios.get_scenario("time_machine")
     timemachine._gaussian_input.cache_clear()
+    timemachine._gaussian_power.cache_clear()
     cached = [_scenario_outputs(spec.run(params)) for params in SCENARIO_SWEEP]
-    assert timemachine._gaussian_input.cache_info().hits > 0
+    assert timemachine._gaussian_input.cache_info().hits > 0 and timemachine._gaussian_power.cache_info().hits > 0
     # fig5's "original" column is the Gaussian as sampled, not the run's renormalized copy
     grid = Grid1D(-48.0, 58.0, 4096)  # the default run's grid: 8 widths of 6 either side, and the reach 10 of eta 10
     assert cached[0][2] == repr(grid)
     assert cached[0][3][0] == (np.abs(gaussian_wavefunction(grid, 6.0).values) ** 2).tobytes()
 
-    def uncached(grid, width):
-        return _prepare_input(gaussian_wavefunction(grid, width), width)
-
-    monkeypatch.setattr(timemachine, "gaussian_input", uncached)  # the analytic distortion's input
+    monkeypatch.setattr(timemachine, "_gaussian_power", timemachine._gaussian_power.__wrapped__)  # the exact spectrum
     monkeypatch.setattr(scenarios, "gaussian_input", gaussian_wavefunction)  # run_machine prepares the samples
     assert [_scenario_outputs(spec.run(params)) for params in SCENARIO_SWEEP] == cached
 
 
 def test_runs_on_the_cached_gaussian_input_equal_runs_on_its_samples_bit_for_bit():
     timemachine._gaussian_input.cache_clear()
+    timemachine._gaussian_power.cache_clear()
     for width in (1.0, 6.0):
         grid = Grid1D(-8.0 * width, 8.0 * width + 10.0, 4096)
         fn = gaussian_wavefunction(grid, width)
@@ -250,37 +249,61 @@ def test_runs_on_the_cached_gaussian_input_equal_runs_on_its_samples_bit_for_bit
             assert (cached.distortion, cached.success_prob) == (plain.distortion, plain.success_prob)
             analytic = full_band_machine(fn, n_terms, 10.0, 1.0, width)[3]
             assert gaussian_shift_distortion(n_terms, 10.0, 1.0, width, grid) == analytic
-    info = timemachine._gaussian_input.cache_info()
-    assert (info.misses, info.hits) == (2, 14)
+    for cache in (timemachine._gaussian_input, timemachine._gaussian_power):
+        assert (cache.cache_info().misses, cache.cache_info().hits) == (2, 6)
 
 
-def test_gaussian_inputs_are_keyed_by_the_bits_of_the_bounds_and_the_width():
+def _gaussian_key(grid, width):
+    """The key of `_gaussian_input` and `_gaussian_power` for a grid and width."""
+    return float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex()
+
+
+def test_gaussian_inputs_and_spectra_are_keyed_by_the_bits_of_the_bounds_and_the_width():
     # Grid1D equality takes -0.0 for 0.0, so an entry keyed by value would hand one grid the other's input
     timemachine._gaussian_input.cache_clear()
-    plus = gaussian_input(Grid1D(0.0, 40.0, 256), 2.0)
-    minus = gaussian_input(Grid1D(-0.0, 40.0, 256), 2.0)
-    assert math.copysign(1.0, plus.grid.lo) == 1.0 and math.copysign(1.0, minus.grid.lo) == -1.0
-    above = math.nextafter(40.0, math.inf)
-    assert gaussian_input(Grid1D(-40.0, above, 256), 2.0).grid.hi == above
-    assert gaussian_input(Grid1D(-40.0, 40.0, 256), 2.0).grid.hi == 40.0
-    grid, wider = Grid1D(-40.0, 40.0, 256), math.nextafter(2.0, math.inf)
-    power = gaussian_input(grid, wider).gaussian[1]
-    assert power.tobytes() == _prepare_input(gaussian_wavefunction(grid, wider), wider).gaussian[1].tobytes()
-    assert power.tobytes() != gaussian_input(grid, 2.0).gaussian[1].tobytes()
+    timemachine._gaussian_power.cache_clear()
+    above, wider = math.nextafter(40.0, math.inf), math.nextafter(2.0, math.inf)
+    bounds = [(0.0, 40.0, 2.0), (-0.0, 40.0, 2.0), (-40.0, above, 2.0), (-40.0, 40.0, 2.0), (-40.0, 40.0, wider)]
+    cases = [(Grid1D(lo, hi, 256), width) for lo, hi, width in bounds]
+    for grid, width in cases:
+        machine_input = gaussian_input(grid, width)
+        assert _gaussian_key(machine_input.grid, width) == _gaussian_key(grid, width)
+        assert machine_input.spectrum.tobytes() == _prepare_input(gaussian_wavefunction(grid, width)).spectrum.tobytes()
+        gaussian_shift_distortion(13, 0.5, 1.0, width, grid)
     assert timemachine._gaussian_input.cache_info().currsize == 5
+    assert timemachine._gaussian_power.cache_info().currsize == 5
+    powers = [timemachine._gaussian_power(*_gaussian_key(grid, width))[2] for grid, width in cases]
+    assert timemachine._gaussian_power.cache_info().currsize == 5  # each the entry that the distortion made
+    assert powers[-1].tobytes() == timemachine._gaussian_power.__wrapped__(*_gaussian_key(*cases[-1]))[2].tobytes()
+    assert powers[-1].tobytes() != powers[-2].tobytes()
 
 
-def test_cached_gaussian_inputs_are_read_only():
-    machine_input = gaussian_input(Grid1D(-40.0, 40.0, 4096), 1.0)
-    assert gaussian_input(Grid1D(-40.0, 40.0, 4096), 1.0) is machine_input
-    arrays = [machine_input.spectrum, machine_input.kept, machine_input.power, machine_input.k, *machine_input.gaussian]
+def test_cached_gaussian_inputs_and_spectra_are_read_only():
+    grid = Grid1D(-40.0, 40.0, 4096)
+    machine_input = gaussian_input(grid, 1.0)
+    assert gaussian_input(grid, 1.0) is machine_input
+    gaussian_power = timemachine._gaussian_power(*_gaussian_key(grid, 1.0))
+    assert timemachine._gaussian_power(*_gaussian_key(grid, 1.0)) is gaussian_power
+    arrays = [machine_input.spectrum, machine_input.kept, machine_input.power, machine_input.k, *gaussian_power]
     for array in arrays + [machine_input.grid.values]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     with pytest.raises(FrozenInstanceError):
         machine_input.rough = True
     run_machine(machine_input, 13, 0.5, 1.0)  # a run multiplies a copy of the spectrum
-    assert machine_input.spectrum.tobytes() == gaussian_input(Grid1D(-40.0, 40.0, 4096), 1.0).spectrum.tobytes()
+    assert machine_input.spectrum.tobytes() == gaussian_input(grid, 1.0).spectrum.tobytes()
+
+
+def test_the_analytic_distortion_takes_no_sample_of_its_gaussian(monkeypatch):
+    # every sample of a unit Gaussian on a grid of spacing 1.3e5 underflows to 0, so the samples cannot be prepared;
+    # the exact spectrum comes from the grid's wavenumbers alone and still gives the distortion
+    grid = Grid1D(-1e6, 1e6, 16)
+    with pytest.raises(ValidationError, match="zero wavefunction"):
+        gaussian_input(grid, 1.0)
+    want = full_band_gaussian_distortion(grid, 13, 10.0, 1.0, 1.0)
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: pytest.fail("an FFT ran"))
+    assert gaussian_shift_distortion(13, 10.0, 1.0, 1.0, grid) == want
+    assert math.isfinite(want)
 
 
 def test_every_run_on_a_rough_cached_input_warns():
@@ -334,6 +357,21 @@ def test_refusals_keep_their_order(monkeypatch):
         gaussian_input(grid, 1e-300)
 
 
+def _full_band_multiplier(grid, n_terms, eta, delta_t):
+    """k, B(k) and the weights |B(k) - exp(-i*k*eta*delta_t)|**2 on every wavenumber of the grid."""
+    k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    multiplier = (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
+    return k, multiplier, np.abs(multiplier - np.exp(-1j * k * (eta * delta_t))) ** 2
+
+
+def full_band_gaussian_distortion(grid, n_terms, eta, delta_t, width):
+    """gaussian_shift_distortion's number with its weights on every wavenumber of the grid."""
+    k, _, miss = _full_band_multiplier(grid, n_terms, eta, delta_t)
+    amp = (np.pi * width**2) ** -0.25
+    gaussian = np.abs(amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing) ** 2
+    return float(np.sqrt(np.sum(gaussian * miss) / np.sum(gaussian)))
+
+
 def full_band_machine(fn, n_terms, eta, delta_t, width):
     """run_machine's and gaussian_shift_distortion's numbers with B(k) and its weights on every wavenumber of the grid.
 
@@ -341,9 +379,7 @@ def full_band_machine(fn, n_terms, eta, delta_t, width):
     """
     fn = fn.normalized()
     spacing = fn.grid.spacing
-    k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=spacing)
-    multiplier = (eta * np.exp(-1j * k * delta_t / n_terms) + (1.0 - eta)) ** n_terms
-    miss = np.abs(multiplier - np.exp(-1j * k * (eta * delta_t))) ** 2
+    _, multiplier, miss = _full_band_multiplier(fn.grid, n_terms, eta, delta_t)
     spec = np.fft.fft(fn.values)
     spec[np.abs(spec) < SPECTRAL_MASK_RTOL * np.abs(spec).max()] = 0.0
     superposed = np.fft.ifft(spec * multiplier)
@@ -351,9 +387,7 @@ def full_band_machine(fn, n_terms, eta, delta_t, width):
     distortion = float(np.sqrt(np.sum(power * miss) / np.sum(power)))
     norm0 = 1.0 / math.sqrt(float(binomial_schedule(n_terms, eta).square_sum))
     success = float(np.sum(np.abs(norm0 / math.sqrt(n_terms + 1) * superposed) ** 2) * spacing)
-    amp = (np.pi * width**2) ** -0.25
-    gaussian = np.abs(amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / spacing) ** 2
-    return superposed, distortion, success, float(np.sqrt(np.sum(gaussian * miss) / np.sum(gaussian)))
+    return superposed, distortion, success, full_band_gaussian_distortion(fn.grid, n_terms, eta, delta_t, width)
 
 
 @pytest.mark.parametrize("eta", [-3.0, -0.5, 0.0, 0.5, 1.0, 2.0, 10.0])
