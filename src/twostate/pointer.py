@@ -29,7 +29,7 @@ the time machine (`timemachine`).
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -233,11 +233,28 @@ def moment_expansion_residual(
     return float(num / den)
 
 
-def _invert_cdf(u: np.ndarray, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Overwrite `u` with np.interp(u, cdf, q) bit for bit (each query is found on its own), looked up in sorted order."""
+@lru_cache(maxsize=1)  # one (size, seed) per sweep; a larger cache would hold 16 MB an entry at the 10**6 cap
+def _sorted_draws(n_samples: int, seed: int) -> tuple:
+    """(order, u[order]) for the uniforms u = default_rng(seed).random(n_samples), both read-only.
+
+    Keyed by the two checked integers, so the runs of one sweep, which share
+    a seed, draw and sort their readings' uniforms once.
+    """
+    u = np.random.default_rng(seed).random(n_samples)
     order = np.argsort(u)  # sorted queries keep np.interp's searches in cache
-    u[order] = np.interp(u[order], cdf, q)
-    return u
+    return _read_only(order), _read_only(u[order])
+
+
+def _invert_cdf(draws: tuple, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.interp(u, cdf, q) bit for bit (each query is found on its own) for the `_sorted_draws` pair of u.
+
+    The sorted draws are interpolated in one pass and scattered back through
+    `order`, so every reading has the value and the place it has in draw order.
+    """
+    order, sorted_u = draws
+    samples = np.empty(order.size)
+    samples[order] = np.interp(sorted_u, cdf, q)
+    return samples
 
 
 def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) -> dict:
@@ -252,7 +269,7 @@ def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) ->
     require_integer(seed, "seed", 0)
     cdf = np.cumsum(result.q_density) * result.q_grid.spacing
     cdf /= cdf[-1]
-    samples = _invert_cdf(np.random.default_rng(seed).random(n_samples), cdf, result.q_grid.values)
+    samples = _invert_cdf(_sorted_draws(n_samples, seed), cdf, result.q_grid.values)
     spread = samples.std(ddof=1) if n_samples > 1 else result.delta
     stderr = float(np.sqrt(2.0) * spread / np.sqrt(n_samples))
     return {"mean": float(samples.mean()), "stderr": stderr, "n_samples": n_samples, "seed": seed}

@@ -378,7 +378,7 @@ def _run_n_spin(params: dict) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # negative kinetic energy of a tunneling particle
 
-_COARSE_LATTICE = (161, 20.0)  # sites and half-domain of the pointer-level confirmation
+_COARSE_LATTICE = (161, 20)  # sites and half-domain of the pointer-level confirmation, which bounds postselect_x
 
 
 def _kinetic_lattice(sites: int, half_domain: float):
@@ -388,12 +388,15 @@ def _kinetic_lattice(sites: int, half_domain: float):
 
 
 def _square_well_ground_state(sites: int, half_domain: float, depth: float, half_width: float):
+    x, dx, kin_diag, kin_off = _kinetic_lattice(sites, half_domain)
+    inside = np.abs(x) <= half_width
+    if not inside.any():  # the lattice would hold a free particle
+        raise ValidationError(f"a well of half width {half_width} holds no site of the {sites}-site lattice")
     # imported here: scipy.linalg costs a cold process more than numpy and twostate together,
     # and only this scenario needs it
     from scipy.linalg import eigh_tridiagonal
 
-    x, dx, kin_diag, kin_off = _kinetic_lattice(sites, half_domain)
-    potential = np.where(np.abs(x) <= half_width, -depth, 0.0)
+    potential = np.where(inside, -depth, 0.0)
     energies, vectors = eigh_tridiagonal(kin_diag + potential, kin_off, select="i", select_range=(0, 0))
     return x, dx, potential, kin_diag, kin_off, float(energies[0]), vectors[:, 0]
 
@@ -593,7 +596,7 @@ _register(
         ParamSpec("sites", "int", 2048, min=2),
         ParamSpec("well_depth", "float", 5.0),
         ParamSpec("well_half_width", "float", 1.0),
-        ParamSpec("postselect_x", "float", 5.0),
+        ParamSpec("postselect_x", "float", 5.0, min=-_COARSE_LATTICE[1], max=_COARSE_LATTICE[1]),
         ParamSpec("pointer_delta", "float", 8.0, min=0),
     ),
     _run_negative_kinetic,

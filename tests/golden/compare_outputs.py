@@ -63,6 +63,11 @@ REFUSED = (
     ("missing-config", ("run", "n_box", "--config", "no-such-config.json")),
     ("boolean-sweep", ("sweep", "spin_xi_weak", "--param-name", "postselect", "--values", "true,false")),
     ("out-under-file", ("run", "n_box")),
+    ("well-without-a-site", ("run", "negative_kinetic_energy", "--param", "well_half_width=1e-300")),
+    (
+        "postselect-off-the-pointer-lattice",
+        ("run", "negative_kinetic_energy", "--param", "well_depth=0.05", "--param", "postselect_x=30"),
+    ),
 )
 
 

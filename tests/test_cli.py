@@ -443,6 +443,32 @@ def test_negative_kinetic_energy_below_two_sites_is_a_usage_error(sites, tmp_pat
 
 
 @pytest.mark.parametrize(
+    "params, message",
+    [
+        # this one exited 0, its pointer post-selected at the coarse lattice's edge, 20, as if postselect_x were 19
+        (["well_depth=0.05", "postselect_x=30"], "parameter 'postselect_x' must be below 20, got 30.0"),
+        (["postselect_x=100"], "parameter 'postselect_x' must be below 20, got 100.0"),
+        # these exited 1 on bound_state_exists: the lattice held a free particle
+        (["well_half_width=0.01"], "a well of half width 0.01 holds no site of the 2048-site lattice"),
+        (["well_half_width=1e-300"], "a well of half width 1e-300 holds no site of the 2048-site lattice"),
+        (["well_half_width=-1", "postselect_x=0"], "a well of half width -1.0 holds no site of the 2048-site lattice"),
+    ],
+    ids=["postselect-30", "postselect-100", "half-width-0.01", "half-width-1e-300", "half-width-negative"],
+)
+def test_negative_kinetic_energy_refuses_what_its_lattices_cannot_hold(params, message, tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+
+    def solves(*args, **kwargs):
+        raise AssertionError("the refused request reached the solve")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solves)
+    argv = [x for p in params for x in ("--param", p)]
+    assert run_cli("run", "negative_kinetic_energy", *argv, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv",
     [["run", "three_box"], ["sweep", "n_box", "--param-name", "boxes", "--values", "3,4"]],
     ids=["run", "sweep"],
@@ -520,6 +546,9 @@ def test_outputs_that_cannot_be_written_are_a_usage_error(argv, tmp_path, capsys
         ("n_spin_single_system", "delta", 0),
         ("negative_kinetic_energy", "pointer_delta", 0),
         ("time_machine", "width", 0),
+        # the post-selection point lies on the coarse pointer lattice, which spans +-20
+        ("negative_kinetic_energy", "postselect_x", -20),
+        ("negative_kinetic_energy", "postselect_x", 20),
     ],
 )
 def test_sizes_above_their_cap_are_refused_before_any_compute(scenario, name, cap, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from pointer_views import joint_state_after_impulse, momentum_shift_imaginary_part
 
+from twostate import cli
 from twostate.errors import GridOverflow, PostSelectionImpossible, ValidationError
 from twostate.linalg import (
     DenseOperator,
@@ -19,6 +20,7 @@ from twostate.linalg import (
 from twostate.pointer import (
     GaussianPointer,
     _invert_cdf,
+    _sorted_draws,
     density_mean,
     density_peak,
     ensemble_mean_estimator,
@@ -393,10 +395,74 @@ def test_the_sorted_sampler_draws_the_failing_seed_as_unsorted_interpolation_doe
     cdf /= cdf[-1]
     draws = np.random.default_rng(FAILING_SPIN_XI_SEED).random(5000)
     samples = np.interp(draws, cdf, dist.q_grid.values)
-    assert np.array_equal(_invert_cdf(draws, cdf, dist.q_grid.values), samples)
+    assert np.array_equal(_invert_cdf(_sorted_draws(5000, FAILING_SPIN_XI_SEED), cdf, dist.q_grid.values), samples)
     estimate = get_scenario("spin_xi_weak").run({"delta": 10.0}, seed=FAILING_SPIN_XI_SEED).results["ensemble"]
     assert estimate["mean"] == float(samples.mean())
     assert estimate["stderr"] == float(np.sqrt(2.0) * samples.std(ddof=1) / np.sqrt(5000))
+
+
+def _unsorted_estimate(result, n_samples: int, seed: int) -> tuple:
+    """(samples, estimate) as the sampler made them before its draws were cached: draw, argsort, interpolate in place."""
+    cdf = np.cumsum(result.q_density) * result.q_grid.spacing
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(n_samples)
+    order = np.argsort(u)
+    u[order] = np.interp(u[order], cdf, result.q_grid.values)
+    spread = u.std(ddof=1) if n_samples > 1 else result.delta
+    stderr = float(np.sqrt(2.0) * spread / np.sqrt(n_samples))
+    return u, {"mean": float(u.mean()), "stderr": stderr, "n_samples": n_samples, "seed": seed}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, FAILING_SPIN_XI_SEED])
+@pytest.mark.parametrize("n_samples", [1, 2, 4096, 5000, 10**6])
+def test_the_cached_draws_give_every_reading_and_estimate_of_unsorted_interpolation(n_samples, seed):
+    dist = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), GaussianPointer.for_spectrum(10.0, [1.0, -1.0]))
+    samples, expected = _unsorted_estimate(dist, n_samples, seed)
+    cdf = np.cumsum(dist.q_density) * dist.q_grid.spacing
+    cdf /= cdf[-1]
+    assert np.array_equal(_invert_cdf(_sorted_draws(n_samples, seed), cdf, dist.q_grid.values), samples)
+    got = ensemble_mean_estimator(dist, n_samples, seed)
+    assert got == expected
+    assert (got["mean"].hex(), got["stderr"].hex()) == (expected["mean"].hex(), expected["stderr"].hex())
+
+
+def test_a_spin_xi_sweep_draws_its_ensemble_once(monkeypatch, tmp_path):
+    # every value of a sweep runs at the one seed, so the five runs share one draw and one sort
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    _sorted_draws.cache_clear()
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    argv = ["sweep", "spin_xi_weak", "--param-name", "delta", "--values", "0.1,0.25,1,3,10", "--seed", "5"]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert calls == [(5,)]
+
+
+def test_another_seed_or_size_draws_anew():
+    dist = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), GaussianPointer.for_spectrum(10.0, [1.0, -1.0]))
+    for n_samples, seed in [(4096, 3), (4097, 3), (4096, 3), (4096, 4), (5000, 4), (1, 4)]:
+        assert ensemble_mean_estimator(dist, n_samples, seed) == _unsorted_estimate(dist, n_samples, seed)[1]
+        order, sorted_u = _sorted_draws(n_samples, seed)
+        assert order.size == sorted_u.size == n_samples
+        assert np.array_equal(sorted_u, np.sort(np.random.default_rng(seed).random(n_samples)))
+
+
+def test_the_cached_draws_are_read_only_and_left_unchanged_by_a_run():
+    dist = pointer_distribution_postselected(bisector_tsv(), sigma_xi(), GaussianPointer.for_spectrum(10.0, [1.0, -1.0]))
+    _sorted_draws.cache_clear()
+    order, sorted_u = _sorted_draws(5000, 11)
+    kept = order.copy(), sorted_u.copy()
+    assert not order.flags.writeable and not sorted_u.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sorted_u[0] = 0.5
+    ensemble_mean_estimator(dist, 5000, 11)
+    again = _sorted_draws(5000, 11)
+    assert again[0] is order and again[1] is sorted_u  # the run read the same entry
+    assert np.array_equal(order, kept[0]) and np.array_equal(sorted_u, kept[1])
 
 
 def test_preselected_ensemble_tracks_the_expectation_value():

@@ -64,7 +64,7 @@ from twostate.linalg import (  # noqa: E402
     projector_onto,
     spin_direction,
 )
-from twostate.pointer import GaussianPointer, _invert_cdf, pointer_distribution_postselected  # noqa: E402
+from twostate.pointer import GaussianPointer, _invert_cdf, _sorted_draws, pointer_distribution_postselected  # noqa: E402
 from twostate.reporting import csv_table  # noqa: E402
 from twostate.states import CoStateVector, GeneralizedTwoStateVector, StateVector, TwoStateVector, interchange  # noqa: E402
 from twostate.weak import (  # noqa: E402
@@ -313,7 +313,7 @@ def test_scaling_the_bra_and_ket_by_a_power_of_two_changes_no_result(description
 
 @st.composite
 def cdfs_and_draws(draw):
-    """A sampler CDF with flat runs (zero-density bins and a 1.0 plateau), and n draws, some exactly on its knots."""
+    """A sampler CDF with flat runs (zero-density bins and a 1.0 plateau), a draw count and seed, and knots to put draws on."""
     knots = draw(st.integers(16, 256))
     density = draw(arrays(float, knots, elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
     density[knots - draw(st.integers(1, knots // 4)):] = 0.0
@@ -321,17 +321,20 @@ def cdfs_and_draws(draw):
     cdf = np.cumsum(density)
     cdf /= cdf[-1]
     n = draw(st.sampled_from([1, 2, 4096, 5000]))
-    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    seed = draw(st.integers(0, 2**32 - 1))
     on_knots = draw(st.lists(st.integers(0, knots - 1), max_size=min(n, 64)))
-    u[: len(on_knots)] = cdf[on_knots]
-    return u, cdf, np.linspace(-draw(st.floats(1.0, 100.0)), 50.0, knots)
+    return n, seed, on_knots, cdf, np.linspace(-draw(st.floats(1.0, 100.0)), 50.0, knots)
 
 
 @PROPERTY
 @given(cdfs_and_draws())
 def test_the_sorted_cdf_inversion_is_np_interp_in_draw_order(case):
-    u, cdf, q = case
-    assert np.array_equal(_invert_cdf(u.copy(), cdf, q), np.interp(u, cdf, q))
+    n, seed, on_knots, cdf, q = case
+    u = np.random.default_rng(seed).random(n)
+    assert np.array_equal(_invert_cdf(_sorted_draws(n, seed), cdf, q), np.interp(u, cdf, q))
+    u[: len(on_knots)] = cdf[on_knots]  # draws exactly on knots, sorted as _sorted_draws sorts
+    order = np.argsort(u)
+    assert np.array_equal(_invert_cdf((order, u[order]), cdf, q), np.interp(u, cdf, q))
 
 
 @st.composite
