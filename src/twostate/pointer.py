@@ -88,15 +88,23 @@ class GaussianPointer(Record):
 
 
 class PointerResult(Record):
-    """The pointer's position density and readings; its momentum side is transformed on first read."""
+    """A pointer's position density and readings; its position function and momentum side are made on first read."""
 
     q_grid: Grid1D
     q_density: np.ndarray
-    p_source: WaveFunction1D  # read-only, in position space; p_grid and p_density come from its transform
+    amplitude: np.ndarray  # read-only samples on q_grid of the position function, before it is normalized
+    norm_squared: float  # the amplitude's squared norm on q_grid
     peak_location: float
     mean: float
     delta: float
     regime: str
+
+    @cached_property
+    def p_source(self) -> WaveFunction1D:
+        """The normalized position function, read-only; p_grid and p_density come from its transform."""
+        source = WaveFunction1D(self.q_grid, self.amplitude / math.sqrt(self.norm_squared))
+        _read_only(source.values)  # a real amplitude is copied to complex on construction
+        return source
 
     @cached_property
     def _momentum(self) -> WaveFunction1D:
@@ -154,13 +162,16 @@ def density_peak(grid: Grid1D, density: np.ndarray) -> float:
     return float(grid.values[i] + 0.5 * (y0 - y2) / denom * grid.spacing)
 
 
-def _pointer_result(pointer: GaussianPointer, q_density: np.ndarray, p_source: WaveFunction1D, centers) -> PointerResult:
+def _pointer_result(
+    pointer: GaussianPointer, q_density: np.ndarray, amplitude: np.ndarray, norm_squared: float, centers
+) -> PointerResult:
     grid = pointer.grid
-    _read_only(p_source.values)  # the deferred transform sees exactly the values the result was built from
+    _read_only(amplitude)  # the deferred function sees exactly the values the result was built from
     return PointerResult(
         q_grid=grid,
         q_density=q_density,
-        p_source=p_source,
+        amplitude=amplitude,
+        norm_squared=norm_squared,
         peak_location=density_peak(grid, q_density),
         mean=density_mean(grid, q_density),
         delta=pointer.delta,
@@ -182,7 +193,7 @@ def pointer_distribution_preselected(
     pointer.check_resolves()
     # Momentum density of the branch mixture: each rigid shift only adds a
     # phase in P, so it coincides with the initial pointer's.
-    return _pointer_result(pointer, dens, pointer.initial_wavefunction(), decomp.eigenvalues)
+    return _pointer_result(pointer, dens, pointer.initial_wavefunction().values, 1.0, decomp.eigenvalues)
 
 
 def pointer_distribution_postselected(
@@ -316,8 +327,7 @@ def superposed_pointer(amplitudes, centers, pointer: GaussianPointer, min_norm_s
     if norm_squared == 0.0 or norm_squared < min_norm_squared:
         raise PostSelectionImpossible("projected pointer amplitude vanishes on the grid")
     pointer.check_resolves()
-    normalized = WaveFunction1D(pointer.grid, vals / math.sqrt(norm_squared))
-    return _pointer_result(pointer, unit_density(power, pointer.grid.spacing), normalized, centers)
+    return _pointer_result(pointer, unit_density(power, pointer.grid.spacing), vals, norm_squared, centers)
 
 
 def n_spin_pointer_closed_form(n: int, pointer: GaussianPointer) -> PointerResult:

@@ -6,7 +6,9 @@ atomically (temp file + rename) so interrupted runs never leave partial
 output behind.  A finite float CSV column is formatted in numpy array passes
 that write the bytes of `'%.17g' % x` without a Python call per cell, and a
 `Grid1D` column once per process: its text depends only on the grid's exact
-bounds and point count.
+bounds and point count.  A table with no array or grid column, such as a
+sweep's summary, is formatted cell by cell and joined in one Python pass,
+which costs less than the array pass's fixed numpy calls for a few rows.
 """
 
 from __future__ import annotations
@@ -195,18 +197,37 @@ def _column_cells(column) -> np.ndarray:
         if np.isfinite(values).all():
             return values
     cells = column.tolist() if isinstance(column, np.ndarray) else column
+    return _text_words([text.encode() for text in _cell_texts(cells)])
+
+
+def _cell_texts(cells) -> list:
+    """Each cell's text: `true`/`false`, an integer, a `format_float` float, or `str()`, which must hold no NUL."""
     texts = [_encode(cell, 0) if isinstance(cell, (int, float)) else str(cell) for cell in cells]  # bool: true/false
     if any("\0" in text for text in texts):
         raise ValueError("a CSV cell cannot hold a NUL character")
-    return _text_words([text.encode() for text in texts])
+    return texts
+
+
+def _require_equal_lengths(lengths: list) -> None:
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
 
 
 def _table_rows(columns) -> list:
-    """The table's rows as text bytes, 1024 at a time: each block of rows transposed and its NUL bytes deleted."""
+    """The table's rows as text bytes.
+
+    A table of Python sequences alone is joined row by row in one pass.  Any
+    numpy-array or `Grid1D` column puts the whole table through the array
+    pass, 1024 rows at a time: each block of rows transposed and its NUL
+    bytes deleted.
+    """
+    if not any(isinstance(column, (np.ndarray, Grid1D)) for column in columns):
+        texts = [_cell_texts(column) for column in columns]
+        _require_equal_lengths([len(column) for column in texts])
+        return ["".join(",".join(row) + "\n" for row in zip(*texts)).encode()]
     cells = [_column_cells(column) for column in columns]
     rows = cells[0].shape[-1]
-    if any(column.shape[-1] != rows for column in cells):
-        raise ValueError(f"columns of unequal length: {[column.shape[-1] for column in cells]}")
+    _require_equal_lengths([column.shape[-1] for column in cells])
     heights = [6 if column.dtype == np.float64 else len(column) for column in cells]
     ends = np.cumsum(heights)
     table = np.empty((ends[-1], rows), dtype=np.uint64)
@@ -228,9 +249,11 @@ def csv_table(header: list[str], columns) -> str:
     passes, byte for byte `'%.17g' % x`, and a float64 `Grid1D` once per
     process, keyed by the exact bits of its bounds and its point count; other
     cells are written as `true`/`false`, integers, `format_float` floats, or
-    `str()`, which must hold no NUL.  Each cell sits among NUL bytes in 8-byte
-    words; the rows are the transpose of the stacked columns with the NUL
-    bytes deleted, and the header is joined outside them.
+    `str()`, which must hold no NUL.  A table of Python sequences alone is
+    joined row by row; once any column is an array or a grid, each cell sits
+    among NUL bytes in 8-byte words, and the rows are the transpose of the
+    stacked columns with the NUL bytes deleted.  The header is joined outside
+    the rows.
     """
     return ",".join(header) + "\n" + b"".join(_table_rows(columns)).decode()
 

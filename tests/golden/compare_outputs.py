@@ -14,6 +14,9 @@ at seeds 0 and 7:
 - each request of ``EXTRA_RUNS`` with ``--format both``: ``n_box``'s
   one-pass weak value at its fewest boxes, a mid count and its most, and
   ``three_box`` at ten particles, twice its default;
+- each sweep of ``EXTRA_SWEEPS``: ``time_machine`` over eta 0.5 and 2,
+  whose summary holds a ``None`` cell (no decay probe at eta <= 1) beside
+  floats;
 - every CLI request of the benchmark workloads in ``bench/workloads.py``,
   in-process through ``twostate.cli.main``;
 - both library calls of the benchmark, whose ``to_dict()`` is written as
@@ -52,6 +55,7 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "bench")]
 SEEDS = ("0", "7")
 CONE_CHIS = ("0.05", "0.7", repr(math.pi / 4), "1.2", "1.5")
 EXTRA_RUNS = (("n_box", "boxes=3"), ("n_box", "boxes=2360"), ("n_box", "boxes=100000"), ("three_box", "n_particles=10"))
+EXTRA_SWEEPS = (("time_machine", "eta", "0.5,2"),)
 # Requests the CLI refuses, with exit 2 and one `error:` line.  Each takes the --seed and --out of every run;
 # the --out of out-under-file is a regular file, made before it runs.
 REFUSED = (
@@ -68,6 +72,9 @@ REFUSED = (
         "postselect-off-the-pointer-lattice",
         ("run", "negative_kinetic_energy", "--param", "well_depth=0.05", "--param", "postselect_x=30"),
     ),
+    ("well-depth-zero", ("run", "negative_kinetic_energy", "--param", "well_depth=0")),
+    ("well-depth-negative", ("run", "negative_kinetic_energy", "--param", "well_depth=-5")),
+    ("cone-samples-above-domain", ("run", "spin_cone", "--param", "samples=1000000")),
 )
 
 
@@ -87,6 +94,8 @@ def _requests() -> list:
         out.append((f"cone/chi={chi}", argv))
     for scenario, param in EXTRA_RUNS:
         out.append((f"extra/{scenario}-{param}", ["run", scenario, "--param", param, "--format", "both"]))
+    for scenario, name, values in EXTRA_SWEEPS:
+        out.append((f"extra/sweep-{scenario}-{name}", ["sweep", scenario, "--param-name", name, "--values", values]))
     for workload, requests in WORKLOADS.items():
         for req in requests:
             name = f"{workload}/{req.key.replace(' ', '_')}"

@@ -452,8 +452,19 @@ def test_negative_kinetic_energy_below_two_sites_is_a_usage_error(sites, tmp_pat
         (["well_half_width=0.01"], "a well of half width 0.01 holds no site of the 2048-site lattice"),
         (["well_half_width=1e-300"], "a well of half width 1e-300 holds no site of the 2048-site lattice"),
         (["well_half_width=-1", "postselect_x=0"], "a well of half width -1.0 holds no site of the 2048-site lattice"),
+        # these exited 1 on bound_state_exists and pointer_shift_negative: a well of depth 0 or less binds nothing
+        (["well_depth=0"], "parameter 'well_depth' must be above 0, got 0.0"),
+        (["well_depth=-5"], "parameter 'well_depth' must be above 0, got -5.0"),
     ],
-    ids=["postselect-30", "postselect-100", "half-width-0.01", "half-width-1e-300", "half-width-negative"],
+    ids=[
+        "postselect-30",
+        "postselect-100",
+        "half-width-0.01",
+        "half-width-1e-300",
+        "half-width-negative",
+        "depth-0",
+        "depth-negative",
+    ],
 )
 def test_negative_kinetic_energy_refuses_what_its_lattices_cannot_hold(params, message, tmp_path, monkeypatch, capsys):
     import scipy.linalg
@@ -532,6 +543,7 @@ def test_outputs_that_cannot_be_written_are_a_usage_error(argv, tmp_path, capsys
     [
         ("spin_xi_weak", "ensemble", 10**6),
         ("n_box", "boxes", 100_000),
+        ("spin_cone", "samples", 100_000),
         # lower bounds, and the exclusive bounds of floats
         ("three_box", "n_particles", 1),
         ("n_box", "boxes", 3),
@@ -545,6 +557,7 @@ def test_outputs_that_cannot_be_written_are_a_usage_error(argv, tmp_path, capsys
         ("spin_xi_weak", "delta", 0),
         ("n_spin_single_system", "delta", 0),
         ("negative_kinetic_energy", "pointer_delta", 0),
+        ("negative_kinetic_energy", "well_depth", 0),
         ("time_machine", "width", 0),
         # the post-selection point lies on the coarse pointer lattice, which spans +-20
         ("negative_kinetic_energy", "postselect_x", -20),

@@ -220,6 +220,25 @@ def test_the_stored_wavefunction_is_read_only(case):
         result.p_source.values *= 2.0
 
 
+@pytest.mark.parametrize("read", ["p_source", "p_grid", "p_density"])
+@pytest.mark.parametrize("case", ["postselected", "n_spin"])
+def test_a_superposed_pointer_builds_its_wavefunction_on_first_read(monkeypatch, case, read):
+    from twostate import pointer as pointer_module
+
+    built = []
+
+    def counting_wavefunction(*args, **kwargs):
+        built.append(1)
+        return WaveFunction1D(*args, **kwargs)
+
+    monkeypatch.setattr(pointer_module, "WaveFunction1D", counting_wavefunction)
+    result = _momentum_cases()[case]()
+    assert built == [] and not result.amplitude.flags.writeable
+    getattr(result, read)
+    getattr(result, read)
+    assert built == [1]
+
+
 def test_vanishing_superposition_is_refused_before_the_resolution_check():
     # the grid cannot resolve this pointer either; the vanishing amplitude is what gets reported
     pointer = GaussianPointer(0.01, Grid1D(-1.0, 1.0, 16))

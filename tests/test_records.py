@@ -82,7 +82,8 @@ CASES = {
         {
             "q_grid": GRID,
             "q_density": np.ones(16),
-            "p_source": WAVE,
+            "amplitude": np.ones(16, dtype=complex),
+            "norm_squared": 8.0,
             "peak_location": 0.0,
             "mean": 0.1,
             "delta": 1.0,

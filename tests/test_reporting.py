@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from twostate import reporting
 from twostate.linalg import Grid1D
-from twostate.reporting import _grid_words, csv_table, format_float, stable_json
+from twostate.reporting import _grid_words, _table_rows, csv_table, format_float, stable_json
 
 
 def rowwise_csv(header, rows):
@@ -213,6 +214,69 @@ def test_exact_decimal_ties_are_rounded_half_to_even_as_percent_17g(odd_17th_dig
 def test_a_text_cell_holding_a_nul_character_is_refused():
     with pytest.raises(ValueError, match="NUL"):
         csv_table(["s"], [["a", "b\0c"]])
+
+
+PYTHON_TABLES = {
+    "floats": [[-0.0, SUBNORMAL, 1e300, math.nan, math.inf, -math.inf, 0.1, -1 / 3]],
+    "sweep summary": [  # a swept value, then each key's cells, None where a run reports no value
+        [0.5, 2.0, 10.0],
+        [None, 0.25, 0.0625],
+        [3, -7, 2**70],
+        [True, False, None],
+        ["a", "50%", ""],
+        [np.float64(-0.0), np.float64(SUBNORMAL), np.int64(-3)],
+    ],
+    "one row": [[1.5], [None], ["x"]],
+    "no rows": [[], []],
+    "1500 rows": [[k / 7 for k in range(1500)], list(range(1500))],  # past the array pass's 1024-row blocks
+}
+
+
+@pytest.mark.parametrize("case", sorted(PYTHON_TABLES))
+def test_a_table_of_python_cells_gives_the_bytes_of_the_array_pass(case):
+    columns = PYTHON_TABLES[case]
+    as_arrays = [np.array(column, dtype=object) for column in columns]  # the same cells, through the array pass
+    assert b"".join(_table_rows(columns)) == b"".join(_table_rows(as_arrays))
+    header = [f"c{j}" for j in range(len(columns))]
+    assert csv_table(header, columns) == rowwise_csv(header, zip(*columns))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["python", "array"])
+def test_either_pass_refuses_unequal_columns_and_nul_cells(as_array):
+    def table(*columns):
+        return [np.array(column, dtype=object) for column in columns] if as_array else list(columns)
+
+    with pytest.raises(ValueError, match=r"columns of unequal length: \[3, 2\]"):
+        _table_rows(table([1.0, 2.0, 3.0], [None, None]))
+    with pytest.raises(ValueError, match="NUL"):
+        _table_rows(table([1.0, 2.0], ["a", "b\0c"]))
+
+
+def _count_text_words(monkeypatch) -> list:
+    calls = []
+    text_words = reporting._text_words
+
+    def spy(cells):
+        calls.append(len(cells))
+        return text_words(cells)
+
+    monkeypatch.setattr(reporting, "_text_words", spy)
+    return calls
+
+
+def test_a_table_of_python_cells_is_not_packed_into_words(monkeypatch):
+    calls = _count_text_words(monkeypatch)
+    assert csv_table(["eta", "decay"], [[0.5, 2.0], [None, 0.5]]) == "eta,decay\n0.5,None\n2,0.5\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("column", [np.linspace(0.0, 1.0, 16), Grid1D(0.0, 1.0, 16)], ids=["array", "grid"])
+def test_a_table_with_an_array_or_grid_column_keeps_the_array_pass(monkeypatch, column):
+    calls = _count_text_words(monkeypatch)
+    labels = [f"row {k}" for k in range(16)]
+    values = (column.values if isinstance(column, Grid1D) else column).tolist()
+    assert csv_table(["x", "label"], [column, labels]) == rowwise_csv(["x", "label"], zip(values, labels))
+    assert 16 in calls  # the Python column beside it is packed into words with the rest of the table
 
 
 
