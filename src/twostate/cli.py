@@ -12,13 +12,13 @@ Identical requests (including the seed) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 
 from .errors import TwoStateError, ValidationError
+from .linalg import exact_cache
 from .reporting import csv_table, stable_json, write_text_atomic
 from .scenarios import REGISTRY, ParamSpec, ScenarioResult, get_scenario
 
@@ -147,7 +147,7 @@ def cmd_sweep(args) -> int:
     return 0 if all_passed else CHECK_FAILURE
 
 
-@functools.cache  # building the parser takes argparse about 0.9 ms; one per process serves every call
+@exact_cache(1)  # building the parser takes argparse about 0.9 ms; one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twostate",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, update_wrapper
 
 import numpy as np
 
@@ -29,6 +29,8 @@ DIMENSION_CAP = 2**20
 
 # Hermiticity is checked relative to the largest entry.
 HERMITIAN_RTOL = 1e-12
+
+CACHES: list = []  # every `exact_cache` function, in the order the modules define them: tests clear them in a loop
 
 
 class Record:
@@ -144,9 +146,14 @@ def unit_vector(vec, dtype=float) -> np.ndarray:
     return v / norm
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _read_only(value):
+    """`value`, with every array it is or holds through tuples and `Record` fields made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, Record)):
+        for item in value if isinstance(value, tuple) else value._values():
+            _read_only(item)
+    return value
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -394,6 +401,33 @@ def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> Wa
     return WaveFunction1D(grid, vals.astype(complex))
 
 
+def exact_cache(maxsize: int):
+    """`lru_cache(maxsize)` on a plain function, keyed by `_exact_key`, with its results made `_read_only`.
+
+    So 13, 13.0 and True, or -0.0 and 0.0, never share an entry, and no caller can change another's arrays.  The
+    function keeps `cache_info`, `cache_clear` and `__wrapped__`, and joins `CACHES`; a call that raises caches nothing.
+    """
+    @lru_cache(maxsize)
+    def by_key(key: tuple, *args):  # the arguments ride along for a miss: equal keys have equal arguments
+        return _read_only(cached.__wrapped__(*args))
+
+    def cached(*args):
+        return by_key(tuple([_exact_key(a) for a in args]), *args)
+
+    cached.cache_info, cached.cache_clear = by_key.cache_info, by_key.cache_clear
+    CACHES.append(cached)
+    return lambda fn: update_wrapper(cached, fn)  # fn's name, module, docstring and __wrapped__
+
+
+def _exact_key(value):
+    """`value`'s type and bits: a float by `float.hex`, an integer or None as itself, a `Grid1D` by its fields."""
+    if isinstance(value, Grid1D):
+        return Grid1D, _exact_key(value.lo), _exact_key(value.hi), _exact_key(value.points)
+    if not isinstance(value, (float, int, np.integer, type(None))):
+        raise TypeError(f"exact_cache keys no argument of type {type(value).__name__}")
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
 def fourier_pair(wf: WaveFunction1D) -> WaveFunction1D:
     """Unitary transform between position and momentum representations.
 
@@ -402,31 +436,29 @@ def fourier_pair(wf: WaveFunction1D) -> WaveFunction1D:
     wf on its original grid.  The factors depend on the grids alone: see `_fourier_factors`.
     """
     grid, n, forward = wf.grid, wf.grid.points, wf.representation == "position"
-    x_lo = None if forward else float(wf.conjugate_lo if wf.conjugate_lo is not None else -np.pi / grid.spacing).hex()
-    out_grid, ramp, phase = _fourier_factors(float(grid.lo).hex(), float(grid.hi).hex(), n, x_lo)
+    x_lo = None if forward else float(wf.conjugate_lo if wf.conjugate_lo is not None else -np.pi / grid.spacing)
+    out_grid, ramp, phase = _fourier_factors(grid, x_lo)
     values = phase * np.fft.fft(wf.values * ramp) if forward else phase * (np.fft.ifft(wf.values * ramp) * n)
     return WaveFunction1D(out_grid, values, "momentum" if forward else "position", conjugate_lo=grid.lo)
 
 
-@lru_cache(maxsize=16)
-def _fourier_factors(lo: str, hi: str, points: int, x_lo: str | None) -> tuple:
-    """(output grid, pre-FFT phase ramp, prefactor times output phase) of `fourier_pair`, the arrays read-only.
+@exact_cache(16)  # 32 bytes a grid point an entry: 2 MB at the scenarios' 4096 points
+def _fourier_factors(grid: Grid1D, x_lo: float | None) -> tuple:
+    """(output grid, pre-FFT phase ramp, prefactor times output phase) of `fourier_pair` on `grid`.
 
-    Keyed by the bits of the bounds (`float.hex`), as `Grid1D` equality takes -0.0 for 0.0.  `x_lo` None
-    transforms position to momentum, otherwise momentum to the position grid from `float.fromhex(x_lo)`.
+    `x_lo` None transforms position to momentum, otherwise momentum to the position grid from `x_lo`.
     """
-    grid = Grid1D(float.fromhex(lo), float.fromhex(hi), points)
-    n, x0 = points, grid.lo
+    n, x0 = grid.points, grid.lo
     if x_lo is None:
         dx = grid.spacing
         p = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(n, d=dx))
         # psi_tilde(p_k) = dx/sqrt(2 pi) * exp(-i p_k x0) * FFT[psi_j * exp(-i p_min j dx)]
         ramp = np.exp(-1j * p[0] * dx * np.arange(n))
         phase = dx / np.sqrt(2 * np.pi) * np.exp(-1j * p * x0)
-        return Grid1D(float(p[0]), float(p[-1]), n), _read_only(ramp), _read_only(phase)
+        return Grid1D(float(p[0]), float(p[-1]), n), ramp, phase
     # momentum -> position: psi_j = dp/sqrt(2 pi) * sum_k psi_tilde_k exp(+i p_k x_j)
-    x_lo, dp = float.fromhex(x_lo), grid.spacing
+    dp = grid.spacing
     x = x_lo + 2 * np.pi / (n * dp) * np.arange(n)
     ramp = np.exp(1j * grid.values * x_lo)
     phase = dp / np.sqrt(2 * np.pi) * np.exp(1j * x0 * (x - x_lo))
-    return Grid1D(float(x[0]), float(x[-1]), n), _read_only(ramp), _read_only(phase)
+    return Grid1D(float(x[0]), float(x[-1]), n), ramp, phase

@@ -29,7 +29,7 @@ the time machine (`timemachine`).
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .linalg import (
     Record,
     WaveFunction1D,
     _read_only,
+    exact_cache,
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
@@ -101,10 +102,8 @@ class PointerResult(Record):
 
     @cached_property
     def p_source(self) -> WaveFunction1D:
-        """The normalized position function, read-only; p_grid and p_density come from its transform."""
-        source = WaveFunction1D(self.q_grid, self.amplitude / math.sqrt(self.norm_squared))
-        _read_only(source.values)  # a real amplitude is copied to complex on construction
-        return source
+        """The normalized position function, a read-only complex copy; p_grid and p_density come from its transform."""
+        return _read_only(WaveFunction1D(self.q_grid, self.amplitude / math.sqrt(self.norm_squared)))
 
     @cached_property
     def _momentum(self) -> WaveFunction1D:
@@ -166,11 +165,10 @@ def _pointer_result(
     pointer: GaussianPointer, q_density: np.ndarray, amplitude: np.ndarray, norm_squared: float, centers
 ) -> PointerResult:
     grid = pointer.grid
-    _read_only(amplitude)  # the deferred function sees exactly the values the result was built from
     return PointerResult(
         q_grid=grid,
         q_density=q_density,
-        amplitude=amplitude,
+        amplitude=_read_only(amplitude),  # the deferred function sees exactly the values the result was built from
         norm_squared=norm_squared,
         peak_location=density_peak(grid, q_density),
         mean=density_mean(grid, q_density),
@@ -244,16 +242,12 @@ def moment_expansion_residual(
     return float(num / den)
 
 
-@lru_cache(maxsize=1)  # one (size, seed) per sweep; a larger cache would hold 16 MB an entry at the 10**6 cap
+@exact_cache(1)  # one (size, seed) per sweep: 16 bytes a draw, 16 MB at the 10**6 ensemble cap
 def _sorted_draws(n_samples: int, seed: int) -> tuple:
-    """(order, u[order]) for the uniforms u = default_rng(seed).random(n_samples), both read-only.
-
-    Keyed by the two checked integers, so the runs of one sweep, which share
-    a seed, draw and sort their readings' uniforms once.
-    """
+    """(order, u[order]) for the uniforms u = default_rng(seed).random(n_samples): the runs of a sweep share them."""
     u = np.random.default_rng(seed).random(n_samples)
     order = np.argsort(u)  # sorted queries keep np.interp's searches in cache
-    return _read_only(order), _read_only(u[order])
+    return order, u[order]
 
 
 def _invert_cdf(draws: tuple, cdf: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -16,11 +16,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from functools import cache, lru_cache
 
 import numpy as np
 
-from .linalg import Grid1D
+from .linalg import Grid1D, exact_cache
 
 
 def format_float(x: float) -> str:
@@ -86,7 +85,7 @@ def stable_json(obj) -> str:
 _POWERS = np.zeros((6, 2 * 2098))
 
 
-@cache
+@exact_cache(1)  # 112 KB
 def _cell_layout() -> tuple:
     """The digit words, trailing zeros of each 4-digit group, masks and exponent words, made on first use."""
     source = np.full((10020, 8), ord("."), dtype=np.uint8)
@@ -175,22 +174,20 @@ def _text_words(cells: list) -> np.ndarray:
     return np.array(cells, dtype=f"S{8 * width}").view(np.uint64).reshape(len(cells), width).T.copy()
 
 
-@lru_cache(maxsize=16)
-def _grid_words(lo: str, hi: str, points: int) -> np.ndarray:
-    """The cell words of the float64 grid on the bounds `float.fromhex(lo)`, `float.fromhex(hi)`, held tight."""
-    words = np.empty((6, points), dtype=np.uint64)
-    _float_words(Grid1D(float.fromhex(lo), float.fromhex(hi), points).values, words)
-    words.view(np.uint8).reshape(6, points, 8)[5, :, 7] = ord("\n")
-    words = _text_words(words.T.tobytes().translate(None, b"\0").split(b"\n")[:-1])
-    words.flags.writeable = False
-    return words
+@exact_cache(16)  # at most 32 bytes a grid point an entry: 2 MB at the scenarios' 4096 points
+def _grid_words(grid: Grid1D) -> np.ndarray:
+    """The cell words of a float64 grid's values, held tight."""
+    words = np.empty((6, grid.points), dtype=np.uint64)
+    _float_words(grid.values, words)
+    words.view(np.uint8).reshape(6, grid.points, 8)[5, :, 7] = ord("\n")
+    return _text_words(words.T.tobytes().translate(None, b"\0").split(b"\n")[:-1])
 
 
 def _column_cells(column) -> np.ndarray:
     """A column as finite float64 values for `_float_words`, or as (m, rows) words of its cells' text."""
     if isinstance(column, Grid1D):
-        if column.values.dtype == np.float64:  # keyed by the bounds' bits: Grid1D equality takes -0.0 for 0.0
-            return _grid_words(float(column.lo).hex(), float(column.hi).hex(), column.points)
+        if column.values.dtype == np.float64:
+            return _grid_words(column)
         column = column.values
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         values = column.astype(np.float64, copy=False)

@@ -31,7 +31,6 @@ realize the lags are no input of a run: a run takes the lags themselves.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -39,7 +38,7 @@ import warnings
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, Record, WaveFunction1D, _read_only, gaussian_wavefunction, require_integer, require_width
+from .linalg import Grid1D, Record, WaveFunction1D, exact_cache, gaussian_wavefunction, require_integer, require_width
 
 # Spectral components below this fraction of the peak are treated as noise
 # when a superposition is assembled by Fourier shifting; binomial weight
@@ -69,12 +68,11 @@ class BinomialSchedule(Record):
     square_sum: Fraction  # sum of the squared exact weights
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # typed: 13.0 or True must not hit the entry of 13 or 1
+@exact_cache(16)  # N+1 Fractions an entry, 15*N**2 bytes at eta = 0.3 (denominator 2**54): 15 MB at N = 1000
 def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
     """Binomial amplitude schedule; the signed weights always sum to exactly 1.
 
-    Schedules are cached, and the cached one is shared by every caller.  Raises
-    ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
+    Raises ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
     """
     from fractions import Fraction  # imported here: of the scenarios only time_machine builds a schedule
 
@@ -118,7 +116,7 @@ def _shift_distortion(power: np.ndarray, miss: np.ndarray) -> float:
 
 
 class MachineInput(Record):
-    """All that a run takes from its input alone, whatever its n_terms, eta and delta_t; every array read-only.
+    """All that a run takes from its input alone, whatever its n_terms, eta and delta_t.
 
     `spectrum` is the FFT of the normalized samples with every component
     below SPECTRAL_MASK_RTOL of the peak set to 0 (signed weight schedules
@@ -153,47 +151,29 @@ def _prepare_input(fn: WaveFunction1D) -> MachineInput:
     spec[magnitude < SPECTRAL_MASK_RTOL * magnitude.max()] = 0.0
     power = np.abs(spec) ** 2
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
-    return MachineInput(
-        grid,
-        fn.conjugate_lo,
-        (float(support[0]), float(support[-1])),
-        *(_read_only(a) for a in (spec, np.flatnonzero(spec), power, k)),
-        _spectrum_weight_above(power, k, grid.spacing) > 1e-6,
-    )
+    ends, rough = (float(support[0]), float(support[-1])), _spectrum_weight_above(power, k, grid.spacing) > 1e-6
+    return MachineInput(grid, fn.conjugate_lo, ends, spec, np.flatnonzero(spec), power, k, rough)
 
 
+@exact_cache(16)  # 40 bytes a grid point an entry: 2.6 MB at the scenario's 4096 points
 def gaussian_input(grid: Grid1D, width: float) -> MachineInput:
     """The `MachineInput` of `gaussian_wavefunction(grid, width)`, once per grid and width."""
-    require_width(width, "width")
-    return _gaussian_input(float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex())
+    return _prepare_input(gaussian_wavefunction(grid, width))
 
 
-@functools.lru_cache(maxsize=16)
-def _gaussian_input(lo: str, hi: str, points: int, width: str) -> MachineInput:
-    """`gaussian_input`, keyed by the bits of the bounds and the width (`float.hex`).
+@exact_cache(16)  # at most 24 bytes a grid point an entry: 1.6 MB at the scenario's 4096 points
+def _gaussian_power(grid: Grid1D, width: float) -> tuple:
+    """(k, nonzero indices, square) of the exact spectrum modulus of the sampled unit Gaussian, from `k` alone.
 
-    Not by `Grid1D` equality, which takes -0.0 for 0.0.
+    No sample is taken, so a grid too wide for the Gaussian's samples still has its analytic spectrum.
     """
-    grid = Grid1D(float.fromhex(lo), float.fromhex(hi), points)
-    return _prepare_input(gaussian_wavefunction(grid, float.fromhex(width)))
-
-
-@functools.lru_cache(maxsize=16)
-def _gaussian_power(lo: str, hi: str, points: int, width: str) -> tuple:
-    """(k, nonzero indices, square) of the exact spectrum modulus of the sampled unit Gaussian, read-only.
-
-    Keyed as `_gaussian_input`, but from the grid's wavenumbers alone: no
-    sample is taken, so a grid too wide for the Gaussian's samples still
-    has its analytic spectrum.
-    """
-    grid, width = Grid1D(float.fromhex(lo), float.fromhex(hi), points), float.fromhex(width)
     k = 2 * np.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
     # |FFT| of the grid-sampled unit-norm Gaussian, written analytically (the
     # grid is assumed wide enough that boundary tails vanish); only moduli
     # enter the Parseval sums, so grid-origin phases are irrelevant.
     amp = (np.pi * width**2) ** -0.25
     spectrum = amp * np.sqrt(2 * np.pi) * width * np.exp(-(width**2) * k**2 / 2) / grid.spacing
-    return tuple(_read_only(a) for a in (k, np.flatnonzero(spectrum), spectrum**2))
+    return k, np.flatnonzero(spectrum), spectrum**2
 
 
 def gaussian_shift_distortion(n_terms: int, eta: float, delta_t: float, width: float, grid: Grid1D) -> float:
@@ -201,13 +181,12 @@ def gaussian_shift_distortion(n_terms: int, eta: float, delta_t: float, width: f
 
     Uses the exact Gaussian spectrum instead of an FFT of samples, so the
     result is well conditioned even for strongly signed schedules, and a
-    direct high-precision summation oracle reproduces it to ~1e-12.  The
-    spectrum is built once per grid and width (`_gaussian_power`).
+    direct high-precision summation oracle reproduces it to ~1e-12.
     """
     _require_schedule_inputs(n_terms, eta)
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
     require_width(width, "width")
-    k, kept, power = _gaussian_power(float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex())
+    k, kept, power = _gaussian_power(grid, width)
     return _shift_distortion(power, _multiplier_on_support(kept, k, n_terms, eta, delta_t)[1])
 
 

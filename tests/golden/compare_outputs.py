@@ -24,11 +24,17 @@ at seeds 0 and 7:
 - ``twostate list`` and each request of ``REFUSED``, which the CLI refuses
   with one line on standard error.
 
+The same process then runs the whole list a second time, in reverse order
+and at the same seeds, in a fresh directory of the same name.  An output
+that depends on what an earlier request left in a process cache then
+differs from its first pass, even where parent and change agree.
+
 Every stdout and every written file of one checkout must equal the other's
-byte for byte; the script lists each difference and exits 1 if there is
-any.  Under each differing file it prints every changed JSON field, CSV
-column (at its cell of largest relative change) or other text line, with
-the old value, the new value and the relative change.  Requests, cases and
+byte for byte, and each second pass its own first pass; the script lists
+each difference and exits 1 if there is any.  Under each differing file it
+prints every changed JSON field, CSV column (at its cell of largest
+relative change) or other text line, with the old value, the new value and
+the relative change.  Requests, cases and
 library inputs come from this script's own checkout, so both sides run the
 same list.  Standard error is compared for ``list`` and the refused
 requests only: elsewhere it holds warnings, which name source lines that
@@ -75,6 +81,9 @@ REFUSED = (
     ("well-depth-zero", ("run", "negative_kinetic_energy", "--param", "well_depth=0")),
     ("well-depth-negative", ("run", "negative_kinetic_energy", "--param", "well_depth=-5")),
     ("cone-samples-above-domain", ("run", "spin_cone", "--param", "samples=1000000")),
+    ("particles-above-domain", ("run", "three_box", "--param", f"n_particles={2**53 + 1}")),
+    ("eta-beyond-the-schedule", ("run", "time_machine", "--param", "eta=1e300")),
+    ("negative-eta-beyond-the-schedule", ("run", "time_machine", "--param", "eta=-1e300")),
 )
 
 
@@ -105,33 +114,42 @@ def _requests() -> list:
     return out
 
 
-def emit(out_root: str) -> None:
-    """Run every request with the twostate on sys.path, writing under out_root."""
+def emit(out_root: str, first_root: str) -> None:
+    """Run every request with the twostate on sys.path under out_root, moved to first_root; then again, reversed."""
     from twostate.cli import main
     from workloads import LibraryCalls
 
     library = LibraryCalls()
-    os.chdir(out_root)  # relative --out paths keep the printed paths equal
-    for name, request in _requests():
-        for seed in SEEDS:
-            target = os.path.join(name, f"seed{seed}")
-            os.makedirs(target)
-            if isinstance(request, str):
-                fn, args, _ = library.call(request)
-                text = json.dumps(fn(*args).to_dict(), sort_keys=True)
-            else:
-                out = os.path.join(target, "out")
-                if name == "stderr/refused/out-under-file":
-                    open(out, "w").close()
-                argv = request if request == ["list"] else request + ["--seed", seed, "--out", out]
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(argv)
-                text = f"{stdout.getvalue()}exit {code}\n"
-                if name.startswith("stderr/"):
-                    text += f"stderr:\n{stderr.getvalue()}"
-            with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as handle:
-                handle.write(text)
+    runs = [(name, request, seed) for name, request in _requests() for seed in SEEDS]
+    for again, order in enumerate((runs, runs[::-1])):
+        if again:
+            os.chdir(os.path.dirname(out_root))
+            os.rename(out_root, first_root)
+            os.makedirs(out_root)
+        os.chdir(out_root)  # relative --out paths keep the printed paths equal
+        for name, request, seed in order:
+            _emit_one(library, main, name, request, seed)
+
+
+def _emit_one(library, main, name: str, request, seed: str) -> None:
+    target = os.path.join(name, f"seed{seed}")
+    os.makedirs(target)
+    if isinstance(request, str):
+        fn, args, _ = library.call(request)
+        text = json.dumps(fn(*args).to_dict(), sort_keys=True)
+    else:
+        out = os.path.join(target, "out")
+        if name == "stderr/refused/out-under-file":
+            open(out, "w").close()
+        argv = request if request == ["list"] else request + ["--seed", seed, "--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        text = f"{stdout.getvalue()}exit {code}\n"
+        if name.startswith("stderr/"):
+            text += f"stderr:\n{stderr.getvalue()}"
+    with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _files(root: str) -> dict:
@@ -197,9 +215,20 @@ def changes(name: str, old: bytes, new: bytes) -> list:
     return out
 
 
+def _report(old: dict, new: dict, sides: tuple) -> list:
+    """Print each file that differs between two output trees, with its changes; return their names."""
+    differ = sorted(name for name in set(old) | set(new) if old.get(name) != new.get(name))
+    for name in differ:
+        side = f"only in {sides[0]}" if name not in new else f"only in {sides[1]}" if name not in old else "differs"
+        print(f"{name}: {side}")
+        if side == "differs":
+            print("\n".join(changes(name, old[name], new[name])))
+    return differ
+
+
 def main(argv: list) -> int:
-    if len(argv) == 2 and argv[0] == "--emit":
-        emit(argv[1])
+    if len(argv) == 3 and argv[0] == "--emit":
+        emit(argv[1], argv[2])
         return 0
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -207,23 +236,24 @@ def main(argv: list) -> int:
     from workloads import child_env
 
     with tempfile.TemporaryDirectory() as scratch:
-        outputs = []
-        out_root = os.path.join(scratch, "out")
-        for tree in argv:
+        outputs, unstable = [], 0
+        out_root, first_root = os.path.join(scratch, "out"), os.path.join(scratch, "first")
+        for label, tree in zip(("parent", "change"), argv):
             os.makedirs(out_root)
-            cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_root]
+            cmd = [sys.executable, os.path.abspath(__file__), "--emit", out_root, first_root]
             subprocess.run(cmd, env=child_env(os.path.abspath(tree)), check=True)
-            outputs.append(_files(out_root))
+            first, again = _files(first_root), _files(out_root)
+            print(f"{label}: second pass against the first")
+            unstable += len(_report(first, again, ("first pass", "second pass")))
+            outputs.append(first)
             shutil.rmtree(out_root)
+            shutil.rmtree(first_root)
     old, new = outputs
-    differ = sorted(name for name in set(old) | set(new) if old.get(name) != new.get(name))
-    for name in differ:
-        side = "only in parent" if name not in new else "only in change" if name not in old else "differs"
-        print(f"{name}: {side}")
-        if side == "differs":
-            print("\n".join(changes(name, old[name], new[name])))
+    print("parent against change")
+    differ = _report(old, new, ("parent", "change"))
     print(f"{len(set(old) | set(new)) - len(differ)} files identical, {len(differ)} differ")
-    return 1 if differ else 0
+    print(f"{unstable} files of the second passes differ from their first pass")
+    return 1 if differ or unstable else 0
 
 
 if __name__ == "__main__":

@@ -512,7 +512,7 @@ def test_fourier_factors_are_cached_once_for_each_grid_by_its_bits():
 def test_fourier_factors_are_read_only_and_shared_per_grid():
     wf = gaussian_wavefunction(Grid1D(-8.0, 8.0, 256), 1.0)
     assert fourier_pair(wf).grid is fourier_pair(wf).grid
-    for factor in _fourier_factors(float(-8.0).hex(), float(8.0).hex(), 256, None)[1:]:
+    for factor in _fourier_factors(Grid1D(-8.0, 8.0, 256), None)[1:]:
         with pytest.raises(ValueError):
             factor[0] = 0.0
 

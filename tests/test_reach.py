@@ -22,12 +22,9 @@ import sys
 from pathlib import Path
 
 import twostate
-from twostate.cli import build_parser, main
-from twostate.linalg import _fourier_factors
-from twostate.pointer import _sorted_draws
-from twostate.reporting import _cell_layout, _grid_words
-from twostate.scenarios import REGISTRY, _coarse_kinetic_operator, _spin_xi_setup
-from twostate.timemachine import _gaussian_input, _gaussian_power, binomial_schedule
+from twostate.cli import main
+from twostate.linalg import CACHES
+from twostate.scenarios import REGISTRY
 
 SRC = Path(twostate.__file__).resolve().parent
 
@@ -39,12 +36,10 @@ UNREACHED = {
     "ideal.abl_degenerate_post": CRITERION_10,
     "ideal.counterfactual_decomposition_check": CRITERION_10,
     "linalg.Record.__delattr__": "test_records::test_a_record_refuses_assignment_and_deletion",
-    "linalg.Record.__eq__": "test_records::test_records_of_one_class_with_equal_fields_are_equal_and_hash_equal",
-    "linalg.Record.__hash__": "test_records::test_records_of_one_class_with_equal_fields_are_equal_and_hash_equal",
     "linalg.Record.__init_subclass__": "runs at import, once per record class: test_records builds every one",
     "linalg.Record.__repr__": "test_records::test_a_record_prints_as_its_class_and_fields",
     "linalg.Record.__setattr__": "test_records::test_a_record_refuses_assignment_and_deletion",
-    "linalg.Record._values": "test_records::test_records_of_one_class_with_equal_fields_are_equal_and_hash_equal",
+    "linalg.exact_cache": "runs at import, once per cached function",
     "linalg.SpectralDecomposition.branches": f"P_n|Psi> of {CRITERION_10} and the test_pointer joint-state tests",
     "pointer.moment_expansion_residual": "test_pointer::test_moment_expansion_residual_*",
     "protective.AdiabaticResult.to_dict": CRITERION_9,
@@ -100,18 +95,8 @@ def entered_functions(argvs: list) -> set:
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    # a schedule, setup, parser, grid, cell layout, Fourier factor, machine input, Gaussian spectrum or sorted draw
-    # set cached by an earlier test would skip its function
-    binomial_schedule.cache_clear()
-    _spin_xi_setup.cache_clear()
-    _coarse_kinetic_operator.cache_clear()
-    build_parser.cache_clear()
-    _grid_words.cache_clear()
-    _cell_layout.cache_clear()
-    _fourier_factors.cache_clear()
-    _gaussian_input.cache_clear()
-    _gaussian_power.cache_clear()
-    _sorted_draws.cache_clear()
+    for cache in CACHES:  # an entry cached by an earlier test would skip its function
+        cache.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in argvs]

@@ -177,7 +177,7 @@ def test_time_machine_scenario_makes_one_forward_fft(monkeypatch):
         return fft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
-    timemachine._gaussian_input.cache_clear()
+    gaussian_input.cache_clear()
     get_scenario("time_machine").run({})
     assert len(calls) == 1
     get_scenario("time_machine").run({"n_terms": 20})
@@ -221,10 +221,10 @@ def test_the_scenario_on_the_cached_gaussian_input_writes_the_uncached_outputs_b
     from twostate import scenarios
 
     spec = scenarios.get_scenario("time_machine")
-    timemachine._gaussian_input.cache_clear()
+    gaussian_input.cache_clear()
     timemachine._gaussian_power.cache_clear()
     cached = [_scenario_outputs(spec.run(params)) for params in SCENARIO_SWEEP]
-    assert timemachine._gaussian_input.cache_info().hits > 0 and timemachine._gaussian_power.cache_info().hits > 0
+    assert gaussian_input.cache_info().hits > 0 and timemachine._gaussian_power.cache_info().hits > 0
     # fig5's "original" column is the Gaussian as sampled, not the run's renormalized copy
     grid = Grid1D(-48.0, 58.0, 4096)  # the default run's grid: 8 widths of 6 either side, and the reach 10 of eta 10
     assert cached[0][2] == repr(grid)
@@ -236,7 +236,7 @@ def test_the_scenario_on_the_cached_gaussian_input_writes_the_uncached_outputs_b
 
 
 def test_runs_on_the_cached_gaussian_input_equal_runs_on_its_samples_bit_for_bit():
-    timemachine._gaussian_input.cache_clear()
+    gaussian_input.cache_clear()
     timemachine._gaussian_power.cache_clear()
     for width in (1.0, 6.0):
         grid = Grid1D(-8.0 * width, 8.0 * width + 10.0, 4096)
@@ -249,32 +249,32 @@ def test_runs_on_the_cached_gaussian_input_equal_runs_on_its_samples_bit_for_bit
             assert (cached.distortion, cached.success_prob) == (plain.distortion, plain.success_prob)
             analytic = full_band_machine(fn, n_terms, 10.0, 1.0, width)[3]
             assert gaussian_shift_distortion(n_terms, 10.0, 1.0, width, grid) == analytic
-    for cache in (timemachine._gaussian_input, timemachine._gaussian_power):
+    for cache in (gaussian_input, timemachine._gaussian_power):
         assert (cache.cache_info().misses, cache.cache_info().hits) == (2, 6)
 
 
-def _gaussian_key(grid, width):
-    """The key of `_gaussian_input` and `_gaussian_power` for a grid and width."""
+def _bits(grid, width):
+    """The bits of a grid's bounds, its point count and the bits of a width."""
     return float(grid.lo).hex(), float(grid.hi).hex(), grid.points, float(width).hex()
 
 
 def test_gaussian_inputs_and_spectra_are_keyed_by_the_bits_of_the_bounds_and_the_width():
     # Grid1D equality takes -0.0 for 0.0, so an entry keyed by value would hand one grid the other's input
-    timemachine._gaussian_input.cache_clear()
+    gaussian_input.cache_clear()
     timemachine._gaussian_power.cache_clear()
     above, wider = math.nextafter(40.0, math.inf), math.nextafter(2.0, math.inf)
     bounds = [(0.0, 40.0, 2.0), (-0.0, 40.0, 2.0), (-40.0, above, 2.0), (-40.0, 40.0, 2.0), (-40.0, 40.0, wider)]
     cases = [(Grid1D(lo, hi, 256), width) for lo, hi, width in bounds]
     for grid, width in cases:
         machine_input = gaussian_input(grid, width)
-        assert _gaussian_key(machine_input.grid, width) == _gaussian_key(grid, width)
+        assert _bits(machine_input.grid, width) == _bits(grid, width)
         assert machine_input.spectrum.tobytes() == _prepare_input(gaussian_wavefunction(grid, width)).spectrum.tobytes()
         gaussian_shift_distortion(13, 0.5, 1.0, width, grid)
-    assert timemachine._gaussian_input.cache_info().currsize == 5
+    assert gaussian_input.cache_info().currsize == 5
     assert timemachine._gaussian_power.cache_info().currsize == 5
-    powers = [timemachine._gaussian_power(*_gaussian_key(grid, width))[2] for grid, width in cases]
+    powers = [timemachine._gaussian_power(grid, width)[2] for grid, width in cases]
     assert timemachine._gaussian_power.cache_info().currsize == 5  # each the entry that the distortion made
-    assert powers[-1].tobytes() == timemachine._gaussian_power.__wrapped__(*_gaussian_key(*cases[-1]))[2].tobytes()
+    assert powers[-1].tobytes() == timemachine._gaussian_power.__wrapped__(*cases[-1])[2].tobytes()
     assert powers[-1].tobytes() != powers[-2].tobytes()
 
 
@@ -282,8 +282,8 @@ def test_cached_gaussian_inputs_and_spectra_are_read_only():
     grid = Grid1D(-40.0, 40.0, 4096)
     machine_input = gaussian_input(grid, 1.0)
     assert gaussian_input(grid, 1.0) is machine_input
-    gaussian_power = timemachine._gaussian_power(*_gaussian_key(grid, 1.0))
-    assert timemachine._gaussian_power(*_gaussian_key(grid, 1.0)) is gaussian_power
+    gaussian_power = timemachine._gaussian_power(grid, 1.0)
+    assert timemachine._gaussian_power(grid, 1.0) is gaussian_power
     arrays = [machine_input.spectrum, machine_input.kept, machine_input.power, machine_input.k, *gaussian_power]
     for array in arrays + [machine_input.grid.values]:
         with pytest.raises(ValueError, match="read-only"):
