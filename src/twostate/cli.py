@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .errors import TwoStateError, ValidationError
 from .linalg import exact_cache
@@ -188,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # keeps the caller's filters, and forgets which warnings an earlier call showed
+            return args.func(args)
     except (TwoStateError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

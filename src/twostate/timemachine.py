@@ -10,23 +10,20 @@ the post-selected system wavefunction becomes sum_n alpha_n f(q - delta_t_n),
 which approximates f(q - eta*delta_t): a net shift eta times larger than any
 ingredient, for any eta, including eta > 1 and eta < 0.
 
-Numerics: the binomial weights are kept as exact rationals (they cancel to
-1 across forty orders of magnitude at eta = 10, far beyond float
-resolution), and grid superpositions are applied through the closed
-product form of the spectral multiplier
+Numerics: no weight is formed (at eta = 10 they cancel to 1 across forty
+orders of magnitude).  A run reads only their square sum S, as ln S from a
+float Legendre recurrence (`log_square_sums`), and shifts its input by the
+closed product form of the spectral multiplier
 
     B(k) = (eta * exp(-i*k*delta_t/N) + 1 - eta)**N,
 
-which is stable where the expanded sum is catastrophically ill-conditioned.
-`run_machine` shifts through the masked spectrum of a `MachineInput`,
-which holds all that a run takes from its input alone; the scenario's
-Gaussian input is built once per grid and width (`gaussian_input`), and
-so is the exact Gaussian spectrum of `gaussian_shift_distortion`, so
-runs that differ only in n_terms, eta or delta_t share both.  Every
-distortion is one Parseval sum (`_shift_distortion`).  B(k) and its
-weights are evaluated only where the spectrum is nonzero
-(`_multiplier_on_support`).  The shell radii that
-realize the lags are no input of a run: a run takes the lags themselves.
+stable where the expanded sum is catastrophically ill-conditioned, at the
+nonzero components of the masked spectrum of a `MachineInput` only
+(`_multiplier_on_support`).  The scenario's Gaussian input and its exact
+spectrum are built once per grid and width (`gaussian_input`,
+`_gaussian_power`), so runs that differ only in n_terms, eta or delta_t
+share both; every distortion is one Parseval sum (`_shift_distortion`).
+A run takes the lags themselves, not the shell radii that realize them.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from .linalg import Grid1D, Record, WaveFunction1D, exact_cache, gaussian_wavefu
 # when a superposition is assembled by Fourier shifting; binomial weight
 # schedules amplify anything at the round-off floor catastrophically.
 SPECTRAL_MASK_RTOL = 1e-13
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # ln 2 = hi + lo, hi with 32 bits
 
 
 def _require_nonnegative(value: float, what: str) -> None:
@@ -58,32 +56,38 @@ def _require_schedule_inputs(n_terms: int, eta: float) -> None:
         raise ValidationError("eta must be finite")
 
 
-class BinomialSchedule(Record):
-    """Exact binomial weights of the shifts n/N, with their sum and square sum."""
+def log_square_sums(n_terms: int, eta: float) -> tuple:
+    """(ln S(N), ln S(N+1)) of the square sum S(n) = sum_k alpha_k**2, from one float pass of a Legendre recurrence.
 
-    n_terms: int
-    eta: float
-    exact_weights: tuple
-    total: Fraction  # sum of the exact weights
-    square_sum: Fraction  # sum of the squared exact weights
-
-
-@exact_cache(16)  # N+1 Fractions an entry, 15*N**2 bytes at eta = 0.3 (denominator 2**54): 15 MB at N = 1000
-def binomial_schedule(n_terms: int, eta: float) -> BinomialSchedule:
-    """Binomial amplitude schedule; the signed weights always sum to exactly 1.
-
-    Raises ResourceLimit when (N+1) * sum alpha_n**2 (which bounds every weight) exceeds the float range.
+    a = 1 - eta and b = eta are scaled by a power of two into max(|a|, |b|) in [1, 2), exactly; with u = a**2 + b**2
+    and v = a**2 - b**2, the scaled S(n) = v**n * P_n(u/v) (DLMF §18.5) follows (n+1) S(n+1) = (2n+1) u S(n) -
+    n v**2 S(n-1), S(0) = 1, S(1) = u (DLMF §18.9), which never divides by v; |u/v| >= 1, where the recurrence carries
+    the dominant solution stably.  No range is checked here (`log_square_sum`).
     """
-    from fractions import Fraction  # imported here: of the scenarios only time_machine builds a schedule
-
     _require_schedule_inputs(n_terms, eta)
-    e = Fraction(eta)
-    complement = 1 - e
-    exact = tuple(math.comb(n_terms, n) * e**n * complement ** (n_terms - n) for n in range(n_terms + 1))
-    square_sum = sum((w * w for w in exact), Fraction(0))
-    if (n_terms + 1) * square_sum > sys.float_info.max:
+    e = math.frexp(max(abs(1.0 - eta), abs(eta)))[1] - 1
+    a, b = math.ldexp(1.0 - eta, -e), math.ldexp(eta, -e)
+    u, v2 = a * a + b * b, ((a - b) * (a + b)) ** 2
+    previous, current, halvings = 1.0, u, 0
+    for n in range(1, n_terms + 1):
+        previous, current = current, ((2 * n + 1) * u * current - n * v2 * previous) / (n + 1)
+        if current > 2.0**512:  # S(n) >= 1 grows at most 16-fold a step: both terms scaled down exactly
+            previous, current, halvings = math.ldexp(previous, -512), math.ldexp(current, -512), halvings + 512
+    return _log_scaled(previous, 2 * n_terms * e + halvings), _log_scaled(current, 2 * (n_terms + 1) * e + halvings)
+
+
+def _log_scaled(value: float, bits: int) -> float:
+    """ln(value * 2**bits) to about one rounding of the result, with ln 2 in two parts as fdlibm's log takes it."""
+    mantissa, exponent = math.frexp(value)
+    return (bits + exponent) * _LN2_HI + ((bits + exponent) * _LN2_LO + math.log(mantissa))
+
+
+def log_square_sum(n_terms: int, eta: float, log_s: float | None = None) -> float:
+    """ln S(N), `log_s` or from `log_square_sums`; ResourceLimit when (N+1) * S exceeds the float range."""
+    log_s = log_square_sums(n_terms, eta)[0] if log_s is None else log_s
+    if math.log(n_terms + 1) + log_s > math.log(sys.float_info.max):  # (N+1) * S bounds every weight
         raise ResourceLimit(f"binomial schedule N={n_terms}, eta={eta}: (N+1) * sum alpha_n**2 exceeds the float range")
-    return BinomialSchedule(n_terms, float(eta), exact, sum(exact, Fraction(0)), square_sum)
+    return log_s
 
 
 def _binomial_multiplier(k: np.ndarray, n_terms: int, eta: float, delta_t: float) -> np.ndarray:
@@ -198,7 +202,6 @@ class MachineRun(Record):
     post-selection probability.
     """
 
-    schedule: BinomialSchedule
     final_fn: WaveFunction1D
     distortion: float
     success_prob: float
@@ -207,21 +210,21 @@ class MachineRun(Record):
 def run_machine(system: WaveFunction1D | MachineInput, n_terms: int, eta: float, delta_t: float) -> MachineRun:
     """Run the product -> correlated -> post-selected register construction.
 
-    `n_terms` and `eta` are checked by binomial_schedule, `delta_t` (finite,
-    nonnegative) here, before any FFT.  A wavefunction is prepared on entry
+    `delta_t` (finite, nonnegative) is checked before any FFT, and `n_terms`
+    and `eta` by `log_square_sum`.  A wavefunction is prepared on entry
     (`_prepare_input`, which normalizes it); a `MachineInput` is used as it
     is.  Multiplying the spectrum by exp(-i*k*c) shifts the input by c, so
     its support moved by any shift between 0, delta_t and eta*delta_t must
     stay on the grid, or the shift would wrap around its ends (`GridOverflow`).
     Post-selecting the uniform register state contracts the correlated rows
     N0 * alpha_n * f_n to N0/sqrt(N+1) * sum_n alpha_n f_n, with
-    N0 = (sum |alpha_n|^2)**-1/2; the sum is one inverse FFT of the masked
+    N0 = S**-1/2 = exp(-ln S / 2); the sum is one inverse FFT of the masked
     spectrum times the binomial multiplier, never summed row by row, and the
     success probability is the squared norm of the contraction.  Distortion
     is the distance of the sum from the input shifted by eta*delta_t.
     """
     _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    sched = binomial_schedule(n_terms, eta)
+    log_s = log_square_sum(n_terms, eta)
     machine_input = system if isinstance(system, MachineInput) else _prepare_input(system)
     grid, (first, last) = machine_input.grid, machine_input.support
     reach = sorted((0.0, delta_t, eta * delta_t))
@@ -234,16 +237,10 @@ def run_machine(system: WaveFunction1D | MachineInput, n_terms: int, eta: float,
     spec = machine_input.spectrum.copy()
     spec[kept] *= multiplier  # the product spec * B(k); masked entries stay 0
     superposed = np.fft.ifft(spec)
-    norm0 = 1.0 / math.sqrt(float(sched.square_sum))
-    contracted = norm0 / math.sqrt(n_terms + 1) * superposed
+    contracted = math.exp(-0.5 * log_s) / math.sqrt(n_terms + 1) * superposed  # N0 / sqrt(N+1) * sum
     success = float(np.sum(np.abs(contracted) ** 2) * grid.spacing)
-
-    return MachineRun(
-        schedule=sched,
-        final_fn=WaveFunction1D(grid, superposed, "position", machine_input.conjugate_lo),
-        distortion=_shift_distortion(machine_input.power, miss),
-        success_prob=success,
-    )
+    final_fn = WaveFunction1D(grid, superposed, "position", machine_input.conjugate_lo)
+    return MachineRun(final_fn, _shift_distortion(machine_input.power, miss), success)
 
 
 def success_scaling_probe(eta: float, n_values) -> np.ndarray:
@@ -251,17 +248,21 @@ def success_scaling_probe(eta: float, n_values) -> np.ndarray:
 
     Computed with unit overlaps between the shifted system states (the
     delta_t -> 0 limit), which isolates the register statistics:
-    Prob(N) = 1 / ((N+1) * sum_n alpha_n^2), evaluated in exact rational
-    arithmetic.  The ratios tend to 1/(2*eta-1)**2; their square roots, the
-    per-step decay of the post-selection amplitude, tend to 1/(2*eta-1).
-    Each size must be an integer, and no size may repeat.
+    Prob(N) = 1 / ((N+1) * sum_n alpha_n^2), each ratio the exponential of a
+    difference of logarithms, each size refused as in a run.  The ratios tend
+    to 1/(2*eta-1)**2; their square roots, the per-step decay of the
+    post-selection amplitude, tend to 1/(2*eta-1).  Each size must be an
+    integer, and no size may repeat.
     """
     sizes = sorted(n_values)
     for n in sizes:
         require_integer(n, "register size", 1)
     if len(set(sizes)) < max(len(sizes), 2):  # a repeated size is a zero step, whose ratio is 1 by construction
         raise ValidationError(f"need at least two register sizes, none repeated, to form ratios; got {sizes}")
-    probs = np.array([1.0 / float((n + 1) * binomial_schedule(int(n), eta).square_sum) for n in sizes])
-    ratios = probs[1:] / probs[:-1]
+    passes = {}
+    for n in sizes:  # one pass gives ln S at n and n + 1
+        if n not in passes:
+            passes[n], passes[n + 1] = log_square_sums(int(n), eta)
+    log_probs = np.array([-math.log(n + 1) - log_square_sum(int(n), eta, passes[n]) for n in sizes])
     # normalize ratios to a per-unit-N step when the sequence is not contiguous
-    return ratios ** (1.0 / np.diff(sizes))
+    return np.exp(np.diff(log_probs) / np.diff(sizes))

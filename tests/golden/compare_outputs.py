@@ -12,11 +12,15 @@ at seeds 0 and 7:
   beyond the default chi: a thin and a wide cone, the empty cone at pi/4,
   and two cones past it;
 - each request of ``EXTRA_RUNS`` with ``--format both``: ``n_box``'s
-  one-pass weak value at its fewest boxes, a mid count and its most, and
-  ``three_box`` at ten particles, twice its default;
+  one-pass weak value at its fewest boxes, a mid count and its most,
+  ``three_box`` at ten particles, twice its default, and ``time_machine``
+  at register sizes and etas no golden pins (eta 0.3 at 200 terms, -2 at
+  40 and 0.5 at 2000), whose success probability reads the register's
+  square sum;
 - each sweep of ``EXTRA_SWEEPS``: ``time_machine`` over eta 0.5 and 2,
   whose summary holds a ``None`` cell (no decay probe at eta <= 1) beside
-  floats;
+  floats, and over n_terms 100 and 119, the decay probe's largest sizes
+  at the default eta 10;
 - every CLI request of the benchmark workloads in ``bench/workloads.py``,
   in-process through ``twostate.cli.main``;
 - both library calls of the benchmark, whose ``to_dict()`` is written as
@@ -60,8 +64,16 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "bench")]
 
 SEEDS = ("0", "7")
 CONE_CHIS = ("0.05", "0.7", repr(math.pi / 4), "1.2", "1.5")
-EXTRA_RUNS = (("n_box", "boxes=3"), ("n_box", "boxes=2360"), ("n_box", "boxes=100000"), ("three_box", "n_particles=10"))
-EXTRA_SWEEPS = (("time_machine", "eta", "0.5,2"),)
+EXTRA_RUNS = (
+    ("n_box", "boxes=3"),
+    ("n_box", "boxes=2360"),
+    ("n_box", "boxes=100000"),
+    ("three_box", "n_particles=10"),
+    ("time_machine", "eta=0.3", "n_terms=200"),
+    ("time_machine", "eta=-2", "n_terms=40"),
+    ("time_machine", "eta=0.5", "n_terms=2000"),
+)
+EXTRA_SWEEPS = (("time_machine", "eta", "0.5,2"), ("time_machine", "n_terms", "100,119"))
 # Requests the CLI refuses, with exit 2 and one `error:` line.  Each takes the --seed and --out of every run;
 # the --out of out-under-file is a regular file, made before it runs.
 REFUSED = (
@@ -84,6 +96,8 @@ REFUSED = (
     ("particles-above-domain", ("run", "three_box", "--param", f"n_particles={2**53 + 1}")),
     ("eta-beyond-the-schedule", ("run", "time_machine", "--param", "eta=1e300")),
     ("negative-eta-beyond-the-schedule", ("run", "time_machine", "--param", "eta=-1e300")),
+    # n_terms is checked first; width=0, outside its domain too, ends the request where nothing bounds n_terms
+    ("n-terms-above-domain", ("run", "time_machine", "--param", "n_terms=1000001", "--param", "width=0")),
 )
 
 
@@ -101,8 +115,9 @@ def _requests() -> list:
     for chi in CONE_CHIS:
         argv = ["run", "spin_cone", "--param", f"chi={chi}", "--param", "samples=256", "--format", "both"]
         out.append((f"cone/chi={chi}", argv))
-    for scenario, param in EXTRA_RUNS:
-        out.append((f"extra/{scenario}-{param}", ["run", scenario, "--param", param, "--format", "both"]))
+    for scenario, *params in EXTRA_RUNS:
+        argv = ["run", scenario, *(x for param in params for x in ("--param", param)), "--format", "both"]
+        out.append((f"extra/{scenario}-{'-'.join(params)}", argv))
     for scenario, name, values in EXTRA_SWEEPS:
         out.append((f"extra/sweep-{scenario}-{name}", ["sweep", scenario, "--param-name", name, "--values", values]))
     for workload, requests in WORKLOADS.items():

@@ -20,11 +20,12 @@ import twostate
 import twostate.cli  # noqa: F401  (imports every module that defines a cache)
 from twostate import linalg
 from twostate.linalg import CACHES, Grid1D, WaveFunction1D, exact_cache
+from twostate.pointer import _sorted_draws
 
 SRC = Path(twostate.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
 
-TEN_CACHES = [
+NINE_CACHES = [
     "twostate.cli.build_parser",
     "twostate.linalg._fourier_factors",
     "twostate.pointer._sorted_draws",
@@ -33,7 +34,6 @@ TEN_CACHES = [
     "twostate.scenarios._coarse_kinetic_operator",
     "twostate.scenarios._spin_xi_setup",
     "twostate.timemachine._gaussian_power",
-    "twostate.timemachine.binomial_schedule",
     "twostate.timemachine.gaussian_input",
 ]
 
@@ -68,8 +68,8 @@ def test_no_module_caches_but_through_exact_cache():
     assert found == {}
 
 
-def test_the_ten_process_caches_are_registered_plain_functions():
-    assert sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in CACHES) == TEN_CACHES
+def test_the_nine_process_caches_are_registered_plain_functions():
+    assert sorted(f"{cache.__module__}.{cache.__qualname__}" for cache in CACHES) == NINE_CACHES
     for cache in CACHES:
         # the benchmark's tracer wraps only plain functions
         assert isinstance(cache, types.FunctionType) and isinstance(cache.__wrapped__, types.FunctionType)
@@ -78,7 +78,7 @@ def test_the_ten_process_caches_are_registered_plain_functions():
 
 @pytest.fixture
 def registry(monkeypatch):
-    """A fresh `CACHES` for the caches a test makes, so the package's registry keeps its ten."""
+    """A fresh `CACHES` for the caches a test makes, so the package's registry keeps its nine."""
     fresh = []
     monkeypatch.setattr(linalg, "CACHES", fresh)
     return fresh
@@ -130,6 +130,19 @@ def test_each_argument_is_keyed_by_its_type_and_bits(registry):
     assert [record(*args) for args in TWINS] == answers  # and each answers from its own
     assert record.cache_info()[:2] == (len(TWINS), len(TWINS))
     assert [type(args[0]) for args in calls] == [type(args[0]) for args in TWINS]
+
+
+@pytest.mark.parametrize("size, twin", [(13, 13.0), (1, True), (13, np.int64(13))], ids=["float", "bool", "int64"])
+def test_a_package_cache_answers_no_twin_of_an_int_from_its_entry(size, twin):
+    # `_sorted_draws` is keyed by ints: 13.0 and True, which numpy's sampler refuses, and np.int64(13), which it
+    # takes, each miss the entry of the int they equal
+    _sorted_draws.cache_clear()
+    _sorted_draws(size, 0)
+    try:
+        _sorted_draws(twin, 0)
+    except TypeError:
+        assert not isinstance(twin, np.integer)
+    assert _sorted_draws.cache_info()[:2] == (0, 2)  # hits, misses
 
 
 @pytest.mark.parametrize("argument", ["13", [1.0], np.array([1.0]), 1 + 0j])

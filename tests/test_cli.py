@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -234,6 +235,54 @@ def test_writing_csv_tables_leaves_scipy_fractions_and_decimal_unloaded(tmp_path
     argv = ["spin_xi_weak", "--format", "both"]
     assert unwanted_modules_around_a_cli_run(argv, tmp_path) == [[], 0, []]
     assert sorted(os.listdir(tmp_path / "spin_xi_weak")) == ["fig3e.csv", "fig3e_momentum.csv", "results.json"]
+
+
+def test_a_time_machine_run_leaves_fractions_and_decimal_unloaded(tmp_path):
+    # the register's square sum comes from a float recurrence: no exact rational is built
+    argv = ["time_machine", "--format", "both"]
+    assert unwanted_modules_around_a_cli_run(argv, tmp_path) == [[], 0, []]
+    assert sorted(os.listdir(tmp_path / "time_machine")) == ["fig5.csv", "results.json"]
+
+
+def _child_cli(argv: list, timeout: float = 3.0) -> subprocess.CompletedProcess:
+    """`twostate <argv>` in a fresh process, its output captured; TimeoutExpired if it still runs after `timeout` s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "twostate.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_n_terms_above_its_maximum_exits_2_before_any_compute(tmp_path):
+    # with no maximum, eta = 0.5 runs at any register size, its cost linear in n_terms
+    proc = _child_cli(["run", "time_machine", "--param", "eta=0.5", "--param", "n_terms=1000001", "--out", str(tmp_path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: parameter 'n_terms' is at most 1000000, got 1000001\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_each_main_call_in_one_process_shows_its_own_warnings(tmp_path):
+    # Python shows a warning once per code location in a process unless its filters change in between
+    code = f"""
+import twostate.cli
+for _ in range(2):
+    twostate.cli.main(["run", "time_machine", "--param", "delta_t=1e4", "--out", {str(tmp_path)!r}])
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stderr.count("UserWarning: input spectrum extends beyond a quarter of the Nyquist rate") == 2
+
+
+def test_a_main_call_keeps_the_callers_warning_filters(monkeypatch, capsys):
+    # a RuntimeWarning the caller makes an error (as tier-1 does) is still one inside `main`: exit 3, not a warning
+    def warn(params):
+        warnings.warn("overflow in a runner", RuntimeWarning)
+
+    monkeypatch.setitem(REGISTRY, "three_box", ScenarioSpec("three_box", "warns", (), warn))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("run", "three_box") == 3
+    assert capsys.readouterr().err == "internal error: RuntimeWarning: overflow in a runner\n"
 
 
 def test_environment_variable_sets_the_default_out_dir(tmp_path, capsys, monkeypatch):

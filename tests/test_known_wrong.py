@@ -14,11 +14,11 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import precise
 from twostate import cli, scenarios, timemachine
 
 
@@ -38,14 +38,6 @@ def test_time_machine_n_terms_120_exits_0_with_finite_outputs(tmp_path, capsys):
         assert isinstance(results[key], float) and math.isfinite(results[key]), key
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 22: nothing bounds n_terms at eta = 0.5, and the exact Fraction schedule of "
-        "N = 20000 runs far past 3 s (still running at 60 s when measured) instead of being refused"
-    ),
-)
 def test_time_machine_eta_half_n_terms_20000_ends_within_3_s(tmp_path):
     argv = ["run", "time_machine", "--param", "eta=0.5", "--param", "n_terms=20000", "--out", str(tmp_path)]
     assert _outcome_within_3_s(argv) in (0, 2)
@@ -69,14 +61,6 @@ def test_spin_cone_samples_1000000_ends_within_3_s(tmp_path):
     assert _outcome_within_3_s(argv) in (0, 2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 25: still running after 3 s (27.3 s when measured): the float 0.3 has the denominator 2**54, "
-        "so the rationals of the exact Fraction schedule grow with N"
-    ),
-)
 def test_time_machine_eta_0_3_n_terms_1000_ends_within_3_s(tmp_path):
     argv = ["run", "time_machine", "--param", "eta=0.3", "--param", "n_terms=1000", "--out", str(tmp_path)]
     assert _outcome_within_3_s(argv) in (0, 2)
@@ -278,8 +262,7 @@ def _time_machine_distortion_exact(n_terms: int, eta: float, delta_t: float, wid
     Continuous, with no grid: <f(. - a)|f(. - b)> = exp(-(a - b)**2 / (4 width**2)), the alpha_n are the exact
     binomial rationals of the float eta, and the sums run with 60 digits more than the largest alpha_n**2 has.
     """
-    e = Fraction(eta)
-    alpha = [math.comb(n_terms, n) * e**n * (1 - e) ** (n_terms - n) for n in range(n_terms + 1)]
+    alpha = precise.binomial_weights(n_terms, eta)
     with localcontext() as ctx:
         ctx.prec = 60 + 2 * max(len(str(abs(a.numerator) // a.denominator)) for a in alpha)
         a = [Decimal(w.numerator) / w.denominator for w in alpha]

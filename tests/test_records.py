@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import FrozenInstanceError
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,17 +90,6 @@ CASES = {
         },
         {},
     ),
-    "timemachine.BinomialSchedule": (
-        timemachine.BinomialSchedule,
-        {
-            "n_terms": 1,
-            "eta": 2.0,
-            "exact_weights": (Fraction(-1), Fraction(2)),
-            "total": Fraction(1),
-            "square_sum": Fraction(5),
-        },
-        {},
-    ),
     "timemachine.MachineInput": (
         timemachine.MachineInput,
         {
@@ -118,7 +106,7 @@ CASES = {
     ),
     "timemachine.MachineRun": (
         timemachine.MachineRun,
-        {"schedule": None, "final_fn": WAVE, "distortion": 1e-3, "success_prob": 0.25},
+        {"final_fn": WAVE, "distortion": 1e-3, "success_prob": 0.25},
         {},
     ),
     "scenarios.ParamSpec": (

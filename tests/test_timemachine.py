@@ -3,11 +3,11 @@ import math
 import warnings
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, getcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import precise
 from twostate.errors import GridOverflow, ResourceLimit, ValidationError
 from twostate.linalg import Grid1D, WaveFunction1D, gaussian_wavefunction
 from shell_dilations import (
@@ -23,9 +23,10 @@ from twostate.timemachine import (
     SPECTRAL_MASK_RTOL,
     _prepare_input,
     _spectrum_weight_above,
-    binomial_schedule,
     gaussian_input,
     gaussian_shift_distortion,
+    log_square_sum,
+    log_square_sums,
     run_machine,
     success_scaling_probe,
 )
@@ -63,26 +64,41 @@ def decimal_distortion_oracle(n_terms, eta, delta_t, width, lo, hi, points, digi
     return (num2 / den2).sqrt()
 
 
-def test_binomial_schedule_small_case():
-    sched = binomial_schedule(1, 0.5)
-    assert np.allclose([float(w) for w in sched.exact_weights], [0.5, 0.5])
-    assert np.allclose(np.arange(sched.n_terms + 1) / sched.n_terms, [0.0, 1.0])
+def test_the_smallest_register_has_two_equal_halves():
+    # alpha = (1/2, 1/2): S(1) = 1/2 and S(2) = 1/16 + 1/4 + 1/16 = 3/8
+    assert precise.binomial_weights(1, 0.5) == [0.5, 0.5]
+    assert log_square_sums(1, 0.5) == pytest.approx((math.log(0.5), math.log(0.375)), rel=1e-15, abs=0)
 
 
 def test_binomial_weights_always_sum_to_exactly_one():
     for n_terms in (1, 5, 13, 31, 64):
         for eta in (-3.0, 0.25, 1.0, 10.0, 50.0):
-            sched = binomial_schedule(n_terms, eta)
-            assert sched.total == 1
+            assert precise.weight_sum(precise.binomial_weights(n_terms, eta)) == 1
 
 
 def test_figure_schedule_weights_are_exact_integers():
-    sched = binomial_schedule(13, 10.0)
-    for n, w in enumerate(sched.exact_weights):
-        expected = Fraction(math.comb(13, n) * 10**n * (-9) ** (13 - n))
-        assert w == expected
-    assert sched.exact_weights[0] == -(9**13)
-    assert float(sched.exact_weights[7]) == pytest.approx(math.comb(13, 7) * 1e7 * 9**6, abs=0)
+    weights = precise.binomial_weights(13, 10.0)
+    for n, w in enumerate(weights):
+        expected = math.comb(13, n) * 10**n * (-9) ** (13 - n)
+        assert w == expected and w.denominator == 1
+    assert weights[0] == -(9**13)
+    assert float(weights[7]) == pytest.approx(math.comb(13, 7) * 1e7 * 9**6, abs=0)
+
+
+# eta on each side of 0, 1/2 and 1, dyadic and not; N = 1000 only where eta's denominator is at most 2**7
+LOG_SQUARE_SUM_ETAS = (
+    -(2**-10), 2**-20, 2**-7, 0.3, 0.5 - 2**-30, 0.5, 0.5 + 2**-20, 0.9, 1 - 2**-10, 1.0, 1 + 2**-10, 1.7, -2.0, 10.0, 64.0
+)
+
+
+@pytest.mark.parametrize("eta", LOG_SQUARE_SUM_ETAS)
+def test_log_square_sums_match_the_exact_square_sum(eta):
+    # the float recurrence against the exact rational sum, at N and N + 1 of each pass, to 2e-14 * N in ln S
+    sizes = (1, 2, 13, 60, 121, 400) + ((1000,) if eta.as_integer_ratio()[1] <= 2**7 else ())
+    for n_terms in sizes:
+        for n, got in zip((n_terms, n_terms + 1), log_square_sums(n_terms, eta)):
+            exact = precise.log(precise.square_sum(n, eta))
+            assert abs(float(Decimal(got) - exact)) <= 2e-14 * n, (n, got, exact)
 
 
 def test_interpolation_regime_distortion_is_small():
@@ -385,7 +401,7 @@ def full_band_machine(fn, n_terms, eta, delta_t, width):
     superposed = np.fft.ifft(spec * multiplier)
     power = np.abs(spec) ** 2
     distortion = float(np.sqrt(np.sum(power * miss) / np.sum(power)))
-    norm0 = 1.0 / math.sqrt(float(binomial_schedule(n_terms, eta).square_sum))
+    norm0 = math.exp(-0.5 * log_square_sums(n_terms, eta)[0])
     success = float(np.sum(np.abs(norm0 / math.sqrt(n_terms + 1) * superposed) ** 2) * spacing)
     return superposed, distortion, success, full_band_gaussian_distortion(fn.grid, n_terms, eta, delta_t, width)
 
@@ -405,31 +421,20 @@ def test_the_multiplier_on_the_spectral_support_equals_the_full_band_evaluation_
             assert gaussian_shift_distortion(n_terms, eta, delta_t, width, grid) == analytic
 
 
-def test_time_machine_scenario_builds_each_schedule_once(monkeypatch):
-    # N for the run, N and N+1 for the scaling probe: the run's N is shared
-    from twostate import timemachine
+def test_time_machine_scenario_makes_three_recurrence_passes(monkeypatch):
+    # the range check before the grid, the run's N0, and one pass for both sizes N and N+1 of the scaling probe
     from twostate.scenarios import get_scenario
 
-    built = []
-    schedule_class = timemachine.BinomialSchedule
+    passes = []
+    recurrence = timemachine.log_square_sums
 
-    def counting_schedule(*args):
-        built.append(args[:2])
-        return schedule_class(*args)
+    def counting_recurrence(*args):
+        passes.append(args)
+        return recurrence(*args)
 
-    binomial_schedule.cache_clear()
-    monkeypatch.setattr(timemachine, "BinomialSchedule", counting_schedule)
+    monkeypatch.setattr(timemachine, "log_square_sums", counting_recurrence)
     get_scenario("time_machine").run({})
-    assert built == [(13, 10.0), (14, 10.0)]
-
-
-def test_cached_schedules_are_read_only():
-    sched = binomial_schedule(13, 10.0)
-    assert binomial_schedule(13, 10.0) is sched
-    with pytest.raises(FrozenInstanceError):
-        sched.exact_weights = ()
-    with pytest.raises(TypeError):
-        sched.exact_weights[0] = Fraction(0)
+    assert passes == [(13, 10.0)] * 3
 
 
 def test_sr_dilation_values():
@@ -485,15 +490,15 @@ def test_run_machine_zero_span_success_probability_is_exact():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
     run = run_machine(fn, 13, 10.0, 0.0)
-    norm0_sq = 1.0 / float(run.schedule.square_sum)
+    norm0_sq = 1.0 / float(precise.square_sum(13, 10.0))
     assert run.success_prob == pytest.approx(norm0_sq / 14.0, rel=1e-12, abs=0)
     assert run.distortion == 0.0
 
 
 def correlated_rows(fn, n_terms, eta, delta_t):
     """The literal correlated register rows N0 * alpha_n * f(q - delta_t_n), one FFT pair each."""
-    sched = binomial_schedule(n_terms, eta)
-    qos_initial = np.array([float(w) for w in sched.exact_weights]) / math.sqrt(float(sched.square_sum))
+    weights = precise.binomial_weights(n_terms, eta)
+    qos_initial = np.array([float(w) for w in weights]) / math.sqrt(float(precise.square_sum(n_terms, eta)))
     shifts = np.arange(n_terms + 1) / n_terms * delta_t
     spec = _prepare_input(fn).spectrum
     k = 2 * np.pi * np.fft.fftfreq(fn.grid.points, d=fn.grid.spacing)
@@ -506,7 +511,7 @@ def test_run_machine_final_function_and_distortion_match_their_position_space_fo
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
     run = run_machine(fn, 13, 0.6, 1.0)
-    norm0 = 1.0 / math.sqrt(float(run.schedule.square_sum))
+    norm0 = 1.0 / math.sqrt(float(precise.square_sum(13, 0.6)))
     row_sum = correlated_rows(fn, 13, 0.6, 1.0).sum(axis=0) / norm0
     assert np.abs(run.final_fn.values - row_sum).max() <= 1e-12
     unit = fn.normalized()
@@ -548,7 +553,7 @@ def test_run_machine_staged_rows_contract_to_the_final_function():
     fn = gaussian_wavefunction(grid, 1.0)
     for eta in (0.6, 2.0):
         run = run_machine(fn, 5, eta, 1.0)
-        norm0 = 1.0 / math.sqrt(float(run.schedule.square_sum))
+        norm0 = 1.0 / math.sqrt(float(precise.square_sum(5, eta)))
         correlated = correlated_rows(fn, 5, eta, 1.0)
         naive = correlated.sum(axis=0) / norm0
         assert np.abs(naive - run.final_fn.values).max() <= 1e-12
@@ -562,7 +567,7 @@ def test_run_machine_success_is_close_to_the_unit_overlap_value():
     grid = Grid1D(-40.0, 40.0, 2048)
     fn = gaussian_wavefunction(grid, 1.0)
     run = run_machine(fn, 13, 0.6, 1.0)
-    approx = 1.0 / (14.0 * float(run.schedule.square_sum))
+    approx = 1.0 / (14.0 * float(precise.square_sum(13, 0.6)))
     assert run.success_prob == pytest.approx(approx, rel=0.10, abs=0)
 
 
@@ -589,7 +594,7 @@ def test_run_machine_figure_configuration_success_probability():
     k = 2 * np.pi * np.fft.fftfreq(4096, d=grid.spacing)
     spec = np.sqrt(2 * np.pi) * np.pi**-0.25 * np.exp(-(k**2) / 2) / grid.spacing
     multiplier = (10.0 * np.exp(-1j * k / 13) - 9.0) ** 13
-    norm0_sq = 1.0 / float(run.schedule.square_sum)
+    norm0_sq = 1.0 / float(precise.square_sum(13, 10.0))
     oracle = norm0_sq / 14.0 * (grid.spacing / 4096) * float(np.sum(spec**2 * np.abs(multiplier) ** 2))
     assert run.success_prob == pytest.approx(oracle, rel=1e-9, abs=0)
 
@@ -598,9 +603,7 @@ def test_success_scaling_probe_matches_the_exact_rational_oracle():
     probe = success_scaling_probe(10.0, range(16, 22))
     # oracle: Prob(N) = 1 / ((N+1) sum alpha_n^2) in exact rationals
     def prob(n):
-        e = Fraction(10)
-        weights = [math.comb(n, i) * e**i * (1 - e) ** (n - i) for i in range(n + 1)]
-        return 1 / ((n + 1) * sum(w * w for w in weights))
+        return 1 / ((n + 1) * precise.square_sum(n, 10.0))
 
     for i, n in enumerate(range(16, 21)):
         expected = float(prob(n + 1) / prob(n))
@@ -609,6 +612,13 @@ def test_success_scaling_probe_matches_the_exact_rational_oracle():
     # per-step amplitude decay) approach 1/(2 eta - 1)
     assert probe[-1] == pytest.approx(1.0 / 361.0, rel=0.05, abs=0)
     assert np.sqrt(probe[-1]) == pytest.approx(1.0 / 19.0, rel=0.02, abs=0)
+
+
+@pytest.mark.parametrize("eta", [1.7, 2.0, -0.7])
+def test_success_scaling_probe_reaches_its_limit_at_large_n(eta):
+    # Prob(N) ~ sqrt(N) / ((N+1) * (2 eta - 1)**(2N)), so a step's ratio is 1/(2 eta - 1)**2 times 1 - 1/(2N) + O(N**-2)
+    probe = success_scaling_probe(eta, [300, 301])
+    assert probe[0] == pytest.approx((1 - 1 / 600) / (2 * eta - 1) ** 2, rel=1e-4, abs=0)
 
 
 def test_success_scaling_probe_for_moderate_amplification():
@@ -648,7 +658,7 @@ def test_machine_config_rejects_a_non_finite_eta(eta):
     with pytest.raises(ValidationError):
         run_machine(unit_gaussian(), 13, eta, 1.0)
     with pytest.raises(ValidationError):
-        binomial_schedule(13, eta)
+        log_square_sums(13, eta)
 
 
 def _analytic_distortion(fn, n_terms, eta, delta_t):
@@ -685,9 +695,8 @@ def test_run_machine_takes_an_input_whose_squared_norm_leaves_the_float_range(sc
 
 @pytest.mark.parametrize("n_terms", [0, -2, 13.0, True])
 def test_schedules_refuse_a_step_count_that_is_not_a_positive_integer(n_terms):
-    binomial_schedule(int(n_terms) if n_terms > 0 else 1, 10.0)  # a cached entry of equal value must not answer
     with pytest.raises(ValidationError):
-        binomial_schedule(n_terms, 10.0)
+        log_square_sums(n_terms, 10.0)
     with pytest.raises(ValidationError):
         radius_schedule(n_terms, 1e-4, 5.972e24, 1e13)
 
@@ -727,16 +736,19 @@ def test_gravitational_machine_formulas_refuse_what_they_cannot_compute(call):
 
 def test_schedules_beyond_the_float_range_are_refused():
     # at eta = 10, (N+1) * sum alpha_n**2 first exceeds the float range at N = 121
-    assert binomial_schedule(120, 10.0).total == 1
+    assert log_square_sum(120, 10.0) == log_square_sums(120, 10.0)[0]
     for n_terms in (121, 250, 400):
-        with pytest.raises(ResourceLimit):
-            binomial_schedule(n_terms, 10.0)
+        with pytest.raises(ResourceLimit, match=f"binomial schedule N={n_terms}, eta=10.0"):
+            log_square_sum(n_terms, 10.0)
+    # the scaling probe checks each size it uses, N + 1 from the pass at N included
+    with pytest.raises(ResourceLimit, match="binomial schedule N=121, eta=10.0"):
+        success_scaling_probe(10.0, [120, 121])
 
 
 def test_schedule_stores_its_exact_sums():
-    sched = binomial_schedule(13, 10.0)
-    assert sched.total == sum(sched.exact_weights) == 1
-    assert sched.square_sum == sum(w * w for w in sched.exact_weights)
+    weights = precise.binomial_weights(13, 10.0)
+    assert precise.weight_sum(weights) == sum(weights) == 1
+    assert precise.square_sum(13, 10.0) == sum(w * w for w in weights)
 
 
 def test_run_machine_refuses_a_momentum_space_function():
