@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -21,7 +20,7 @@ import warnings
 from .errors import TwoStateError, ValidationError
 from .linalg import exact_cache
 from .reporting import csv_table, stable_json, write_text_atomic
-from .scenarios import REGISTRY, ParamSpec, ScenarioResult, get_scenario
+from .scenarios import REGISTRY, ScenarioResult, get_scenario
 
 OUT_DIR_ENV = "TWOSTATE_OUT_DIR"
 
@@ -45,18 +44,9 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_DIR_ENV, os.path.join(os.getcwd(), "twostate-out"))
 
 
-def _describe(p: ParamSpec) -> str:
-    """`name:kind=default`, then a bounded domain: [lo, hi] for an int, (lo, hi) for a float or an infinite end."""
-    if p.min == -math.inf and p.max == math.inf:
-        return f"{p.name}:{p.kind}={p.default}"
-    left = "[" if p.kind == "int" and p.min > -math.inf else "("
-    right = "]" if p.kind == "int" and p.max < math.inf else ")"
-    return f"{p.name}:{p.kind}={p.default} {left}{p.min}, {p.max}{right}"
-
-
 def cmd_list(args) -> int:
     specs = [REGISTRY[name] for name in sorted(REGISTRY) if not args.filter or args.filter in name]
-    rows = [(spec.name, ", ".join(map(_describe, spec.params)) or "-", spec.summary) for spec in specs]
+    rows = [(spec.name, ", ".join(map(str, spec.params)) or "-", spec.summary) for spec in specs]
     width, pwidth = (max((len(row[i]) for row in rows), default=0) for i in (0, 1))
     for name, schema, summary in rows:
         print(f"{name:<{width}}  {schema:<{pwidth}}  {summary}")

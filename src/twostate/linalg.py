@@ -107,27 +107,52 @@ def is_hermitian(m: np.ndarray) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= HERMITIAN_RTOL * max(np.abs(m).max(), 1.0))
 
 
-def require_integer(value, what: str, minimum: int) -> None:
-    """Refuse as `what` anything but an int or a numpy integer of at least `minimum`; a bool is refused too."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+class Domain(Record):
+    """An interval of ints or of floats that one invariant admits, and why a bound sits where it does.
 
-
-def require_positive(value: float, what: str) -> None:
-    """Refuse as `what` a value that is not finite and positive (a width, a duration)."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{what} must be finite and positive, got {value}")
-
-
-def require_width(value: float, what: str) -> None:
-    """Refuse as `what` a Gaussian width that `require_positive` refuses or whose square under- or overflows.
-
-    The Gaussian (pi*D**2)**-0.25 * exp(-Q**2 / (2*D**2)) needs D**2, up to a
-    factor 2*pi, as a normal float: about 1.5e-154 <= D <= 4.7e153.
+    An infinite end is open, so a float domain refuses NaN and both infinities; an int domain refuses all but an int
+    or a numpy integer (a bool too).  `require` refuses with one message; `str` is the interval `twostate list` prints.
     """
-    require_positive(value, what)
-    if not sys.float_info.min <= value * value <= sys.float_info.max / 8:
-        raise ValidationError(f"{what} {value} lies outside 1.5e-154..4.7e153, where its square is a normal float")
+
+    kind: str  # int | float
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[]"  # the brackets of the lower and the upper end
+    why: str = ""  # the reason a bound sits where it does, where it has one
+
+    def __post_init__(self):
+        if self.kind not in ("int", "float") or self.ends not in ("[]", "[)", "(]", "()") or not self.lo <= self.hi:
+            raise ValidationError(f"not an int or float interval: {self!r}")
+        ends = ("(" if self.lo == -math.inf else self.ends[0]) + (")" if self.hi == math.inf else self.ends[1])
+        object.__setattr__(self, "ends", ends)
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+
+    def require(self, value, what: str) -> None:
+        """Refuse as `what` a value this domain does not hold."""
+        if (self.kind == "int" and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))) or not (
+            (self.lo < value if self.ends[0] == "(" else self.lo <= value)
+            and (value < self.hi if self.ends[1] == ")" else value <= self.hi)
+        ):
+            noun, why = "an integer" if self.kind == "int" else "a float", f"; {self.why}" if self.why else ""
+            raise ValidationError(f"{what} must be {noun} in {self}, got {value!r}{why}")
+
+    def capped(self, hi, why: str) -> "Domain":
+        """This domain up to `hi`, which it must hold, for the reason `why`: a cap narrows and never widens."""
+        self.require(hi, "a cap")
+        return Domain(self.kind, self.lo, hi, self.ends[0] + "]", "; ".join(filter(None, (self.why, why))))
+
+
+# One domain per invariant the package checks; a scenario parameter declares one of these or a narrower one.
+# The Gaussian (pi*D**2)**-0.25 * exp(-Q**2 / (2*D**2)) needs D**2, up to a factor 2*pi, as a normal float.
+WIDTH = Domain("float", 2.0**-511, math.sqrt(sys.float_info.max / 8), why="its square must be a normal float")
+POSITIVE = Domain("float", 0, math.inf, "()")
+NONNEGATIVE = Domain("float", 0, math.inf, "[)")
+FINITE = Domain("float")
+COUNT = Domain("int", 1)
+SEED = Domain("int", 0, why="numpy's default_rng refuses a negative seed")
+GRID_POINTS = Domain("int", 16)
 
 
 def unit_vector(vec, dtype=float) -> np.ndarray:
@@ -326,7 +351,7 @@ class Grid1D(Record):
     points: int
 
     def __post_init__(self):
-        require_integer(self.points, "grid points", 16)
+        GRID_POINTS.require(self.points, "grid points")
         if not (math.isfinite(self.hi - self.lo) and self.hi > self.lo):
             raise ValidationError(f"grid bounds {self.lo}, {self.hi} must be finite, the upper above the lower")
 
@@ -395,7 +420,7 @@ class WaveFunction1D(Record):
 
 def gaussian_wavefunction(grid: Grid1D, width: float, center: float = 0.0) -> WaveFunction1D:
     """Normalized Gaussian (pi*D**2)**-0.25 * exp(-(Q-c)**2 / (2*D**2))."""
-    require_width(width, "width")
+    WIDTH.require(width, "width")
     q = grid.values
     vals = (np.pi * width**2) ** -0.25 * np.exp(-((q - center) ** 2) / (2 * width**2))
     return WaveFunction1D(grid, vals.astype(complex))

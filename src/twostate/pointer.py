@@ -36,6 +36,9 @@ import numpy as np
 from .errors import GridOverflow, PostSelectionImpossible, ValidationError
 from .ideal import born
 from .linalg import (
+    COUNT,
+    SEED,
+    WIDTH,
     DenseOperator,
     Grid1D,
     Record,
@@ -45,13 +48,13 @@ from .linalg import (
     fourier_pair,
     gaussian_wavefunction,
     hermitian_eigendecomposition,
-    require_integer,
-    require_width,
     unit_density,
 )
 from .states import GeneralizedTwoStateVector, StateVector
 
 WEAK_REGIME_FACTOR = 10.0
+# each weight takes its binomial coefficient as a float: math.comb(1029, 514) fits, math.comb(1030, 515) passes 2**1024
+SPINS = COUNT.capped(1029, "binom(N, N/2) must fit a float")
 
 
 class GaussianPointer(Record):
@@ -61,12 +64,12 @@ class GaussianPointer(Record):
     grid: Grid1D
 
     def __post_init__(self):
-        require_width(self.delta, "pointer width")
+        WIDTH.require(self.delta, "pointer width")
 
     @classmethod
     def for_spectrum(cls, delta: float, eigenvalues, points: int = 4096):
         """Grid spanning +-(max|c| + 8*D)."""
-        require_width(delta, "pointer width")  # before a negative width makes an empty grid
+        WIDTH.require(delta, "pointer width")  # before a negative width makes an empty grid
         reach = float(np.max(np.abs(eigenvalues))) if np.size(eigenvalues) else 0.0
         span = reach + 8.0 * delta
         return cls(delta, Grid1D(-span, span, points))
@@ -78,9 +81,7 @@ class GaussianPointer(Record):
         lo_need = float(np.min(shifts)) - 6.0 * self.delta
         hi_need = float(np.max(shifts)) + 6.0 * self.delta
         if self.grid.lo > lo_need or self.grid.hi < hi_need:
-            raise GridOverflow(
-                f"grid [{self.grid.lo}, {self.grid.hi}] does not cover shifts {lo_need}..{hi_need}"
-            )
+            raise GridOverflow(f"grid [{self.grid.lo}, {self.grid.hi}] does not cover shifts {lo_need}..{hi_need}")
 
     def check_resolves(self) -> None:
         """From D = 2 grid spacings up, the Riemann sum of a sampled pointer density is exact to about 1e-17."""
@@ -270,8 +271,8 @@ def ensemble_mean_estimator(result: PointerResult, n_samples: int, seed: int) ->
     for D=10 and 5000 samples it reads 10/sqrt(5000) ~ 0.14.  A single
     sample quotes the pointer width D itself as its spread.
     """
-    require_integer(n_samples, "samples", 1)
-    require_integer(seed, "seed", 0)
+    COUNT.require(n_samples, "samples")
+    SEED.require(seed, "seed")
     cdf = np.cumsum(result.q_density) * result.q_grid.spacing
     cdf /= cdf[-1]
     samples = _invert_cdf(_sorted_draws(n_samples, seed), cdf, result.q_grid.values)
@@ -290,12 +291,10 @@ def n_spin_weights_and_centers(n: int):
     computation confirms (one published form of the expression prints the
     centers as (2n-i)/n).
     """
-    require_integer(n, "spins", 1)
+    SPINS.require(n, "spins")
     cos2, sin2 = np.cos(np.pi / 8) ** 2, np.sin(np.pi / 8) ** 2
     idx = np.arange(n + 1)
-    weights = np.array(
-        [math.comb(n, i) * cos2 ** (n - i) * (-sin2) ** i for i in idx]
-    )
+    weights = np.array([math.comb(n, i) * cos2 ** (n - i) * (-sin2) ** i for i in idx])
     centers = (n - 2 * idx) / n
     return weights, centers
 

@@ -29,15 +29,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, PostSelectionImpossible, ValidationError
 from .linalg import (
+    COUNT,
+    FINITE,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    POSITIVE,
     DenseOperator,
+    Domain,
     Record,
     WaveFunction1D,
     fourier_pair,
-    require_integer,
-    require_positive,
     top_eigenvector,
     unit_density,
     unit_vector,
@@ -48,6 +50,7 @@ from .weak import weak_value
 
 MOMENTUM_SIGNIFICANCE = 1e-10
 LEAKAGE_FLAG_LEVEL = 0.01
+ADIABATIC_STEPS = Domain("int", 100)
 
 
 class AdiabaticSchedule(Record):
@@ -57,8 +60,8 @@ class AdiabaticSchedule(Record):
     steps: int = 400
 
     def __post_init__(self):
-        require_positive(self.total_time, "total time")
-        require_integer(self.steps, "steps", 100)
+        POSITIVE.require(self.total_time, "total time")
+        ADIABATIC_STEPS.require(self.steps, "steps")
 
     def sampled_coupling(self) -> tuple[np.ndarray, float]:
         """Midpoint samples of g(t), rescaled so sum(g)*dt is exactly 1."""
@@ -80,7 +83,7 @@ class LargeSpin(Record):
     spin_n: int
 
     def __post_init__(self):
-        require_integer(self.spin_n, "spin quantum number", 1)
+        COUNT.require(self.spin_n, "spin quantum number")
 
     @property
     def dim(self) -> int:
@@ -348,8 +351,7 @@ def protected_two_state_measurement(
         raise ValidationError("the protected target must be a spin-1/2 description")
     if obs.dim != 2:
         raise DimensionMismatch(f"the protected observable must be 2x2, got {obs.dim}x{obs.dim}")
-    if not math.isfinite(coupling):
-        raise ValidationError(f"protection coupling must be finite, got {coupling}")
+    FINITE.require(coupling, "protection coupling")
     alpha_dir = _bloch_direction(target_tsv.ket.normalized().amplitudes)
     beta_dir = _bloch_direction(target_tsv.bra.ket_form / np.linalg.norm(target_tsv.bra.ket_form))
     operators = spin.operators()

@@ -35,25 +35,13 @@ import warnings
 import numpy as np
 
 from .errors import GridOverflow, ResourceLimit, ValidationError
-from .linalg import Grid1D, Record, WaveFunction1D, exact_cache, gaussian_wavefunction, require_integer, require_width
+from .linalg import COUNT, FINITE, NONNEGATIVE, WIDTH, Grid1D, Record, WaveFunction1D, exact_cache, gaussian_wavefunction
 
 # Spectral components below this fraction of the peak are treated as noise
 # when a superposition is assembled by Fourier shifting; binomial weight
 # schedules amplify anything at the round-off floor catastrophically.
 SPECTRAL_MASK_RTOL = 1e-13
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # ln 2 = hi + lo, hi with 32 bits
-
-
-def _require_nonnegative(value: float, what: str) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValidationError(f"{what} must be finite and nonnegative, got {value}")
-
-
-def _require_schedule_inputs(n_terms: int, eta: float) -> None:
-    """A schedule needs an integer step count of at least 1 and a finite eta."""
-    require_integer(n_terms, "n_terms", 1)
-    if not math.isfinite(eta):
-        raise ValidationError("eta must be finite")
 
 
 def log_square_sums(n_terms: int, eta: float) -> tuple:
@@ -64,7 +52,8 @@ def log_square_sums(n_terms: int, eta: float) -> tuple:
     n v**2 S(n-1), S(0) = 1, S(1) = u (DLMF §18.9), which never divides by v; |u/v| >= 1, where the recurrence carries
     the dominant solution stably.  No range is checked here (`log_square_sum`).
     """
-    _require_schedule_inputs(n_terms, eta)
+    COUNT.require(n_terms, "n_terms")
+    FINITE.require(eta, "eta")
     e = math.frexp(max(abs(1.0 - eta), abs(eta)))[1] - 1
     a, b = math.ldexp(1.0 - eta, -e), math.ldexp(eta, -e)
     u, v2 = a * a + b * b, ((a - b) * (a + b)) ** 2
@@ -187,9 +176,10 @@ def gaussian_shift_distortion(n_terms: int, eta: float, delta_t: float, width: f
     result is well conditioned even for strongly signed schedules, and a
     direct high-precision summation oracle reproduces it to ~1e-12.
     """
-    _require_schedule_inputs(n_terms, eta)
-    _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    require_width(width, "width")
+    COUNT.require(n_terms, "n_terms")
+    FINITE.require(eta, "eta")
+    NONNEGATIVE.require(delta_t, "maximal elementary shift delta_t")
+    WIDTH.require(width, "width")
     k, kept, power = _gaussian_power(grid, width)
     return _shift_distortion(power, _multiplier_on_support(kept, k, n_terms, eta, delta_t)[1])
 
@@ -223,7 +213,7 @@ def run_machine(system: WaveFunction1D | MachineInput, n_terms: int, eta: float,
     success probability is the squared norm of the contraction.  Distortion
     is the distance of the sum from the input shifted by eta*delta_t.
     """
-    _require_nonnegative(delta_t, "maximal elementary shift delta_t")
+    NONNEGATIVE.require(delta_t, "maximal elementary shift delta_t")
     log_s = log_square_sum(n_terms, eta)
     machine_input = system if isinstance(system, MachineInput) else _prepare_input(system)
     grid, (first, last) = machine_input.grid, machine_input.support
@@ -256,7 +246,7 @@ def success_scaling_probe(eta: float, n_values) -> np.ndarray:
     """
     sizes = sorted(n_values)
     for n in sizes:
-        require_integer(n, "register size", 1)
+        COUNT.require(n, "register size")
     if len(set(sizes)) < max(len(sizes), 2):  # a repeated size is a zero step, whose ratio is 1 by construction
         raise ValidationError(f"need at least two register sizes, none repeated, to form ratios; got {sizes}")
     passes = {}

@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import OverlapTooSmall, PostSelectionImpossible, ValidationError
 from .ideal import CERTAINTY_THRESHOLD, _require_projector, abl_generalized, certain_outcome
-from .linalg import DenseOperator, hermitian_eigendecomposition, pauli, require_integer
+from .linalg import DenseOperator, Domain, hermitian_eigendecomposition, pauli
 from .states import StateVector, TwoStateVector, _require_overlap, _unit_scaled
+
+AZIMUTHAL_SAMPLES = Domain("int", 8)
 
 
 def weak_value(description, obs: DenseOperator) -> complex:
@@ -63,7 +65,7 @@ def certainty_cone(description, samples: int = 16) -> np.ndarray:
     probability reaches CERTAINTY_THRESHOLD are returned, as an (m, 3) float array
     (no direction: shape (0, 3)).
     """
-    require_integer(samples, "azimuthal samples", 8)
+    AZIMUTHAL_SAMPLES.require(samples, "azimuthal samples")
     try:
         w = weak_vector(description)
     except OverlapTooSmall:

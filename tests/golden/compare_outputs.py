@@ -98,6 +98,13 @@ REFUSED = (
     ("negative-eta-beyond-the-schedule", ("run", "time_machine", "--param", "eta=-1e300")),
     # n_terms is checked first; width=0, outside its domain too, ends the request where nothing bounds n_terms
     ("n-terms-above-domain", ("run", "time_machine", "--param", "n_terms=1000001", "--param", "width=0")),
+    # past the float range of binom(N, N/2): an OverflowError (exit 3) until spins had a maximum
+    ("spins-above-domain", ("run", "n_spin_single_system", "--param", "spins=1030")),
+    # one site past the stencil's rounding bound, eps/dx**2 <= 1e-11
+    ("sites-above-domain", ("run", "negative_kinetic_energy", "--param", "sites=25468")),
+    # inside the (0, inf) once listed, outside the widths whose square is a normal float
+    ("width-whose-square-underflows", ("run", "time_machine", "--param", "width=1e-200")),
+    ("negative-delta-t", ("run", "time_machine", "--param", "delta_t=-1")),
 )
 
 

@@ -14,8 +14,7 @@ import math
 import numpy as np
 
 from twostate.errors import ValidationError
-from twostate.linalg import require_integer, require_positive
-from twostate.timemachine import _require_nonnegative
+from twostate.linalg import COUNT, NONNEGATIVE, POSITIVE
 
 GRAVITATIONAL_CONSTANT = 6.67430e-11  # m^3 kg^-1 s^-2
 LIGHT_SPEED = 299792458.0  # m / s
@@ -28,7 +27,7 @@ def _one_minus_sqrt_one_minus(x: float) -> float:
 
 def _schwarzschild_radius(mass: float, *radii: float) -> float:
     """2GM/c^2 of a finite, nonnegative mass; each of `radii` must be finite and exceed it."""
-    _require_nonnegative(mass, "mass")
+    NONNEGATIVE.require(mass, "mass")
     rs = 2.0 * GRAVITATIONAL_CONSTANT * mass / LIGHT_SPEED**2
     for r in radii:
         if not (math.isfinite(r) and r > rs):
@@ -38,7 +37,7 @@ def _schwarzschild_radius(mass: float, *radii: float) -> float:
 
 def sr_dilation(velocity: float, duration: float) -> float:
     """Time lag T*(1 - sqrt(1 - V^2/c^2)) accumulated by a moving system."""
-    _require_nonnegative(duration, "duration")
+    NONNEGATIVE.require(duration, "duration")
     if not 0 <= velocity < LIGHT_SPEED:
         raise ValidationError("velocity must satisfy 0 <= V < c")
     return duration * _one_minus_sqrt_one_minus((velocity / LIGHT_SPEED) ** 2)
@@ -46,7 +45,7 @@ def sr_dilation(velocity: float, duration: float) -> float:
 
 def gr_dilation(mass: float, radius: float, duration: float) -> float:
     """Time lag inside a massive shell, T*(1 - sqrt(1 - 2GM/(c^2 R)))."""
-    _require_nonnegative(duration, "duration")
+    NONNEGATIVE.require(duration, "duration")
     return duration * _one_minus_sqrt_one_minus(_schwarzschild_radius(mass, radius) / radius)
 
 
@@ -56,7 +55,7 @@ def shell_pair_dilation(mass: float, r_rest: float, radius: float, duration: flo
     Evaluated as T*(rs/R - rs/R0) / (sqrt(1-rs/R0) + sqrt(1-rs/R)) so the
     near-cancelling square roots never meet head on.
     """
-    _require_nonnegative(duration, "duration")
+    NONNEGATIVE.require(duration, "duration")
     rs = _schwarzschild_radius(mass, r_rest, radius)
     a = math.sqrt(1.0 - rs / r_rest)
     b = math.sqrt(1.0 - rs / radius)
@@ -70,9 +69,9 @@ def radius_schedule(n_terms: int, delta_t: float, shell_mass: float, r0: float, 
     rest radius's own lag 1 - sqrt(1 - rs/R0) is kept however small it is,
     so shell_pair_dilation(M, R0, R_n, T) returns delta_t_n.
     """
-    require_integer(n_terms, "n_terms", 1)
-    _require_nonnegative(delta_t, "maximal elementary shift delta_t")
-    require_positive(external_t, "external duration")
+    COUNT.require(n_terms, "n_terms")
+    NONNEGATIVE.require(delta_t, "maximal elementary shift delta_t")
+    POSITIVE.require(external_t, "external duration")
     rs = _schwarzschild_radius(shell_mass, r0)
     if rs == 0.0:
         raise ValidationError("a massive shell is required for a radius schedule")

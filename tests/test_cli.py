@@ -11,8 +11,13 @@ import pytest
 from twostate import cli
 from twostate.cli import main
 from twostate.errors import ValidationError
+from twostate.linalg import WIDTH, Domain
 from twostate.reporting import csv_table, format_float, write_text_atomic
 from twostate.scenarios import REGISTRY, ParamSpec, ScenarioResult, ScenarioSpec, get_scenario
+
+
+X, ON = "(-20, 20)", "the site lies on the pointer-level confirmation's lattice"  # postselect_x's domain and why
+HW, OUT = "[0, 20)", "postselect_x lies outside the well"  # well_half_width's domain and why
 
 
 def run_cli(*argv):
@@ -193,9 +198,9 @@ def test_a_table_builder_that_raises_leaves_no_file(tmp_path, capsys, monkeypatc
 def test_widths_whose_square_leaves_the_float_range_are_refused(scenario, param, tmp_path, capsys):
     # the Gaussian normalization (pi * D**2)**-0.25 divided by zero or overflowed here: exit 3
     assert run_cli("run", scenario, "--param", param, "--out", str(tmp_path)) == 2
-    width = float(param.split("=")[1])
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"width {width} lies outside" in err
+    name, width = param.split("=")
+    expected = f"error: parameter {name!r} must be a float in {WIDTH}, got {float(width)!r}"
+    assert capsys.readouterr().err == f"{expected}; its square must be a normal float\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -256,7 +261,8 @@ def test_n_terms_above_its_maximum_exits_2_before_any_compute(tmp_path):
     # with no maximum, eta = 0.5 runs at any register size, its cost linear in n_terms
     proc = _child_cli(["run", "time_machine", "--param", "eta=0.5", "--param", "n_terms=1000001", "--out", str(tmp_path)])
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: parameter 'n_terms' is at most 1000000, got 1000001\n"
+    why = "the cap holds a run to 0.48 s, 33 MB (2-core x86-64)"
+    assert proc.stderr == f"error: parameter 'n_terms' must be an integer in [1, 1000000], got 1000001; {why}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -353,7 +359,8 @@ def test_a_sweep_value_outside_the_domain_is_refused_before_the_first_run(tmp_pa
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: parameter 'boxes' is at most 100000, got 100001\n"
+    why = "the cap holds a run to 0.2 s, 17 MB over the default"
+    assert captured.err == f"error: parameter 'boxes' must be an integer in [3, 100000], got 100001; {why}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -480,14 +487,16 @@ def test_seeds_and_config_bytes_it_cannot_use_are_refused(argv, config, tmp_path
 def test_three_box_without_particles_is_a_usage_error(n_particles, tmp_path, capsys):
     assert run_cli("run", "three_box", "--param", f"n_particles={n_particles}", "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
-    assert err == f"error: parameter 'n_particles' is at least 1, got {n_particles}\n"
+    domain, why = "[1, 9007199254740992]", "n * (P_k)_w, with (P_k)_w = +-1, is exact to 2**53"
+    assert err == f"error: parameter 'n_particles' must be an integer in {domain}, got {n_particles}; {why}\n"
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("sites", ["1", "0", "-5"])
 def test_negative_kinetic_energy_below_two_sites_is_a_usage_error(sites, tmp_path, capsys):
     assert run_cli("run", "negative_kinetic_energy", "--param", f"sites={sites}", "--out", str(tmp_path)) == 2
-    assert capsys.readouterr().err == f"error: parameter 'sites' is at least 2, got {sites}\n"
+    why = "its stencil's rounding, eps/dx**2, stays at most 1e-11"
+    assert capsys.readouterr().err == f"error: parameter 'sites' must be an integer in [2, 25467], got {sites}; {why}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -495,15 +504,15 @@ def test_negative_kinetic_energy_below_two_sites_is_a_usage_error(sites, tmp_pat
     "params, message",
     [
         # this one exited 0, its pointer post-selected at the coarse lattice's edge, 20, as if postselect_x were 19
-        (["well_depth=0.05", "postselect_x=30"], "parameter 'postselect_x' must be below 20, got 30.0"),
-        (["postselect_x=100"], "parameter 'postselect_x' must be below 20, got 100.0"),
+        (["well_depth=0.05", "postselect_x=30"], f"parameter 'postselect_x' must be a float in {X}, got 30.0; {ON}"),
+        (["postselect_x=100"], f"parameter 'postselect_x' must be a float in {X}, got 100.0; {ON}"),
         # these exited 1 on bound_state_exists: the lattice held a free particle
         (["well_half_width=0.01"], "a well of half width 0.01 holds no site of the 2048-site lattice"),
         (["well_half_width=1e-300"], "a well of half width 1e-300 holds no site of the 2048-site lattice"),
-        (["well_half_width=-1", "postselect_x=0"], "a well of half width -1.0 holds no site of the 2048-site lattice"),
+        (["well_half_width=-1", "postselect_x=0"], f"parameter 'well_half_width' must be a float in {HW}, got -1.0; {OUT}"),
         # these exited 1 on bound_state_exists and pointer_shift_negative: a well of depth 0 or less binds nothing
-        (["well_depth=0"], "parameter 'well_depth' must be above 0, got 0.0"),
-        (["well_depth=-5"], "parameter 'well_depth' must be above 0, got -5.0"),
+        (["well_depth=0"], "parameter 'well_depth' must be a float in (0, inf), got 0.0"),
+        (["well_depth=-5"], "parameter 'well_depth' must be a float in (0, inf), got -5.0"),
     ],
     ids=[
         "postselect-30",
@@ -543,11 +552,22 @@ def test_an_unexpected_exception_is_an_internal_error(argv, tmp_path, monkeypatc
     assert capsys.readouterr().err == "internal error: RuntimeError: injected fault\n"
 
 
-@pytest.mark.parametrize("param", ["well_depth=nan", "well_depth=inf", "well_depth=-inf", "well_half_width=nan"])
-def test_non_finite_float_parameters_are_refused(param, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "param, domain",
+    [
+        ("well_depth=nan", "(0, inf)"),
+        ("well_depth=inf", "(0, inf)"),
+        ("well_depth=-inf", "(0, inf)"),
+        ("well_half_width=nan", f"{HW}; {OUT}"),
+    ],
+    ids=["well_depth=nan", "well_depth=inf", "well_depth=-inf", "well_half_width=nan"],
+)
+def test_non_finite_float_parameters_are_refused(param, domain, tmp_path, capsys):
     assert run_cli("run", "negative_kinetic_energy", "--param", param, "--out", str(tmp_path)) == 2
     name, value = param.split("=")
-    assert capsys.readouterr().err == f"error: parameter {name!r} expects float, got {value!r}\n"
+    interval, _, why = domain.partition("; ")
+    expected = f"error: parameter {name!r} must be a float in {interval}, got {float(value)!r}"
+    assert capsys.readouterr().err == expected + (f"; {why}" if why else "") + "\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -603,11 +623,12 @@ def test_outputs_that_cannot_be_written_are_a_usage_error(argv, tmp_path, capsys
         ("time_machine", "n_terms", 1),
         ("spin_cone", "chi", 0),
         ("spin_cone", "chi", math.pi / 2),
-        ("spin_xi_weak", "delta", 0),
-        ("n_spin_single_system", "delta", 0),
-        ("negative_kinetic_energy", "pointer_delta", 0),
+        # a width's lower bound is inclusive: 2**-511 squares to the least normal float
+        ("spin_xi_weak", "delta", 2.0**-511),
+        ("n_spin_single_system", "delta", 2.0**-511),
+        ("negative_kinetic_energy", "pointer_delta", 2.0**-511),
         ("negative_kinetic_energy", "well_depth", 0),
-        ("time_machine", "width", 0),
+        ("time_machine", "width", 2.0**-511),
         # the post-selection point lies on the coarse pointer lattice, which spans +-20
         ("negative_kinetic_energy", "postselect_x", -20),
         ("negative_kinetic_energy", "postselect_x", 20),
@@ -620,19 +641,22 @@ def test_sizes_above_their_cap_are_refused_before_any_compute(scenario, name, ca
     spec = get_scenario(scenario)
     monkeypatch.setitem(REGISTRY, scenario, ScenarioSpec(spec.name, spec.summary, spec.params, computes))
     param = {p.name: p for p in spec.params}[name]
-    upper = cap == param.max
+    domain, upper = param.domain, cap == param.domain.hi
+    outward = math.inf if upper else -math.inf
     if param.kind == "int":  # an int's bounds are inclusive
         assert param.coerce(str(cap)) == cap
         outside = (cap + 1, 10**12) if upper else (cap - 1, -(10**12))
-        words = "is at most" if upper else "is at least"
-    else:  # a float's are exclusive
-        inside = math.nextafter(cap, -math.inf if upper else math.inf)
+    elif domain.ends[upper] in "[]":  # a closed float bound
+        assert param.coerce(repr(float(cap))) == cap
+        outside = (math.nextafter(cap, outward), 1e300 if upper else -1e300)
+    else:  # an open one
+        inside = math.nextafter(cap, -outward)
         assert param.coerce(repr(inside)) == inside
-        outside = (float(cap), math.nextafter(cap, math.inf if upper else -math.inf), 1e300 if upper else -1e300)
-        words = "must be below" if upper else "must be above"
+        outside = (float(cap), math.nextafter(cap, outward), 1e300 if upper else -1e300)
+    noun, why = "an integer" if param.kind == "int" else "a float", f"; {domain.why}" if domain.why else ""
     for value in outside:
         assert run_cli("run", scenario, "--param", f"{name}={value!r}", "--out", str(tmp_path)) == 2
-        assert capsys.readouterr().err == f"error: parameter {name!r} {words} {cap}, got {value}\n"
+        assert capsys.readouterr().err == f"error: parameter {name!r} must be {noun} in {domain}, got {value!r}{why}\n"
     assert not any(tmp_path.iterdir())
 
 
@@ -653,7 +677,7 @@ def _checked_stand_in(monkeypatch) -> None:
         tables = {"x.csv": lambda: (["x"], [[params["x"]]])}
         return ScenarioResult("checked", params, f"checked: x={params['x']}", {"x": params["x"]}, tables, checks)
 
-    spec = ScenarioSpec("checked", "a stand-in with a failing check", (ParamSpec("x", "int", 2),), runner)
+    spec = ScenarioSpec("checked", "a stand-in with a failing check", (ParamSpec("x", 2, Domain("int")),), runner)
     monkeypatch.setitem(REGISTRY, "checked", spec)
 
 

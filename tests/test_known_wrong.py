@@ -111,15 +111,8 @@ def test_negative_kinetic_energy_well_depth_400_exits_2_or_reads_the_ground_ener
     assert code == 2 or abs(results["kinetic_weak_value"] - results["ground_energy"]) <= 1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP items 1 and 22: exits 3 with OverflowError, as float(math.comb(n, i)) in "
-        "n_spin_weights_and_centers passes the float range from 1030 spins"
-    ),
-)
 def test_n_spin_spins_1030_is_not_an_internal_error(tmp_path, capsys):
+    # exited 3 with OverflowError from float(math.comb(1030, i)); the domain of spins ends at 1029
     assert _run(tmp_path, "n_spin_single_system", "spins=1030")[0] != 3
 
 
@@ -153,15 +146,8 @@ def test_negative_kinetic_energy_well_half_width_1e_300_exits_2(tmp_path, capsys
     assert _run(tmp_path, "negative_kinetic_energy", "well_half_width=1e-300")[0] == 2
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP items 11 and 22: exits 1 with |K_w - E0| = 1.5e-10 past the fixed 1e-10 tolerance; the discrete "
-        "Laplacian at the post-selection site cancels to about eps/dx**2, and nothing bounds `sites`"
-    ),
-)
 def test_negative_kinetic_energy_sites_100000_exits_2_or_reads_the_ground_energy(tmp_path, capsys):
+    # exited 1 with |K_w - E0| = 1.5e-10; the domain of sites ends where eps/dx**2 reaches a tenth of that check
     code, results = _run(tmp_path, "negative_kinetic_energy", "sites=100000")
     assert code == 2 or (code == 0 and abs(results["kinetic_weak_value"] - results["ground_energy"]) <= 1e-10)
 
@@ -235,7 +221,8 @@ def test_three_box_n_particles_past_2_to_the_53_exits_2_before_any_compute(tmp_p
     for n_particles in (2**53 + 1, 2**1024):
         assert _run(tmp_path, "three_box", f"n_particles={n_particles}") == (2, None)
         err = capsys.readouterr().err
-        assert err.startswith("error: parameter 'n_particles' is at most 9007199254740992") and err.count("\n") == 1
+        assert err.startswith("error: parameter 'n_particles' must be an integer in [1, 9007199254740992], got")
+        assert err.count("\n") == 1
     assert calls == []
 
 

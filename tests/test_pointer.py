@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from pointer_views import joint_state_after_impulse, momentum_shift_imaginary_part
@@ -18,6 +20,7 @@ from twostate.linalg import (
     unit_density,
 )
 from twostate.pointer import (
+    SPINS,
     GaussianPointer,
     _invert_cdf,
     _sorted_draws,
@@ -522,6 +525,16 @@ def test_n_spin_centers_span_the_average_spectrum_and_weights_sum_to_cos_power()
     assert centers.min() == pytest.approx(-1.0, abs=0) and centers.max() == pytest.approx(1.0, abs=0)
     # signed weights sum to cos(pi/4)^n
     assert weights.sum() == pytest.approx(np.cos(np.pi / 4) ** 6, abs=1e-12)
+
+
+def test_the_spin_count_ends_where_the_middle_binomial_coefficient_leaves_the_float_range():
+    # each weight takes its binomial coefficient as a float, the middle one the largest
+    assert SPINS.hi == 1029 and float(math.comb(1029, 514)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+    assert np.isfinite(n_spin_weights_and_centers(1029)[0]).all()
+    with pytest.raises(ValidationError, match=r"spins must be an integer in \[1, 1029\], got 1030"):
+        n_spin_weights_and_centers(1030)
 
 
 @pytest.mark.parametrize("n", [0, 2.5, 3.0, "3", True], ids=["zero", "fraction", "integral_float", "string", "bool"])

@@ -39,6 +39,8 @@ UNREACHED = {
     "linalg.Record.__init_subclass__": "runs at import, once per record class: test_records builds every one",
     "linalg.Record.__repr__": "test_records::test_a_record_prints_as_its_class_and_fields",
     "linalg.Record.__setattr__": "test_records::test_a_record_refuses_assignment_and_deletion",
+    "linalg.Domain.__post_init__": "runs at import, when each domain is declared",
+    "linalg.Domain.capped": "runs at import, when a scenario narrows a library domain",
     "linalg.exact_cache": "runs at import, once per cached function",
     "linalg.SpectralDecomposition.branches": f"P_n|Psi> of {CRITERION_10} and the test_pointer joint-state tests",
     "pointer.moment_expansion_residual": "test_pointer::test_moment_expansion_residual_*",
@@ -61,7 +63,8 @@ UNREACHED = {
     "protective.adiabatic_protective_measurement": CRITERION_9,
     "protective.protected_two_state_measurement": CRITERION_9,
     "scenarios.ParamSpec.__post_init__": "runs at import, when each parameter is declared",
-    "scenarios._register": "runs at import, before any CLI call",
+    "scenarios._scenario": "runs at import, once per scenario, before any CLI call",
+    "scenarios._scenario.register": "runs at import, once per scenario, before any CLI call",
     "states.interchange": f"time-reversal interchange, {CRITERION_10}",
     "weak.theorem_i_check": "test_weak::test_theorem_i_for_boxes_and_epr",
     "weak.theorem_ii_check": "test_weak::test_theorem_ii_branches",

@@ -26,7 +26,7 @@ GRID = linalg.Grid1D(-4.0, 4.0, 16)
 WAVE = linalg.WaveFunction1D(GRID, np.ones(16))
 UP = states.StateVector([1.0, 0.0])
 DOWN_ROW = states.CoStateVector([0.0, 1.0])
-SPEC = scenarios.ParamSpec("boxes", "int", 5, min=3)
+SPEC = scenarios.ParamSpec("boxes", 5, linalg.Domain("int", 3))
 ARRAY = np.array([0.5, 0.5])
 
 
@@ -43,6 +43,11 @@ CASES = {
         {},
     ),
     "linalg.Grid1D": (linalg.Grid1D, {"lo": -1.0, "hi": 1.0, "points": 16}, {}),
+    "linalg.Domain": (
+        linalg.Domain,
+        {"kind": "float", "lo": 0.0, "hi": 10.0, "ends": "(]", "why": "a stated reason"},
+        {"lo": -math.inf, "hi": math.inf, "ends": "()", "why": ""},  # an infinite end is open
+    ),
     "linalg.WaveFunction1D": (
         linalg.WaveFunction1D,
         {"grid": GRID, "values": np.ones(16, dtype=complex), "representation": "momentum", "conjugate_lo": -2.0},
@@ -111,8 +116,8 @@ CASES = {
     ),
     "scenarios.ParamSpec": (
         scenarios.ParamSpec,
-        {"name": "width", "kind": "float", "default": 2.0, "max": 10.0, "min": 0.0},
-        {"max": math.inf, "min": -math.inf},
+        {"name": "postselect", "default": True, "domain": None},
+        {"domain": None},  # a bool's
     ),
     "scenarios.ScenarioResult": (
         scenarios.ScenarioResult,
@@ -201,13 +206,13 @@ REFUSED = {
     ),
     "a negative pointer width": (pointer.GaussianPointer, {"delta": -1.0, "grid": GRID}, ValidationError),
     "an unknown parameter kind": (
-        scenarios.ParamSpec,
-        {"name": "x", "kind": "complex", "default": 0},
+        linalg.Domain,
+        {"kind": "complex"},
         ValidationError,
     ),
     "a default outside the declared domain": (
         scenarios.ParamSpec,
-        {"name": "x", "kind": "int", "default": 0, "max": math.inf, "min": 1},
+        {"name": "x", "default": 0, "domain": linalg.Domain("int", 1)},
         ValidationError,
     ),
     "an adiabatic schedule of 99 steps": (
@@ -300,8 +305,9 @@ def test_records_of_one_class_with_equal_fields_are_equal_and_hash_equal(name):
 
 def test_records_differing_in_one_field_or_in_class_are_unequal():
     assert linalg.Grid1D(-1.0, 1.0, 16) != linalg.Grid1D(-1.0, 1.0, 17)
-    assert scenarios.ParamSpec("boxes", "int", 5, min=3) != scenarios.ParamSpec("boxes", "int", 5, min=4)
-    assert scenarios.ParamSpec("boxes", "int", 5, min=3) == scenarios.ParamSpec("boxes", "int", 5, min=3.0)
+    three, four, three_float = (linalg.Domain("int", lo) for lo in (3, 4, 3.0))
+    assert scenarios.ParamSpec("boxes", 5, three) != scenarios.ParamSpec("boxes", 5, four)
+    assert scenarios.ParamSpec("boxes", 5, three) == scenarios.ParamSpec("boxes", 5, three_float)
     assert states.StateVector([1.0, 0.0]) != states.CoStateVector([1.0, 0.0])
     tsv = states.TwoStateVector(DOWN_ROW, UP)
     assert tsv != states.GeneralizedTwoStateVector(tsv.terms) and tsv == copy.copy(tsv)

@@ -644,9 +644,9 @@ def unit_gaussian():
 
 def test_machine_config_validation():
     # the machine's settings are run_machine's (n_terms, eta, delta_t) and radius_schedule's shell fields
-    with pytest.raises(ValidationError, match="n_terms must be an integer of at least 1"):
+    with pytest.raises(ValidationError, match=r"n_terms must be an integer in \[1, inf\), got 0"):
         run_machine(unit_gaussian(), 0, 1.0, 1.0)
-    with pytest.raises(ValidationError, match="external duration must be finite and positive"):
+    with pytest.raises(ValidationError, match=r"external duration must be a float in \(0, inf\), got 0.0"):
         radius_schedule(2, 1.0, 5.972e24, 1e13, external_t=0.0)
     rs = 2 * GRAVITATIONAL_CONSTANT * 5.972e24 / LIGHT_SPEED**2
     with pytest.raises(ValidationError, match="Schwarzschild radius"):
